@@ -1,10 +1,11 @@
 """Machine-readable benchmark trajectory.
 
 Benchmarks call :func:`record` with a section name and a metrics dict;
-everything accumulates into one JSON file (default
-``benchmarks/BENCH_variation.json``, override with the
-``BENCH_VARIATION_JSON`` environment variable) so future PRs can diff
-performance numbers instead of scraping bench logs.
+everything accumulates into one JSON file per subsystem,
+``benchmarks/BENCH_<name>.json`` (:func:`json_path`; the default is
+``BENCH_variation.json``), so runs can be diffed instead of scraping
+bench logs.  The files are run outputs, not tracked sources: CI
+uploads them as artifacts, and ``perfbench/`` is the gated ledger.
 
 Schema::
 
@@ -23,76 +24,19 @@ different test files in one run all land in the same JSON.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 SCHEMA_VERSION = 1
 
 
-def bench_json_path() -> Path:
-    override = os.environ.get("BENCH_VARIATION_JSON")
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parent / "BENCH_variation.json"
-
-
-def compute_json_path() -> Path:
-    """Trajectory file for the compute-backend benchmarks
-    (``BENCH_compute.json``, override with ``BENCH_COMPUTE_JSON``)."""
-    override = os.environ.get("BENCH_COMPUTE_JSON")
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parent / "BENCH_compute.json"
-
-
-def api_json_path() -> Path:
-    """Trajectory file for the facade/service benchmarks
-    (``BENCH_api.json``, override with ``BENCH_API_JSON``)."""
-    override = os.environ.get("BENCH_API_JSON")
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parent / "BENCH_api.json"
-
-
-def obs_json_path() -> Path:
-    """Trajectory file for the observability-overhead benchmarks
-    (``BENCH_obs.json``, override with ``BENCH_OBS_JSON``)."""
-    override = os.environ.get("BENCH_OBS_JSON")
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parent / "BENCH_obs.json"
-
-
-def service_json_path() -> Path:
-    """Trajectory file for the job-service tier benchmarks
-    (``BENCH_service.json``, override with ``BENCH_SERVICE_JSON``)."""
-    override = os.environ.get("BENCH_SERVICE_JSON")
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parent / "BENCH_service.json"
-
-
-def standby_json_path() -> Path:
-    """Trajectory file for the standby-engine benchmarks
-    (``BENCH_standby.json``, override with ``BENCH_STANDBY_JSON``)."""
-    override = os.environ.get("BENCH_STANDBY_JSON")
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parent / "BENCH_standby.json"
-
-
-def policy_json_path() -> Path:
-    """Trajectory file for the sleep-policy optimizer benchmarks
-    (``BENCH_policy.json``, override with ``BENCH_POLICY_JSON``)."""
-    override = os.environ.get("BENCH_POLICY_JSON")
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parent / "BENCH_policy.json"
+def json_path(name: str) -> Path:
+    """The trajectory file of one subsystem: ``BENCH_<name>.json``."""
+    return Path(__file__).resolve().parent / f"BENCH_{name}.json"
 
 
 def record(section: str, metrics: dict, path: Path | None = None) -> Path:
     """Merge one section's metrics into the bench JSON; returns the path."""
-    path = path or bench_json_path()
+    path = path or json_path("variation")
     payload = {"schema": SCHEMA_VERSION, "sections": {}}
     if path.exists():
         try:

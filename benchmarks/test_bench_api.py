@@ -1,8 +1,8 @@
-"""Facade benchmark: warm Workspace-cached calls vs the legacy cold path.
+"""Facade benchmark: warm Workspace-cached calls vs a cold study.
 
 The acceptance bar for the ``repro.api`` redesign: a **warm**
-``Design.analyze()`` through the facade must beat the legacy cold-path
-``run_table1`` single-circuit time by at least 3x.  (In practice the
+``Design.analyze()`` through the facade must beat a cold-workspace
+``table1_study`` single-circuit time by at least 3x.  (In practice the
 gap is orders of magnitude — a warm analyze is a cache lookup, the
 cold path is three full flows — but the floor pins the contract so a
 regression that silently re-compiles state per call fails loudly.)
@@ -15,12 +15,12 @@ in ``BENCH_api.json`` via the shared recorder.
 from __future__ import annotations
 
 import time
-import warnings
 
 from repro.api import Workspace
+from repro.api.studies import table1_study
 from repro.experiments import table1_config
 
-from recorder import api_json_path, record
+from recorder import json_path, record
 
 CIRCUIT_SHORT = "A"
 WARM_CALLS = 100
@@ -34,12 +34,8 @@ def _time(fn, repeat: int = 1) -> float:
 
 
 def test_warm_facade_analyze_beats_cold_table1(library):
-    from repro.experiments import run_table1
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        cold_s = _time(lambda: run_table1(library,
-                                          circuits=(CIRCUIT_SHORT,)))
+    cold_s = _time(lambda: table1_study(Workspace(library=library),
+                                        circuits=(CIRCUIT_SHORT,)))
 
     workspace = Workspace(library=library,
                           config=table1_config(CIRCUIT_SHORT))
@@ -50,18 +46,18 @@ def test_warm_facade_analyze_beats_cold_table1(library):
     speedup = cold_s / warm_s
     record("api_facade", {
         "circuit": f"circuit{CIRCUIT_SHORT}",
-        "cold_run_table1_s": cold_s,
+        "cold_table1_study_s": cold_s,
         "first_analyze_s": first_analyze_s,
         "warm_analyze_s": warm_s,
         "warm_analyze_speedup_x": speedup,
         "required_speedup_x": 3.0,
-    }, path=api_json_path())
-    print(f"\ncold run_table1({CIRCUIT_SHORT}): {cold_s:.3f}s, "
+    }, path=json_path("api"))
+    print(f"\ncold table1_study({CIRCUIT_SHORT}): {cold_s:.3f}s, "
           f"warm analyze: {warm_s * 1e6:.1f}us "
           f"({speedup:.0f}x)")
     assert speedup >= 3.0, (
-        f"warm facade analyze must be >= 3x faster than the cold "
-        f"run_table1 path, got {speedup:.2f}x")
+        f"warm facade analyze must be >= 3x faster than a cold "
+        f"table1_study, got {speedup:.2f}x")
 
 
 def test_warm_signoff_reuses_flow_and_corner_caches(library):
@@ -79,7 +75,7 @@ def test_warm_signoff_reuses_flow_and_corner_caches(library):
         "cold_signoff_s": cold_s,
         "warm_signoff_s": warm_s,
         "warm_flow_new_corners_s": partial_s,
-    }, path=api_json_path())
+    }, path=json_path("api"))
     assert warm_s < cold_s
     # The flow dominates the cold signoff; with it cached, evaluating
     # a fresh corner subset must be much cheaper than the cold call.

@@ -1,6 +1,6 @@
 """Compute-backend benchmarks: scalar vs numpy kernel throughput.
 
-Records ``BENCH_compute.json`` (see ``recorder.compute_json_path``):
+Records ``BENCH_compute.json`` (see ``recorder.json_path``):
 
 * ``sta_<n>`` — one full STA propagation on generated layered circuits
   of 1k / 10k / 50k instances, three ways: scalar, numpy cold (first
@@ -23,7 +23,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from recorder import compute_json_path, record
+from recorder import json_path, record
 
 from repro.benchcircuits.generator import GeneratorConfig, generate_circuit
 from repro.liberty.library import VARIANT_LVT
@@ -109,7 +109,7 @@ def test_bench_full_sta(circuits, library, n_gates, tmp_path,
         "scalar_inst_per_s": round(instances / scalar_warm_s),
         "numpy_inst_per_s": round(instances / vector_warm_s),
         "warm_speedup": round(scalar_warm_s / vector_warm_s, 2),
-    }, path=compute_json_path())
+    }, path=json_path("compute"))
     # Warm numpy full runs must at least keep pace at scale; the real
     # bar is the batched Monte-Carlo case below.  With a warm lowering
     # cache, even the numpy COLD start must keep pace with scalar cold
@@ -155,7 +155,7 @@ def test_bench_montecarlo_10k(circuits, library):
         "scalar_samples_per_s": round(samples / scalar_s, 2),
         "numpy_samples_per_s": round(samples / vector_s, 2),
         "speedup": round(speedup, 2),
-    }, path=compute_json_path())
+    }, path=json_path("compute"))
     # Acceptance bar: one batched (samples x instances) pass beats k
     # sequential scalar re-propagations by at least 5x.
     assert speedup >= 5.0, f"numpy MC speedup {speedup:.1f}x < 5x"

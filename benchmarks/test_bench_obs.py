@@ -1,6 +1,6 @@
 """Observability overhead: the disabled fast path must stay free.
 
-Records ``BENCH_obs.json`` (see ``recorder.obs_json_path``):
+Records ``BENCH_obs.json`` (see ``recorder.json_path``):
 
 * ``span_site`` — nanoseconds per *disabled* span site (the shared
   null object plus the kwargs dict the call site builds), measured
@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from recorder import obs_json_path, record
+from recorder import json_path, record
 
 from repro.benchcircuits.generator import GeneratorConfig, generate_circuit
 from repro.compute import resolve_backend
@@ -103,7 +103,7 @@ def test_bench_disabled_overhead_under_two_percent(netlist, library):
     record("span_site", {
         "disabled_ns_per_site": round(site_ns, 1),
         "iters": SITE_ITERS,
-    }, path=obs_json_path())
+    }, path=json_path("obs"))
     record("sta_10k", {
         "backend": backend,
         "instances": len(netlist.instances),
@@ -112,7 +112,7 @@ def test_bench_disabled_overhead_under_two_percent(netlist, library):
         "spans_per_run": round(spans_per_run, 1),
         "disabled_overhead_pct": round(100 * overhead, 4),
         "enabled_ratio": round(enabled_s / disabled_s, 3),
-    }, path=obs_json_path())
+    }, path=json_path("obs"))
 
     assert spans_per_run >= 1, "enabled run recorded no spans"
     assert overhead < OVERHEAD_BUDGET, \

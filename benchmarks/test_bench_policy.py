@@ -1,6 +1,6 @@
 """Sleep-policy optimizer benchmarks: candidate-sweep throughput.
 
-Records ``BENCH_policy.json`` (see ``recorder.policy_json_path``):
+Records ``BENCH_policy.json`` (see ``recorder.json_path``):
 
 * ``candidate_sweep`` — >= 1000 candidate (domain plan, threshold)
   policies against the all-MTV c432 network at three PVT corners,
@@ -23,7 +23,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from recorder import policy_json_path, record
+from recorder import json_path, record
 
 from repro.benchcircuits.suite import load_circuit
 from repro.liberty.library import VARIANT_MTV
@@ -108,7 +108,7 @@ def test_bench_candidate_sweep(policy_network, library):
         "speedup_floor": SPEEDUP_FLOOR,
         "bit_identical": True,
     }
-    record("candidate_sweep", metrics, policy_json_path())
+    record("candidate_sweep", metrics, json_path("policy"))
     print(f"\ncandidate sweep x{swept}: scalar {scalar_s:.3f}s, "
           f"numpy {numpy_s:.3f}s ({speedup:.1f}x)")
     assert speedup >= SPEEDUP_FLOOR

@@ -31,7 +31,7 @@ from repro.api import ServiceClient, Workspace
 from repro.api.service import JobService, ServiceServer
 from repro.obs import REGISTRY
 
-from recorder import record, service_json_path
+from recorder import json_path, record
 
 ANALYZE_CIRCUIT = "c17"
 COALESCE_CIRCUIT = "c432"
@@ -109,7 +109,7 @@ def test_concurrent_clients_cold_vs_warm(library):
                 "warm_rps": clients / warm_wall,
             }
             record(f"service_clients_{clients}", metrics,
-                   path=service_json_path())
+                   path=json_path("service"))
             print(f"\n{clients} clients: cold p50 "
                   f"{metrics['cold_p50_s'] * 1e3:.1f}ms "
                   f"p99 {metrics['cold_p99_s'] * 1e3:.1f}ms "
@@ -160,7 +160,7 @@ def test_coalesced_throughput_beats_sequential_baseline(library):
             "jobs_collapsed": collapsed,
             "throughput_speedup_x": speedup,
             "required_speedup_x": REQUIRED_COALESCE_SPEEDUP,
-        }, path=service_json_path())
+        }, path=json_path("service"))
         print(f"\ncoalescing: {COALESCE_JOBS} jobs sequential "
               f"{sequential_s:.2f}s ({sequential_rps:.1f} rps) vs "
               f"coalesced {coalesced_s:.2f}s ({coalesced_rps:.1f} rps) "

@@ -1,6 +1,6 @@
 """Standby-engine benchmarks: scenario-batch throughput per backend.
 
-Records ``BENCH_standby.json`` (see ``recorder.standby_json_path``):
+Records ``BENCH_standby.json`` (see ``recorder.json_path``):
 
 * ``scenario_batch`` — a large synthetic power-mode scenario grid
   (fixed + exponential idle distributions) evaluated against the
@@ -25,7 +25,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from recorder import record, standby_json_path
+from recorder import json_path, record
 
 from repro.benchcircuits.suite import load_circuit
 from repro.liberty.library import VARIANT_MTV
@@ -114,7 +114,7 @@ def test_bench_scenario_batch(standby_network, library):
         "speedup_floor": SPEEDUP_FLOOR,
         "bit_identical": True,
     }
-    record("scenario_batch", metrics, standby_json_path())
+    record("scenario_batch", metrics, json_path("standby"))
     print(f"\nscenario batch x{SCENARIO_COUNT}: scalar {scalar_s:.3f}s, "
           f"numpy {numpy_s:.3f}s ({speedup:.1f}x)")
     assert speedup >= SPEEDUP_FLOOR
@@ -137,7 +137,7 @@ def test_bench_three_corner_signoff(standby_network, library):
         "corners": len(corners),
         "clusters": result.clusters,
         "elapsed_s": round(elapsed, 4),
-    }, standby_json_path())
+    }, json_path("standby"))
     print(f"\n3-corner signoff: {elapsed:.3f}s "
           f"({result.clusters} clusters)")
     assert len(result.outcomes) == len(scenarios) * len(corners)

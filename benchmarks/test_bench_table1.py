@@ -16,19 +16,21 @@ Absolute numbers differ from the paper (our substrate is a synthetic
 
 import pytest
 
+from repro.api import Workspace
+from repro.api.studies import table1_study
 from repro.config import Technique
-from repro.experiments import run_table1, table1_config
+from repro.experiments import table1_config
 from conftest import run_once
 
 
 @pytest.fixture(scope="module")
 def table1(library):
-    return run_table1(library)
+    return table1_study(Workspace(library=library))
 
 
 def test_bench_table1(benchmark, library):
-    result = run_once(benchmark, lambda: run_table1(library,
-                                                    circuits=("B",)))
+    result = run_once(benchmark, lambda: table1_study(
+        Workspace(library=library), circuits=("B",)))
     assert result.comparisons
 
 

@@ -5,14 +5,16 @@ Run from the repo root::
     PYTHONPATH=src python scripts/make_golden.py
 
 The fixtures freeze the paper-facing numbers (a Table 1 comparison for
-c432 and s298, and a Monte-Carlo percentile set for c432) as produced
-by the **python** reference backend.  The regression test asserts both
+c432 and s298, a Monte-Carlo percentile set for c432, and the standby
+and sleep-policy payloads of circuitB) as produced by the **python**
+reference backend.  The regression test asserts both
 compute backends keep reproducing them, so kernel changes cannot
 silently drift the reproduction.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 import sys
@@ -20,10 +22,11 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
                        / "src"))
 
-from repro.api import Workspace
+from repro.api import Workspace, schemas
 from repro.api.studies import technique_comparison
 from repro.benchcircuits.suite import load_circuit
 from repro.config import FlowConfig
+from repro.experiments import table1_config
 from repro.liberty.library import VARIANT_LVT
 from repro.liberty.synth import build_default_library
 from repro.netlist.techmap import technology_map
@@ -40,6 +43,8 @@ MC_CIRCUIT = "c432"
 MC_CLOCK_PERIOD_NS = 1.8
 MC_CONFIG = dict(samples=48, seed=7, sigma_global_v=0.03,
                  sigma_local_v=0.015, timing=True)
+STANDBY_CIRCUIT = "circuitB"
+POLICY_CANDIDATES = 120
 
 
 def table1_payload(library) -> dict:
@@ -80,7 +85,18 @@ def mc_payload(library) -> dict:
         "mc_config": MC_CONFIG,
         "nominal_leakage_nw": engine.nominal_leakage_nw,
         "nominal_wns": engine.nominal_wns,
-        "statistics": stats.as_dict(),
+        "statistics": schemas.to_dict(stats),
+    }
+
+
+def standby_policy_payload(library) -> dict:
+    config = dataclasses.replace(table1_config(STANDBY_CIRCUIT),
+                                 compute_backend="python")
+    design = Workspace(library=library).design(STANDBY_CIRCUIT, config)
+    return {
+        "standby": schemas.to_dict(design.standby()),
+        "policy": schemas.to_dict(
+            design.policy(candidates=POLICY_CANDIDATES)),
     }
 
 
@@ -96,6 +112,10 @@ def main() -> int:
                                      sort_keys=True) + "\n",
                           encoding="utf-8")
     print(f"wrote {montecarlo}")
+    standby = GOLDEN_DIR / "standby_policy_circuitB.json"
+    standby.write_text(json.dumps(standby_policy_payload(library), indent=2,
+                                  sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {standby}")
     return 0
 
 

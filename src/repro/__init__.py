@@ -31,7 +31,7 @@ or, driving the flow engine directly::
 from repro.benchcircuits.suite import available_circuits, load_circuit
 from repro.config import FlowConfig, Technique
 from repro.core.artifacts import export_design, verify_export
-from repro.core.compare import TechniqueComparison, compare_techniques
+from repro.core.compare import TechniqueComparison
 from repro.core.flow import FlowResult, SelectiveMtFlow
 from repro.core.stages import (
     FlowContext,
@@ -42,7 +42,7 @@ from repro.core.stages import (
 )
 from repro.device.process import DEFAULT_TECHNOLOGY, Technology
 from repro.errors import ReproError
-from repro.experiments import run_table1, table1_config
+from repro.experiments import table1_config
 from repro.liberty.synth import LibraryBuilder, build_default_library
 from repro.netlist.bench_io import parse_bench, parse_bench_file
 from repro.netlist.core import Netlist
@@ -61,7 +61,6 @@ __all__ = [
     "export_design",
     "verify_export",
     "TechniqueComparison",
-    "compare_techniques",
     "FlowResult",
     "SelectiveMtFlow",
     "FlowContext",
@@ -77,7 +76,6 @@ __all__ = [
     "DEFAULT_TECHNOLOGY",
     "Technology",
     "ReproError",
-    "run_table1",
     "table1_config",
     "LibraryBuilder",
     "build_default_library",

@@ -16,16 +16,14 @@ Three layers, one import::
   ``signoff()``, ``montecarlo()``, ``sweep()``.
 * :mod:`repro.api.schemas` — one serialization registry.  Every
   request and result type round-trips through
-  ``to_dict()``/``from_dict()`` with a ``schema_version`` stamp; the
-  legacy ``as_dict()`` payloads now come from the same registry.
+  ``to_dict()``/``from_dict()`` with a ``schema_version`` stamp.
 * :mod:`repro.api.service` — the persistent job-service mode
   (``repro-smt serve``): submit/status/result/cancel over stdlib
   HTTP + JSON, backed by one warm workspace so repeated requests hit
   the caches instead of cold-starting.
 
-The pre-facade entry points (``repro.experiments.run_table1`` and
-friends, ``repro.core.compare.compare_techniques``) still work as
-deprecation shims that delegate here.
+The paper's grid studies (Table 1, corner signoff, Monte-Carlo, the
+three-technique comparison) live in :mod:`repro.api.studies`.
 """
 
 from repro.api import schemas
@@ -51,7 +49,7 @@ from repro.api.workspace import Design, Workspace, netlist_fingerprint
 from repro.policy.optimize import PolicyResult
 from repro.standby.engine import StandbyResult
 from repro.api import registry as _registry  # noqa: F401  (registers the
-#                                             legacy payload schemas)
+#                                             study payload schemas)
 from repro.api import studies
 from repro.api.client import ServiceClient
 from repro.api.resultstore import ResultStore

@@ -1,21 +1,17 @@
-"""Schema registrations for the pre-facade (legacy) result types.
+"""Schema registrations for the study and flow-artifact result types.
 
-The ``as_dict()`` methods that used to live on
 :class:`~repro.experiments.CornerSignoffResult`,
 :class:`~repro.experiments.MonteCarloStudy`,
 :class:`~repro.variation.signoff.CornerResult`,
 :class:`~repro.power.leakage.LeakageBreakdown` and
-:class:`~repro.core.artifacts.ExportManifest` each invented their own
-payload shape.  This module re-expresses every one of them as a
-registered schema — same keys as before (existing consumers keep
-parsing), plus the ``schema``/``schema_version`` stamp and a faithful
-decoder, so all of them now satisfy the
+:class:`~repro.core.artifacts.ExportManifest` keep the payload keys
+their consumers parse, plus the ``schema``/``schema_version`` stamp
+and a faithful decoder, so all of them satisfy the
 ``from_dict(to_dict(x)) == x`` contract.
 
-Import order note: this module imports the legacy modules, never the
-reverse — their ``as_dict()`` methods lazily call into
-:mod:`repro.api.schemas` at run time, which is safe once the package
-has been imported anywhere.
+Import order note: this module imports those modules, never the
+reverse — code below :mod:`repro.api` that serializes one of them
+imports :mod:`repro.api.schemas` lazily, at call time.
 """
 
 from __future__ import annotations

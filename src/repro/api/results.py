@@ -191,8 +191,7 @@ schemas.dataclass_schema("mc_statistics", 1, McStatistics,
 
 # --- standby-transition payloads (repro.standby) ----------------------------
 # Registered here — not in repro.standby — so the engine stays free of
-# api imports; the dataclasses' as_dict() methods delegate lazily,
-# exactly like the legacy types in repro.api.registry.
+# api imports.
 
 schemas.dataclass_schema("cluster_transient", 1, ClusterTransient,
                          tau_sleep_ns=schemas.FLOAT,

@@ -1,9 +1,6 @@
 """One serialization registry for every public result payload.
 
-Before this module each result type grew its own ``as_dict()`` with a
-slightly different shape (``experiments.py``, ``variation/signoff.py``,
-``variation/montecarlo.py``, ``core/artifacts.py``).  Now every
-public payload goes through a single registry:
+Every public payload goes through this one registry:
 
 * :func:`to_dict` — encode a registered object to a JSON-safe dict
   stamped with ``schema`` (the registered name) and ``schema_version``;
@@ -17,7 +14,8 @@ Versioning policy: ``schema_version`` is per-schema and bumps whenever
 a field is renamed, removed or re-typed (additive optional fields keep
 the version).  :func:`from_dict` refuses payloads whose version is
 newer than the code understands; older versions are handled by each
-decoder for as long as the deprecation window lasts.
+decoder (:func:`dataclass_schema` fills a field an older payload lacks
+from the dataclass default).
 
 Encoders/decoders are explicit functions (not reflection): the payload
 shape is a public contract, so it is spelled out, reviewed and diffed

@@ -1,13 +1,11 @@
 """Grid studies over a workspace (the paper's evaluation harness).
 
-These are the implementations behind the legacy entry points in
-:mod:`repro.experiments` and :func:`repro.core.compare.compare_techniques`
-— moved here so the deprecation shims are genuinely thin.  The numeric
-paths are unchanged: serial runs route through the
-:class:`~repro.api.Workspace` flow caches (same float operations as
-the old in-process loops), parallel runs fan the same grids out over
-:class:`~repro.runner.ExperimentRunner` exactly as before, so every
-digit matches the pre-facade behavior.
+Serial runs route through the :class:`~repro.api.Workspace` flow
+caches; parallel runs fan the same grids out over
+:class:`~repro.runner.ExperimentRunner`.  Both perform the same float
+operations, so every digit is independent of ``jobs``.  The pinned
+Table 1 configurations and the result types live in
+:mod:`repro.experiments`.
 """
 
 from __future__ import annotations
@@ -38,7 +36,8 @@ def technique_comparison(netlist: Netlist, library: Library,
 
     Serial runs keep the full per-technique ``results`` dict (flow
     results come from — and land in — the workspace cache); parallel
-    runs return slim rows only, exactly like the legacy path.
+    runs return slim rows only (full flow results do not cross process
+    boundaries).
     """
     config = config or FlowConfig()
     circuit_name = circuit_name or netlist.name

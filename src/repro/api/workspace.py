@@ -21,11 +21,11 @@ frozen request (:mod:`repro.api.requests`) and returning a typed,
 schema-registered result (:mod:`repro.api.results`).  Repeated calls
 with an equal request are served from cache; the warm hit path is what
 the persistent job service rides (see :mod:`repro.api.service`) and
-what ``benchmarks/test_bench_api.py`` pins at >= 3x over the legacy
-cold path.
+what ``benchmarks/test_bench_api.py`` pins at >= 3x over a cold
+workspace.
 
-Numbers produced through the facade are bit-identical to the legacy
-entry points' (``run_table1`` & friends), which now delegate here.
+The grid studies in :mod:`repro.api.studies` run on a workspace, so
+their numbers are the facade's.
 """
 
 from __future__ import annotations
@@ -996,7 +996,7 @@ class Design:
         else:
             # Serial: every technique's flow lands in (or comes from)
             # the optimize cache; the normalization mirrors
-            # compare_techniques() exactly.
+            # studies.technique_comparison() exactly.
             results = {technique: self.flow_result(technique)
                        for technique in techniques}
             baseline = results.get(Technique.DUAL_VTH)

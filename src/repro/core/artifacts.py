@@ -38,11 +38,6 @@ class ExportManifest:
     def path(self, kind: str) -> str:
         return self.files[kind]
 
-    def as_dict(self) -> dict:
-        from repro.api import schemas  # lazy: loads the registry
-
-        return schemas.to_dict(self)
-
 
 def export_design(result: FlowResult, library: Library,
                   directory: str) -> ExportManifest:
@@ -88,7 +83,9 @@ def export_design(result: FlowResult, library: Library,
         technique=result.technique.value, files=files)
     with open(os.path.join(directory, "manifest.json"), "w",
               encoding="utf-8") as handle:
-        json.dump(manifest.as_dict(), handle, indent=2)
+        from repro.api import schemas  # lazy: the api imports core
+
+        json.dump(schemas.to_dict(manifest), handle, indent=2)
     return manifest
 
 

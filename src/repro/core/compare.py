@@ -1,15 +1,17 @@
-"""Three-technique comparison (the Table 1 harness).
+"""Three-technique comparison rows (the Table 1 format).
 
-Runs Dual-Vth, conventional Selective-MT and improved Selective-MT on
-the same circuit with identical constraints and reports area/leakage
-normalized to the Dual-Vth baseline — the exact format of Table 1.
+:func:`repro.api.studies.technique_comparison` runs Dual-Vth,
+conventional Selective-MT and improved Selective-MT on the same
+circuit with identical constraints and reports area/leakage
+normalized to the Dual-Vth baseline in these types — the exact format
+of Table 1.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.config import FlowConfig, Technique
+from repro.config import Technique
 from repro.core.flow import FlowResult
 from repro.liberty.library import Library
 from repro.netlist.core import Netlist
@@ -73,39 +75,3 @@ def count_cell_kinds(netlist: Netlist,
         elif cell.is_holder:
             holders += 1
     return mt, switches, holders
-
-
-def compare_techniques(netlist: Netlist, library: Library,
-                       config: FlowConfig | None = None,
-                       circuit_name: str | None = None,
-                       techniques: tuple[Technique, ...] = (
-                           Technique.DUAL_VTH,
-                           Technique.CONVENTIONAL_SMT,
-                           Technique.IMPROVED_SMT),
-                       jobs: int = 1) -> TechniqueComparison:
-    """Run the requested techniques and normalize to Dual-Vth.
-
-    .. deprecated:: shim over
-        :func:`repro.api.studies.technique_comparison` — identical
-        rows and ``results`` dict, but each call compiles a fresh
-        workspace; hold a :class:`repro.api.Workspace` to reuse flow
-        results across calls.
-
-    ``jobs > 1`` fans the techniques out over the process-pool
-    experiment runner; the rows are bit-identical to the serial path,
-    but the heavyweight per-technique ``results`` dict stays empty
-    (full :class:`FlowResult` objects do not cross process
-    boundaries).
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.core.compare.compare_techniques() is deprecated; use "
-        "repro.api (Workspace.design(...).sweep() or "
-        "repro.api.studies.technique_comparison)",
-        DeprecationWarning, stacklevel=2)
-    from repro.api.studies import technique_comparison
-
-    return technique_comparison(netlist, library, config=config,
-                                circuit_name=circuit_name,
-                                techniques=techniques, jobs=jobs)

@@ -3,24 +3,16 @@
 Everything the benchmark harness needs to regenerate Table 1 lives
 here: the per-circuit flow configurations (margins chosen so circuit A
 is timing-tight and circuit B looser, as Table 1 implies) and the
-paper's published numbers for comparison.
-
-.. deprecated::
-    The ``run_*`` entry points are deprecation shims over
-    :mod:`repro.api` — same signatures, same numbers, but each call
-    builds a fresh :class:`~repro.api.Workspace`.  Hold a workspace
-    (or run ``repro-smt serve``) to keep compiled state warm across
-    calls.
+paper's published numbers for comparison, plus the result types the
+:mod:`repro.api.studies` grid studies return.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 from repro.config import FlowConfig, Technique
 from repro.core.compare import TechniqueComparison
-from repro.liberty.library import Library
 
 #: Paper Table 1 values, percent of the Dual-Vth baseline.
 PAPER_TABLE1 = {
@@ -75,37 +67,6 @@ class Table1Result:
         return "\n".join(lines)
 
 
-def _deprecated(name: str):
-    warnings.warn(
-        f"repro.experiments.{name}() is deprecated; use the repro.api "
-        f"Workspace/Design facade (which caches compiled state across "
-        f"calls) instead", DeprecationWarning, stacklevel=3)
-
-
-def _workspace(library: Library | None = None):
-    from repro.api import Workspace
-
-    return Workspace(library=library)
-
-
-def run_table1(library: Library | None = None,
-               circuits: tuple[str, ...] = ("A", "B"),
-               jobs: int = 1) -> Table1Result:
-    """Run the full Table 1 experiment (three flows per circuit).
-
-    .. deprecated:: delegates to :func:`repro.api.studies.table1_study`.
-
-    ``jobs > 1`` routes the whole circuit x technique grid through the
-    process-pool experiment runner (identical numbers, parallel
-    wall-clock; comparisons then carry rows only, not the full
-    per-technique flow results).
-    """
-    _deprecated("run_table1")
-    from repro.api.studies import table1_study
-
-    return table1_study(_workspace(library), circuits=circuits, jobs=jobs)
-
-
 def _resolve_circuit(short: str) -> str:
     """Table 1 shorthand ("A"/"B") or any suite circuit name."""
     return f"circuit{short}" if short in ("A", "B") else short
@@ -131,11 +92,6 @@ class CornerSignoffResult:
     def outcome(self, circuit: str, technique: Technique) -> "CornerOutcome":
         return self.outcomes[(circuit, technique)]
 
-    def as_dict(self) -> dict:
-        from repro.api import schemas  # lazy: loads the registry
-
-        return schemas.to_dict(self)
-
     def render(self) -> str:
         lines = [
             "Corner signoff (standby leakage nW / setup WNS ns)",
@@ -152,29 +108,6 @@ class CornerSignoffResult:
         return "\n".join(lines)
 
 
-def run_table1_corners(circuits: tuple[str, ...] = ("A", "B"),
-                       techniques=None,
-                       corners: tuple[str, ...] | None = None,
-                       config: FlowConfig | None = None,
-                       library: Library | None = None,
-                       jobs: int = 1) -> CornerSignoffResult:
-    """Table 1 under PVT corners: every technique signed off per corner.
-
-    .. deprecated:: delegates to
-        :func:`repro.api.studies.corner_signoff_study`.
-
-    The grid is ``circuits x techniques`` (one flow each, corners are
-    evaluated inside the job), fanned out through the experiment
-    runner; results are deterministic for any ``jobs``.
-    """
-    _deprecated("run_table1_corners")
-    from repro.api.studies import corner_signoff_study
-
-    return corner_signoff_study(
-        _workspace(library), circuits=circuits, techniques=techniques,
-        corners=corners, config=config, jobs=jobs)
-
-
 @dataclasses.dataclass
 class MonteCarloStudy:
     """Per-technique Monte-Carlo statistics on one circuit."""
@@ -188,11 +121,6 @@ class MonteCarloStudy:
 
     def result(self, technique: Technique) -> "McTechniqueResult":
         return self.results[technique]
-
-    def as_dict(self) -> dict:
-        from repro.api import schemas  # lazy: loads the registry
-
-        return schemas.to_dict(self)
 
     def render(self) -> str:
         where = f" @ {self.corner}" if self.corner else ""
@@ -228,36 +156,3 @@ class McTechniqueResult:
     #: the result's identity, and sample ``k`` is reproducible from
     #: ``(seed, k)`` anyway.
     samples: list = dataclasses.field(default_factory=list, compare=False)
-
-
-def run_montecarlo(circuit: str = "A",
-                   techniques=None,
-                   samples: int = 64,
-                   seed: int = 1,
-                   sigma_global_v: float = 0.03,
-                   sigma_local_v: float = 0.015,
-                   timing: bool = True,
-                   corner: str | None = None,
-                   leakage_budget_nw: float | None = None,
-                   config: FlowConfig | None = None,
-                   library: Library | None = None,
-                   jobs: int = 1) -> MonteCarloStudy:
-    """Monte-Carlo leakage/timing study across techniques.
-
-    .. deprecated:: delegates to
-        :func:`repro.api.studies.montecarlo_study`.
-
-    Samples are chunked across the experiment runner; since sample
-    ``k`` is a pure function of ``(seed, k)``, the merged statistics
-    are identical for any ``jobs`` setting.  The leakage-yield budget
-    defaults to ``McConfig.budget_factor`` x each technique's own
-    nominal leakage.
-    """
-    _deprecated("run_montecarlo")
-    from repro.api.studies import montecarlo_study
-
-    return montecarlo_study(
-        _workspace(library), circuit=circuit, techniques=techniques,
-        samples=samples, seed=seed, sigma_global_v=sigma_global_v,
-        sigma_local_v=sigma_local_v, timing=timing, corner=corner,
-        leakage_budget_nw=leakage_budget_nw, config=config, jobs=jobs)

@@ -23,7 +23,7 @@ engine's implicit model).
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigError
 from repro.policy.model import break_even_ns
@@ -46,11 +46,6 @@ class PowerDomain:
     cycle_energy_pj: float
     break_even_ns: float
 
-    def as_dict(self) -> dict[str, Any]:
-        from repro.api import schemas  # lazy: loads the registry
-
-        return schemas.to_dict(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class DomainPlan:
@@ -58,11 +53,6 @@ class DomainPlan:
 
     name: str
     domains: tuple[PowerDomain, ...]
-
-    def as_dict(self) -> dict[str, Any]:
-        from repro.api import schemas  # lazy: loads the registry
-
-        return schemas.to_dict(self)
 
 
 def plan_partitions(transients: Sequence[ClusterTransient],

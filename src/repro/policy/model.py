@@ -14,7 +14,8 @@ per-cluster policy the standby engine reports is the special case
 ``T = break-even``; a real controller must commit to one threshold per
 domain, which is exactly the candidate space the optimizer sweeps.
 
-The break-even time itself is the closed form from the engine:
+The break-even time itself is the closed form from the engine
+(:func:`repro.standby.engine.break_even_ns`, re-exported here):
 
     T_be = oh + E / (dP * 1e-6)
 
@@ -29,9 +30,7 @@ import dataclasses
 import math
 
 from repro.errors import ConfigError
-
-#: nW x ns -> pJ (the standby engine's unit bridge).
-_NW_NS_TO_PJ = 1e-6
+from repro.standby.engine import break_even_ns  # noqa: F401
 
 #: The factor-grid bracket around the break-even threshold.
 FACTOR_LO = 0.25
@@ -68,14 +67,6 @@ class SleepPolicy:
     def sleeping_domains(self) -> int:
         """Domains this policy ever puts to sleep."""
         return sum(1 for t in self.thresholds_ns if math.isfinite(t))
-
-
-def break_even_ns(dp_nw: float, overhead_ns: float,
-                  energy_pj: float) -> float:
-    """The idle duration at which sleeping becomes net-positive."""
-    if dp_nw <= 0.0:
-        return math.inf
-    return overhead_ns + energy_pj / (dp_nw * _NW_NS_TO_PJ)
 
 
 def threshold_factors(count: int, lo: float = FACTOR_LO,

@@ -13,15 +13,15 @@ per-domain break-even times anchor a log-spaced factor grid
 (that domain pinned to ``inf``).  Quotas are rounded up, so the total
 candidate count is always at least the requested number.
 
-**Backend contract.**  Exactly the standby engine's: the scalar
-reference and the numpy path perform the same IEEE operations in the
-same order.  All transcendentals (transients, schedules, break-even
-anchors, factor grids) are evaluated scalar-side; the batched kernel
-is multiply/subtract/select with an ordered left-to-right cluster
-accumulation, so a policy's per-point savings — and everything
-aggregated from them in shared Python — are bit-identical across
-backends (``tests/policy`` and ``benchmarks/test_bench_policy.py``
-both assert full-result equality).
+**Backend contract.**  Exactly the standby engine's, because the
+sweep runs through its kernel (:func:`repro.standby.engine.savings`,
+with a per-cluster threshold gate as the select).  All
+transcendentals (transients, schedules, break-even anchors, factor
+grids) are evaluated scalar-side, so a policy's per-point savings —
+and everything aggregated from them in shared Python — are
+bit-identical across backends (``tests/policy`` and
+``benchmarks/test_bench_policy.py`` both assert full-result
+equality).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import dataclasses
 import math
 from typing import Any, Mapping, Sequence
 
-from repro.compute import resolve_backend
 from repro.config import Technique
 from repro.errors import StandbyError
 from repro.liberty.library import Library
@@ -39,14 +38,9 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.spans import span
 from repro.policy.domains import DomainPlan, characterize_plan, plan_partitions
 from repro.policy.model import SleepPolicy, threshold_factors
-from repro.standby.engine import NOMINAL_CORNER
+from repro.standby.engine import NOMINAL_CORNER, StandbyEngine, savings
 from repro.standby.scenario import PowerModeScenario
-from repro.standby.schedule import default_rush_budget_ma
-from repro.standby.transient import ClusterTransient, TransientSolver
 from repro.vgnd.network import VgndNetwork
-
-#: nW x ns -> pJ.
-_NW_NS_TO_PJ = 1e-6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,11 +55,6 @@ class PolicyPoint:
     worst_wake_latency_ns: float      # slowest sleeping domain, any corner
     peak_rush_ma: float               # worst sleeping-domain schedule peak
     sleeping_domains: int
-
-    def as_dict(self) -> dict[str, Any]:
-        from repro.api import schemas  # lazy: loads the registry
-
-        return schemas.to_dict(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,116 +107,14 @@ class PolicyResult:
                 f"{point.peak_rush_ma:>9.3f}")
         return "\n".join(lines)
 
-    def as_dict(self) -> dict[str, Any]:
-        from repro.api import schemas  # lazy: loads the registry
 
-        return schemas.to_dict(self)
+class PolicyOptimizer(StandbyEngine):
+    """Sweeps candidate sleep policies for one finished design.
 
-
-# --- the batched kernel ------------------------------------------------------
-
-
-def _sweep_python(points: Sequence[tuple[float, float]],
-                  dp_nw: Sequence[Sequence[float]],
-                  energy_pj: Sequence[Sequence[float]],
-                  oh_plan: Sequence[Sequence[Sequence[float]]],
-                  plan_of: Sequence[int],
-                  thresholds: Sequence[Sequence[float]]
-                  ) -> list[list[list[float]]]:
-    """Scalar reference: gated savings per (policy, corner, point).
-
-    ``dp_nw``/``energy_pj`` are (corners x clusters) tables,
-    ``oh_plan`` a (plans x corners x clusters) overhead table indexed
-    through ``plan_of``, ``thresholds`` a (policies x clusters) grid.
-    The cluster sum is a left-to-right ordered reduction; a point
-    below a cluster's threshold contributes exactly 0.0.
+    Validation, the per-corner transient prologue, the corner-library
+    lookup and the per-scenario reduction are the standby engine's;
+    the sweep and the oracle run through its :func:`savings` kernel.
     """
-    durations = [duration for duration, _w in points]
-    corners = len(dp_nw)
-    clusters = len(dp_nw[0]) if corners else 0
-    out: list[list[list[float]]] = []
-    for i, t_row in enumerate(thresholds):
-        oh = oh_plan[plan_of[i]]
-        rows: list[list[float]] = []
-        for c in range(corners):
-            dp_c = dp_nw[c]
-            oh_c = oh[c]
-            e_c = energy_pj[c]
-            acc = [0.0] * len(durations)
-            for k in range(clusters):
-                dp = dp_c[k]
-                oh_k = oh_c[k]
-                energy = e_c[k]
-                threshold = t_row[k]
-                for p, duration in enumerate(durations):
-                    value = dp * (duration - oh_k) * _NW_NS_TO_PJ \
-                        - energy
-                    acc[p] = acc[p] + (value if duration >= threshold
-                                       else 0.0)
-            rows.append(acc)
-        out.append(rows)
-    return out
-
-
-def _sweep_numpy(points: Sequence[tuple[float, float]],
-                 dp_nw: Sequence[Sequence[float]],
-                 energy_pj: Sequence[Sequence[float]],
-                 oh_plan: Sequence[Sequence[Sequence[float]]],
-                 plan_of: Sequence[int],
-                 thresholds: Sequence[Sequence[float]]
-                 ) -> list[list[list[float]]]:
-    """Vectorized path: one stacked pass over every candidate.
-
-    Same operations in the same order as :func:`_sweep_python` — the
-    policy and corner axes only widen each vector op; the cluster loop
-    stays an ordered left-to-right accumulation (one vector add per
-    cluster), so every element's float-op sequence matches the scalar
-    reference exactly.
-    """
-    import numpy as np
-
-    durations = np.array([duration for duration, _w in points],
-                         dtype=float)
-    dp = np.asarray(dp_nw, dtype=float)                    # (C, K)
-    energy = np.asarray(energy_pj, dtype=float)            # (C, K)
-    oh = np.asarray(oh_plan, dtype=float)[
-        np.asarray(plan_of, dtype=int)]                    # (P, C, K)
-    grid = np.asarray(thresholds, dtype=float)             # (P, K)
-    policies = grid.shape[0]
-    acc = np.zeros((policies, dp.shape[0], len(durations)),
-                   dtype=float)
-    zero = np.float64(0.0)
-    for k in range(dp.shape[1]):
-        value = dp[None, :, k, None] \
-            * (durations[None, None, :] - oh[:, :, k, None]) \
-            * np.float64(_NW_NS_TO_PJ) - energy[None, :, k, None]
-        mask = durations[None, None, :] >= grid[:, k, None, None]
-        acc = acc + np.where(mask, value, zero)
-    return acc.tolist()
-
-
-def _oracle_points_python(points: Sequence[tuple[float, float]],
-                          dp_nw: Sequence[float],
-                          overhead_ns: Sequence[float],
-                          energy_pj: Sequence[float]) -> list[float]:
-    """Clairvoyant per-cluster savings (the engine's max(0, .) rule).
-
-    Always evaluated scalar-side: it is a tiny (clusters x points)
-    sweep, and keeping it off the batched path makes the oracle number
-    trivially backend-independent.
-    """
-    acc = [0.0] * len(points)
-    for k, dp in enumerate(dp_nw):
-        oh = overhead_ns[k]
-        energy = energy_pj[k]
-        for p, (duration, _weight) in enumerate(points):
-            value = dp * (duration - oh) * _NW_NS_TO_PJ - energy
-            acc[p] = acc[p] + (value if value > 0.0 else 0.0)
-    return acc
-
-
-class PolicyOptimizer:
-    """Sweeps candidate sleep policies for one finished design."""
 
     def __init__(self, netlist: Netlist, library: Library,
                  network: VgndNetwork,
@@ -242,29 +129,18 @@ class PolicyOptimizer:
                  corner_libraries: Mapping[str, Library] | None = None,
                  circuit: str | None = None,
                  technique: Technique = Technique.IMPROVED_SMT):
-        if not network.clusters:
-            raise StandbyError(
-                "the design has no VGND clusters; sleep-policy "
-                "optimization needs the improved-SMT switch structure")
-        if not scenarios:
-            raise StandbyError("no power-mode scenarios given")
+        super().__init__(
+            netlist, library, network, scenarios, corners=corners,
+            settle_fraction=settle_fraction,
+            rush_budget_ma=rush_budget_ma, parasitics=parasitics,
+            compute_backend=compute_backend,
+            corner_libraries=corner_libraries, circuit=circuit,
+            technique=technique)
         if candidates < 1:
             raise StandbyError(
                 f"candidate budget must be positive, got {candidates!r}")
-        self.netlist = netlist
-        self.library = library
-        self.network = network
-        self.scenarios = list(scenarios)
-        self.corners = tuple(corners) or (NOMINAL_CORNER,)
         self.candidates = int(candidates)
         self.max_domains = int(max_domains)
-        self.settle_fraction = settle_fraction
-        self.rush_budget_ma = rush_budget_ma
-        self.parasitics = parasitics
-        self.compute_backend = resolve_backend(compute_backend)
-        self.corner_libraries = dict(corner_libraries or {})
-        self.circuit = circuit or netlist.name
-        self.technique = Technique(technique)
 
     # --- public -------------------------------------------------------------
 
@@ -280,67 +156,48 @@ class PolicyOptimizer:
         return result
 
     def _run_impl(self) -> PolicyResult:
-        points: list[tuple[float, float]] = []
-        spans: list[tuple[int, int]] = []
-        for scenario in self.scenarios:
-            start = len(points)
-            points.extend(scenario.idle_points())
-            spans.append((start, len(points)))
-
-        # Per-corner scalar prologue: transients, domain schedules.
-        corner_transients: list[list[ClusterTransient]] = []
-        budgets: list[float] = []
-        for corner_name in self.corners:
-            library = self._corner_library(corner_name)
-            transients = TransientSolver(
-                self.network, self.netlist, library,
-                settle_fraction=self.settle_fraction,
-                parasitics=self.parasitics).solve()
-            budget = self.rush_budget_ma
-            if budget is None:
-                budget = default_rush_budget_ma(transients)
-            corner_transients.append(list(transients))
-            budgets.append(budget)
-
+        points, spans = self._scenario_grid()
+        durations = [duration for duration, _w in points]
+        corner_transients, budgets = self._corner_prologue()
         partitions = plan_partitions(corner_transients[0],
                                      self.max_domains)
         # plans_by_corner[c][j], oh_plan indexed (j, c, k).
         plans_by_corner: list[list[DomainPlan]] = []
         oh_plan: list[list[list[float]]] = \
             [[] for _ in partitions]
-        for c, transients in enumerate(corner_transients):
+        for transients, budget in zip(corner_transients, budgets):
             row: list[DomainPlan] = []
             for j, partition in enumerate(partitions):
                 plan, overheads = characterize_plan(
-                    partition, transients, budgets[c])
+                    partition, transients, budget)
                 row.append(plan)
                 oh_plan[j].append(overheads)
             plans_by_corner.append(row)
-
-        dp_nw = [[tr.leakage_savings_nw for tr in transients]
-                 for transients in corner_transients]
-        energy_pj = [[tr.energy_per_cycle_pj for tr in transients]
-                     for transients in corner_transients]
+        dp_nw, energy_pj = self._cluster_tables(corner_transients)
 
         policies = self._candidates(plans_by_corner[0])
-        plan_of = [policy.plan for policy in policies]
         order = [tr.cluster_index for tr in corner_transients[0]]
         thresholds = [
             self._cluster_thresholds(policy, partitions, order)
             for policy in policies]
+        accs = savings(durations, dp_nw, energy_pj, oh_plan,
+                       plan_of=[policy.plan for policy in policies],
+                       thresholds=thresholds,
+                       backend=self.compute_backend)
 
-        if self.compute_backend == "numpy":
-            accs = _sweep_numpy(points, dp_nw, energy_pj, oh_plan,
-                                plan_of, thresholds)
-        else:
-            accs = _sweep_python(points, dp_nw, energy_pj, oh_plan,
-                                 plan_of, thresholds)
-
-        nets = [self._worst_corner_net(acc, points, spans)
-                for acc in accs]
+        nets = [[self._horizon_net(acc, points, spans) for acc in rows]
+                for rows in accs]
         pareto = self._pareto(policies, nets, plans_by_corner)
-        oracle = self._oracle(points, spans, corner_transients,
-                              dp_nw, energy_pj)
+        # The clairvoyant oracle: every cluster its own domain (entry
+        # is its own sleep latency, settle its own wake latency), and
+        # it sleeps exactly when an interval pays — no candidate under
+        # any plan can beat it.  Always scalar-side: a tiny sweep.
+        oracle_oh = [[tr.sleep_latency_ns + tr.wake_latency_ns
+                      for tr in transients]
+                     for transients in corner_transients]
+        oracle = math.inf
+        for acc in savings(durations, dp_nw, energy_pj, [oracle_oh])[0]:
+            oracle = min(oracle, self._horizon_net(acc, points, spans))
         return PolicyResult(
             circuit=self.circuit,
             technique=self.technique,
@@ -356,20 +213,6 @@ class PolicyOptimizer:
             pareto=pareto)
 
     # --- internals -----------------------------------------------------------
-
-    def _corner_library(self, corner_name: str) -> Library:
-        cached = self.corner_libraries.get(corner_name)
-        if cached is not None:
-            return cached
-        from repro.variation.corners import (
-            derive_corner_library_cached,
-            resolve_corner,
-        )
-
-        corner = resolve_corner(corner_name, self.library.tech)
-        derived = derive_corner_library_cached(self.library, corner)
-        self.corner_libraries[corner_name] = derived
-        return derived
 
     def _candidates(self, plans: Sequence[DomainPlan]
                     ) -> list[SleepPolicy]:
@@ -409,18 +252,13 @@ class PolicyOptimizer:
                 by_cluster[index] = threshold
         return [by_cluster[index] for index in order]
 
-    def _worst_corner_net(self, acc_rows, points, spans) -> list[float]:
-        """Per-corner horizon nets -> [net_c...] for one policy."""
-        nets = []
-        for acc in acc_rows:
-            net = 0.0
-            for scenario, (start, stop) in zip(self.scenarios, spans):
-                per_event = 0.0
-                for p in range(start, stop):
-                    per_event += points[p][1] * acc[p]
-                net += scenario.sleep_events * per_event
-            nets.append(net)
-        return nets
+    def _horizon_net(self, acc, points, spans) -> float:
+        """One (policy, corner) row's net savings over every scenario."""
+        net = 0.0
+        for _per_event, scenario_net in self._scenario_nets(acc, points,
+                                                            spans):
+            net += scenario_net
+        return net
 
     def _pareto(self, policies: Sequence[SleepPolicy],
                 nets: Sequence[Sequence[float]],
@@ -480,27 +318,3 @@ class PolicyOptimizer:
                 peak_rush_ma=rush,
                 sleeping_domains=policy.sleeping_domains))
         return tuple(points)
-
-    def _oracle(self, points, spans, corner_transients, dp_nw,
-                energy_pj) -> float:
-        """Worst-corner clairvoyant per-cluster upper bound.
-
-        Every cluster is its own domain (the minimal-overhead plan:
-        entry is its own sleep latency, settle its own wake latency)
-        and sleeps exactly when an interval pays — no candidate under
-        any plan can beat it.
-        """
-        worst = math.inf
-        for c, transients in enumerate(corner_transients):
-            overheads = [tr.sleep_latency_ns + tr.wake_latency_ns
-                         for tr in transients]
-            acc = _oracle_points_python(points, dp_nw[c], overheads,
-                                        energy_pj[c])
-            net = 0.0
-            for scenario, (start, stop) in zip(self.scenarios, spans):
-                per_event = 0.0
-                for p in range(start, stop):
-                    per_event += points[p][1] * acc[p]
-                net += scenario.sleep_events * per_event
-            worst = min(worst, net)
-        return worst

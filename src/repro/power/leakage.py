@@ -62,13 +62,6 @@ class LeakageBreakdown:
         return {category: (100.0 * value / total if total else 0.0)
                 for category, value in self.category_values().items()}
 
-    def as_dict(self) -> dict[str, float | int | dict[str, float]]:
-        """Self-describing summary via the schema registry: totals,
-        count, per-category shares and the per-instance map."""
-        from repro.api import schemas  # lazy: loads the registry
-
-        return schemas.to_dict(self)
-
 
 class LeakageAnalyzer:
     """Computes standby / active leakage for one netlist.

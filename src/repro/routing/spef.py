@@ -57,8 +57,28 @@ def write_spef(parasitics: dict[str, NetParasitics],
     return "\n".join(lines)
 
 
+def _number(token: str, what: str, line_no: int) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ParseError(f"non-numeric {what}: {token!r}",
+                         line=line_no) from None
+
+
+def _param(line: str, line_no: int) -> float:
+    """The value of a ``*PARAM`` entry such as ``*LEN 12.5``."""
+    parts = line.split()
+    if len(parts) < 2:
+        raise ParseError(f"{parts[0]} needs a value", line=line_no)
+    return _number(parts[1], parts[0], line_no)
+
+
 def parse_spef(text: str) -> dict[str, NetParasitics]:
-    """Parse SPEF text produced by :func:`write_spef`."""
+    """Parse SPEF text produced by :func:`write_spef`.
+
+    Malformed input raises :class:`~repro.errors.ParseError` carrying
+    the offending line number.
+    """
     parasitics: dict[str, NetParasitics] = {}
     current: NetParasitics | None = None
     section = None
@@ -72,7 +92,9 @@ def parse_spef(text: str) -> dict[str, NetParasitics]:
                 raise ParseError(f"malformed *D_NET line: {line!r}",
                                  line=line_no)
             current = NetParasitics(
-                net_name=parts[1], total_cap_pf=float(parts[2]),
+                net_name=parts[1],
+                total_cap_pf=_number(parts[2], "*D_NET capacitance",
+                                     line_no),
                 total_res_kohm=0.0, length_um=0.0)
             section = None
             continue
@@ -89,10 +111,10 @@ def parse_spef(text: str) -> dict[str, NetParasitics]:
             section = "delay"
             continue
         if line.startswith("*LEN") and current is not None:
-            current.length_um = float(line.split()[1])
+            current.length_um = _param(line, line_no)
             continue
         if line.startswith("*RTOT") and current is not None:
-            current.total_res_kohm = float(line.split()[1])
+            current.total_res_kohm = _param(line, line_no)
             continue
         if line.startswith("*"):
             continue  # header / ignored sections
@@ -101,5 +123,6 @@ def parse_spef(text: str) -> dict[str, NetParasitics]:
             if len(parts) != 3:
                 raise ParseError(f"malformed delay entry: {line!r}",
                                  line=line_no)
-            current.sink_delays[parts[1]] = float(parts[2])
+            current.sink_delays[parts[1]] = _number(
+                parts[2], "*DELAY value", line_no)
     return parasitics

@@ -236,7 +236,7 @@ def comparison_from_outcomes(circuit: str,
     """Normalize one circuit's outcomes to the Dual-Vth baseline.
 
     Produces the same rows (same float operations) as
-    :func:`repro.core.compare.compare_techniques`; the heavyweight
+    :func:`repro.api.studies.technique_comparison`; the heavyweight
     per-technique ``results`` dict stays empty because outcomes cross a
     process boundary.
     """
@@ -246,7 +246,7 @@ def comparison_from_outcomes(circuit: str,
         raise FlowError(
             f"{len(failed)} flow job(s) failed on circuit {circuit!r} "
             f"({first.technique.value}):\n{first.error}")
-    # Mirror compare_techniques(): Dual-Vth is the reference when
+    # Mirror technique_comparison(): Dual-Vth is the reference when
     # present, else the first requested technique normalizes to 100 %.
     baseline = next((o for o in outcomes
                      if o.technique == Technique.DUAL_VTH), None)

@@ -18,14 +18,20 @@ an idle-interval duration from the scenario's quantile grid
 a cluster that cannot pay for its transition over an interval simply
 keeps its switch on.
 
-**Backend contract.**  The hot loop runs over every
-``(scenario-quantile-point x cluster)`` pair per corner.  Both the
-scalar reference and the numpy path perform *the same IEEE operations
-in the same order* — all transcendentals are evaluated scalar-side
-(transients, quantile grids), the batch is pure
-multiply/subtract/max, and cluster accumulation is an ordered
-left-to-right reduction on both paths — so ``StandbyResult`` numbers
-are bit-identical across backends (enforced by ``tests/standby``).
+**One kernel.**  :func:`savings` evaluates this formula for every
+``(policy x corner x quantile-point)`` cell, with the sleep rule as
+an argument: ``max(0, .)`` here and for the policy optimizer's
+clairvoyant oracle, a per-cluster threshold gate for the optimizer's
+candidate sweep (:mod:`repro.policy.optimize`, which also reuses this
+engine's validation, corner prologue and scenario reduction).
+
+**Backend contract.**  The scalar reference and the numpy body
+perform *the same IEEE operations in the same order* — all
+transcendentals are evaluated scalar-side (transients, quantile
+grids), the batch is pure multiply/subtract/select, and cluster
+accumulation is an ordered left-to-right reduction on both paths — so
+``StandbyResult`` numbers are bit-identical across backends (enforced
+by ``tests/standby`` and the golden fixtures).
 """
 
 from __future__ import annotations
@@ -69,11 +75,6 @@ class ScenarioOutcome:
     break_even_ns: float           # network-level break-even interval
     worthwhile: bool               # net savings > 0
 
-    def as_dict(self) -> dict[str, Any]:
-        from repro.api import schemas  # lazy: loads the registry
-
-        return schemas.to_dict(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class StandbyCornerRow:
@@ -90,11 +91,6 @@ class StandbyCornerRow:
     sleep_leakage_nw: float
     active_leakage_nw: float
     break_even_ns: float
-
-    def as_dict(self) -> dict[str, Any]:
-        from repro.api import schemas  # lazy: loads the registry
-
-        return schemas.to_dict(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,81 +139,103 @@ class StandbyResult:
                 return outcome
         raise KeyError(f"no outcome for ({scenario!r}, {corner!r})")
 
-    def as_dict(self) -> dict[str, Any]:
-        from repro.api import schemas  # lazy: loads the registry
 
-        return schemas.to_dict(self)
+# --- the savings kernel ------------------------------------------------------
 
 
-# --- the batched kernel ------------------------------------------------------
+def break_even_ns(dp_nw: float, overhead_ns: float,
+                  energy_pj: float) -> float:
+    """The idle duration at which sleeping becomes net-positive."""
+    if dp_nw <= 0.0:
+        return math.inf
+    return overhead_ns + energy_pj / (dp_nw * _NW_NS_TO_PJ)
 
 
-def _point_savings_python(points: Sequence[tuple[float, float]],
-                          dp_nw: Sequence[float],
-                          overhead_ns: Sequence[float],
-                          energy_pj: Sequence[float]) -> list[float]:
-    """Scalar reference: net savings per quantile point, summed over
-    clusters in index order."""
-    acc = [0.0] * len(points)
-    for k, dp in enumerate(dp_nw):
-        oh = overhead_ns[k]
-        energy = energy_pj[k]
-        for p, (duration, _weight) in enumerate(points):
-            value = dp * (duration - oh) * _NW_NS_TO_PJ - energy
-            acc[p] = acc[p] + (value if value > 0.0 else 0.0)
-    return acc
+def savings(durations: Sequence[float],
+            dp_nw: Sequence[Sequence[float]],
+            energy_pj: Sequence[Sequence[float]],
+            overhead_ns: Sequence[Sequence[Sequence[float]]],
+            plan_of: Sequence[int] | None = None,
+            thresholds: Sequence[Sequence[float]] | None = None,
+            backend: str = "python") -> list[list[list[float]]]:
+    """Net savings per (policy, corner, idle-interval point) [pJ].
 
+    ``dp_nw``/``energy_pj`` are (corners x clusters) tables and
+    ``overhead_ns`` a (plans x corners x clusters) table; policy ``i``
+    charges the overheads of plan ``plan_of[i]`` (default: one policy
+    per plan).  Cluster ``k`` contributes
+    ``dp * (T - oh) * 1e-6 - E`` to a point of duration ``T``, selected
+    by the sleep rule:
 
-def _point_savings_numpy(points: Sequence[tuple[float, float]],
-                         dp_nw: Sequence[float],
-                         overhead_ns: Sequence[float],
-                         energy_pj: Sequence[float]) -> list[float]:
-    """Vectorized path: same operations, same order, over arrays.
+    * ``thresholds=None`` — ``max(value, 0)``: the cluster sleeps
+      exactly when the interval pays (the standby engine and the
+      clairvoyant oracle);
+    * a (policies x clusters) threshold grid — ``value`` when
+      ``T >= threshold``, else 0 (a committed sleep policy).
 
-    The cluster loop stays a left-to-right accumulation (one vector
-    add per cluster), so every element's float-op sequence matches the
-    scalar reference exactly.
+    Both bodies perform the same IEEE operations in the same order:
+    the policy and corner axes only widen each numpy op, and clusters
+    accumulate left to right on both, so the result is bit-identical
+    across backends.
     """
+    if plan_of is None:
+        plan_of = range(len(overhead_ns))
+    if backend == "numpy":
+        return _savings_numpy(durations, dp_nw, energy_pj, overhead_ns,
+                              plan_of, thresholds)
+    return _savings_python(durations, dp_nw, energy_pj, overhead_ns,
+                           plan_of, thresholds)
+
+
+def _savings_python(durations, dp_nw, energy_pj, overhead_ns, plan_of,
+                    thresholds) -> list[list[list[float]]]:
+    # A skipped point keeps ``a`` where the numpy body adds 0.0; that
+    # is bitwise the same because ``acc`` starts at +0.0 and a sum is
+    # -0.0 only when both addends are.
+    out: list[list[list[float]]] = []
+    for i, plan in enumerate(plan_of):
+        rows: list[list[float]] = []
+        for dp_c, e_c, oh_c in zip(dp_nw, energy_pj, overhead_ns[plan]):
+            acc = [0.0] * len(durations)
+            for k, dp in enumerate(dp_c):
+                oh = oh_c[k]
+                energy = e_c[k]
+                if thresholds is None:
+                    acc = [a + value if (value := dp * (duration - oh)
+                                         * _NW_NS_TO_PJ - energy) > 0.0
+                           else a
+                           for a, duration in zip(acc, durations)]
+                else:
+                    threshold = thresholds[i][k]
+                    acc = [a + (dp * (duration - oh) * _NW_NS_TO_PJ
+                                - energy)
+                           if duration >= threshold else a
+                           for a, duration in zip(acc, durations)]
+            rows.append(acc)
+        out.append(rows)
+    return out
+
+
+def _savings_numpy(durations, dp_nw, energy_pj, overhead_ns, plan_of,
+                   thresholds) -> list[list[list[float]]]:
     import numpy as np
 
-    durations = np.array([duration for duration, _w in points],
-                         dtype=float)
-    acc = np.zeros(len(points), dtype=float)
-    zero = np.float64(0.0)
-    for k, dp in enumerate(dp_nw):
-        value = np.float64(dp) * (durations - np.float64(overhead_ns[k])) \
-            * np.float64(_NW_NS_TO_PJ) - np.float64(energy_pj[k])
-        acc = acc + np.maximum(value, zero)
-    return acc.tolist()
-
-
-def _point_savings_numpy_corners(points: Sequence[tuple[float, float]],
-                                 dp_nw: Sequence[Sequence[float]],
-                                 overhead_ns: Sequence[Sequence[float]],
-                                 energy_pj: Sequence[Sequence[float]]
-                                 ) -> list[list[float]]:
-    """Corner-batched path: every corner's quantile grid in one stack.
-
-    Inputs are ``(corners x clusters)`` tables; the result row for
-    corner ``c`` is bit-identical to
-    ``_point_savings_numpy(points, dp_nw[c], ...)`` because the
-    per-element float-op sequence (multiply, subtract, multiply,
-    subtract, max, ordered add per cluster) is unchanged — the corner
-    axis only widens each vector op.
-    """
-    import numpy as np
-
-    durations = np.array([duration for duration, _w in points],
-                         dtype=float)
-    dp = np.asarray(dp_nw, dtype=float)
-    oh = np.asarray(overhead_ns, dtype=float)
-    energy = np.asarray(energy_pj, dtype=float)
-    acc = np.zeros((dp.shape[0], len(points)), dtype=float)
+    d = np.asarray(durations, dtype=float)[None, None, :]       # (1, 1, N)
+    dp = np.asarray(dp_nw, dtype=float)                         # (C, K)
+    energy = np.asarray(energy_pj, dtype=float)                 # (C, K)
+    oh = np.asarray(overhead_ns, dtype=float)[
+        np.asarray(plan_of, dtype=int)]                         # (P, C, K)
+    acc = np.zeros(oh.shape[:2] + d.shape[2:], dtype=float)    # (P, C, N)
+    grid = None if thresholds is None \
+        else np.asarray(thresholds, dtype=float)                # (P, K)
     zero = np.float64(0.0)
     for k in range(dp.shape[1]):
-        value = dp[:, k, None] * (durations[None, :] - oh[:, k, None]) \
-            * np.float64(_NW_NS_TO_PJ) - energy[:, k, None]
-        acc = acc + np.maximum(value, zero)
+        value = dp[None, :, k, None] * (d - oh[:, :, k, None]) \
+            * np.float64(_NW_NS_TO_PJ) - energy[None, :, k, None]
+        if grid is None:
+            acc = acc + np.maximum(value, zero)
+        else:
+            acc = acc + np.where(d >= grid[:, k, None, None], value, zero)
     return acc.tolist()
 
 
@@ -237,8 +255,9 @@ class StandbyEngine:
                  technique: Technique = Technique.IMPROVED_SMT):
         if not network.clusters:
             raise StandbyError(
-                "the design has no VGND clusters; standby-transition "
-                "analysis needs the improved-SMT switch structure")
+                "the design has no VGND clusters; standby and "
+                "sleep-policy analysis need the improved-SMT switch "
+                "structure")
         if not scenarios:
             raise StandbyError("no power-mode scenarios given")
         self.netlist = netlist
@@ -263,61 +282,50 @@ class StandbyEngine:
             return self._run_impl()
 
     def _run_impl(self) -> StandbyResult:
-        # The quantile grids are corner-independent: build them once.
-        points: list[tuple[float, float]] = []
-        spans: list[tuple[int, int]] = []
-        for scenario in self.scenarios:
-            start = len(points)
-            points.extend(scenario.idle_points())
-            spans.append((start, len(points)))
-
+        points, spans = self._scenario_grid()
         # Per-corner scalar work (transients, scheduling) runs first;
         # the break-even sweep itself is deferred so every corner's
-        # quantile grid rides ONE stacked kernel call on numpy.
-        first_transients: tuple[ClusterTransient, ...] | None = None
-        first_schedule: WakeupSchedule | None = None
-        corner_rows: list[StandbyCornerRow] = []
-        dp_rows: list[list[float]] = []
-        oh_rows: list[list[float]] = []
-        energy_rows: list[list[float]] = []
-        for corner_name in self.corners:
-            library = self._corner_library(corner_name)
-            transients = TransientSolver(
-                self.network, self.netlist, library,
-                settle_fraction=self.settle_fraction,
-                parasitics=self.parasitics).solve()
-            budget = self.rush_budget_ma
-            if budget is None:
-                budget = default_rush_budget_ma(transients)
-            schedule = RushScheduler(transients, budget).schedule()
-            if first_transients is None:
-                first_transients = tuple(transients)
-                first_schedule = schedule
-            corner_rows.append(
-                self._corner_row(corner_name, transients, schedule))
-            dp_nw, overhead_ns, energy_pj = self._cluster_vectors(
-                transients, schedule)
-            dp_rows.append(dp_nw)
-            oh_rows.append(overhead_ns)
-            energy_rows.append(energy_pj)
-
-        if self.compute_backend == "numpy" and len(self.corners) > 1:
-            accs = _point_savings_numpy_corners(points, dp_rows,
-                                               oh_rows, energy_rows)
-        elif self.compute_backend == "numpy":
-            accs = [_point_savings_numpy(points, dp_rows[0], oh_rows[0],
-                                         energy_rows[0])]
-        else:
-            accs = [_point_savings_python(points, dp, oh, energy)
-                    for dp, oh, energy in zip(dp_rows, oh_rows,
-                                              energy_rows)]
+        # quantile grid rides ONE kernel call.
+        corner_transients, budgets = self._corner_prologue()
+        schedules = [RushScheduler(transients, budget).schedule()
+                     for transients, budget in zip(corner_transients,
+                                                   budgets)]
+        corner_rows = [
+            self._corner_row(corner_name, transients, schedule)
+            for corner_name, transients, schedule
+            in zip(self.corners, corner_transients, schedules)]
+        dp_nw, energy_pj = self._cluster_tables(corner_transients)
+        # Each cluster sleeps on its own: entry is its own sleep
+        # latency, wake its scheduled settle in the network schedule.
+        overhead_ns = []
+        for transients, schedule in zip(corner_transients, schedules):
+            settles = {event.cluster_index: event.settle_ns
+                       for event in schedule.events}
+            overhead_ns.append([tr.sleep_latency_ns
+                                + settles[tr.cluster_index]
+                                for tr in transients])
+        accs = savings([duration for duration, _w in points], dp_nw,
+                       energy_pj, [overhead_ns],
+                       backend=self.compute_backend)[0]
 
         grid: dict[tuple[str, str], ScenarioOutcome] = {}
         for corner_name, row, acc in zip(self.corners, corner_rows,
                                          accs):
-            for scenario, outcome in self._scenario_outcomes(
-                    corner_name, row, acc, points, spans):
-                grid[(scenario, corner_name)] = outcome
+            for scenario, (per_event, net) in zip(
+                    self.scenarios,
+                    self._scenario_nets(acc, points, spans)):
+                active_energy = row.active_leakage_nw \
+                    * scenario.horizon_ns * _NW_NS_TO_PJ
+                grid[(scenario.name, corner_name)] = ScenarioOutcome(
+                    scenario=scenario.name,
+                    corner=corner_name,
+                    sleep_events=scenario.sleep_events,
+                    savings_per_event_pj=per_event,
+                    net_savings_pj=net,
+                    savings_fraction=net / active_energy
+                    if active_energy > 0.0 else 0.0,
+                    break_even_ns=row.break_even_ns,
+                    worthwhile=net > 0.0)
 
         outcomes = tuple(grid[(scenario.name, corner_name)]
                          for scenario in self.scenarios
@@ -330,12 +338,54 @@ class StandbyEngine:
             settle_fraction=self.settle_fraction,
             scenarios=tuple(s.name for s in self.scenarios),
             corners=self.corners,
-            transients=first_transients,
-            schedule=first_schedule,
+            transients=tuple(corner_transients[0]),
+            schedule=schedules[0],
             corner_rows=tuple(corner_rows),
             outcomes=outcomes)
 
-    # --- internals -----------------------------------------------------------
+    # --- shared with the policy optimizer -----------------------------------
+
+    def _scenario_grid(self) -> tuple[list[tuple[float, float]],
+                                      list[tuple[int, int]]]:
+        """Every scenario's (duration, weight) quantile points, flat,
+        plus each scenario's ``(start, stop)`` slice of them.  The
+        grids are corner-independent, so they are built once."""
+        points: list[tuple[float, float]] = []
+        spans: list[tuple[int, int]] = []
+        for scenario in self.scenarios:
+            start = len(points)
+            points.extend(scenario.idle_points())
+            spans.append((start, len(points)))
+        return points, spans
+
+    def _corner_prologue(self) -> tuple[list[list[ClusterTransient]],
+                                        list[float]]:
+        """Per configured corner: the cluster transients, and the rush
+        budget they are scheduled under."""
+        corner_transients: list[list[ClusterTransient]] = []
+        budgets: list[float] = []
+        for corner_name in self.corners:
+            transients = TransientSolver(
+                self.network, self.netlist,
+                self._corner_library(corner_name),
+                settle_fraction=self.settle_fraction,
+                parasitics=self.parasitics).solve()
+            budget = self.rush_budget_ma
+            if budget is None:
+                budget = default_rush_budget_ma(transients)
+            corner_transients.append(list(transients))
+            budgets.append(budget)
+        return corner_transients, budgets
+
+    @staticmethod
+    def _cluster_tables(corner_transients: list[list[ClusterTransient]]
+                        ) -> tuple[list[list[float]], list[list[float]]]:
+        """The kernel's (corners x clusters) savings and energy tables."""
+        dp_nw = [[tr.leakage_savings_nw for tr in transients]
+                 for transients in corner_transients]
+        energy_pj = [[tr.energy_per_cycle_pj for tr in transients]
+                     for transients in corner_transients]
+        return dp_nw, energy_pj
 
     def _corner_library(self, corner_name: str) -> Library:
         cached = self.corner_libraries.get(corner_name)
@@ -351,6 +401,22 @@ class StandbyEngine:
         self.corner_libraries[corner_name] = derived
         return derived
 
+    def _scenario_nets(self, acc: Sequence[float],
+                       points: Sequence[tuple[float, float]],
+                       spans: Sequence[tuple[int, int]]
+                       ) -> list[tuple[float, float]]:
+        """Per scenario: (expected savings per idle interval, net
+        savings over the horizon) from one row of kernel output."""
+        nets = []
+        for scenario, (start, stop) in zip(self.scenarios, spans):
+            per_event = 0.0
+            for p in range(start, stop):
+                per_event += points[p][1] * acc[p]
+            nets.append((per_event, scenario.sleep_events * per_event))
+        return nets
+
+    # --- internals -----------------------------------------------------------
+
     @staticmethod
     def _corner_row(corner_name: str,
                     transients: Sequence[ClusterTransient],
@@ -365,12 +431,6 @@ class StandbyEngine:
             active_leak += transient.active_leakage_nw
             sleep_latency = max(sleep_latency,
                                 transient.sleep_latency_ns)
-        saved = active_leak - sleep_leak
-        overhead = sleep_latency + schedule.total_latency_ns
-        if saved > 0.0:
-            break_even = overhead + cycle_energy / (saved * _NW_NS_TO_PJ)
-        else:
-            break_even = math.inf
         return StandbyCornerRow(
             corner=corner_name,
             wake_latency_ns=schedule.total_latency_ns,
@@ -382,39 +442,7 @@ class StandbyEngine:
             cycle_energy_pj=cycle_energy,
             sleep_leakage_nw=sleep_leak,
             active_leakage_nw=active_leak,
-            break_even_ns=break_even)
-
-    @staticmethod
-    def _cluster_vectors(transients: Sequence[ClusterTransient],
-                         schedule: WakeupSchedule
-                         ) -> tuple[list[float], list[float], list[float]]:
-        dp_nw = [tr.leakage_savings_nw for tr in transients]
-        energy_pj = [tr.energy_per_cycle_pj for tr in transients]
-        settles = {event.cluster_index: event.settle_ns
-                   for event in schedule.events}
-        overhead_ns = [transient.sleep_latency_ns
-                       + settles[transient.cluster_index]
-                       for transient in transients]
-        return dp_nw, overhead_ns, energy_pj
-
-    def _scenario_outcomes(self, corner_name: str, row: StandbyCornerRow,
-                           acc: Sequence[float],
-                           points: list[tuple[float, float]],
-                           spans: list[tuple[int, int]]):
-        for scenario, (start, stop) in zip(self.scenarios, spans):
-            per_event = 0.0
-            for p in range(start, stop):
-                per_event += points[p][1] * acc[p]
-            net = scenario.sleep_events * per_event
-            active_energy = row.active_leakage_nw \
-                * scenario.horizon_ns * _NW_NS_TO_PJ
-            fraction = net / active_energy if active_energy > 0.0 else 0.0
-            yield scenario.name, ScenarioOutcome(
-                scenario=scenario.name,
-                corner=corner_name,
-                sleep_events=scenario.sleep_events,
-                savings_per_event_pj=per_event,
-                net_savings_pj=net,
-                savings_fraction=fraction,
-                break_even_ns=row.break_even_ns,
-                worthwhile=net > 0.0)
+            break_even_ns=break_even_ns(
+                active_leak - sleep_leak,
+                sleep_latency + schedule.total_latency_ns,
+                cycle_energy))

@@ -29,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from typing import Any
 
 from repro.errors import ConfigError, StandbyError
 
@@ -180,11 +179,6 @@ class PowerModeScenario:
         if idle_phase < self.idle_ns - wake_latency_ns:
             return PowerMode.SLEEP
         return PowerMode.STANDBY
-
-    def as_dict(self) -> dict[str, Any]:
-        from repro.api import schemas  # lazy: loads the registry
-
-        return schemas.to_dict(self)
 
 
 def standard_scenarios() -> dict[str, PowerModeScenario]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import StandbyError
 from repro.standby.transient import ClusterTransient
@@ -53,11 +53,6 @@ class WakeupEvent:
     settle_ns: float       # enable + the cluster's wake latency
     peak_rush_ma: float
 
-    def as_dict(self) -> dict[str, Any]:
-        from repro.api import schemas  # lazy: loads the registry
-
-        return schemas.to_dict(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class WakeupSchedule:
@@ -75,11 +70,6 @@ class WakeupSchedule:
             if event.cluster_index == cluster_index:
                 return event
         raise KeyError(f"no wake-up event for cluster {cluster_index}")
-
-    def as_dict(self) -> dict[str, Any]:
-        from repro.api import schemas  # lazy: loads the registry
-
-        return schemas.to_dict(self)
 
 
 def default_rush_budget_ma(

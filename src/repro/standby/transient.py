@@ -70,11 +70,6 @@ class ClusterTransient:
         """Leakage saved while this cluster sleeps."""
         return self.active_leakage_nw - self.sleep_leakage_nw
 
-    def as_dict(self) -> dict[str, Any]:
-        from repro.api import schemas  # lazy: loads the registry
-
-        return schemas.to_dict(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class Waveform:

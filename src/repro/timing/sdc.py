@@ -10,7 +10,8 @@ Supported commands — the set the flow itself needs::
     set_input_transition 0.05 [all_inputs]
 
 Everything else raises :class:`~repro.errors.ParseError` (explicit is
-better than silently ignoring constraints).
+better than silently ignoring constraints), as does malformed input;
+each error carries the offending line number.
 """
 
 from __future__ import annotations
@@ -24,15 +25,32 @@ from repro.timing.constraints import Constraints
 _BRACKET_RE = re.compile(r"\[([^\]]*)\]")
 
 
-def _parse_target(tokens: list[str]) -> tuple[str, list[str]]:
+def _number(token: str, line_no: int) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ParseError(f"expected a number, got {token!r}",
+                         line=line_no) from None
+
+
+def _value_after(tokens: list[str], i: int, line_no: int) -> str:
+    """The value following ``tokens[i]`` on the same line."""
+    if i + 1 >= len(tokens):
+        raise ParseError(f"{tokens[i]} needs a value", line=line_no)
+    return tokens[i + 1]
+
+
+def _parse_target(tokens: list[str],
+                  line_no: int) -> tuple[str, list[str]]:
     """Interpret a bracketed object query: returns (kind, names)."""
     text = " ".join(tokens)
     match = _BRACKET_RE.search(text)
     if match is None:
-        raise ParseError(f"expected [get_ports ...] in: {text!r}")
+        raise ParseError(f"expected [get_ports ...] in: {text!r}",
+                         line=line_no)
     inner = match.group(1).split()
     if not inner:
-        raise ParseError(f"empty object query in: {text!r}")
+        raise ParseError(f"empty object query in: {text!r}", line=line_no)
     command = inner[0]
     if command == "get_ports":
         return "ports", inner[1:]
@@ -40,7 +58,8 @@ def _parse_target(tokens: list[str]) -> tuple[str, list[str]]:
         return "all_inputs", []
     if command == "all_outputs":
         return "all_outputs", []
-    raise ParseError(f"unsupported object query {command!r}")
+    raise ParseError(f"unsupported object query {command!r}",
+                     line=line_no)
 
 
 def parse_sdc(text: str, default_period: float = 10.0) -> Constraints:
@@ -48,12 +67,17 @@ def parse_sdc(text: str, default_period: float = 10.0) -> Constraints:
     constraints = Constraints(clock_period=default_period)
     seen_clock = False
 
-    for raw_line in text.splitlines():
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         # shlex chokes on brackets; protect them.
-        tokens = shlex.split(line.replace("[", " [ ").replace("]", " ] "))
+        try:
+            tokens = shlex.split(
+                line.replace("[", " [ ").replace("]", " ] "))
+        except ValueError as exc:     # e.g. an unbalanced quote
+            raise ParseError(f"{exc} in SDC line: {line!r}",
+                             line=line_no) from None
         # Re-join bracket groups.
         joined: list[str] = []
         depth = 0
@@ -73,7 +97,8 @@ def parse_sdc(text: str, default_period: float = 10.0) -> Constraints:
             else:
                 joined.append(token)
         if depth != 0:
-            raise ParseError(f"unbalanced brackets in SDC line: {line!r}")
+            raise ParseError(f"unbalanced brackets in SDC line: {line!r}",
+                             line=line_no)
         tokens = joined
         command = tokens[0]
 
@@ -83,20 +108,23 @@ def parse_sdc(text: str, default_period: float = 10.0) -> Constraints:
             i = 1
             while i < len(tokens):
                 if tokens[i] == "-period":
-                    period = float(tokens[i + 1])
+                    period = _number(_value_after(tokens, i, line_no),
+                                     line_no)
                     i += 2
                 elif tokens[i] == "-name":
                     i += 2
                 elif tokens[i].startswith("["):
-                    kind, names = _parse_target([tokens[i]])
+                    kind, names = _parse_target([tokens[i]], line_no)
                     if kind == "ports" and names:
                         port = names[0]
                     i += 1
                 else:
                     raise ParseError(
-                        f"unsupported create_clock argument {tokens[i]!r}")
+                        f"unsupported create_clock argument {tokens[i]!r}",
+                        line=line_no)
             if period is None:
-                raise ParseError("create_clock requires -period")
+                raise ParseError("create_clock requires -period",
+                                 line=line_no)
             constraints.clock_period = period
             constraints.clock_port = port
             seen_clock = True
@@ -108,13 +136,14 @@ def parse_sdc(text: str, default_period: float = 10.0) -> Constraints:
                 if tokens[i] == "-clock":
                     i += 2
                 elif tokens[i].startswith("["):
-                    target = _parse_target([tokens[i]])
+                    target = _parse_target([tokens[i]], line_no)
                     i += 1
                 else:
-                    value = float(tokens[i])
+                    value = _number(tokens[i], line_no)
                     i += 1
             if value is None or target is None:
-                raise ParseError(f"malformed {command}: {line!r}")
+                raise ParseError(f"malformed {command}: {line!r}",
+                                 line=line_no)
             kind, names = target
             if command == "set_input_delay":
                 if kind == "all_inputs":
@@ -129,17 +158,19 @@ def parse_sdc(text: str, default_period: float = 10.0) -> Constraints:
                     for name in names:
                         constraints.output_delays[name] = value
         elif command == "set_load":
-            value = float(tokens[1])
-            kind, names = _parse_target(tokens[2:])
+            value = _number(_value_after(tokens, 0, line_no), line_no)
+            kind, names = _parse_target(tokens[2:], line_no)
             if kind == "all_outputs":
                 constraints.output_load = value
             else:
                 for name in names:
                     constraints.output_loads[name] = value
         elif command == "set_input_transition":
-            constraints.input_slew = float(tokens[1])
+            constraints.input_slew = _number(
+                _value_after(tokens, 0, line_no), line_no)
         else:
-            raise ParseError(f"unsupported SDC command {command!r}")
+            raise ParseError(f"unsupported SDC command {command!r}",
+                             line=line_no)
 
     if not seen_clock:
         raise ParseError("SDC file defines no clock (create_clock missing)")

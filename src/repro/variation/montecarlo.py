@@ -98,11 +98,6 @@ class McStatistics:
     worst_wns: float | None = None
     timing_yield: float | None = None
 
-    def as_dict(self) -> dict[str, float | int | None]:
-        from repro.api import schemas  # lazy: loads the registry
-
-        return schemas.to_dict(self)
-
 
 def percentile(sorted_values: Sequence[float], fraction: float) -> float:
     """Linear-interpolated percentile of an ascending sequence."""

@@ -11,7 +11,7 @@ small multiple of the final-STA stage, not of the whole flow.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Mapping
+from typing import Mapping
 
 from repro.liberty.library import Library
 from repro.netlist.core import Netlist
@@ -42,11 +42,6 @@ class CornerResult:
     leakage_scale_low: float
     leakage_scale_high: float
     leakage: LeakageBreakdown | None = None
-
-    def as_dict(self) -> dict[str, Any]:
-        from repro.api import schemas  # lazy: loads the registry
-
-        return schemas.to_dict(self)
 
 
 def evaluate_corner(netlist: Netlist, library: Library, corner: PvtCorner,

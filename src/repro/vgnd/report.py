@@ -1,9 +1,8 @@
 """Virtual-ground network reports.
 
 Rendering only: every dict-shaped payload these tables are built from
-comes from the :mod:`repro.api.schemas` registry (the typed standby
-dataclasses' ``as_dict()`` delegate there), never from ad-hoc
-serialization — the PR-4 "one serialization registry" invariant.
+comes from the :mod:`repro.api.schemas` registry, never from ad-hoc
+serialization — the "one serialization registry" invariant.
 """
 
 from __future__ import annotations

@@ -164,7 +164,7 @@ def test_legacy_corner_result_payload_shape(library):
     corner = resolve_corner("ff_1.32v_125c", library.tech)
     result = evaluate_corner(netlist, library, corner,
                              Constraints(clock_period=5.0))
-    payload = result.as_dict()
+    payload = schemas.to_dict(result)
     assert payload["corner"] == "ff_1.32v_125c"
     assert payload["process"] == "ff"
     assert payload[schemas.SCHEMA_KEY] == "corner_result"

@@ -170,7 +170,8 @@ def test_montecarlo_matches_legacy_study(workspace, design):
     payload = schemas.check_round_trip(result)
     # Per-die samples stay in-process; payloads carry the statistics.
     assert "sample_values" not in payload
-    assert "sample_values" not in study.as_dict()["results"]["dual_vth"]
+    assert "sample_values" not in \
+        schemas.to_dict(study)["results"]["dual_vth"]
 
 
 def test_montecarlo_parallel_matches_serial(workspace, design):
@@ -191,14 +192,10 @@ def test_montecarlo_parallel_matches_serial(workspace, design):
 
 
 def test_sweep_matches_compare_techniques(library, workspace, design):
-    import warnings
+    from repro.api.studies import technique_comparison
 
-    from repro.core.compare import compare_techniques
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        direct = compare_techniques(load_circuit("c17"), library, CONFIG,
-                                    circuit_name="c17")
+    direct = technique_comparison(load_circuit("c17"), library, CONFIG,
+                                  circuit_name="c17")
     swept = design.sweep()
     for row in direct.rows:
         ours = swept.row("c17", row.technique)

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api.studies import technique_comparison
 from repro.config import FlowConfig, Technique
-from repro.core.compare import compare_techniques
 
 
 @pytest.fixture(scope="module")
@@ -11,9 +11,9 @@ def comparison(library):
     from repro.benchcircuits.suite import load_circuit
 
     netlist = load_circuit("c432")
-    return compare_techniques(netlist, library,
-                              FlowConfig(timing_margin=0.10),
-                              circuit_name="c432-test")
+    return technique_comparison(netlist, library,
+                                FlowConfig(timing_margin=0.10),
+                                circuit_name="c432-test")
 
 
 def test_baseline_is_100_percent(comparison):
@@ -53,7 +53,7 @@ def test_subset_of_techniques(library):
     from repro.benchcircuits.suite import load_circuit
 
     netlist = load_circuit("c17")
-    comparison = compare_techniques(
+    comparison = technique_comparison(
         netlist, library, FlowConfig(timing_margin=0.2),
         techniques=(Technique.DUAL_VTH, Technique.IMPROVED_SMT))
     assert len(comparison.rows) == 2

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import schemas
 from repro.liberty.library import (
     VARIANT_CMT,
     VARIANT_HVT,
@@ -109,7 +110,7 @@ def test_sequential_category(library, s27):
 
 def test_as_dict_is_self_describing(library, c17):
     breakdown = LeakageAnalyzer(c17, library).standby_leakage()
-    payload = breakdown.as_dict()
+    payload = schemas.to_dict(breakdown)
     assert payload["instance_count"] == 6
     assert payload["total_nw"] == pytest.approx(breakdown.total_nw)
     shares = payload["shares_pct"]
@@ -121,7 +122,7 @@ def test_as_dict_is_self_describing(library, c17):
 def test_as_dict_zero_total_has_zero_shares():
     from repro.power.leakage import LeakageBreakdown
 
-    payload = LeakageBreakdown().as_dict()
+    payload = schemas.to_dict(LeakageBreakdown())
     assert payload["instance_count"] == 0
     assert all(v == 0.0 for v in payload["shares_pct"].values())
 

@@ -69,15 +69,16 @@ def test_sweep_parallel_matches_serial(library):
 
 
 def test_sweep_rows_match_in_process_compare(library):
-    """The runner's slim path reproduces compare_techniques() exactly."""
+    """The runner's slim path reproduces the in-process comparison
+    exactly."""
+    from repro.api.studies import technique_comparison
     from repro.benchcircuits.suite import load_circuit
-    from repro.core.compare import compare_techniques
     from repro.runner import run_sweep
 
     config = FlowConfig(timing_margin=0.2, placement_seed=3)
     netlist = load_circuit("c17")
-    direct = compare_techniques(netlist, library, config,
-                                circuit_name="c17")
+    direct = technique_comparison(netlist, library, config,
+                                  circuit_name="c17")
     swept = run_sweep(["c17"], config=config, jobs=1, library=library)[0]
     assert direct.rows == swept.rows
 
@@ -98,15 +99,17 @@ def test_per_job_seed_overrides_config(library):
 
 def test_corner_signoff_parallel_matches_serial(library):
     """`repro-smt corners --jobs N` is bit-identical for any N."""
-    from repro.experiments import run_table1_corners
+    from repro.api import Workspace, schemas
+    from repro.api.studies import corner_signoff_study
 
     kwargs = dict(circuits=("c17",),
                   corners=("tt_nom", "ff_1.32v_125c"),
-                  config=FlowConfig(timing_margin=0.2),
-                  library=library)
-    serial = run_table1_corners(jobs=1, **kwargs)
-    parallel = run_table1_corners(jobs=3, **kwargs)
-    assert serial.as_dict() == parallel.as_dict()
+                  config=FlowConfig(timing_margin=0.2))
+    serial = corner_signoff_study(Workspace(library=library), jobs=1,
+                                  **kwargs)
+    parallel = corner_signoff_study(Workspace(library=library), jobs=3,
+                                    **kwargs)
+    assert schemas.to_dict(serial) == schemas.to_dict(parallel)
     # Results are keyed by the caller's circuit names.
     outcome = serial.outcome("c17", Technique.IMPROVED_SMT)
     assert outcome.row("tt_nom").leakage_nw == outcome.nominal_leakage_nw

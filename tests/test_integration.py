@@ -74,12 +74,12 @@ def test_improved_leakage_breakdown_shape(library, s344_improved):
 
 def test_mini_table1_single_circuit(library):
     """Table 1 orderings hold on a small circuit in one run."""
-    from repro.core.compare import compare_techniques
+    from repro.api.studies import technique_comparison
     from repro.benchcircuits.suite import load_circuit
 
     netlist = load_circuit("c880")
-    comparison = compare_techniques(netlist, library,
-                                    FlowConfig(timing_margin=0.10))
+    comparison = technique_comparison(netlist, library,
+                                      FlowConfig(timing_margin=0.10))
     dual = comparison.row(Technique.DUAL_VTH)
     conventional = comparison.row(Technique.CONVENTIONAL_SMT)
     improved = comparison.row(Technique.IMPROVED_SMT)

@@ -53,16 +53,19 @@ class TestDeterminism:
         assert [s.leakage_nw for s in a] != [s.leakage_nw for s in b]
 
     def test_study_independent_of_jobs(self, library):
-        """run_montecarlo(jobs=1) == run_montecarlo(jobs=3), exactly."""
-        from repro.experiments import run_montecarlo
+        """montecarlo_study(jobs=1) == montecarlo_study(jobs=3),
+        exactly."""
+        from repro.api import Workspace, schemas
+        from repro.api.studies import montecarlo_study
 
         kwargs = dict(circuit="c17", samples=6, seed=5, timing=True,
                       techniques=(Technique.DUAL_VTH,),
-                      config=FlowConfig(timing_margin=0.2),
-                      library=library)
-        serial = run_montecarlo(jobs=1, **kwargs)
-        parallel = run_montecarlo(jobs=3, **kwargs)
-        assert serial.as_dict() == parallel.as_dict()
+                      config=FlowConfig(timing_margin=0.2))
+        serial = montecarlo_study(Workspace(library=library), jobs=1,
+                                  **kwargs)
+        parallel = montecarlo_study(Workspace(library=library), jobs=3,
+                                    **kwargs)
+        assert schemas.to_dict(serial) == schemas.to_dict(parallel)
 
 
 class TestDistribution:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import schemas
 from repro.benchcircuits.suite import load_circuit
 from repro.config import FlowConfig, Technique
 from repro.core.flow import SelectiveMtFlow
@@ -73,7 +74,7 @@ class TestEvaluateCorners:
         # Scale metadata rides along for reporting.
         assert nominal.delay_scale_low == 1.0
         assert results["ss_1.08v_125c"].delay_scale_low > 1.0
-        payload = results["ff_1.32v_125c"].as_dict()
+        payload = schemas.to_dict(results["ff_1.32v_125c"])
         assert payload["corner"] == "ff_1.32v_125c"
         assert payload["temperature_c"] == pytest.approx(125.0)
         assert set(payload) >= {"leakage_nw", "wns", "hold_wns",
