@@ -25,6 +25,7 @@ import sys
 from repro.api import Workspace, schemas
 from repro.benchcircuits.suite import available_circuits
 from repro.config import FlowConfig, Technique
+from repro.errors import ConfigError, ReproError
 from repro.liberty.writer import write_liberty
 from repro.obs import (
     configure_logging,
@@ -115,6 +116,7 @@ def cmd_list(_args) -> int:
 
 
 def cmd_flow(args) -> int:
+    _check_names("circuit", (args.circuit,), available_circuits())
     workspace = _workspace(args)
     design = workspace.design(args.circuit)
     technique = Technique(args.technique)
@@ -148,6 +150,7 @@ def cmd_stats(args) -> int:
     from repro.netlist.stats import design_stats
     from repro.netlist.techmap import technology_map
 
+    _check_names("circuit", (args.circuit,), available_circuits())
     workspace = Workspace()
     library = workspace.library
     netlist = workspace.netlist(args.circuit).clone()
@@ -157,6 +160,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_names("circuit", (args.circuit,), available_circuits())
     design = _workspace(args).design(args.circuit)
     result = design.sweep(jobs=args.jobs)
     print(result.render())
@@ -165,16 +169,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    circuits = [name.strip() for name in args.circuits.split(",")
-                if name.strip()]
-    if not circuits:
-        print("no circuits given", file=sys.stderr)
-        return 2
-    try:
-        techniques = _parse_techniques(args.techniques)
-    except _CliArgError as error:
-        print(error, file=sys.stderr)
-        return 2
+    circuits = _parse_circuits(args.circuits)
+    techniques = _parse_techniques(args.techniques)
     workspace = _workspace(args)
     result = workspace.sweep(circuits, techniques=techniques,
                              jobs=args.jobs)
@@ -183,22 +179,40 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-class _CliArgError(Exception):
-    """A user-input problem a command reports as exit code 2."""
+def _split_names(text: str | None) -> tuple[str, ...]:
+    return tuple(name.strip() for name in
+                 (text or "").split(",") if name.strip())
+
+
+def _check_names(kind: str, names, known):
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ConfigError(kind, f"unknown {kind}(s) {unknown}; "
+                                f"known: {', '.join(sorted(known))}")
+
+
+def _parse_circuits(text: str) -> tuple[str, ...]:
+    """Comma-separated, registry-checked circuit list."""
+    circuits = _split_names(text)
+    if not circuits:
+        raise ConfigError("circuits", "no circuits given")
+    _check_names("circuit", circuits, available_circuits())
+    return circuits
 
 
 def _parse_techniques(text: str | None):
     """Comma-separated technique list; ``None`` means "all"."""
     if text is None:
         return None
-    names = [name.strip() for name in text.split(",") if name.strip()]
+    names = _split_names(text)
     if not names:
-        raise _CliArgError("no techniques given")
+        raise ConfigError("techniques", "no techniques given")
     try:
         return tuple(Technique(name) for name in names)
     except ValueError:
         valid = ", ".join(t.value for t in Technique)
-        raise _CliArgError(
+        raise ConfigError(
+            "techniques",
             f"unknown technique in {text!r}; valid: {valid}") from None
 
 
@@ -211,29 +225,15 @@ def cmd_corners(args) -> int:
 
     workspace = _workspace(args)
     library = workspace.library
-    circuits = tuple(name.strip() for name in args.circuits.split(",")
-                     if name.strip())
-    if not circuits:
-        print("no circuits given", file=sys.stderr)
-        return 2
-    try:
-        techniques = _parse_techniques(args.techniques)
-    except _CliArgError as error:
-        print(error, file=sys.stderr)
-        return 2
+    circuits = _parse_circuits(args.circuits)
+    techniques = _parse_techniques(args.techniques)
     if args.all_corners:
         corners = tuple(standard_corners(library.tech))
     elif args.corners:
-        corners = tuple(name.strip() for name in args.corners.split(",")
-                        if name.strip())
+        corners = _split_names(args.corners)
     else:
         corners = default_signoff_corners(library.tech)
-    known = standard_corners(library.tech)
-    unknown = [name for name in corners if name not in known]
-    if unknown:
-        print(f"unknown corner(s) {unknown}; "
-              f"known: {', '.join(sorted(known))}", file=sys.stderr)
-        return 2
+    _check_names("corner", corners, standard_corners(library.tech))
     result = corner_signoff_study(
         workspace, circuits=circuits, techniques=techniques,
         corners=corners, config=_config_from(args), jobs=args.jobs)
@@ -246,18 +246,13 @@ def cmd_montecarlo(args) -> int:
     from repro.api.studies import montecarlo_study
     from repro.variation.corners import standard_corners
 
+    _check_names("circuit", (args.circuit,), available_circuits())
     workspace = _workspace(args)
     library = workspace.library
-    if args.corner and args.corner not in standard_corners(library.tech):
-        print(f"unknown corner {args.corner!r}; "
-              f"known: {', '.join(sorted(standard_corners(library.tech)))}",
-              file=sys.stderr)
-        return 2
-    try:
-        techniques = _parse_techniques(args.techniques)
-    except _CliArgError as error:
-        print(error, file=sys.stderr)
-        return 2
+    if args.corner:
+        _check_names("corner", (args.corner,),
+                     standard_corners(library.tech))
+    techniques = _parse_techniques(args.techniques)
     study = montecarlo_study(
         workspace, circuit=args.circuit, techniques=techniques,
         samples=args.samples, seed=args.mc_seed,
@@ -277,7 +272,6 @@ def _load_scenario_payload(path: str):
     (``schemas.to_dict`` output) or a plain constructor-kwargs object
     (``{"name": ..., "active_ns": ..., ...}``).
     """
-    from repro.errors import ConfigError
     from repro.standby.scenario import PowerModeScenario
 
     try:
@@ -312,48 +306,27 @@ def _load_scenario_payload(path: str):
             "scenario_file", f"bad scenario in {path!r}: {exc}") from exc
 
 
-def _split_names(text: str | None) -> tuple[str, ...]:
-    return tuple(name.strip() for name in
-                 (text or "").split(",") if name.strip())
-
-
-def _check_names(kind: str, names, known) -> bool:
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        print(f"unknown {kind}(s) {unknown}; "
-              f"known: {', '.join(sorted(known))}", file=sys.stderr)
-        return False
-    return True
-
-
 def cmd_standby(args) -> int:
     from repro.api.requests import StandbyRequest
-    from repro.errors import ConfigError, SchemaError
     from repro.standby.scenario import standard_scenarios
     from repro.variation.corners import standard_corners
     from repro.vgnd.report import render_standby_table
 
+    _check_names("circuit", (args.circuit,), available_circuits())
     workspace = _workspace(args)
     library = workspace.library
     scenarios = _split_names(args.scenarios)
-    if not _check_names("scenario", scenarios, standard_scenarios()):
-        return 2
+    _check_names("scenario", scenarios, standard_scenarios())
     corners = _split_names(args.corners)
-    if not _check_names("corner", corners,
-                        standard_corners(library.tech)):
-        return 2
-    try:
-        payloads = tuple(_load_scenario_payload(path)
-                         for path in (args.scenario_file or ()))
-        request = StandbyRequest(
-            technique=Technique(args.technique),
-            scenarios=scenarios, scenario_payloads=payloads,
-            corners=corners,
-            rush_budget_ma=args.rush_budget,
-            settle_fraction=args.settle_fraction)
-    except (ConfigError, SchemaError) as error:
-        print(error, file=sys.stderr)
-        return 2
+    _check_names("corner", corners, standard_corners(library.tech))
+    payloads = tuple(_load_scenario_payload(path)
+                     for path in (args.scenario_file or ()))
+    request = StandbyRequest(
+        technique=Technique(args.technique),
+        scenarios=scenarios, scenario_payloads=payloads,
+        corners=corners,
+        rush_budget_ma=args.rush_budget,
+        settle_fraction=args.settle_fraction)
     result = workspace.standby(args.circuit, request)
     print(render_standby_table(result))
     _emit_json(result, args.json)
@@ -362,35 +335,28 @@ def cmd_standby(args) -> int:
 
 def cmd_policy(args) -> int:
     from repro.api.requests import PolicyRequest
-    from repro.errors import ConfigError
     from repro.policy.traces import load_trace, trace_scenario
     from repro.standby.scenario import standard_scenarios
     from repro.variation.corners import standard_corners
 
+    _check_names("circuit", (args.circuit,), available_circuits())
     workspace = _workspace(args)
     library = workspace.library
     scenarios = _split_names(args.scenarios)
-    if not _check_names("scenario", scenarios, standard_scenarios()):
-        return 2
+    _check_names("scenario", scenarios, standard_scenarios())
     corners = _split_names(args.corners)
-    if not _check_names("corner", corners,
-                        standard_corners(library.tech)):
-        return 2
-    try:
-        payloads = tuple(
-            trace_scenario(load_trace(path), active_ns=args.active_ns,
-                           quantile_points=args.quantile_points)
-            for path in (args.trace_file or ()))
-        request = PolicyRequest(
-            technique=Technique(args.technique),
-            scenarios=scenarios, scenario_payloads=payloads,
-            corners=corners, candidates=args.candidates,
-            max_domains=args.max_domains,
-            rush_budget_ma=args.rush_budget,
-            settle_fraction=args.settle_fraction)
-    except ConfigError as error:
-        print(error, file=sys.stderr)
-        return 2
+    _check_names("corner", corners, standard_corners(library.tech))
+    payloads = tuple(
+        trace_scenario(load_trace(path), active_ns=args.active_ns,
+                       quantile_points=args.quantile_points)
+        for path in (args.trace_file or ()))
+    request = PolicyRequest(
+        technique=Technique(args.technique),
+        scenarios=scenarios, scenario_payloads=payloads,
+        corners=corners, candidates=args.candidates,
+        max_domains=args.max_domains,
+        rush_budget_ma=args.rush_budget,
+        settle_fraction=args.settle_fraction)
     result = workspace.policy(args.circuit, request)
     print(result.render())
     _emit_json(result, args.json)
@@ -695,6 +661,9 @@ def main(argv: list[str] | None = None) -> int:
         enable_tracing()
     try:
         return args.func(args)
+    except ReproError as error:
+        print(error, file=sys.stderr)
+        return 2
     finally:
         if trace_path:
             out = write_chrome_trace(trace_path, take_records())

@@ -39,12 +39,6 @@ class FlowConfig:
     placement_seed: int = 1
     placer_iterations: int = 24
 
-    # Timing engine: drive the STA-in-the-loop stages (assignment, ECO)
-    # through an incremental TimingSession instead of rebuilding a
-    # TimingAnalyzer per probe.  Results are bit-identical either way;
-    # the flag exists so benchmarks can A/B the two engines.
-    incremental_sta: bool = True
-
     # Numeric compute backend for every STA / leakage / Monte-Carlo
     # hot path: "python" (scalar reference) or "numpy" (vectorized
     # array kernels; equivalent to 1e-9 rel, falls back to scalar when

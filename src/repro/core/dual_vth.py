@@ -16,22 +16,23 @@ Algorithm (deterministic, STA-in-the-loop):
 4. the prefix is committed, slacks are refreshed, and the process
    repeats for a few rounds to pick up cells whose slack grew.
 
-Flip-flops participate: a flip-flop off the critical path becomes
-high-Vth like any gate.
+Only combinational cells are candidates: flip-flops keep the variant
+technology mapping gave them.
+
+Every probe is a :meth:`~repro.timing.session.TimingSession.report`
+and every swap goes through the session, so a probe re-propagates only
+the cones the swap touched.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Mapping
 
 from repro.errors import FlowError
-from repro.liberty.library import Library, VARIANT_HVT, VARIANT_LVT
-from repro.netlist.core import Instance, Netlist
-from repro.netlist.transform import swap_variant
-from repro.timing.constraints import Constraints
+from repro.liberty.library import VARIANT_HVT, VARIANT_LVT
+from repro.netlist.core import Instance
 from repro.timing.session import TimingSession
-from repro.timing.sta import TimingAnalyzer, TimingReport
+from repro.timing.sta import TimingReport
 
 
 @dataclasses.dataclass
@@ -60,31 +61,20 @@ class AssignmentResult:
 
 
 class DualVthAssigner:
-    """Assigns fast/slow variants under a timing constraint."""
+    """Assigns fast/slow variants of the session's netlist under the
+    session's timing constraint."""
 
-    def __init__(self, netlist: Netlist, library: Library,
-                 constraints: Constraints,
-                 parasitics: Mapping[str, object] | None = None,
+    def __init__(self, session: TimingSession,
                  fast_variant: str = VARIANT_LVT,
                  slow_variant: str = VARIANT_HVT,
-                 rounds: int = 4,
-                 include_sequential: bool = False,
-                 session: TimingSession | None = None,
-                 compute_backend: str | None = None):
-        self.netlist = netlist
-        self.library = library
-        self.constraints = constraints
-        self.parasitics = parasitics
+                 rounds: int = 4):
+        self.session = session
+        self.netlist = session.netlist
+        self.library = session.library
+        self.constraints = session.constraints
         self.fast_variant = fast_variant
         self.slow_variant = slow_variant
         self.rounds = rounds
-        self.include_sequential = include_sequential
-        self.compute_backend = compute_backend
-        #: Optional incremental STA engine; swaps are routed through it
-        #: so probes re-propagate only the affected cones.
-        if session is not None and session.netlist is not netlist:
-            raise FlowError("timing session is bound to a different netlist")
-        self.session = session
         self._sta_runs = 0
         self._depth_cache: dict[str, int] | None = None
 
@@ -92,12 +82,7 @@ class DualVthAssigner:
 
     def _sta(self) -> TimingReport:
         self._sta_runs += 1
-        if self.session is not None:
-            return self.session.report()
-        analyzer = TimingAnalyzer(self.netlist, self.library,
-                                  self.constraints, self.parasitics,
-                                  compute_backend=self.compute_backend)
-        return analyzer.run()
+        return self.session.report()
 
     def _candidates(self) -> list[Instance]:
         """Instances eligible for slow assignment (currently fast)."""
@@ -106,7 +91,7 @@ class DualVthAssigner:
             if inst.cell_name not in self.library:
                 continue
             cell = self.library.cell(inst.cell_name)
-            if cell.is_sequential and not self.include_sequential:
+            if cell.is_sequential:
                 continue
             if cell.variant != self.fast_variant:
                 continue
@@ -151,12 +136,8 @@ class DualVthAssigner:
         return worst
 
     def _swap(self, instances: list[Instance], variant: str):
-        if self.session is not None:
-            for inst in instances:
-                self.session.swap_variant(inst, variant)
-            return
         for inst in instances:
-            swap_variant(self.netlist, inst, self.library, variant)
+            self.session.swap_variant(inst, variant)
 
     # --- main -----------------------------------------------------------------
 
@@ -166,17 +147,11 @@ class DualVthAssigner:
             if inst.cell_name not in self.library:
                 continue
             cell = self.library.cell(inst.cell_name)
-            if cell.kind.value in ("switch", "holder"):
-                continue
-            if cell.is_sequential and not self.include_sequential:
+            if cell.kind.value in ("switch", "holder") or cell.is_sequential:
                 continue
             if cell.variant != self.fast_variant \
                     and self.library.has_variant(cell, self.fast_variant):
-                if self.session is not None:
-                    self.session.swap_variant(inst, self.fast_variant)
-                else:
-                    swap_variant(self.netlist, inst, self.library,
-                                 self.fast_variant)
+                self.session.swap_variant(inst, self.fast_variant)
 
     def run(self, prepare: bool = True) -> AssignmentResult:
         if prepare:

@@ -16,15 +16,18 @@ the hold violation and for verification".
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Mapping
+from typing import Callable
 
-from repro.liberty.library import Library, VthClass
-from repro.netlist.core import Instance, Netlist
-from repro.netlist.transform import insert_buffer
-from repro.timing.constraints import Constraints
+from repro.liberty.library import VthClass
+from repro.netlist.core import Instance
 from repro.timing.paths import extract_path
 from repro.timing.session import TimingSession
-from repro.timing.sta import TimingAnalyzer, TimingReport
+from repro.timing.sta import TimingReport
+
+#: Setup-repair passes before the fixer gives up.
+SETUP_MAX_PASSES = 16
+#: Worst violating endpoints whose paths one setup pass repairs.
+SETUP_ENDPOINTS_PER_PASS = 16
 
 
 @dataclasses.dataclass
@@ -41,45 +44,20 @@ class EcoResult:
 
 
 class HoldFixer:
-    """Fixes hold violations by delay-buffer insertion."""
+    """Fixes hold violations by delay-buffer insertion.
 
-    def __init__(self, netlist: Netlist, library: Library,
-                 constraints: Constraints,
-                 parasitics: Mapping[str, object] | None = None,
-                 derates: Mapping[str, float] | None = None,
-                 clock_arrivals: Mapping[str, float] | None = None,
+    Buffers are inserted through the session, so each pass
+    re-propagates only the padded cones.
+    """
+
+    def __init__(self, session: TimingSession,
                  buffer_cell: str = "BUF_X1_HVT",
-                 max_passes: int = 3,
-                 session: TimingSession | None = None,
-                 compute_backend: str | None = None):
-        self.netlist = netlist
-        self.library = library
-        self.constraints = constraints
-        self.compute_backend = compute_backend
-        self.parasitics = parasitics
-        self.derates = derates
-        self.clock_arrivals = clock_arrivals
+                 max_passes: int = 3):
+        self.session = session
+        self.netlist = session.netlist
+        self.library = session.library
         self.buffer_cell = buffer_cell
         self.max_passes = max_passes
-        #: Optional incremental STA engine; buffer insertions are routed
-        #: through it so each pass re-propagates only the padded cones.
-        self.session = session
-
-    def _sta(self) -> TimingReport:
-        if self.session is not None:
-            return self.session.report()
-        return TimingAnalyzer(
-            self.netlist, self.library, self.constraints,
-            parasitics=self.parasitics, derates=self.derates,
-            clock_arrivals=self.clock_arrivals,
-            compute_backend=self.compute_backend).run()
-
-    def _insert_buffer(self, net, sinks):
-        if self.session is not None:
-            return self.session.insert_buffer(
-                net, self.buffer_cell, sinks=sinks, name_prefix="holdfix")
-        return insert_buffer(self.netlist, net, self.buffer_cell,
-                             sinks=sinks, name_prefix="holdfix")
 
     def _buffer_delay_estimate(self) -> float:
         """Nominal delay of one padding buffer (ns)."""
@@ -95,7 +73,7 @@ class HoldFixer:
     def run(self) -> EcoResult:
         buffers: list[str] = []
         passes = 0
-        report = self._sta()
+        report = self.session.report()
         unit_delay = self._buffer_delay_estimate()
         while not report.hold_met and passes < self.max_passes:
             passes += 1
@@ -113,12 +91,14 @@ class HoldFixer:
                 # Insert enough buffers in a chain to close the window.
                 needed = min(int(-check.slack / unit_delay) + 1, 20)
                 for _ in range(needed):
-                    buffer_inst = self._insert_buffer(pin.net, [pin])
+                    buffer_inst = self.session.insert_buffer(
+                        pin.net, self.buffer_cell, sinks=[pin],
+                        name_prefix="holdfix")
                     buffers.append(buffer_inst.name)
                 fixed_any = True
             if not fixed_any:
                 break
-            report = self._sta()
+            report = self.session.report()
         return EcoResult(buffers_added=buffers, passes=passes,
                          final_report=report)
 
@@ -142,52 +122,28 @@ class SetupFixer:
     ``fast_swap(instance) -> bool`` performs the technique-specific
     swap (HVT -> LVT for Dual-Vth, HVT -> CMT for conventional SMT,
     HVT -> MTV + cluster join for improved SMT) and returns whether it
-    changed the instance.
+    changed the instance.  The callback edits the netlist itself, so it
+    must report every edit to the session (swap through it, touch the
+    nets it reloads).
     """
 
-    def __init__(self, netlist: Netlist, library: Library,
-                 constraints: Constraints,
-                 fast_swap: Callable[[Instance], bool],
-                 parasitics: Mapping[str, object] | None = None,
-                 derates: Mapping[str, float] | None = None,
-                 clock_arrivals: Mapping[str, float] | None = None,
-                 max_passes: int = 16, endpoints_per_pass: int = 16,
-                 session: TimingSession | None = None,
-                 compute_backend: str | None = None):
-        self.netlist = netlist
-        self.library = library
-        self.constraints = constraints
-        self.compute_backend = compute_backend
-        self.fast_swap = fast_swap
-        self.parasitics = parasitics
-        self.derates = derates
-        self.clock_arrivals = clock_arrivals
-        self.max_passes = max_passes
-        self.endpoints_per_pass = endpoints_per_pass
-        #: Optional incremental STA engine.  ``fast_swap`` performs the
-        #: netlist edits, so a caller supplying a session must make its
-        #: callback report them (swap through the session / touch nets).
+    def __init__(self, session: TimingSession,
+                 fast_swap: Callable[[Instance], bool]):
         self.session = session
-
-    def _sta(self) -> TimingReport:
-        if self.session is not None:
-            return self.session.report()
-        return TimingAnalyzer(
-            self.netlist, self.library, self.constraints,
-            parasitics=self.parasitics, derates=self.derates,
-            clock_arrivals=self.clock_arrivals,
-            compute_backend=self.compute_backend).run()
+        self.netlist = session.netlist
+        self.library = session.library
+        self.fast_swap = fast_swap
 
     def run(self) -> SetupEcoResult:
         swapped: list[str] = []
         passes = 0
-        report = self._sta()
-        while report.wns < 0.0 and passes < self.max_passes:
+        report = self.session.report()
+        while report.wns < 0.0 and passes < SETUP_MAX_PASSES:
             passes += 1
             changed = self._repair_pass(report, swapped)
             if not changed:
                 break
-            report = self._sta()
+            report = self.session.report()
         return SetupEcoResult(swapped=swapped, passes=passes,
                               final_report=report)
 
@@ -199,7 +155,7 @@ class SetupFixer:
             key=lambda c: c.slack)
         changed = False
         seen: set[str] = set()
-        for check in violating[:self.endpoints_per_pass]:
+        for check in violating[:SETUP_ENDPOINTS_PER_PASS]:
             path = extract_path(self.netlist, report, check.endpoint)
             if path is None or not path.instances():
                 continue

@@ -26,11 +26,10 @@ import statistics
 from repro.core.dual_vth import AssignmentResult, DualVthAssigner
 from repro.core.output_holder import insert_output_holders
 from repro.errors import FlowError
-from repro.liberty.library import Library, VARIANT_HVT, VARIANT_MT, VARIANT_MTV
-from repro.netlist.core import Netlist, PinDirection
+from repro.liberty.library import VARIANT_HVT, VARIANT_MT, VARIANT_MTV
+from repro.netlist.core import PinDirection
 from repro.netlist.transform import swap_variant
 from repro.placement.placer import Placement, place_incremental
-from repro.timing.constraints import Constraints
 from repro.timing.session import TimingSession
 from repro.vgnd.cluster import ClusterConfig, MtClusterer
 from repro.vgnd.network import VgndNetwork
@@ -57,39 +56,32 @@ class ImprovedSmtResult:
 
 
 class ImprovedSmtBuilder:
-    """Builds an improved Selective-MT circuit in place."""
+    """Builds an improved Selective-MT circuit in place (the session's
+    netlist).
 
-    def __init__(self, netlist: Netlist, library: Library,
-                 constraints: Constraints, placement: Placement,
+    Only :meth:`assign` uses the session.  The structural stages (VGND
+    ports, switches, holders) run after the last timing probe and edit
+    the netlist directly.
+    """
+
+    def __init__(self, session: TimingSession, placement: Placement,
                  cluster_config: ClusterConfig | None = None,
-                 parasitics=None, rounds: int = 4,
-                 mte_net_name: str = "MTE",
-                 session: TimingSession | None = None,
-                 compute_backend: str | None = None):
-        self.compute_backend = compute_backend
-        self.netlist = netlist
-        self.library = library
-        self.constraints = constraints
+                 rounds: int = 4, mte_net_name: str = "MTE"):
+        self.session = session
+        self.netlist = session.netlist
+        self.library = session.library
         self.placement = placement
         self.cluster_config = cluster_config or ClusterConfig()
-        self.parasitics = parasitics
         self.rounds = rounds
         self.mte_net_name = mte_net_name
-        #: Optional incremental STA engine for the assignment stage.
-        #: The structural stages (VGND ports, switches, holders) run
-        #: after the last timing probe, so only :meth:`assign` uses it.
-        self.session = session
 
     # --- stages ---------------------------------------------------------------
 
     def assign(self) -> AssignmentResult:
         """Stage 1: Vth assignment with MT (no VGND port) as fast class."""
         assigner = DualVthAssigner(
-            self.netlist, self.library, self.constraints,
-            parasitics=self.parasitics,
-            fast_variant=VARIANT_MT, slow_variant=VARIANT_HVT,
-            rounds=self.rounds, session=self.session,
-            compute_backend=self.compute_backend)
+            self.session, fast_variant=VARIANT_MT,
+            slow_variant=VARIANT_HVT, rounds=self.rounds)
         return assigner.run()
 
     def add_vgnd_ports(self, assignment: AssignmentResult) -> list[str]:

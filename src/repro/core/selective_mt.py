@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.liberty.library import Library, VARIANT_CMT, VARIANT_HVT, VARIANT_MT
-from repro.netlist.core import Netlist, PinDirection
-from repro.netlist.transform import swap_variant
+from repro.liberty.library import VARIANT_CMT, VARIANT_HVT, VARIANT_MT
+from repro.netlist.core import PinDirection
 from repro.core.dual_vth import AssignmentResult, DualVthAssigner
-from repro.timing.constraints import Constraints
 from repro.timing.session import TimingSession
 
 
@@ -33,22 +31,16 @@ class ConventionalSmtResult:
 
 
 class ConventionalSmtBuilder:
-    """Builds a conventional Selective-MT circuit in place."""
+    """Builds a conventional Selective-MT circuit in place (the
+    session's netlist), reporting every edit to the session."""
 
-    def __init__(self, netlist: Netlist, library: Library,
-                 constraints: Constraints,
-                 parasitics=None, rounds: int = 4,
-                 mte_net_name: str = "MTE",
-                 session: TimingSession | None = None,
-                 compute_backend: str | None = None):
-        self.netlist = netlist
-        self.library = library
-        self.constraints = constraints
-        self.parasitics = parasitics
+    def __init__(self, session: TimingSession, rounds: int = 4,
+                 mte_net_name: str = "MTE"):
+        self.session = session
+        self.netlist = session.netlist
+        self.library = session.library
         self.rounds = rounds
         self.mte_net_name = mte_net_name
-        self.session = session
-        self.compute_backend = compute_backend
 
     def run(self) -> ConventionalSmtResult:
         # Assignment with the MT variant as the fast class: cells on
@@ -56,11 +48,8 @@ class ConventionalSmtBuilder:
         # (MT timing tables already include the virtual-ground derate,
         # so the timing constraint holds for the final MT circuit.)
         assigner = DualVthAssigner(
-            self.netlist, self.library, self.constraints,
-            parasitics=self.parasitics,
-            fast_variant=VARIANT_MT, slow_variant=VARIANT_HVT,
-            rounds=self.rounds, session=self.session,
-            compute_backend=self.compute_backend)
+            self.session, fast_variant=VARIANT_MT,
+            slow_variant=VARIANT_HVT, rounds=self.rounds)
         assignment = assigner.run()
 
         # Ensure an MTE port exists.
@@ -75,16 +64,13 @@ class ConventionalSmtBuilder:
             cell = self.library.cell(inst.cell_name)
             if not self.library.has_variant(cell, VARIANT_CMT):
                 continue  # sequential cells stay powered
-            if self.session is not None:
-                self.session.swap_variant(inst, VARIANT_CMT)
-            else:
-                swap_variant(self.netlist, inst, self.library, VARIANT_CMT)
+            self.session.swap_variant(inst, VARIANT_CMT)
             mte_pin = inst.pins.get("MTE")
             if mte_pin is not None and mte_pin.net is None:
                 self.netlist.connect(inst, "MTE", mte_net,
                                      PinDirection.INPUT)
             mt_names.append(name)
-        if self.session is not None and mt_names:
+        if mt_names:
             # New MTE sinks reshape the dependency graph and MTE loading.
             self.session.touch_structural()
             self.session.touch_net(mte_net)

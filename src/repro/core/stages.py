@@ -42,7 +42,6 @@ from repro.errors import FlowError
 from repro.liberty.library import Library, VARIANT_HVT, VARIANT_LVT
 from repro.netlist.core import Instance, Netlist, PinDirection
 from repro.netlist.techmap import technology_map
-from repro.netlist.transform import swap_variant
 from repro.netlist.validate import check_netlist
 from repro.obs.spans import timed_span
 from repro.placement.legalize import legalize
@@ -158,24 +157,20 @@ class FlowContext:
                     f"context; reorder the pipeline")
 
     def _make_session(self, constraints: Constraints,
-                      derates=None, clock_arrivals=None
-                      ) -> TimingSession | None:
-        if not self.config.incremental_sta:
-            return None
+                      derates=None, clock_arrivals=None) -> TimingSession:
         return TimingSession(
             self.netlist, self.library, constraints,
             parasitics=self.parasitics, derates=derates,
             clock_arrivals=clock_arrivals,
             compute_backend=self.config.compute_backend)
 
-    def _note_session(self, label: str, session: TimingSession | None,
+    def _note_session(self, label: str, session: TimingSession,
                       details: dict[str, Any]) -> dict[str, Any]:
-        if session is not None:
-            stats = session.stats
-            self.sta_stats[label] = stats.as_dict()
-            details["sta_full"] = stats.full_runs
-            details["sta_incremental"] = stats.incremental_runs
-            details["sta_cached"] = stats.cached_reports
+        stats = session.stats
+        self.sta_stats[label] = stats.as_dict()
+        details["sta_full"] = stats.full_runs
+        details["sta_incremental"] = stats.incremental_runs
+        details["sta_cached"] = stats.cached_reports
         return details
 
 
@@ -372,10 +367,8 @@ def stage_dual_vth_assignment(ctx: FlowContext) -> dict[str, Any]:
     constraints = _guardbanded(ctx)
     session = ctx._make_session(constraints)
     assigner = DualVthAssigner(
-        ctx.netlist, ctx.library, constraints, parasitics=ctx.parasitics,
-        fast_variant=VARIANT_LVT, slow_variant=VARIANT_HVT,
-        rounds=ctx.config.assignment_rounds, session=session,
-        compute_backend=ctx.config.compute_backend)
+        session, fast_variant=VARIANT_LVT, slow_variant=VARIANT_HVT,
+        rounds=ctx.config.assignment_rounds)
     assignment = assigner.run()
     ctx.assignment = assignment
     return ctx._note_session("vth_assignment", session, {
@@ -392,9 +385,7 @@ def stage_conventional_smt_assignment(ctx: FlowContext) -> dict[str, Any]:
     constraints = _guardbanded(ctx)
     session = ctx._make_session(constraints)
     builder = ConventionalSmtBuilder(
-        ctx.netlist, ctx.library, constraints, parasitics=ctx.parasitics,
-        rounds=ctx.config.assignment_rounds, session=session,
-        compute_backend=ctx.config.compute_backend)
+        session, rounds=ctx.config.assignment_rounds)
     smt_result = builder.run()
     ctx.smt_result = smt_result
     ctx.assignment = smt_result.assignment
@@ -419,10 +410,8 @@ def stage_improved_smt_assignment(ctx: FlowContext) -> dict[str, Any]:
         simultaneity_floor=config.simultaneity_floor)
     session = ctx._make_session(constraints)
     builder = ImprovedSmtBuilder(
-        ctx.netlist, ctx.library, constraints, ctx.placement,
-        cluster_config=cluster_config, parasitics=ctx.parasitics,
-        rounds=config.assignment_rounds, session=session,
-        compute_backend=config.compute_backend)
+        session, ctx.placement, cluster_config=cluster_config,
+        rounds=config.assignment_rounds)
     assignment = builder.assign()
     mt_names = builder.add_vgnd_ports(assignment)
     initial_switch = builder.insert_initial_switch(mt_names)
@@ -594,29 +583,22 @@ def stage_spef_reoptimization(ctx: FlowContext) -> dict[str, Any] | None:
 
 
 def make_fast_swap(ctx: FlowContext,
-                   session: TimingSession | None = None
-                   ) -> Callable[[Instance], bool]:
+                   session: TimingSession) -> Callable[[Instance], bool]:
     """Technique-specific "re-accelerate this cell" ECO operation.
 
-    When a timing session is supplied, every netlist mutation the swap
-    performs is reported to it so the ECO loop stays incremental.
+    Every netlist mutation the swap performs is reported to ``session``
+    so the ECO loop stays incremental.
     """
     library = ctx.library
     netlist = ctx.netlist
     network = ctx.network
     placement = ctx.placement
 
-    def swap_cell(inst, variant) -> None:
-        if session is not None:
-            session.swap_variant(inst, variant)
-        else:
-            swap_variant(netlist, inst, library, variant)
-
     def swap_dual(inst) -> bool:
         cell = library.cell(inst.cell_name)
         if not library.has_variant(cell, VARIANT_LVT):
             return False
-        swap_cell(inst, VARIANT_LVT)
+        session.swap_variant(inst, VARIANT_LVT)
         return True
 
     def swap_conventional(inst) -> bool:
@@ -624,14 +606,13 @@ def make_fast_swap(ctx: FlowContext,
         cell = library.cell(inst.cell_name)
         if not library.has_variant(cell, VARIANT_CMT):
             return False
-        swap_cell(inst, VARIANT_CMT)
+        session.swap_variant(inst, VARIANT_CMT)
         mte_net = netlist.get_or_create_net("MTE")
         mte_pin = inst.pins.get("MTE")
         if mte_pin is not None and mte_pin.net is None:
             netlist.connect(inst, "MTE", mte_net, PinDirection.INPUT)
-            if session is not None:
-                session.touch_structural()
-                session.touch_net(mte_net)
+            session.touch_structural()
+            session.touch_net(mte_net)
         return True
 
     def swap_improved(inst) -> bool:
@@ -640,7 +621,7 @@ def make_fast_swap(ctx: FlowContext,
         if not library.has_variant(cell, VARIANT_MTV) \
                 or network is None or not network.clusters:
             return False
-        swap_cell(inst, VARIANT_MTV)
+        session.swap_variant(inst, VARIANT_MTV)
         # Join the geometrically nearest cluster's rail.
         x = inst.attributes.get("x", 0.0)
         y = inst.attributes.get("y", 0.0)
@@ -668,7 +649,7 @@ def make_fast_swap(ctx: FlowContext,
             for holder_name in new_holders:
                 place_incremental(placement, netlist, library,
                                   holder_name, (x, y))
-        if session is not None and new_holders:
+        if new_holders:
             session.touch_structural()
             for holder_name in new_holders:
                 holder = netlist.instances[holder_name]
@@ -693,34 +674,19 @@ def stage_eco_and_sta(ctx: FlowContext) -> dict[str, Any]:
     network = ctx.network
     derates = None
     if network is not None:
-        assumed = library.mt_assumed_bounce_v
-        if assumed is None:
-            assumed = library.tech.vdd * 0.04
-        derates = network.derates(netlist, library, assumed)
+        derates = network.derates(netlist, library)
     clock_arrivals = ctx.cts.clock_arrivals if ctx.cts else None
     session = ctx._make_session(ctx.constraints, derates=derates,
                                 clock_arrivals=clock_arrivals)
 
-    setup_fixer = SetupFixer(
-        netlist, library, ctx.constraints,
-        fast_swap=make_fast_swap(ctx, session),
-        parasitics=ctx.parasitics, derates=derates,
-        clock_arrivals=clock_arrivals, session=session,
-        compute_backend=ctx.config.compute_backend)
-    setup_result = setup_fixer.run()
+    setup_result = SetupFixer(session, make_fast_swap(ctx, session)).run()
     if network is not None and setup_result.swapped:
         # Cluster membership may have grown: refresh the derates.
-        assumed = library.mt_assumed_bounce_v or library.tech.vdd * 0.04
-        derates = network.derates(netlist, library, assumed)
-        if session is not None:
-            session.set_derates(derates)
+        session.set_derates(network.derates(netlist, library))
 
-    fixer = HoldFixer(
-        netlist, library, ctx.constraints, parasitics=ctx.parasitics,
-        derates=derates, clock_arrivals=clock_arrivals,
-        buffer_cell=ctx.config.hold_fix_buffer_cell,
-        max_passes=ctx.config.max_hold_fix_passes, session=session,
-        compute_backend=ctx.config.compute_backend)
+    fixer = HoldFixer(session,
+                      buffer_cell=ctx.config.hold_fix_buffer_cell,
+                      max_passes=ctx.config.max_hold_fix_passes)
     eco_result = fixer.run()
     ctx.eco = eco_result
     ctx.timing = eco_result.final_report

@@ -12,8 +12,9 @@ This is the object model the rest of the system works with: the AST from
 
 Cells carry reproduction-specific classification used by the
 Selective-MT flow (``variant``, ``base_name``, ``vth_class``, MT flags,
-switch width); these round-trip through ``.lib`` files via ``repro_*``
-vendor attributes.
+switch width); these, and the library's characterized VGND bounce
+(``mt_assumed_bounce_v``), round-trip through ``.lib`` files via
+``repro_*`` vendor attributes.
 """
 
 from __future__ import annotations
@@ -501,6 +502,13 @@ def library_from_ast(root, tech=None) -> Library:
     if not isinstance(root, Group) or root.keyword != "library":
         raise LibertyError("top-level group must be 'library'")
     library = Library(root.name or "unnamed", tech=tech)
+    bounce = root.get("repro_mt_assumed_bounce_v")
+    if bounce is not None:
+        if isinstance(bounce, bool) or not isinstance(bounce, (int, float)):
+            raise LibertyError(
+                f"repro_mt_assumed_bounce_v must be a number, got "
+                f"{bounce!r}")
+        library.mt_assumed_bounce_v = float(bounce)
     for cell_group in root.find_groups("cell"):
         library.add_cell(_cell_from_ast(cell_group))
     return library

@@ -144,6 +144,9 @@ def write_liberty(library: Library) -> str:
     emitter.attr("leakage_power_unit", "1nW", quote=True)
     emitter.attr("capacitive_load_unit_value", 1)
     emitter.attr("capacitive_load_unit_name", "pf")
+    if library.mt_assumed_bounce_v is not None:
+        emitter.attr("repro_mt_assumed_bounce_v",
+                     library.mt_assumed_bounce_v)
     for cell in sorted(library.cells.values(), key=lambda c: c.name):
         _write_cell(emitter, cell)
     emitter.close_group()

@@ -170,11 +170,7 @@ def build_engine(result: FlowResult, library: Library, mc: McConfig,
         eval_library = derive_corner_library_cached(library, corner)
     derates = None
     if result.network is not None:
-        assumed = eval_library.mt_assumed_bounce_v
-        if assumed is None:
-            assumed = eval_library.tech.vdd * 0.04
-        derates = result.network.derates(result.netlist, eval_library,
-                                         assumed)
+        derates = result.network.derates(result.netlist, eval_library)
     clock_arrivals = result.cts.clock_arrivals if result.cts else None
     return MonteCarloEngine(
         result.netlist, eval_library, config=mc,

@@ -69,10 +69,7 @@ def evaluate_corner(netlist: Netlist, library: Library, corner: PvtCorner,
             corner_library = derive_corner_library(library, corner)
         derates = None
         if network is not None:
-            assumed = corner_library.mt_assumed_bounce_v
-            if assumed is None:
-                assumed = corner_library.tech.vdd * 0.04
-            derates = network.derates(netlist, corner_library, assumed)
+            derates = network.derates(netlist, corner_library)
         report = TimingAnalyzer(netlist, corner_library, constraints,
                                 parasitics=parasitics, derates=derates,
                                 clock_arrivals=clock_arrivals,
@@ -211,14 +208,9 @@ def _corners_batched_impl(netlist: Netlist, library: Library,
     view.ensure()
 
     if network is not None:
-        rows = []
-        for lib_k in libs:
-            assumed = lib_k.mt_assumed_bounce_v
-            if assumed is None:
-                assumed = lib_k.tech.vdd * 0.04
-            rows.append(view.derate_vector(
-                network.derates(netlist, lib_k, assumed)))
-        derates = np.vstack(rows)
+        derates = np.vstack([
+            view.derate_vector(network.derates(netlist, lib_k))
+            for lib_k in libs])
     else:
         derates = np.ones((len(names), len(view.inst_names)))
 

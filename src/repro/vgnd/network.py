@@ -12,6 +12,13 @@ import dataclasses
 from repro.liberty.library import Library
 from repro.netlist.core import Netlist
 
+#: Characterized VGND bounce, as a fraction of Vdd, for a library that
+#: does not record its own ``mt_assumed_bounce_v``.
+DEFAULT_ASSUMED_BOUNCE_FRACTION = 0.04
+#: Average droop during a transition as a fraction of the sized
+#: worst-case cluster bounce.
+DROOP_FACTOR = 0.5
+
 
 @dataclasses.dataclass
 class VgndCluster:
@@ -91,23 +98,27 @@ class VgndNetwork:
             "bounce_limit_v": self.bounce_limit_v,
         }
 
-    def derates(self, netlist: Netlist, library: Library,
-                assumed_bounce_v: float,
-                droop_factor: float = 0.5) -> dict[str, float]:
+    def derates(self, netlist: Netlist,
+                library: Library) -> dict[str, float]:
         """Per-instance STA derates: actual vs characterized bounce.
 
         The MT library tables were characterized assuming an average
-        droop of ``assumed_bounce_v``; a cluster whose sized worst-case
-        bounce implies a different average droop (``droop_factor`` x
-        worst case) gets a delay derate so STA sees the true
-        virtual-ground behaviour.
+        droop of ``library.mt_assumed_bounce_v`` (a library that does
+        not record it is taken at
+        ``DEFAULT_ASSUMED_BOUNCE_FRACTION`` x Vdd); a cluster whose
+        sized worst-case bounce implies a different average droop
+        (``DROOP_FACTOR`` x worst case) gets a delay derate so STA sees
+        the true virtual-ground behaviour.
         """
         tech = library.tech
+        assumed = library.mt_assumed_bounce_v
+        if assumed is None:
+            assumed = DEFAULT_ASSUMED_BOUNCE_FRACTION * tech.vdd
         derate_map: dict[str, float] = {}
         od = tech.overdrive(tech.vth_low)
-        assumed_factor = (od / max(od - assumed_bounce_v, 1e-3)) ** tech.alpha
+        assumed_factor = (od / max(od - assumed, 1e-3)) ** tech.alpha
         for cluster in self.clusters:
-            droop = droop_factor * cluster.bounce_v
+            droop = DROOP_FACTOR * cluster.bounce_v
             actual_factor = (od / max(od - droop, 1e-3)) ** tech.alpha
             ratio = actual_factor / assumed_factor
             for member in cluster.members:

@@ -93,6 +93,14 @@ def test_missing_optional_field_falls_back_to_default():
     assert rebuilt.technique == Technique.IMPROVED_SMT
 
 
+def test_removed_field_in_older_payload_is_ignored():
+    """A flow_config written while FlowConfig still had
+    ``incremental_sta`` decodes to the same configuration."""
+    payload = schemas.to_dict(FlowConfig(timing_margin=0.12))
+    payload["incremental_sta"] = False
+    assert schemas.from_dict(payload) == FlowConfig(timing_margin=0.12)
+
+
 def test_unregistered_type_is_an_error():
     class Stray:
         pass

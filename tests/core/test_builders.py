@@ -11,6 +11,7 @@ from repro.placement.legalize import legalize
 from repro.placement.placer import GlobalPlacer
 from repro.sim.equivalence import check_equivalence
 from repro.timing.constraints import Constraints
+from repro.timing.session import TimingSession
 from repro.timing.sta import TimingAnalyzer
 from repro.vgnd.cluster import ClusterConfig
 
@@ -32,7 +33,7 @@ def _prepared(library, name="c880", margin=1.12):
 def conventional(library):
     netlist, _placement, cons = _prepared(library)
     golden = netlist.clone("golden")
-    builder = ConventionalSmtBuilder(netlist, library, cons)
+    builder = ConventionalSmtBuilder(TimingSession(netlist, library, cons))
     result = builder.run()
     return golden, netlist, result
 
@@ -41,8 +42,8 @@ def conventional(library):
 def improved(library):
     netlist, placement, cons = _prepared(library)
     golden = netlist.clone("golden")
-    builder = ImprovedSmtBuilder(netlist, library, cons, placement,
-                                 cluster_config=ClusterConfig())
+    builder = ImprovedSmtBuilder(TimingSession(netlist, library, cons),
+                                 placement, cluster_config=ClusterConfig())
     result = builder.run()
     return golden, netlist, result
 

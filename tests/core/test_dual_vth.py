@@ -8,6 +8,7 @@ from repro.liberty.library import VARIANT_HVT, VARIANT_LVT, VARIANT_MT
 from repro.netlist.techmap import technology_map
 from repro.sim.equivalence import check_equivalence
 from repro.timing.constraints import Constraints
+from repro.timing.session import TimingSession
 from repro.timing.sta import TimingAnalyzer
 
 
@@ -28,7 +29,7 @@ def c880(library):
 
 def test_loose_period_converts_everything(library, c17):
     cons = Constraints(clock_period=min_period(c17, library) * 3.0)
-    result = DualVthAssigner(c17, library, cons).run()
+    result = DualVthAssigner(TimingSession(c17, library, cons)).run()
     assert result.fast_count == 0
     assert result.slow_count == 6
     assert result.final_report.setup_met
@@ -36,7 +37,7 @@ def test_loose_period_converts_everything(library, c17):
 
 def test_tight_period_keeps_everything_fast(library, c17):
     cons = Constraints(clock_period=min_period(c17, library) * 1.0001)
-    result = DualVthAssigner(c17, library, cons).run()
+    result = DualVthAssigner(TimingSession(c17, library, cons)).run()
     assert result.final_report.setup_met
     # Nearly no conversion budget: most cells stay fast.
     assert result.fast_count >= 4
@@ -45,12 +46,12 @@ def test_tight_period_keeps_everything_fast(library, c17):
 def test_infeasible_period_raises(library, c17):
     cons = Constraints(clock_period=min_period(c17, library) * 0.5)
     with pytest.raises(FlowError):
-        DualVthAssigner(c17, library, cons).run()
+        DualVthAssigner(TimingSession(c17, library, cons)).run()
 
 
 def test_intermediate_period_partial_conversion(library, c880):
     cons = Constraints(clock_period=min_period(c880, library) * 1.10)
-    result = DualVthAssigner(c880, library, cons).run()
+    result = DualVthAssigner(TimingSession(c880, library, cons)).run()
     assert result.final_report.setup_met
     assert 0 < result.fast_count < len(c880.instances)
     assert 0.0 < result.fast_fraction < 1.0
@@ -58,23 +59,23 @@ def test_intermediate_period_partial_conversion(library, c880):
 
 def test_more_margin_means_fewer_fast_cells(library, c880):
     base = min_period(c880, library)
-    tight = DualVthAssigner(
-        c880.clone(), library, Constraints(clock_period=base * 1.05)).run()
-    loose = DualVthAssigner(
-        c880.clone(), library, Constraints(clock_period=base * 1.5)).run()
+    tight = DualVthAssigner(TimingSession(
+        c880.clone(), library, Constraints(clock_period=base * 1.05))).run()
+    loose = DualVthAssigner(TimingSession(
+        c880.clone(), library, Constraints(clock_period=base * 1.5))).run()
     assert loose.fast_count <= tight.fast_count
 
 
 def test_function_preserved(library, c880):
     golden = c880.clone("golden")
     cons = Constraints(clock_period=min_period(c880, library) * 1.15)
-    DualVthAssigner(c880, library, cons).run()
+    DualVthAssigner(TimingSession(c880, library, cons)).run()
     assert check_equivalence(golden, c880, library).equivalent
 
 
 def test_mt_as_fast_class(library, c880):
     cons = Constraints(clock_period=min_period(c880, library) * 1.15)
-    result = DualVthAssigner(c880, library, cons,
+    result = DualVthAssigner(TimingSession(c880, library, cons),
                              fast_variant=VARIANT_MT,
                              slow_variant=VARIANT_HVT).run()
     assert result.final_report.setup_met
@@ -88,7 +89,7 @@ def test_sequential_cells_untouched_by_default(library, s27):
 
     # FFs mapped HVT by techmap stay HVT even though LVT DFFs exist.
     cons = Constraints(clock_period=min_period(s27, library) * 1.2)
-    DualVthAssigner(s27, library, cons).run()
+    DualVthAssigner(TimingSession(s27, library, cons)).run()
     for inst in s27.instances.values():
         if inst.cell_name.startswith("DFF"):
             assert inst.cell_name.endswith("_HVT")
@@ -96,7 +97,8 @@ def test_sequential_cells_untouched_by_default(library, s27):
 
 def test_sta_run_budget(library, c880):
     cons = Constraints(clock_period=min_period(c880, library) * 1.2)
-    result = DualVthAssigner(c880, library, cons, rounds=4).run()
+    result = DualVthAssigner(TimingSession(c880, library, cons),
+                             rounds=4).run()
     # Bisection keeps the STA count logarithmic-ish, not linear.
     assert result.sta_runs < 80
 
@@ -109,7 +111,7 @@ def test_prepare_forces_fast(library, c880):
         if library.has_variant(cell, VARIANT_HVT) and not cell.is_sequential:
             swap_variant(c880, inst, library, VARIANT_HVT)
     cons = Constraints(clock_period=min_period(c880, library) * 5)
-    assigner = DualVthAssigner(c880, library, cons)
+    assigner = DualVthAssigner(TimingSession(c880, library, cons))
     assigner.prepare()
     variants = {library.cell(i.cell_name).variant
                 for i in c880.instances.values()

@@ -11,6 +11,7 @@ from repro.netlist.transform import swap_variant
 from repro.netlist.validate import check_netlist
 from repro.placement.placer import GlobalPlacer
 from repro.timing.constraints import Constraints
+from repro.timing.session import TimingSession
 from repro.timing.sta import TimingAnalyzer
 
 
@@ -83,15 +84,17 @@ class TestHoldFixer:
         before = TimingAnalyzer(nl, library, cons,
                                 clock_arrivals=clock_arrivals).run()
         assert not before.hold_met
-        fixer = HoldFixer(nl, library, cons,
-                          clock_arrivals=clock_arrivals, max_passes=5)
+        fixer = HoldFixer(TimingSession(nl, library, cons,
+                                        clock_arrivals=clock_arrivals),
+                          max_passes=5)
         result = fixer.run()
         assert result.buffer_count > 0
         assert result.final_report.hold_met
         assert check_netlist(nl, library) == []
 
     def test_clean_design_untouched(self, library, s27):
-        fixer = HoldFixer(s27, library, Constraints(clock_period=5.0))
+        fixer = HoldFixer(TimingSession(s27, library,
+                                        Constraints(clock_period=5.0)))
         result = fixer.run()
         assert result.buffer_count == 0
 
@@ -109,17 +112,19 @@ class TestSetupFixer:
         cons = Constraints(clock_period=hvt_delay * 0.92)
         assert not TimingAnalyzer(nand_chain, library, cons).run().setup_met
 
+        session = TimingSession(nand_chain, library, cons)
+
         def fast_swap(inst):
-            swap_variant(nand_chain, inst, library, VARIANT_LVT)
+            session.swap_variant(inst, VARIANT_LVT)
             return True
 
-        result = SetupFixer(nand_chain, library, cons, fast_swap).run()
+        result = SetupFixer(session, fast_swap).run()
         assert result.swap_count > 0
         assert result.final_report.setup_met
 
     def test_gives_up_when_swaps_exhausted(self, library, nand_chain):
         cons = Constraints(clock_period=0.01)  # impossible
-        result = SetupFixer(nand_chain, library, cons,
-                            fast_swap=lambda inst: False).run()
+        session = TimingSession(nand_chain, library, cons)
+        result = SetupFixer(session, fast_swap=lambda inst: False).run()
         assert not result.final_report.setup_met
         assert result.swap_count == 0

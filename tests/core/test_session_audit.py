@@ -1,0 +1,61 @@
+"""Per-probe audit of the timing session the flow's loops drive.
+
+The assignment and ECO stages each run their STA-in-the-loop on one
+incremental :class:`~repro.timing.session.TimingSession`.  Here the
+stages build an audited subclass instead: every ``report()`` is
+checked against a fresh :class:`~repro.timing.sta.TimingAnalyzer` run
+on the same netlist with the session's parasitics, derates, clock
+arrivals and backend.  A loop that edits the netlist without reporting
+the edit to its session shows up as a mismatch at the next probe.
+
+s344 at margin 0.12 with no assignment guardband makes the ECO setup
+fixer swap cells in all three techniques, so the audit covers the
+assignment bisection, the setup-repair swaps and the hold fixing.
+"""
+
+import pytest
+
+from repro.benchcircuits.suite import load_circuit
+from repro.config import FlowConfig, Technique
+from repro.core import stages
+from repro.core.flow import SelectiveMtFlow
+from repro.timing.session import TimingSession
+from repro.timing.sta import TimingAnalyzer
+
+
+def _summary(report):
+    return (report.wns, report.tns, report.hold_wns, report.hold_tns,
+            [(check.endpoint, check.kind, check.slack)
+             for check in report.endpoint_checks])
+
+
+@pytest.mark.parametrize("technique", list(Technique),
+                         ids=lambda technique: technique.value)
+def test_every_session_probe_matches_a_fresh_analyzer(library, monkeypatch,
+                                                      technique):
+    probes = 0
+    mismatches = []
+
+    class AuditedSession(TimingSession):
+        def report(self):
+            nonlocal probes
+            probes += 1
+            report = super().report()
+            fresh = TimingAnalyzer(
+                self.netlist, self.library, self.constraints,
+                parasitics=self.net_model.parasitics, derates=self.derates,
+                clock_arrivals=self.clock_arrivals,
+                compute_backend=self.compute_backend).run()
+            if _summary(report) != _summary(fresh):
+                mismatches.append((probes, report.summary(),
+                                   fresh.summary()))
+            return report
+
+    monkeypatch.setattr(stages, "TimingSession", AuditedSession)
+    result = SelectiveMtFlow(
+        load_circuit("s344"), library, technique,
+        FlowConfig(timing_margin=0.12, assignment_guardband=0.0)).run()
+
+    assert result.stage("eco_and_sta").details["setup_swaps"] > 0
+    assert probes > 0
+    assert mismatches == []

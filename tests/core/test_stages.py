@@ -141,20 +141,3 @@ class TestContextTyping:
         assignment = result.stage("vth_assignment")
         assert "sta_full" in assignment.details
 
-    def test_incremental_sta_flag_off_matches_on(self, library):
-        """The two timing engines produce identical flow outcomes."""
-        netlist = load_circuit("c432")
-        on = SelectiveMtFlow(
-            netlist, library, Technique.IMPROVED_SMT,
-            FlowConfig(timing_margin=0.12, incremental_sta=True)).run()
-        off = SelectiveMtFlow(
-            netlist, library, Technique.IMPROVED_SMT,
-            FlowConfig(timing_margin=0.12, incremental_sta=False)).run()
-        assert on.total_area == off.total_area
-        assert on.leakage_nw == off.leakage_nw
-        assert on.timing.wns == off.timing.wns
-        assert sorted((i.name, i.cell_name)
-                      for i in on.netlist.instances.values()) \
-            == sorted((i.name, i.cell_name)
-                      for i in off.netlist.instances.values())
-        assert not off.sta_stats

@@ -96,6 +96,20 @@ def test_sequential_metadata_preserved(library, round_tripped):
     assert copy.pins["CK"].is_clock
 
 
+def test_assumed_bounce_preserved(library, round_tripped):
+    assert library.mt_assumed_bounce_v is not None
+    assert round_tripped.mt_assumed_bounce_v == library.mt_assumed_bounce_v
+
+
+def test_non_numeric_assumed_bounce_rejected():
+    from repro.errors import LibertyError
+
+    ast = parse_liberty(
+        "library (x) { repro_mt_assumed_bounce_v : lots; }")
+    with pytest.raises(LibertyError, match="repro_mt_assumed_bounce_v"):
+        library_from_ast(ast)
+
+
 def test_double_round_trip_stable(library):
     text1 = write_liberty(library)
     lib2 = library_from_ast(parse_liberty(text1), tech=library.tech)

@@ -288,6 +288,19 @@ def test_log_level_option_routes_repro_logger():
         root_logger.setLevel(logging.NOTSET)
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["flow", "--circuit", "nope"], "circuit"),
+    (["stats", "--circuit", "nope"], "circuit"),
+    (["sweep", "--circuits", "c17,nope"], "circuit"),
+    (["flow", "--circuit", "c17", "--margin", "-1"], "timing_margin"),
+], ids=["flow-circuit", "stats-circuit", "sweep-circuits", "flow-margin"])
+def test_bad_input_is_one_stderr_line_and_exit_2(argv, field, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid {field}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_bad_log_level_is_exit_2(capsys):
     assert main(["flow", "--circuit", "c17",
                  "--log-level", "loudest"]) == 2

@@ -208,7 +208,7 @@ class TestDerates:
         network = MtClusterer(netlist, library, placement,
                               config).build(mt_names)
         SwitchSizer(library, config.bounce_limit_v).size_network(network)
-        derates = network.derates(netlist, library, 0.024)
+        derates = network.derates(netlist, library)
         assert set(derates) == set(mt_names)
         for value in derates.values():
             assert 0.9 < value < 1.1
