@@ -8,7 +8,7 @@ cold path is three full flows — but the floor pins the contract so a
 regression that silently re-compiles state per call fails loudly.)
 
 Also recorded: warm vs cold facade signoff on the same design, showing
-the flow-result and corner-library caches at work.  Everything lands
+the flow-result cache and the corner-derivation memo at work.  Everything lands
 in ``BENCH_api.json`` via the shared recorder.
 """
 

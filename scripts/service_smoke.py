@@ -12,14 +12,19 @@ match the frozen golden fixtures in ``tests/golden/``:
    the nominal (golden) leakage bit-for-bit, and the warm flow cache
    must have been hit (the signoff reuses the optimize job's flow);
 4. a 3-corner ``standby`` job — the scheduler must respect its rush
-   budget, beat the serial daisy-chain, and reuse the corner-library
-   cache the signoff populated;
+   budget and beat the serial daisy-chain; with the ``policy`` job it
+   must reuse the corner libraries the signoff derived (the process
+   corner-derivation memo derives each corner once);
 5. a **restart**: the first server is torn down and a second
    ``repro-smt serve`` process re-runs the signoff against the same
    ``REPRO_LOWER_CACHE`` directory — on the numpy backend its health
    stats must show a lowering-cache *hit* (the lowered design survived
    the process boundary); on the scalar backend the cache must stay
-   silent.
+   silent;
+6. a ``--shards 2`` leg whose optimize runs in a shard worker process.
+
+Every server is stopped with SIGTERM and must exit 0 without leaving a
+child process (a shard worker) behind.
 
 Run from the repo root (CI runs it once per compute backend)::
 
@@ -101,12 +106,46 @@ def start_server(port: int, cache_dir: str, store_dir: str,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
 
 
+def child_pids(pid: int) -> list[int]:
+    """Processes whose parent is ``pid``."""
+    return [int(entry) for entry in os.listdir("/proc")
+            if entry.isdigit() and proc_stat(int(entry))[1] == pid]
+
+
+def proc_stat(pid: int) -> tuple[str, int]:
+    """(state, parent pid) of ``pid``; ("", 0) once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return "", 0
+    return fields[0], int(fields[1])
+
+
+def alive(pid: int) -> bool:
+    return proc_stat(pid)[0] not in ("", "Z")
+
+
 def stop_server(server: subprocess.Popen):
+    """SIGTERM the server: it must exit 0 and take its children along."""
+    children = child_pids(server.pid)
     server.terminate()
     try:
-        server.wait(timeout=10)
+        code = server.wait(timeout=30)
     except subprocess.TimeoutExpired:
+        code = None
+    check(f"server exited 0 on SIGTERM (exit code {code})", code == 0)
+    deadline = time.monotonic() + 10.0
+    while any(map(alive, children)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    check(f"no child process outlived the server (it had "
+          f"{len(children)})", not any(map(alive, children)))
+
+
+def kill_server(server: subprocess.Popen):
+    if server.poll() is None:
         server.kill()
+        server.wait()
 
 
 def main() -> int:
@@ -201,10 +240,11 @@ def main() -> int:
         stats = client.health()["cache_stats"]
         check("signoff hit the warm flow cache",
               stats.get("flow", {}).get("hits", 0) >= 1)
-        check("standby and policy reused the cached corner "
-              "libraries",
-              stats.get("corner_library", {}).get("hits", 0)
-              >= 2 * len(CORNERS))
+        memo = stats.get("corner_memo", {})
+        check("signoff derived each corner library exactly once",
+              memo.get("misses") == len(CORNERS))
+        check("standby and policy reused the derived corner libraries",
+              memo.get("hits", 0) >= 2 * len(CORNERS))
         check("every finished job was persisted to the result store",
               stats.get("result_store", {}).get("stores", 0) >= 5)
         check("result store writes were clean (no errors)",
@@ -325,10 +365,13 @@ def main() -> int:
         check("shard leg executed (fresh store, so no hit)",
               client.health()["cache_stats"]
               .get("result_store", {}).get("hits", 0) == 0)
+        check("shard leg ran its job in a worker process",
+              bool(child_pids(server.pid)))
+        stop_server(server)
         logger.info("service smoke: all checks passed")
         return 0
     finally:
-        stop_server(server)
+        kill_server(server)
 
 
 if __name__ == "__main__":

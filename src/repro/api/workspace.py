@@ -4,7 +4,6 @@ One :class:`Workspace` owns every piece of expensive compiled state:
 
 * the synthesized multi-Vth :class:`~repro.liberty.library.Library`
   (built at most once per workspace);
-* corner-derived libraries, keyed by corner name;
 * loaded netlists keyed by circuit name, each stamped with a
   **content fingerprint** (a SHA-256 over ports, instances and
   connectivity) — every per-design cache below is keyed by that
@@ -159,7 +158,6 @@ class Workspace:
         #: same-design state (one mutable TimingSession, one flow
         #: cache) is serialized.
         self._lock = threading.RLock()
-        self._corner_libraries: dict[str, Library] = {}
         self._netlists: dict[str, Netlist] = {}
         self._fingerprints: dict[str, str] = {}
         self._designs: dict[tuple[str, str], Design] = {}
@@ -191,22 +189,6 @@ class Workspace:
         default-library shards build their own deterministically."""
         with self._lock:
             return self._library
-
-    def corner_library(self, corner_name: str) -> Library:
-        """Corner-derived library, derived at most once per corner."""
-        with self._lock:
-            if corner_name in self._corner_libraries:
-                self.stats.hit("corner_library")
-                return self._corner_libraries[corner_name]
-            self.stats.miss("corner_library")
-            from repro.variation.corners import \
-                derive_corner_library_cached, resolve_corner
-
-            library = self.library
-            corner = resolve_corner(corner_name, library.tech)
-            derived = derive_corner_library_cached(library, corner)
-            self._corner_libraries[corner_name] = derived
-            return derived
 
     # --- netlists -----------------------------------------------------------
 
@@ -608,9 +590,9 @@ class Design:
         """Multi-corner signoff of one technique's finished design.
 
         The flow result is reused from the optimize cache; each corner
-        is then one leakage pass plus one STA against the (cached)
-        corner-derived library — identical numbers to the flow's
-        ``corner_signoff`` stage.
+        is then one leakage pass plus one STA against the corner-derived
+        library from the process-wide derivation memo — identical
+        numbers to the flow's ``corner_signoff`` stage.
         """
         self._request_or_kwargs(request,
                                 {"technique": technique,
@@ -631,14 +613,11 @@ class Design:
             default_signoff_corners(library.tech)
         flow = self.flow_result(request.technique)
         clock_arrivals = flow.cts.clock_arrivals if flow.cts else None
-        corner_libraries = {name: self.workspace.corner_library(name)
-                            for name in corner_names}
         results = evaluate_corners_batched(
             flow.netlist, library, corner_names, flow.constraints,
             parasitics=flow.parasitics, network=flow.network,
             clock_arrivals=clock_arrivals,
-            compute_backend=self.config.compute_backend,
-            corner_libraries=corner_libraries)
+            compute_backend=self.config.compute_backend)
         rows = tuple(
             SignoffCornerRow(corner=name, leakage_nw=res.leakage_nw,
                              wns=res.wns, hold_wns=res.hold_wns)
@@ -683,7 +662,7 @@ class Design:
         """Standby-transition study of one technique's finished design.
 
         The flow result comes from the optimize cache; corner-derived
-        libraries come from the workspace corner-library cache; the
+        libraries come from the process-wide derivation memo; the
         post-route parasitics the flow extracted refine the VGND rail
         capacitances.  Only the improved technique builds the
         shared-switch network this analysis characterizes — the others
@@ -751,8 +730,6 @@ class Design:
                 == self.config.standby_rush_budget_ma:
             self._standbys[request] = stage_result
             return stage_result
-        corner_libraries = {name: self.workspace.corner_library(name)
-                            for name in corner_names}
         engine = StandbyEngine(
             flow.netlist, library, flow.network, scenario_objs,
             corners=tuple(corner_names),
@@ -760,7 +737,6 @@ class Design:
             rush_budget_ma=request.rush_budget_ma,
             parasitics=flow.parasitics,
             compute_backend=self.config.compute_backend,
-            corner_libraries=corner_libraries,
             circuit=self.circuit, technique=request.technique)
         result = engine.run()
         self._standbys[request] = result
@@ -783,7 +759,7 @@ class Design:
         Pareto front of (net savings, worst wake latency, peak rush).
         Scenario, corner and cache semantics match :meth:`standby`:
         flow result from the optimize cache, corner libraries from the
-        workspace cache, defaults from the design's
+        derivation memo, defaults from the design's
         :class:`FlowConfig` (``policy_candidates`` falls back to 1024
         when the config leaves the stage off), and when the flow's
         ``policy_signoff`` stage already ran exactly this sweep its
@@ -849,8 +825,6 @@ class Design:
                 == self.config.standby_rush_budget_ma:
             self._policies[request] = stage_result
             return stage_result
-        corner_libraries = {name: self.workspace.corner_library(name)
-                            for name in corner_names}
         optimizer = PolicyOptimizer(
             flow.netlist, library, flow.network, scenario_objs,
             corners=tuple(corner_names),
@@ -860,7 +834,6 @@ class Design:
             rush_budget_ma=request.rush_budget_ma,
             parasitics=flow.parasitics,
             compute_backend=self.config.compute_backend,
-            corner_libraries=corner_libraries,
             circuit=self.circuit, technique=request.technique)
         result = optimizer.run()
         self._policies[request] = result

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 
 from repro.api import Workspace, schemas
@@ -390,6 +391,9 @@ def cmd_serve(args) -> int:
           f"queue_limit={args.queue_limit or 'unbounded'}, "
           f"result_store={args.result_store or 'off'})",
           flush=True)
+    # SIGTERM (how process managers stop a service) takes the Ctrl-C
+    # path, so the finally below also runs and closes the shard pool.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

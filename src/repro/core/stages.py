@@ -116,10 +116,6 @@ class FlowContext:
     total_area: float = 0.0
     corners: dict[str, CornerResult] = dataclasses.field(
         default_factory=dict)
-    #: Corner-derived libraries shared by the signoff stages (derived
-    #: at most once per corner per flow run).
-    corner_libraries: dict[str, Library] = dataclasses.field(
-        default_factory=dict)
     standby: "StandbyResult | None" = None
     policy: "PolicyResult | None" = None
 
@@ -711,24 +707,14 @@ def stage_corner_signoff(ctx: FlowContext) -> dict[str, Any] | None:
     if not names:
         return None
     ctx.require("netlist", "constraints")
-    from repro.variation.corners import (
-        derive_corner_library_cached,
-        resolve_corner,
-    )
     from repro.variation.signoff import evaluate_corners_batched
 
-    for name in names:
-        if name not in ctx.corner_libraries:
-            corner = resolve_corner(name, ctx.tech)
-            ctx.corner_libraries[name] = derive_corner_library_cached(
-                ctx.library, corner)
     clock_arrivals = ctx.cts.clock_arrivals if ctx.cts else None
     ctx.corners = evaluate_corners_batched(
         ctx.netlist, ctx.library, names, ctx.constraints,
         parasitics=ctx.parasitics, network=ctx.network,
         clock_arrivals=clock_arrivals,
-        compute_backend=ctx.config.compute_backend,
-        corner_libraries=ctx.corner_libraries)
+        compute_backend=ctx.config.compute_backend)
     worst_leak = max(ctx.corners.values(), key=lambda r: r.leakage_nw)
     worst_wns = min(ctx.corners.values(), key=lambda r: r.wns)
     return {
@@ -772,7 +758,6 @@ def stage_standby_signoff(ctx: FlowContext) -> dict[str, Any] | None:
         rush_budget_ma=ctx.config.standby_rush_budget_ma,
         parasitics=ctx.parasitics,
         compute_backend=ctx.config.compute_backend,
-        corner_libraries=ctx.corner_libraries,
         circuit=ctx.source_netlist.name, technique=ctx.technique)
     result = engine.run()
     ctx.standby = result
@@ -799,8 +784,7 @@ def stage_policy_signoff(ctx: FlowContext) -> dict[str, Any] | None:
     Pareto front of (net savings, worst wake latency, peak rush).
     Invisible with ``policy_candidates == 0``, with no standby
     scenarios configured, and for techniques without a shared-switch
-    network.  Reuses the corner libraries the earlier signoff stages
-    derived.
+    network.
     """
     if ctx.config.policy_candidates < 1:
         return None
@@ -824,7 +808,6 @@ def stage_policy_signoff(ctx: FlowContext) -> dict[str, Any] | None:
         rush_budget_ma=ctx.config.standby_rush_budget_ma,
         parasitics=ctx.parasitics,
         compute_backend=ctx.config.compute_backend,
-        corner_libraries=ctx.corner_libraries,
         circuit=ctx.source_netlist.name, technique=ctx.technique)
     result = optimizer.run()
     ctx.policy = result

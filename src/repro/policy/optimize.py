@@ -111,9 +111,9 @@ class PolicyResult:
 class PolicyOptimizer(StandbyEngine):
     """Sweeps candidate sleep policies for one finished design.
 
-    Validation, the per-corner transient prologue, the corner-library
-    lookup and the per-scenario reduction are the standby engine's;
-    the sweep and the oracle run through its :func:`savings` kernel.
+    Validation, the per-corner transient prologue and the per-scenario
+    reduction are the standby engine's; the sweep and the oracle run
+    through its :func:`savings` kernel.
     """
 
     def __init__(self, netlist: Netlist, library: Library,
@@ -126,15 +126,13 @@ class PolicyOptimizer(StandbyEngine):
                  rush_budget_ma: float | None = None,
                  parasitics: Mapping[str, Any] | None = None,
                  compute_backend: str | None = None,
-                 corner_libraries: Mapping[str, Library] | None = None,
                  circuit: str | None = None,
                  technique: Technique = Technique.IMPROVED_SMT):
         super().__init__(
             netlist, library, network, scenarios, corners=corners,
             settle_fraction=settle_fraction,
             rush_budget_ma=rush_budget_ma, parasitics=parasitics,
-            compute_backend=compute_backend,
-            corner_libraries=corner_libraries, circuit=circuit,
+            compute_backend=compute_backend, circuit=circuit,
             technique=technique)
         if candidates < 1:
             raise StandbyError(

@@ -83,12 +83,6 @@ class JobOutcome:
     #: The compute backend the job actually ran on (after the graceful
     #: numpy-missing fallback in the worker process).
     compute_backend: str = "python"
-    #: Finished span trees recorded while the job ran (tracing only).
-    #: Spans are collected per process, so a pool worker's trees ride
-    #: home on the outcome; :class:`ExperimentRunner` grafts them into
-    #: the parent trace and clears the field.
-    spans: tuple = dataclasses.field(default=(), repr=False,
-                                     compare=False)
 
     @property
     def ok(self) -> bool:
@@ -113,10 +107,13 @@ def _worker_init(library: Library | None, tracing: bool = False):
     methods, so a caller-supplied (possibly custom) library reaches
     every job and serial/parallel runs stay bit-identical.  When the
     parent traces, the worker traces too (its finished spans ship back
-    with each result).
+    with each result).  A forked worker first drops the spans it
+    inherited — the parent's finished roots and the frames it had
+    open — so it ships back only what its jobs record.
     """
     global _PROCESS_LIBRARY
     _PROCESS_LIBRARY = library
+    obs_spans.reset()
     obs_spans.enable(tracing)
 
 
@@ -157,11 +154,6 @@ def run_flow_job(job: FlowJob, library: Library | None = None) -> JobOutcome:
             elapsed_s=time.perf_counter() - started,
             error=traceback.format_exc(),
             compute_backend=backend)
-    if obs_spans.is_enabled():
-        # Stash any finished root spans on the outcome so they survive
-        # the pool's pickle boundary; the runner adopts them back into
-        # the live trace (serial and pooled runs end up identical).
-        outcome.spans = tuple(obs_spans.take_records())
     return outcome
 
 
@@ -201,9 +193,7 @@ class ExperimentRunner:
         if self.jobs == 1 or len(items) <= 1:
             library = self.library if self.library is not None \
                 else _process_library()
-            results = [fn(item, library) for item in items]
-            self._graft_result_spans(results)
-            return results
+            return [fn(item, library) for item in items]
         workers = min(self.jobs, len(items))
         with ProcessPoolExecutor(
                 max_workers=workers, initializer=_worker_init,
@@ -214,17 +204,7 @@ class ExperimentRunner:
                 result, worker_spans = future.result()
                 obs_spans.adopt(worker_spans)
                 results.append(result)
-        self._graft_result_spans(results)
         return results
-
-    @staticmethod
-    def _graft_result_spans(results):
-        """Adopt spans riding on outcomes (see JobOutcome.spans)."""
-        for result in results:
-            records = getattr(result, "spans", None)
-            if records:
-                obs_spans.adopt(records)
-                result.spans = ()
 
     def run(self, flow_jobs: Sequence[FlowJob]) -> list[JobOutcome]:
         return self.map(run_flow_job, flow_jobs)

@@ -250,7 +250,6 @@ class StandbyEngine:
                  rush_budget_ma: float | None = None,
                  parasitics: Mapping[str, Any] | None = None,
                  compute_backend: str | None = None,
-                 corner_libraries: Mapping[str, Library] | None = None,
                  circuit: str | None = None,
                  technique: Technique = Technique.IMPROVED_SMT):
         if not network.clusters:
@@ -269,7 +268,6 @@ class StandbyEngine:
         self.rush_budget_ma = rush_budget_ma
         self.parasitics = parasitics
         self.compute_backend = resolve_backend(compute_backend)
-        self.corner_libraries = dict(corner_libraries or {})
         self.circuit = circuit or netlist.name
         self.technique = Technique(technique)
 
@@ -362,12 +360,18 @@ class StandbyEngine:
                                         list[float]]:
         """Per configured corner: the cluster transients, and the rush
         budget they are scheduled under."""
+        from repro.variation.corners import (
+            derive_corner_library_cached,
+            resolve_corner,
+        )
+
         corner_transients: list[list[ClusterTransient]] = []
         budgets: list[float] = []
         for corner_name in self.corners:
+            corner = resolve_corner(corner_name, self.library.tech)
             transients = TransientSolver(
                 self.network, self.netlist,
-                self._corner_library(corner_name),
+                derive_corner_library_cached(self.library, corner),
                 settle_fraction=self.settle_fraction,
                 parasitics=self.parasitics).solve()
             budget = self.rush_budget_ma
@@ -386,20 +390,6 @@ class StandbyEngine:
         energy_pj = [[tr.energy_per_cycle_pj for tr in transients]
                      for transients in corner_transients]
         return dp_nw, energy_pj
-
-    def _corner_library(self, corner_name: str) -> Library:
-        cached = self.corner_libraries.get(corner_name)
-        if cached is not None:
-            return cached
-        from repro.variation.corners import (
-            derive_corner_library_cached,
-            resolve_corner,
-        )
-
-        corner = resolve_corner(corner_name, self.library.tech)
-        derived = derive_corner_library_cached(self.library, corner)
-        self.corner_libraries[corner_name] = derived
-        return derived
 
     def _scenario_nets(self, acc: Sequence[float],
                        points: Sequence[tuple[float, float]],

@@ -293,11 +293,13 @@ def derive_corner_library_cached(library: Library,
                                  corner: PvtCorner) -> Library:
     """Memoized :func:`derive_corner_library`.
 
+    The one way code outside this module gets a corner library.
     Derivation is a pure function of (library content, corner), so a
-    process-wide LRU keyed by ``(library.content_digest(), corner)``
-    makes every entry point — workspace signoff, the flow's
-    ``corner_signoff`` stage, the standby engine, runner jobs — derive
-    each corner of a given library at most once.  The returned library
+    process-wide LRU of ``_CORNER_MEMO_MAX`` (64) entries keyed by
+    ``(library.content_digest(), corner)`` lets every consumer —
+    corner signoff (flow stage, facade, runner jobs), the standby
+    engine and the policy sweep — share one derivation per corner;
+    an evicted entry only costs a re-derivation.  The returned library
     is shared: callers must treat it as immutable (they all do — a
     derived library is only ever read).
     """

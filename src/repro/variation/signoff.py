@@ -22,7 +22,6 @@ from repro.timing.sta import TimingAnalyzer
 from repro.variation.corners import (
     PvtCorner,
     corner_scales,
-    derive_corner_library,
     derive_corner_library_cached,
     leakage_class_is_high,
     resolve_corner,
@@ -50,23 +49,19 @@ def evaluate_corner(netlist: Netlist, library: Library, corner: PvtCorner,
                     network=None,
                     clock_arrivals: Mapping[str, float] | None = None,
                     keep_breakdown: bool = False,
-                    compute_backend: str | None = None,
-                    corner_library: Library | None = None) -> CornerResult:
-    """One corner: derive the library, run leakage + STA on the design.
+                    compute_backend: str | None = None) -> CornerResult:
+    """One corner: leakage + STA on the design at the corner library.
 
     Mirrors the flow's final STA setup (VGND-bounce derates, CTS clock
     arrivals), so the ``tt_nom`` corner reproduces the single-point
     result bit-identically.  ``compute_backend`` selects the numeric
-    engine for both the STA and the leakage summation.  A pre-derived
-    ``corner_library`` (e.g. from the
-    :class:`~repro.api.Workspace` corner-library cache) skips the
-    per-call derivation; results are identical either way because
-    :func:`derive_corner_library` is a pure function.
+    engine for both the STA and the leakage summation.  The corner
+    library comes from the process-wide
+    :func:`~repro.variation.corners.derive_corner_library_cached` memo.
     """
     with span("signoff.corner", corner=corner.name,
               instances=len(netlist.instances)):
-        if corner_library is None:
-            corner_library = derive_corner_library(library, corner)
+        corner_library = derive_corner_library_cached(library, corner)
         derates = None
         if network is not None:
             derates = network.derates(netlist, corner_library)
@@ -95,22 +90,16 @@ def evaluate_corners(netlist: Netlist, library: Library,
                      parasitics: Mapping[str, object] | None = None,
                      network=None,
                      clock_arrivals: Mapping[str, float] | None = None,
-                     compute_backend: str | None = None,
-                     corner_libraries: Mapping[str, Library] | None = None
+                     compute_backend: str | None = None
                      ) -> dict[str, CornerResult]:
-    """Evaluate a list of corner names, preserving input order.
-
-    ``corner_libraries`` optionally supplies pre-derived libraries by
-    corner name (cache pass-through); missing names derive on the fly.
-    """
+    """Evaluate a list of corner names, preserving input order."""
     results: dict[str, CornerResult] = {}
     for name in corner_names:
         corner = resolve_corner(name, library.tech)
-        derived = corner_libraries.get(name) if corner_libraries else None
         results[name] = evaluate_corner(
             netlist, library, corner, constraints, parasitics=parasitics,
             network=network, clock_arrivals=clock_arrivals,
-            compute_backend=compute_backend, corner_library=derived)
+            compute_backend=compute_backend)
     return results
 
 
@@ -119,35 +108,8 @@ def evaluate_corners_batched(netlist: Netlist, library: Library,
                              parasitics: Mapping[str, object] | None = None,
                              network=None,
                              clock_arrivals: Mapping[str, float] | None = None,
-                             compute_backend: str | None = None,
-                             corner_libraries: Mapping[str, Library] | None = None
+                             compute_backend: str | None = None
                              ) -> dict[str, CornerResult]:
-    """Span-instrumented front door for :func:`_corners_batched_impl`.
-
-    The sequential fallback's per-corner ``signoff.corner`` spans nest
-    under this one, so a trace shows at a glance whether the grid ran
-    as one array pass or as a scalar loop.
-    """
-    from repro.compute import resolve_backend
-
-    names = list(corner_names)
-    with span("signoff.corners_batched", corners=len(names),
-              backend=resolve_backend(compute_backend)):
-        return _corners_batched_impl(
-            netlist, library, names, constraints, parasitics=parasitics,
-            network=network, clock_arrivals=clock_arrivals,
-            compute_backend=compute_backend,
-            corner_libraries=corner_libraries)
-
-
-def _corners_batched_impl(netlist: Netlist, library: Library,
-                          corner_names, constraints: Constraints,
-                          parasitics: Mapping[str, object] | None = None,
-                          network=None,
-                          clock_arrivals: Mapping[str, float] | None = None,
-                          compute_backend: str | None = None,
-                          corner_libraries: Mapping[str, Library] | None = None
-                          ) -> dict[str, CornerResult]:
     """The whole corner grid in one array pass (numpy backend).
 
     Derived corner libraries differ from the nominal one only by
@@ -163,99 +125,92 @@ def _corners_batched_impl(netlist: Netlist, library: Library,
     * leakage totals sum the identical corner-scaled value array in
       the same index-sorted order.
 
-    Off the numpy backend (or for a 0/1-corner grid) this simply
-    delegates to the sequential loop.
+    Off the numpy backend (or for a 0/1-corner grid) this runs the
+    sequential loop instead; its per-corner ``signoff.corner`` spans
+    nest under this function's ``signoff.corners_batched`` span, so a
+    trace shows at a glance which of the two the grid ran as.
     """
     from repro.compute import resolve_backend
 
     names = list(corner_names)
     backend = resolve_backend(compute_backend)
-    if backend != "numpy" or len(names) <= 1:
-        return evaluate_corners(
-            netlist, library, names, constraints, parasitics=parasitics,
-            network=network, clock_arrivals=clock_arrivals,
-            compute_backend=compute_backend,
-            corner_libraries=corner_libraries)
-    try:
+    with span("signoff.corners_batched", corners=len(names),
+              backend=backend):
+        if backend != "numpy" or len(names) <= 1:
+            return evaluate_corners(
+                netlist, library, names, constraints,
+                parasitics=parasitics, network=network,
+                clock_arrivals=clock_arrivals,
+                compute_backend=compute_backend)
+
         import numpy as np
 
         from repro.compute.kernels import batched_wns
         from repro.compute.lowercache import cached_view
-    except ImportError:  # pragma: no cover - backend resolution guards
-        return evaluate_corners(
-            netlist, library, names, constraints, parasitics=parasitics,
-            network=network, clock_arrivals=clock_arrivals,
-            compute_backend=compute_backend,
-            corner_libraries=corner_libraries)
+        from repro.timing.delay import NetModel
+        from repro.timing.sta import cell_constraint_value
 
-    from repro.timing.delay import NetModel
-    from repro.timing.sta import cell_constraint_value
+        corners = [resolve_corner(name, library.tech) for name in names]
+        libs = [derive_corner_library_cached(library, corner)
+                for corner in corners]
+        scales_list = [corner_scales(library.tech, corner)
+                       for corner in corners]
 
-    corners = [resolve_corner(name, library.tech) for name in names]
-    libs: list[Library] = []
-    for name, corner in zip(names, corners):
-        derived = corner_libraries.get(name) if corner_libraries else None
-        if derived is None:
-            derived = derive_corner_library_cached(library, corner)
-        libs.append(derived)
-    scales_list = [corner_scales(library.tech, corner)
-                   for corner in corners]
+        net_model = NetModel(netlist, library, constraints,
+                             parasitics=parasitics)
+        view = cached_view(netlist, library, constraints, net_model,
+                           clock_arrivals=clock_arrivals)
+        view.ensure()
 
-    net_model = NetModel(netlist, library, constraints,
-                         parasitics=parasitics)
-    view = cached_view(netlist, library, constraints, net_model,
-                       clock_arrivals=clock_arrivals)
-    view.ensure()
+        if network is not None:
+            derates = np.vstack([
+                view.derate_vector(network.derates(netlist, lib_k))
+                for lib_k in libs])
+        else:
+            derates = np.ones((len(names), len(view.inst_names)))
 
-    if network is not None:
-        derates = np.vstack([
-            view.derate_vector(network.derates(netlist, lib_k))
-            for lib_k in libs])
-    else:
-        derates = np.ones((len(names), len(view.inst_names)))
+        lut_arrays = view.corner_stack(
+            [[s.delay_low, s.delay_high] for s in scales_list])
 
-    lut_arrays = view.corner_stack(
-        [[s.delay_low, s.delay_high] for s in scales_list])
+        input_slew = constraints.input_slew
+        ff_cells = [netlist.instances[name].cell_name
+                    for name in view.ff_ep_names]
+        setup = np.empty((len(names), len(ff_cells)))
+        hold = np.empty((len(names), len(ff_cells)))
+        for k, lib_k in enumerate(libs):
+            for j, cell_name in enumerate(ff_cells):
+                cell = lib_k.cell(cell_name)
+                setup[k, j] = cell_constraint_value(cell, "setup", input_slew)
+                hold[k, j] = cell_constraint_value(cell, "hold", input_slew)
 
-    input_slew = constraints.input_slew
-    ff_cells = [netlist.instances[name].cell_name
-                for name in view.ff_ep_names]
-    setup = np.empty((len(names), len(ff_cells)))
-    hold = np.empty((len(names), len(ff_cells)))
-    for k, lib_k in enumerate(libs):
-        for j, cell_name in enumerate(ff_cells):
-            cell = lib_k.cell(cell_name)
-            setup[k, j] = cell_constraint_value(cell, "setup", input_slew)
-            hold[k, j] = cell_constraint_value(cell, "hold", input_slew)
+        wns, hold_wns = batched_wns(view, derates, lut_arrays=lut_arrays,
+                                    setup=setup, hold=hold)
 
-    wns, hold_wns = batched_wns(view, derates, lut_arrays=lut_arrays,
-                                setup=setup, hold=hold)
+        # Leakage: nominal per-instance defaults (index-sorted) times each
+        # corner's per-class leakage factor, summed in the identical order
+        # the sequential numpy path sums its corner-scaled values.
+        inst_order = sorted(netlist.instances)
+        nominal_nw = np.array(
+            [library.cell(netlist.instances[name].cell_name).default_leakage_nw
+             for name in inst_order], dtype=float)
+        is_high = np.array(
+            [leakage_class_is_high(
+                library.cell(netlist.instances[name].cell_name))
+             for name in inst_order], dtype=bool)
 
-    # Leakage: nominal per-instance defaults (index-sorted) times each
-    # corner's per-class leakage factor, summed in the identical order
-    # the sequential numpy path sums its corner-scaled values.
-    inst_order = sorted(netlist.instances)
-    nominal_nw = np.array(
-        [library.cell(netlist.instances[name].cell_name).default_leakage_nw
-         for name in inst_order], dtype=float)
-    is_high = np.array(
-        [leakage_class_is_high(
-            library.cell(netlist.instances[name].cell_name))
-         for name in inst_order], dtype=bool)
-
-    results: dict[str, CornerResult] = {}
-    for k, name in enumerate(names):
-        scales = scales_list[k]
-        leak_f = np.where(is_high, scales.leakage_high,
-                          scales.leakage_low)
-        leakage_nw = float((nominal_nw * leak_f).sum())
-        results[name] = CornerResult(
-            corner=corners[k],
-            leakage_nw=leakage_nw,
-            wns=float(wns[k]),
-            hold_wns=float(hold_wns[k]),
-            delay_scale_low=scales.delay_low,
-            delay_scale_high=scales.delay_high,
-            leakage_scale_low=scales.leakage_low,
-            leakage_scale_high=scales.leakage_high)
-    return results
+        results: dict[str, CornerResult] = {}
+        for k, name in enumerate(names):
+            scales = scales_list[k]
+            leak_f = np.where(is_high, scales.leakage_high,
+                              scales.leakage_low)
+            leakage_nw = float((nominal_nw * leak_f).sum())
+            results[name] = CornerResult(
+                corner=corners[k],
+                leakage_nw=leakage_nw,
+                wns=float(wns[k]),
+                hold_wns=float(hold_wns[k]),
+                delay_scale_low=scales.delay_low,
+                delay_scale_high=scales.delay_high,
+                leakage_scale_low=scales.leakage_low,
+                leakage_scale_high=scales.leakage_high)
+        return results

@@ -1,10 +1,13 @@
 """Workspace/Design facade: caching, fingerprints, legacy equivalence."""
 
+import dataclasses
+
 import pytest
 
 from repro.api import Workspace, netlist_fingerprint, schemas
 from repro.benchcircuits.suite import load_circuit
 from repro.config import FlowConfig, Technique
+from repro.variation.corners import corner_memo_stats, reset_corner_memo
 
 CONFIG = FlowConfig(timing_margin=0.2)
 
@@ -108,9 +111,36 @@ def test_adopting_registry_identical_content_keeps_by_name_loading(
     assert "c17" in ws._adopted
 
 
-def test_corner_library_is_cached(workspace):
-    first = workspace.corner_library("ff_1.32v_125c")
-    assert workspace.corner_library("ff_1.32v_125c") is first
+# --- corner libraries: one lookup, the process derivation memo -------------
+
+CORNERS = ("tt_nom", "ff_1.32v_125c", "ss_1.08v_125c")
+
+
+def _assert_each_corner_derived_once():
+    stats = corner_memo_stats()
+    assert stats["misses"] == len(CORNERS)
+    assert stats["hits"] >= 2 * len(CORNERS)
+
+
+def test_facade_signoff_standby_policy_derive_each_corner_once(library):
+    design = Workspace(library=library, config=CONFIG).design("c17")
+    reset_corner_memo()
+    design.signoff(corners=CORNERS)
+    design.standby(scenarios=("mostly_idle",), corners=CORNERS)
+    design.policy(scenarios=("mostly_idle",), corners=CORNERS,
+                  candidates=8)
+    _assert_each_corner_derived_once()
+
+
+def test_flow_signoff_stages_derive_each_corner_once(library):
+    config = dataclasses.replace(
+        CONFIG, signoff_corners=CORNERS,
+        standby_scenarios=("mostly_idle",), policy_candidates=8)
+    reset_corner_memo()
+    flow = Workspace(library=library, config=config).design("c17") \
+        .flow_result(Technique.IMPROVED_SMT)
+    assert flow.corners and flow.standby and flow.policy
+    _assert_each_corner_derived_once()
 
 
 # --- legacy equivalence -----------------------------------------------------

@@ -5,7 +5,7 @@ import os
 from repro.api import Workspace
 from repro.config import FlowConfig, Technique
 from repro.core.stages import PIPELINES
-from repro.obs import TraceResult, enable, take_records
+from repro.obs import TraceResult, enable, span, take_records
 from repro.runner import ExperimentRunner, FlowJob
 
 CONFIG = FlowConfig(timing_margin=0.2)
@@ -54,9 +54,7 @@ def test_pool_ships_worker_spans_back_to_the_parent(library):
             for circuit in ("c17", "s27")]
     outcomes = runner.run(jobs)
     assert all(outcome.ok for outcome in outcomes)
-    # The spans crossed the process boundary and were re-adopted here;
-    # the outcome objects themselves arrive drained.
-    assert all(outcome.spans == () for outcome in outcomes)
+    # The spans crossed the process boundary and were re-adopted here.
     records = take_records()
     flow_jobs = [record for root in records for record in root.walk()
                  if record.name == "runner.flow_job"]
@@ -82,3 +80,31 @@ def test_serial_runner_traces_identically_shaped_jobs(library):
              for record in root.walk()]
     assert "runner.flow_job" in names
     assert "flow.run" in names
+
+
+def _run_between_spans(library, jobs, circuits):
+    """Root spans after a runner ran inside ``outer``, once ``earlier``
+    had already finished."""
+    enable()
+    with span("earlier"):
+        pass
+    with span("outer"):
+        ExperimentRunner(jobs=jobs, library=library).run(
+            [FlowJob(circuit=circuit, technique=Technique.DUAL_VTH,
+                     config=CONFIG) for circuit in circuits])
+    return take_records()
+
+
+def test_serial_runner_leaves_other_spans_where_they_are(library):
+    roots = _run_between_spans(library, 1, ["c17"])
+    assert [root.name for root in roots] == ["earlier", "outer"]
+    assert [child.name for child in roots[1].children] == \
+        ["runner.flow_job"]
+
+
+def test_forked_pool_workers_ship_only_their_own_spans(library):
+    roots = _run_between_spans(library, 2, ["c17", "s27"])
+    assert [root.name for root in roots] == ["earlier", "outer"]
+    jobs = roots[1].children
+    assert [child.name for child in jobs] == ["runner.flow_job"] * 2
+    assert all(job.pid != os.getpid() for job in jobs)

@@ -1,8 +1,20 @@
 """Command-line interface."""
 
+import os
+import pathlib
+import signal
+import socket
+import subprocess
+import sys
+import time
+
 import pytest
 
+from repro.api import ServiceClient
 from repro.cli import build_parser, main
+from repro.errors import ServiceError
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def test_list_command(capsys):
@@ -219,6 +231,63 @@ def test_serve_command_registered():
     args = parser.parse_args(["serve", "--port", "0"])
     assert args.port == 0
     assert args.workers == 1
+
+
+def _child_pids(pid: int) -> list[int]:
+    """Processes whose parent is ``pid``."""
+    return [int(entry) for entry in os.listdir("/proc")
+            if entry.isdigit() and _proc_stat(int(entry))[1] == pid]
+
+
+def _proc_stat(pid: int) -> tuple[str, int]:
+    """(state, parent pid) of ``pid``; ("", 0) once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return "", 0
+    return fields[0], int(fields[1])
+
+
+def _alive(pid: int) -> bool:
+    return _proc_stat(pid)[0] not in ("", "Z")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="finds the shard worker through /proc")
+def test_serve_with_shards_exits_cleanly_on_sigterm():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", str(port),
+         "--shards", "2"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        client = ServiceClient(f"http://127.0.0.1:{port}", timeout=30.0)
+        deadline = time.monotonic() + 60.0
+        while True:
+            try:
+                client.health()
+                break
+            except (ServiceError, OSError):
+                assert time.monotonic() < deadline, "serve never came up"
+                time.sleep(0.2)
+        client.run("analyze", "c17", timeout=120.0)
+        workers = _child_pids(server.pid)
+        assert workers, "the job ran in no shard worker process"
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=30.0) == 0
+        deadline = time.monotonic() + 10.0
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(_alive, workers)), "a shard worker outlived serve"
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
 
 
 def test_standby_command(tmp_path, capsys):
