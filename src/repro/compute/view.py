@@ -24,8 +24,10 @@ Invalidation contract (mirrors the
 * :meth:`touch_net` — only the net's capacitive load changed; the load
   vector entry is refreshed in place;
 * :meth:`touch_instance` — the instance's timing tables changed (a
-  variant swap); its contribution rows are re-gathered in place when
-  the arc topology is unchanged, otherwise the view rebuilds;
+  variant swap); the instance is re-gathered through the same walk
+  that built its rows, and when the arc signature is unchanged (tied
+  inputs included) the new LUT ids are written into the stored rows
+  in place, otherwise the view rebuilds;
 * :meth:`touch_structural` — the graph changed shape (buffer
   insertion, removal); the next :meth:`ensure` rebuilds everything.
 
@@ -188,7 +190,7 @@ class _Stream:
     """One forward contribution stream (rise-target or fall-target)."""
 
     __slots__ = ("out", "src", "inst", "src_edge", "dlut", "slut", "wire",
-                 "levels", "size")
+                 "levels", "size", "perm")
 
     def __init__(self, rows, level_of):
         # rows: list of [out, src, inst, src_edge, dlut, slut, wire]
@@ -208,6 +210,9 @@ class _Stream:
             wire = np.zeros(0)
             levels = np.zeros(0, np.int64)
             perm = np.zeros(0, np.int64)
+        # Build-order row id of each stored row (None once rehydrated
+        # from the lowering cache).
+        self.perm = perm
         self.out = out[perm]
         self.src = src[perm]
         self.inst = inst[perm]
@@ -240,7 +245,7 @@ class _BackwardStream:
     """Backward (required-time) arc table, level-descending."""
 
     __slots__ = ("out", "src", "inst", "sense", "rlut", "flut", "wire",
-                 "levels")
+                 "levels", "perm")
 
     def __init__(self, rows, level_of):
         if rows:
@@ -260,6 +265,7 @@ class _BackwardStream:
             wire = np.zeros(0)
             levels = np.zeros(0, np.int64)
             perm = np.zeros(0, np.int64)
+        self.perm = perm
         self.out = out[perm]
         self.src = src[perm]
         self.inst = inst[perm]
@@ -319,6 +325,7 @@ def _stream_from_state(state, tag: str) -> "_Stream":
     stream.dlut = state[f"{tag}_dlut"]
     stream.slut = state[f"{tag}_slut"]
     stream.wire = state[f"{tag}_wire"]
+    stream.perm = None
     stream.size = len(stream.out)
     stream.levels = _level_slices(state[f"{tag}_levels"], stream.out)
     return stream
@@ -333,6 +340,7 @@ def _bwd_from_state(state) -> "_BackwardStream":
     bwd.rlut = state["bwd_rlut"]
     bwd.flut = state["bwd_flut"]
     bwd.wire = state["bwd_wire"]
+    bwd.perm = None
     bwd.levels = _bwd_level_slices(state["bwd_levels"], bwd.src) \
         if len(bwd.out) else []
     return bwd
@@ -390,12 +398,15 @@ class NetlistArrayView:
 
     def ensure(self) -> "NetlistArrayView":
         """Apply pending invalidations; afterwards the arrays are current."""
-        if self._structural_dirty or not self._built:
-            self._rebuild()
+        if not self._built:
+            self._rebuild("cold")
+            return self
+        if self._structural_dirty:
+            self._rebuild("structural")
             return self
         if self._dirty_insts:
             if not self._patch_instances():
-                self._rebuild()
+                self._rebuild("patch_failed")
                 return self
             self._dirty_insts.clear()
         if self._dirty_loads:
@@ -404,8 +415,9 @@ class NetlistArrayView:
 
     # --- build ----------------------------------------------------------
 
-    def _rebuild(self):
-        with span("compute.lower",
+    def _rebuild(self, cause: str):
+        """Lower the whole netlist; ``cause`` says why (span attr)."""
+        with span("compute.lower", cause=cause,
                   instances=len(self.netlist.instances)) as sp:
             self._rebuild_arrays()
             sp.set(nodes=len(self.node_names),
@@ -496,10 +508,9 @@ class NetlistArrayView:
         self.rise = _Stream(rise_rows, level_of)
         self.fall = _Stream(fall_rows, level_of)
         self.bwd = _BackwardStream(bwd_rows, level_of)
-        # Row permutations: _gather_instance recorded build-order row
-        # ids; map them through the level sort so patches hit the
-        # stored rows.
-        self._finalize_row_maps(rise_rows, fall_rows, level_of, inst_sig)
+        # _gather_instance recorded build-order row ids; map them
+        # through each stream's level sort so patches hit stored rows.
+        self._finalize_row_maps(inst_sig)
 
         self.loads = np.zeros(len(node_names))
         for name, idx in node_index.items():
@@ -586,12 +597,14 @@ class NetlistArrayView:
 
     def _gather_instance(self, inst, node_index, inst_index, luts,
                          rise_rows, fall_rows, bwd_rows) -> list:
-        """Append one instance's contributions; returns its signature.
+        """Append one instance's contributions; returns its row entry.
 
-        The signature is the arc topology — (out, src, src_edge) per
-        stream plus the backward row count — used by
-        :meth:`_patch_instances` to decide whether an in-place LUT-id
-        rewrite is sound after a variant swap.
+        The entry is ``[signature, rise ids, fall ids, backward ids]``.
+        The signature is the arc topology — (out, src, sense, has-rise,
+        has-fall) per arc, which fixes every stream's row count and
+        order — and the ids are the rows appended, in walk order.
+        :meth:`_patch_instances` re-runs this walk after a variant swap
+        and rewrites LUT ids in place when the signature is unchanged.
         """
         library = self.library
         cell = library.cell(inst.cell_name)
@@ -608,7 +621,9 @@ class NetlistArrayView:
             lib_out = cell.pins.get(out_pin.name)
             if lib_out is None:
                 continue
-            oidx = node_index[out_net.name]
+            oidx = node_index.get(out_net.name)
+            if oidx is None:
+                continue
             for in_pin in inst.input_pins():
                 if in_pin.net is None or in_pin.name == "MTE":
                     continue
@@ -661,27 +676,23 @@ class NetlistArrayView:
                             arc.cell_fall is not None))
         return [sig, my_rise, my_fall, my_bwd]
 
-    def _finalize_row_maps(self, rise_rows, fall_rows, level_of, inst_sig):
-        """Map build-order row ids to post-sort storage positions.
+    def _finalize_row_maps(self, inst_sig):
+        """Map build-order row ids to stored row positions.
 
-        Uses the same stable sort key as :class:`_Stream`, so the
-        inverse permutation points at the stored rows.  Backward rows
-        are re-located by (instance, out, src) at patch time instead.
+        Each stream stores its rows level-sorted (``stream.perm``): the
+        forward streams stably by level, the backward stream by
+        descending level, then source net.  The inverse permutation
+        sends every row id :meth:`_gather_instance` recorded to the
+        stored row :meth:`_patch_instances` writes.
         """
-        def inverse_perm(rows):
-            if not rows:
-                return np.zeros(0, np.int64)
-            inst = np.array([r[2] for r in rows], dtype=np.int64)
-            perm = np.argsort(level_of[inst], kind="stable")
-            inverse = np.empty_like(perm)
-            inverse[perm] = np.arange(len(perm))
-            return inverse
-
-        inv_rise = inverse_perm(rise_rows)
-        inv_fall = inverse_perm(fall_rows)
+        inverses = []
+        for stream in (self.rise, self.fall, self.bwd):
+            inverse = np.empty_like(stream.perm)
+            inverse[stream.perm] = np.arange(len(stream.perm))
+            inverses.append(inverse)
         for entry in inst_sig.values():
-            entry[1] = [int(inv_rise[r]) for r in entry[1]]
-            entry[2] = [int(inv_fall[r]) for r in entry[2]]
+            for slot, inverse in enumerate(inverses, start=1):
+                entry[slot] = inverse[entry[slot]]
 
     # --- incremental refresh -------------------------------------------
 
@@ -696,112 +707,43 @@ class NetlistArrayView:
         self._dirty_loads.clear()
 
     def _patch_instances(self) -> bool:
-        """Re-gather LUT ids for dirty instances in place.
+        """Re-gather every dirty instance and rewrite its LUT ids in place.
 
-        Sound only when the arc topology (out/src/sense pattern) is
-        unchanged — a variant swap between siblings of the same base
-        cell.  Any mismatch (different arcs, a sequential or skip cell,
-        an unknown instance) reports False and the caller rebuilds.
+        Each instance is re-walked by :meth:`_gather_instance` — the
+        walk that built its rows — into fresh row lists.  Only when every
+        walk reproduces its recorded arc signature are the new LUT ids
+        written into the stored rows by position, one fancy-index
+        assignment per array, so the view is never left half-patched.
+        A signature mismatch, or an unknown, sequential or skipped
+        instance, reports False and the caller rebuilds.
         """
+        rise_rows: list[list] = []
+        fall_rows: list[list] = []
+        bwd_rows: list[list] = []
+        rise_at, fall_at, bwd_at = [], [], []
         for name in sorted(self._dirty_insts):
             entry = self._inst_sig.get(name)
             inst = self.netlist.instances.get(name)
-            if inst is None:
+            if entry is None or inst is None or self._is_seq(inst) \
+                    or self._skip(inst):
                 return False
-            if self._is_seq(inst) or self._skip(inst):
+            signature = self._gather_instance(
+                inst, self.node_index, self.inst_index, self.luts,
+                rise_rows, fall_rows, bwd_rows)[0]
+            if signature != entry[0]:
                 return False
-            if entry is None:
-                return False
-            if not self._patch_one(inst, entry):
-                return False
+            rise_at.append(entry[1])
+            fall_at.append(entry[2])
+            bwd_at.append(entry[3])
+        for stream, rows, at in ((self.rise, rise_rows, rise_at),
+                                 (self.fall, fall_rows, fall_at)):
+            at = np.concatenate(at)
+            stream.dlut[at] = [row[4] for row in rows]
+            stream.slut[at] = [row[5] for row in rows]
+        at = np.concatenate(bwd_at)
+        self.bwd.rlut[at] = [row[4] for row in bwd_rows]
+        self.bwd.flut[at] = [row[5] for row in bwd_rows]
         self.patches += len(self._dirty_insts)
-        return True
-
-    def _patch_one(self, inst, entry) -> bool:
-        old_sig, my_rise, my_fall, _my_bwd = entry
-        library = self.library
-        cell = library.cell(inst.cell_name)
-        klass = _delay_scale_class(cell)
-        new_sig = []
-        rise_updates: list[tuple[int, int]] = []
-        fall_updates: list[tuple[int, int]] = []
-        for out_pin in inst.output_pins():
-            out_net = out_pin.net
-            if out_net is None:
-                continue
-            lib_out = cell.pins.get(out_pin.name)
-            if lib_out is None:
-                continue
-            oidx = self.node_index.get(out_net.name)
-            if oidx is None:
-                return False
-            for in_pin in inst.input_pins():
-                if in_pin.net is None or in_pin.name == "MTE":
-                    continue
-                arc = lib_out.arc_from(in_pin.name)
-                if arc is None:
-                    continue
-                sidx = self.node_index.get(in_pin.net.name)
-                if sidx is None:
-                    continue
-                sense = _SENSE_CODE.get(arc.timing_sense, SENSE_NON_UNATE)
-                new_sig.append((oidx, sidx, sense,
-                                arc.cell_rise is not None,
-                                arc.cell_fall is not None))
-                reps = 2 if sense == SENSE_NON_UNATE else 1
-                for _ in range(reps):
-                    if arc.cell_rise is not None:
-                        rise_updates.append(
-                            (self.luts.register(arc.cell_rise, klass),
-                             self.luts.register(arc.rise_transition,
-                                                klass)))
-                    if arc.cell_fall is not None:
-                        fall_updates.append(
-                            (self.luts.register(arc.cell_fall, klass),
-                             self.luts.register(arc.fall_transition,
-                                                klass)))
-        if new_sig != old_sig:
-            return False
-        if len(rise_updates) != len(my_rise) \
-                or len(fall_updates) != len(my_fall):
-            return False
-        for row, (dlut, slut) in zip(my_rise, rise_updates):
-            self.rise.dlut[row] = dlut
-            self.rise.slut[row] = slut
-        for row, (dlut, slut) in zip(my_fall, fall_updates):
-            self.fall.dlut[row] = dlut
-            self.fall.slut[row] = slut
-        # Backward rows: locate by (inst, out, src) — unique per arc.
-        iidx = self.inst_index[inst.name]
-        mask = self.bwd.inst == iidx
-        rows = np.nonzero(mask)[0]
-        arcs_by_key = {}
-        for out_pin in inst.output_pins():
-            if out_pin.net is None:
-                continue
-            lib_out = cell.pins.get(out_pin.name)
-            if lib_out is None:
-                continue
-            for in_pin in inst.input_pins():
-                if in_pin.net is None or in_pin.name == "MTE":
-                    continue
-                arc = lib_out.arc_from(in_pin.name)
-                if arc is None:
-                    continue
-                oidx = self.node_index.get(out_pin.net.name)
-                sidx = self.node_index.get(in_pin.net.name)
-                if oidx is None or sidx is None:
-                    continue
-                arcs_by_key[(oidx, sidx)] = arc
-        if len(rows) != len(arcs_by_key):
-            return False
-        for row in rows:
-            key = (int(self.bwd.out[row]), int(self.bwd.src[row]))
-            arc = arcs_by_key.get(key)
-            if arc is None:
-                return False
-            self.bwd.rlut[row] = self.luts.register(arc.cell_rise, klass)
-            self.bwd.flut[row] = self.luts.register(arc.cell_fall, klass)
         return True
 
     # --- helpers --------------------------------------------------------
@@ -902,7 +844,8 @@ class NetlistArrayView:
         The loaded view serves kernels immediately (no lowering pass)
         and honors ``touch_net`` load refreshes; instance patches are
         refused (``_patch_instances`` reports False), so a variant swap
-        falls back to a normal rebuild against the live netlist.
+        falls back to a normal rebuild against the live netlist, traced
+        with ``cause="patch_failed"``.
         """
         view = cls(netlist, library, constraints, net_model,
                    clock_arrivals)

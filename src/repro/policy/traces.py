@@ -186,7 +186,10 @@ def quantile_grid(intervals_ns,
         for index in range(start, stop):
             acc += ordered[index]
         count = stop - start
-        grid.append((acc / count, count / total))
+        # Clamp: the rounded mean of equal values can land just below
+        # them, which would let the quantiles descend.
+        mean = min(max(acc / count, ordered[start]), ordered[stop - 1])
+        grid.append((mean, count / total))
     return tuple(grid)
 
 

@@ -64,6 +64,17 @@ def test_grid_shape_invariants(intervals, points):
     assert all(w > 0.0 for _, w in grid)
 
 
+def test_grid_bucket_of_equal_values_does_not_round_below_them():
+    # The last bucket holds three equal values whose float sum,
+    # divided by three, rounds one ulp below them: unclamped, the last
+    # quantile descended below the middle one.
+    value = 349525.9223764794
+    grid = quantile_grid([1.0, 1.0] + [value] * 5, 3)
+    durations = [d for d, _ in grid]
+    assert durations == sorted(durations)
+    assert durations[-1] == value
+
+
 def test_grid_rejects_empty_and_bad_points():
     with pytest.raises(ConfigError):
         quantile_grid([])
