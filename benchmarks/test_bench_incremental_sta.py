@@ -18,6 +18,7 @@ Wall-clocks and propagation counts land in the bench JSON via
 trajectory.
 """
 
+import statistics
 import time
 
 from repro.benchcircuits.suite import load_circuit
@@ -34,6 +35,9 @@ from recorder import record
 CIRCUIT = "circuitA"
 MARGIN = 0.09          # Table 1's circuit-A margin (timing-tight)
 ECO_PROBES = 24
+#: Assignment-loop (fresh analyzer, session) pairs; the arm that runs
+#: first alternates, and the wall-clock floor reads the median ratio.
+ASSIGNMENT_REPEATS = 3
 
 
 class FreshAnalyzerSession(TimingSession):
@@ -58,26 +62,28 @@ def _prepared(library):
     return netlist, Constraints(clock_period=period)
 
 
-def _assignment_comparison(library):
+def _assignment_comparison(library, session_first: bool = False):
     full_netlist, constraints = _prepared(library)
     session_netlist = full_netlist.clone()
-
-    reference = FreshAnalyzerSession(full_netlist, library, constraints)
-    started = time.perf_counter()
-    full = DualVthAssigner(reference).run()
-    full_elapsed = time.perf_counter() - started
-
-    session = TimingSession(session_netlist, library, constraints)
-    started = time.perf_counter()
-    incremental = DualVthAssigner(session).run()
-    session_elapsed = time.perf_counter() - started
+    sessions = {
+        "full": FreshAnalyzerSession(full_netlist, library, constraints),
+        "incremental": TimingSession(session_netlist, library, constraints),
+    }
+    order = ["full", "incremental"]
+    if session_first:
+        order.reverse()
+    results, elapsed = {}, {}
+    for arm in order:
+        started = time.perf_counter()
+        results[arm] = DualVthAssigner(sessions[arm]).run()
+        elapsed[arm] = time.perf_counter() - started
 
     return {
-        "full": full,
-        "incremental": incremental,
-        "session": session,
-        "full_s": full_elapsed,
-        "session_s": session_elapsed,
+        "full": results["full"],
+        "incremental": results["incremental"],
+        "session": sessions["incremental"],
+        "full_s": elapsed["full"],
+        "session_s": elapsed["incremental"],
         "netlists": (full_netlist, session_netlist),
         "constraints": constraints,
     }
@@ -129,32 +135,44 @@ def _eco_probe_comparison(library, netlist, constraints):
 
 
 def test_bench_incremental_sta(benchmark, library):
-    outcome = run_once(benchmark, lambda: _assignment_comparison(library))
+    outcomes = run_once(benchmark, lambda: [
+        _assignment_comparison(library, session_first=repeat % 2 == 1)
+        for repeat in range(ASSIGNMENT_REPEATS)])
 
-    full = outcome["full"]
-    incremental = outcome["incremental"]
-    stats = outcome["session"].stats
+    for outcome in outcomes:
+        full = outcome["full"]
+        incremental = outcome["incremental"]
+        stats = outcome["session"].stats
 
-    # Same answer, by construction (the property tests pin exactness;
-    # this pins it at assignment-loop scale).
-    assert sorted(full.slow_instances) == sorted(incremental.slow_instances)
-    assert full.final_report.wns == incremental.final_report.wns
+        # Same answer, by construction (the property tests pin
+        # exactness; this pins it at assignment-loop scale).
+        assert sorted(full.slow_instances) \
+            == sorted(incremental.slow_instances)
+        assert full.final_report.wns == incremental.final_report.wns
 
-    # Fewer full re-propagations than the one-analyzer-per-probe seed
-    # behavior (each of its sta_runs was a from-scratch propagation).
-    assert stats.full_runs < full.sta_runs
-    assert stats.cached_reports + stats.incremental_runs > 0
+        # Fewer full re-propagations than the one-analyzer-per-probe
+        # seed behavior (each of its sta_runs was a from-scratch
+        # propagation).
+        assert stats.full_runs < full.sta_runs
+        assert stats.cached_reports + stats.incremental_runs > 0
 
+    # The work counters are deterministic, so the last pair's (still
+    # bound from the loop) stand for every pair.
     eco = _eco_probe_comparison(library, outcome["netlists"][1],
                                 outcome["constraints"])
 
-    speedup_assignment = outcome["full_s"] / max(outcome["session_s"], 1e-9)
+    speedups = [each["full_s"] / max(each["session_s"], 1e-9)
+                for each in outcomes]
+    speedup_assignment = statistics.median(speedups)
+    full_s = statistics.median(each["full_s"] for each in outcomes)
+    session_s = statistics.median(each["session_s"] for each in outcomes)
     speedup_eco = eco["full_s"] / max(eco["session_s"], 1e-9)
     metrics = {
         "circuit": CIRCUIT,
-        "assignment_full_s": round(outcome["full_s"], 4),
-        "assignment_session_s": round(outcome["session_s"], 4),
+        "assignment_full_s": round(full_s, 4),
+        "assignment_session_s": round(session_s, 4),
         "assignment_speedup": round(speedup_assignment, 3),
+        "assignment_speedups": [round(each, 3) for each in speedups],
         "assignment_sta_runs": full.sta_runs,
         "session_full_runs": stats.full_runs,
         "session_incremental_runs": stats.incremental_runs,
@@ -169,8 +187,9 @@ def test_bench_incremental_sta(benchmark, library):
     benchmark.extra_info.update(metrics)
     record("incremental_sta", metrics)
     print()
-    print(f"assignment: full {outcome['full_s']:.3f}s vs session "
-          f"{outcome['session_s']:.3f}s ({speedup_assignment:.2f}x); "
+    print(f"assignment (median of {len(outcomes)}): full {full_s:.3f}s "
+          f"vs session {session_s:.3f}s ({speedup_assignment:.2f}x; "
+          f"each {', '.join(f'{each:.2f}x' for each in speedups)}); "
           f"{full.sta_runs} STA probes -> {stats.full_runs} full + "
           f"{stats.incremental_runs} incremental + "
           f"{stats.cached_reports} cached")
@@ -191,7 +210,9 @@ def test_bench_incremental_sta(benchmark, library):
     # falling back; the budgeted BFS early-exit keeps that walk
     # bounded).  A same-process wall-clock *ratio* is asserted — both
     # numerator and denominator see the same runner load, so noise
-    # largely cancels; the fix measures ~1.15x locally.
+    # largely cancels; the fix measures ~1.15x locally.  One pair read
+    # as low as 0.91x on a loaded host, so the floor reads the median
+    # of ASSIGNMENT_REPEATS pairs with alternating arm order.
     assert speedup_assignment >= 1.0, \
         f"assignment session {speedup_assignment:.3f}x slower than " \
-        f"fresh analyzers"
+        f"fresh analyzers (pairs: {speedups})"

@@ -2,8 +2,8 @@
 
 For each circuit, prints area and standby leakage normalized to the
 Dual-Vth baseline — Table 1's format extended across the benchmark
-suite.  The sweep routes through the process-pool experiment runner,
-so ``--jobs N`` fans the circuit x technique grid out over N worker
+suite.  The sweep is one :meth:`repro.api.Workspace.sweep`, so
+``--jobs N`` fans the circuit x technique grid out over N worker
 processes with bit-identical numbers::
 
     python examples/iscas_sweep.py c432 c880 s1196 --jobs 4
@@ -11,9 +11,9 @@ processes with bit-identical numbers::
 
 import argparse
 
-from repro import FlowConfig, build_default_library
+from repro import FlowConfig
+from repro.api import Workspace
 from repro.config import Technique
-from repro.runner import SWEEP_HEADER, render_sweep_row, run_sweep
 
 DEFAULT_SWEEP = ("c432", "c880", "s298", "s344")
 
@@ -26,17 +26,18 @@ def main() -> int:
                         help="process-pool width (1 = in-process)")
     args = parser.parse_args()
 
-    library = build_default_library()
-    config = FlowConfig(timing_margin=0.10)
-    comparisons = run_sweep(args.circuits, config=config, jobs=args.jobs,
-                            library=library)
+    workspace = Workspace(config=FlowConfig(timing_margin=0.10),
+                          jobs=args.jobs)
+    result = workspace.sweep(args.circuits)
 
-    print(SWEEP_HEADER)
-    for comparison in comparisons:
-        for row in comparison.rows:
-            print(render_sweep_row(comparison.circuit, row))
-        improved = comparison.row(Technique.IMPROVED_SMT)
-        conventional = comparison.row(Technique.CONVENTIONAL_SMT)
+    header, *lines = result.render().splitlines()
+    print(header)
+    for circuit in result.circuits():
+        for row, line in zip(result.rows, lines):
+            if row.circuit == circuit:
+                print(line)
+        improved = result.row(circuit, Technique.IMPROVED_SMT)
+        conventional = result.row(circuit, Technique.CONVENTIONAL_SMT)
         saving = conventional.area_pct - improved.area_pct
         print(f"{'':<10} improved saves {saving:.1f} area points and "
               f"{conventional.leakage_pct - improved.leakage_pct:.1f} "

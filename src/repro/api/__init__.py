@@ -43,7 +43,6 @@ from repro.api.results import (
     SignoffCornerRow,
     SignoffResult,
     SweepResult,
-    SweepRow,
 )
 from repro.api.workspace import Design, Workspace, netlist_fingerprint
 from repro.policy.optimize import PolicyResult
@@ -78,7 +77,6 @@ __all__ = [
     "StandbyResult",
     "SweepRequest",
     "SweepResult",
-    "SweepRow",
     "Workspace",
     "netlist_fingerprint",
     "schemas",

@@ -20,6 +20,7 @@ import dataclasses
 from repro.api import schemas
 from repro.api.requests import TECHNIQUE
 from repro.config import Technique
+from repro.core.compare import ComparisonRow
 from repro.obs import MetricsSnapshot, SpanNode, TraceResult
 from repro.policy.domains import DomainPlan, PowerDomain
 from repro.policy.optimize import PolicyPoint, PolicyResult
@@ -120,27 +121,12 @@ class MonteCarloResult:
 
 
 @dataclasses.dataclass(frozen=True)
-class SweepRow:
-    """One (circuit, technique) row, normalized to the Dual-Vth base."""
-
-    circuit: str
-    technique: Technique
-    area_um2: float
-    leakage_nw: float
-    area_pct: float
-    leakage_pct: float
-    mt_cells: int
-    switches: int
-    holders: int
-
-
-@dataclasses.dataclass(frozen=True)
 class SweepResult:
     """Technique comparison rows across one or more circuits."""
 
-    rows: tuple[SweepRow, ...]
+    rows: tuple[ComparisonRow, ...]
 
-    def row(self, circuit: str, technique: Technique) -> SweepRow:
+    def row(self, circuit: str, technique: Technique) -> ComparisonRow:
         for row in self.rows:
             if row.circuit == circuit and row.technique == technique:
                 return row
@@ -154,9 +140,8 @@ class SweepResult:
         return tuple(seen)
 
     def render(self) -> str:
-        from repro.runner import SWEEP_HEADER
-
-        lines = [SWEEP_HEADER]
+        lines = [f"{'circuit':<10} {'technique':<18} {'area%':>8} "
+                 f"{'leak%':>8} {'MT':>5} {'SW':>4} {'HOLD':>5}"]
         for row in self.rows:
             lines.append(
                 f"{row.circuit:<10} {row.technique.value:<18} "
@@ -180,7 +165,8 @@ schemas.dataclass_schema("montecarlo_result", 1, MonteCarloResult,
                          exclude=("sample_values",),
                          technique=TECHNIQUE, statistics=schemas.NESTED,
                          nominal_wns=schemas.opt(schemas.FLOAT))
-schemas.dataclass_schema("sweep_row", 1, SweepRow, technique=TECHNIQUE)
+schemas.dataclass_schema("sweep_row", 1, ComparisonRow,
+                         technique=TECHNIQUE)
 schemas.dataclass_schema("sweep_result", 1, SweepResult,
                          rows=schemas.seq(schemas.NESTED))
 

@@ -1,22 +1,21 @@
 """Grid studies over a workspace (the paper's evaluation harness).
 
-Serial runs route through the :class:`~repro.api.Workspace` flow
-caches; parallel runs fan the same grids out over
-:class:`~repro.runner.ExperimentRunner`.  Both perform the same float
-operations, so every digit is independent of ``jobs``.  The pinned
-Table 1 configurations and the result types live in
-:mod:`repro.experiments`.
+Every study runs on :class:`~repro.api.Workspace` designs, so its
+numbers are the facade's: the technique comparisons are one
+:func:`~repro.api.workspace.sweep_grid` each and the Monte-Carlo study
+is one :meth:`~repro.api.Design.montecarlo` per technique, both
+bit-identical for any ``jobs``.  The pinned Table 1 configurations and
+the result types live in :mod:`repro.experiments`.
 """
 
 from __future__ import annotations
 
-from repro.api.workspace import Workspace
+import dataclasses
+
+from repro.api.requests import DEFAULT_TECHNIQUES, MonteCarloRequest
+from repro.api.workspace import Workspace, sweep_grid
 from repro.config import FlowConfig, Technique
-from repro.core.compare import (
-    ComparisonRow,
-    TechniqueComparison,
-    count_cell_kinds,
-)
+from repro.core.compare import TechniqueComparison
 from repro.errors import FlowError
 from repro.liberty.library import Library
 from repro.netlist.core import Netlist
@@ -25,93 +24,35 @@ from repro.netlist.core import Netlist
 def technique_comparison(netlist: Netlist, library: Library,
                          config: FlowConfig | None = None,
                          circuit_name: str | None = None,
-                         techniques: tuple[Technique, ...] = (
-                             Technique.DUAL_VTH,
-                             Technique.CONVENTIONAL_SMT,
-                             Technique.IMPROVED_SMT),
-                         jobs: int = 1,
+                         techniques: tuple[Technique, ...] =
+                         DEFAULT_TECHNIQUES,
                          workspace: Workspace | None = None
                          ) -> TechniqueComparison:
     """Run the requested techniques and normalize to Dual-Vth.
 
-    Serial runs keep the full per-technique ``results`` dict (flow
-    results come from — and land in — the workspace cache); parallel
-    runs return slim rows only (full flow results do not cross process
-    boundaries).
+    The rows are the :func:`~repro.api.workspace.sweep_grid` rows; the
+    full per-technique ``results`` dict comes from — and lands in —
+    the workspace flow cache.
     """
-    config = config or FlowConfig()
-    circuit_name = circuit_name or netlist.name
-    if jobs > 1:
-        from repro.runner import (
-            ExperimentRunner,
-            FlowJob,
-            comparison_from_outcomes,
-        )
-
-        flow_jobs = [FlowJob(circuit=circuit_name, technique=technique,
-                             config=config, netlist=netlist)
-                     for technique in techniques]
-        outcomes = ExperimentRunner(jobs=jobs, library=library).run(flow_jobs)
-        return comparison_from_outcomes(circuit_name, outcomes)
     workspace = workspace or Workspace(library=library)
-    design = workspace.adopt(netlist, name=circuit_name, config=config)
-    results = {technique: design.flow_result(technique)
-               for technique in techniques}
-
-    # Normalize to Dual-Vth when present; otherwise the first
-    # requested technique becomes the 100 % reference.
-    baseline = results.get(Technique.DUAL_VTH)
-    if baseline is None and techniques:
-        baseline = results[techniques[0]]
-    base_area = baseline.total_area if baseline else 1.0
-    base_leak = baseline.leakage_nw if baseline else 1.0
-
-    rows = []
-    for technique in techniques:
-        result = results[technique]
-        mt, switches, holders = count_cell_kinds(result.netlist, library)
-        rows.append(ComparisonRow(
-            circuit=circuit_name,
-            technique=technique,
-            area_um2=result.total_area,
-            leakage_nw=result.leakage_nw,
-            area_pct=100.0 * result.total_area / base_area,
-            leakage_pct=100.0 * result.leakage_nw / base_leak,
-            mt_cells=mt, switches=switches, holders=holders))
-    return TechniqueComparison(circuit=circuit_name, rows=rows,
-                               results=results)
+    design = workspace.adopt(netlist, name=circuit_name,
+                             config=config or FlowConfig())
+    (comparison,) = sweep_grid([design], tuple(techniques), 1)
+    return dataclasses.replace(
+        comparison, results={technique: design.flow_result(technique)
+                             for technique in techniques})
 
 
 def table1_study(workspace: Workspace,
-                 circuits: tuple[str, ...] = ("A", "B"),
-                 jobs: int = 1):
+                 circuits: tuple[str, ...] = ("A", "B")):
     """The full Table 1 experiment (three flows per circuit)."""
     from repro.experiments import Table1Result, table1_config
 
-    comparisons: dict[str, TechniqueComparison] = {}
-    if jobs > 1:
-        from repro.runner import (
-            ALL_TECHNIQUES,
-            ExperimentRunner,
-            FlowJob,
-            comparison_from_outcomes,
-        )
-
-        flow_jobs = [FlowJob(circuit=f"circuit{short}", technique=technique,
-                             config=table1_config(short))
-                     for short in circuits for technique in ALL_TECHNIQUES]
-        outcomes = ExperimentRunner(
-            jobs=jobs, library=workspace.library).run(flow_jobs)
-        per_circuit = len(ALL_TECHNIQUES)
-        for index, short in enumerate(circuits):
-            chunk = outcomes[index * per_circuit:(index + 1) * per_circuit]
-            comparisons[short] = comparison_from_outcomes(short, chunk)
-        return Table1Result(comparisons=comparisons)
-    for short in circuits:
-        comparisons[short] = technique_comparison(
+    return Table1Result(comparisons={
+        short: technique_comparison(
             workspace.netlist(f"circuit{short}"), workspace.library,
             table1_config(short), circuit_name=short, workspace=workspace)
-    return Table1Result(comparisons=comparisons)
+        for short in circuits})
 
 
 def corner_signoff_study(workspace: Workspace,
@@ -131,12 +72,12 @@ def corner_signoff_study(workspace: Workspace,
         _circuit_config,
         _resolve_circuit,
     )
-    from repro.runner import ALL_TECHNIQUES, ExperimentRunner
+    from repro.runner import ExperimentRunner
     from repro.variation.corners import default_signoff_corners
     from repro.variation.jobs import CornerJob, run_corner_job
 
     library = workspace.library
-    techniques = tuple(techniques or ALL_TECHNIQUES)
+    techniques = tuple(techniques or DEFAULT_TECHNIQUES)
     corners = tuple(corners or default_signoff_corners(library.tech))
     labeled_grid = [
         (short, CornerJob(circuit=_resolve_circuit(short),
@@ -172,8 +113,8 @@ def montecarlo_study(workspace: Workspace,
                      jobs: int = 1):
     """Monte-Carlo leakage/timing study across techniques.
 
-    Samples are chunked across the experiment runner; sample ``k`` is
-    a pure function of ``(seed, k)``, so merged statistics are
+    One :meth:`~repro.api.Design.montecarlo` per technique; sample
+    ``k`` is a pure function of ``(seed, k)``, so the statistics are
     identical for any ``jobs``.
     """
     from repro.experiments import (
@@ -182,45 +123,21 @@ def montecarlo_study(workspace: Workspace,
         _circuit_config,
         _resolve_circuit,
     )
-    from repro.runner import ALL_TECHNIQUES, ExperimentRunner
-    from repro.variation.jobs import McJob, run_mc_job
-    from repro.variation.montecarlo import McConfig, summarize
 
-    library = workspace.library
-    techniques = tuple(techniques or ALL_TECHNIQUES)
-    mc = McConfig(samples=samples, seed=seed,
-                  sigma_global_v=sigma_global_v,
-                  sigma_local_v=sigma_local_v, timing=timing,
-                  leakage_budget_nw=leakage_budget_nw)
-    flow_config = _circuit_config(circuit, config)
     resolved = _resolve_circuit(circuit)
-    chunks = min(max(1, jobs), samples)
-    bounds = [(index * samples // chunks,
-               (index + 1) * samples // chunks) for index in range(chunks)]
-    grid = [McJob(circuit=resolved, technique=technique, config=flow_config,
-                  mc=mc, corner=corner, start=start, count=stop - start)
-            for technique in techniques for (start, stop) in bounds]
-    outcomes = ExperimentRunner(jobs=jobs, library=library).map(
-        run_mc_job, grid)
-    failed = [o for o in outcomes if not o.ok]
-    if failed:
-        first = failed[0]
-        raise FlowError(
-            f"{len(failed)} Monte-Carlo job(s) failed "
-            f"({first.circuit}/{first.technique.value}):\n{first.error}")
+    design = workspace.design(resolved, _circuit_config(circuit, config))
     results: dict[Technique, McTechniqueResult] = {}
-    per_technique = len(bounds)
-    for index, technique in enumerate(techniques):
-        chunk = outcomes[index * per_technique:(index + 1) * per_technique]
-        merged = [sample for outcome in chunk for sample in outcome.samples]
-        budget = mc.leakage_budget_nw
-        if budget is None:
-            budget = mc.budget_factor * chunk[0].nominal_leakage_nw
+    for technique in tuple(techniques or DEFAULT_TECHNIQUES):
+        result = design.montecarlo(MonteCarloRequest(
+            technique=technique, samples=samples, seed=seed,
+            sigma_global_v=sigma_global_v, sigma_local_v=sigma_local_v,
+            timing=timing, corner=corner,
+            leakage_budget_nw=leakage_budget_nw), jobs=jobs)
         results[technique] = McTechniqueResult(
-            nominal_leakage_nw=chunk[0].nominal_leakage_nw,
-            nominal_wns=chunk[0].nominal_wns,
-            area_um2=chunk[0].area_um2,
-            statistics=summarize(merged, leakage_budget_nw=budget),
-            samples=merged)
+            nominal_leakage_nw=result.nominal_leakage_nw,
+            nominal_wns=result.nominal_wns,
+            area_um2=result.area_um2,
+            statistics=result.statistics,
+            samples=list(result.sample_values))
     return MonteCarloStudy(circuit=resolved, samples=samples, seed=seed,
                            corner=corner, results=results)

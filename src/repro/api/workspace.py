@@ -33,6 +33,7 @@ import dataclasses
 import functools
 import json
 import threading
+from typing import Sequence
 
 from repro.api import schemas
 from repro.api.requests import (
@@ -52,13 +53,12 @@ from repro.api.results import (
     SignoffCornerRow,
     SignoffResult,
     SweepResult,
-    SweepRow,
 )
 from repro.policy.optimize import PolicyOptimizer, PolicyResult
 from repro.standby.engine import StandbyResult
 from repro.benchcircuits.suite import load_circuit
 from repro.config import FlowConfig, Technique
-from repro.core.compare import count_cell_kinds
+from repro.core.compare import TechniqueComparison, count_cell_kinds
 from repro.core.flow import FlowResult, SelectiveMtFlow
 from repro.errors import ConfigError, FlowError
 from repro.liberty.library import (
@@ -72,6 +72,12 @@ from repro.netlist.fingerprint import netlist_fingerprint
 from repro.netlist.techmap import technology_map
 from repro.obs.spans import span
 from repro.power.leakage import LeakageAnalyzer
+from repro.runner import (
+    ExperimentRunner,
+    FlowJob,
+    comparison_from_outcomes,
+    outcome_from_result,
+)
 from repro.timing.constraints import Constraints
 from repro.timing.session import TimingSession
 from repro.timing.sta import TimingAnalyzer
@@ -265,45 +271,17 @@ class Workspace:
               jobs: int | None = None) -> SweepResult:
         """Technique comparison across circuits (the Table 1 grid).
 
-        With ``jobs > 1`` the whole ``circuits x techniques`` grid is
-        fanned through **one** process pool (like the legacy
-        ``run_sweep``), so worker utilization scales with the full
-        grid, not per-circuit; serial runs route through each design's
-        flow cache.  Rows are bit-identical either way.
+        One :func:`sweep_grid` over the circuits' designs: with
+        ``jobs > 1`` the whole ``circuits x techniques`` grid goes
+        through one process pool, serial runs read each design's flow
+        cache.  Rows are bit-identical either way.
         """
-        circuits = list(circuits)
         techniques = tuple(techniques or DEFAULT_TECHNIQUES)
         jobs = self.jobs if jobs is None else max(1, int(jobs))
-        if jobs > 1:
-            from repro.runner import (
-                ExperimentRunner,
-                FlowJob,
-                comparison_from_outcomes,
-            )
-
-            grid_config = config or self.config
-            flow_jobs = [
-                FlowJob(circuit=circuit, technique=technique,
-                        config=grid_config,
-                        netlist=(self.netlist(circuit)
-                                 if circuit in self._adopted else None))
-                for circuit in circuits for technique in techniques]
-            outcomes = ExperimentRunner(
-                jobs=jobs, library=self.library).run(flow_jobs)
-            rows: list[SweepRow] = []
-            per_circuit = len(techniques)
-            for index, circuit in enumerate(circuits):
-                chunk = outcomes[index * per_circuit:
-                                 (index + 1) * per_circuit]
-                comparison = comparison_from_outcomes(circuit, chunk)
-                rows.extend(_to_sweep_rows(circuit, comparison.rows))
-            return SweepResult(rows=tuple(rows))
-        request = SweepRequest(techniques=techniques)
-        rows = []
-        for circuit in circuits:
-            design = self.design(circuit, config)
-            rows.extend(design.sweep(request, jobs=1).rows)
-        return SweepResult(rows=tuple(rows))
+        designs = [self.design(circuit, config) for circuit in circuits]
+        return SweepResult(rows=tuple(
+            row for comparison in sweep_grid(designs, techniques, jobs)
+            for row in comparison.rows))
 
     def standby(self, circuit: str,
                 request: "StandbyRequest | None" = None,
@@ -377,18 +355,36 @@ def _locked(method):
     return wrapper
 
 
-def _to_sweep_rows(circuit: str, comparison_rows) -> list[SweepRow]:
-    """ComparisonRow values -> typed SweepRow values, relabeled."""
-    return [SweepRow(circuit=circuit,
-                     technique=row.technique,
-                     area_um2=row.area_um2,
-                     leakage_nw=row.leakage_nw,
-                     area_pct=row.area_pct,
-                     leakage_pct=row.leakage_pct,
-                     mt_cells=row.mt_cells,
-                     switches=row.switches,
-                     holders=row.holders)
-            for row in comparison_rows]
+def sweep_grid(designs: Sequence["Design"],
+               techniques: tuple[Technique, ...],
+               jobs: int) -> list[TechniqueComparison]:
+    """Every technique on every design, normalized to Dual-Vth.
+
+    The one technique-comparison grid.  Serial runs read each design's
+    cached flow results; with ``jobs > 1`` the whole designs x
+    techniques grid goes through one :class:`ExperimentRunner` pool.
+    Both feed the same slim outcomes to
+    :func:`~repro.runner.comparison_from_outcomes`, so the rows are
+    bit-identical for any ``jobs``.  One comparison per design, in
+    input order.
+    """
+    if jobs > 1 and designs:
+        outcomes = ExperimentRunner(
+            jobs=jobs, library=designs[0].library).run([
+                FlowJob(circuit=design.circuit, technique=technique,
+                        config=design.config, netlist=design._shipped())
+                for design in designs for technique in techniques])
+    else:
+        outcomes = [
+            outcome_from_result(design.circuit, technique,
+                                design.flow_result(technique),
+                                design.library)
+            for design in designs for technique in techniques]
+    per_design = len(techniques)
+    return [comparison_from_outcomes(
+                design.circuit,
+                outcomes[index * per_design:(index + 1) * per_design])
+            for index, design in enumerate(designs)]
 
 
 class Design:
@@ -443,6 +439,16 @@ class Design:
 
     def _stats(self) -> CacheStats:
         return self.workspace.stats
+
+    def _shipped(self) -> Netlist | None:
+        """The netlist a grid job must carry to a worker.
+
+        Registry circuits load by name inside each worker (cheap, and
+        no deep netlist graph to pickle); only an adopted ad-hoc
+        netlist ships the object itself.
+        """
+        return self.netlist if self.circuit in self.workspace._adopted \
+            else None
 
     # --- analyze ------------------------------------------------------------
 
@@ -877,20 +883,17 @@ class Design:
             nominal_leakage = engine.nominal_leakage_nw
             nominal_wns = engine.nominal_wns
         else:
-            from repro.runner import ExperimentRunner
             from repro.variation.jobs import McJob, run_mc_job
 
             chunks = min(jobs, request.samples)
             bounds = [(i * request.samples // chunks,
                        (i + 1) * request.samples // chunks)
                       for i in range(chunks)]
-            shipped = self.netlist \
-                if self.circuit in self.workspace._adopted else None
             grid = [McJob(circuit=self.circuit,
                           technique=request.technique,
                           config=self.config, mc=mc, corner=request.corner,
                           start=start, count=stop - start,
-                          netlist=shipped)
+                          netlist=self._shipped())
                     for (start, stop) in bounds]
             outcomes = ExperimentRunner(
                 jobs=jobs, library=self.library).map(run_mc_job, grid)
@@ -935,61 +938,12 @@ class Design:
             request = SweepRequest(
                 techniques=tuple(techniques or DEFAULT_TECHNIQUES))
         jobs = self.workspace.jobs if jobs is None else max(1, int(jobs))
-        key = (request, jobs if jobs > 1 else 1)
+        key = (request, jobs)
         if key in self._sweeps:
             self._stats().hit("sweep")
             return self._sweeps[key]
         self._stats().miss("sweep")
-        rows = tuple(self._sweep_rows(request.techniques, jobs))
-        result = SweepResult(rows=rows)
+        (comparison,) = sweep_grid([self], request.techniques, jobs)
+        result = SweepResult(rows=tuple(comparison.rows))
         self._sweeps[key] = result
         return result
-
-    def _sweep_rows(self, techniques: tuple[Technique, ...],
-                    jobs: int) -> list[SweepRow]:
-        if jobs > 1:
-            from repro.runner import (
-                ExperimentRunner,
-                FlowJob,
-                comparison_from_outcomes,
-            )
-
-            # Registry circuits load by name inside each worker (cheap,
-            # avoids pickling a deep netlist graph); only adopted
-            # ad-hoc netlists must ship the object itself.
-            shipped = self.netlist \
-                if self.circuit in self.workspace._adopted else None
-            flow_jobs = [FlowJob(circuit=self.circuit, technique=technique,
-                                 config=self.config, netlist=shipped)
-                         for technique in techniques]
-            outcomes = ExperimentRunner(
-                jobs=jobs, library=self.library).run(flow_jobs)
-            comparison = comparison_from_outcomes(self.circuit, outcomes)
-            rows = comparison.rows
-        else:
-            # Serial: every technique's flow lands in (or comes from)
-            # the optimize cache; the normalization mirrors
-            # studies.technique_comparison() exactly.
-            results = {technique: self.flow_result(technique)
-                       for technique in techniques}
-            baseline = results.get(Technique.DUAL_VTH)
-            if baseline is None and techniques:
-                baseline = results[techniques[0]]
-            base_area = baseline.total_area if baseline else 1.0
-            base_leak = baseline.leakage_nw if baseline else 1.0
-            rows = []
-            from repro.core.compare import ComparisonRow
-
-            for technique in techniques:
-                result = results[technique]
-                mt, switches, holders = count_cell_kinds(
-                    result.netlist, self.library)
-                rows.append(ComparisonRow(
-                    circuit=self.circuit,
-                    technique=technique,
-                    area_um2=result.total_area,
-                    leakage_nw=result.leakage_nw,
-                    area_pct=100.0 * result.total_area / base_area,
-                    leakage_pct=100.0 * result.leakage_nw / base_leak,
-                    mt_cells=mt, switches=switches, holders=holders))
-        return _to_sweep_rows(self.circuit, rows)

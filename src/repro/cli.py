@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import signal
 import sys
 
 from repro.api import Workspace, schemas
+from repro.api.resultstore import default_directory
 from repro.benchcircuits.suite import available_circuits
 from repro.config import FlowConfig, Technique
 from repro.errors import ConfigError, ReproError
@@ -643,9 +643,10 @@ def build_parser() -> argparse.ArgumentParser:
              "HTTP 429 + Retry-After (default: unbounded)")
     serve_parser.add_argument(
         "--result-store", metavar="DIR",
-        default=os.environ.get("REPRO_RESULT_STORE") or None,
+        default=default_directory(),
         help="persist finished result payloads here so warm hits "
-             "survive restarts (default: $REPRO_RESULT_STORE)")
+             "survive restarts (default: $REPRO_RESULT_STORE; unset, "
+             "0, off, none or disabled mean no store)")
     serve_parser.add_argument("--verbose", action="store_true",
                               help="log every HTTP request")
     _add_obs_options(serve_parser)

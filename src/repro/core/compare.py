@@ -1,10 +1,11 @@
 """Three-technique comparison rows (the Table 1 format).
 
-:func:`repro.api.studies.technique_comparison` runs Dual-Vth,
-conventional Selective-MT and improved Selective-MT on the same
-circuit with identical constraints and reports area/leakage
-normalized to the Dual-Vth baseline in these types — the exact format
-of Table 1.
+:func:`repro.api.workspace.sweep_grid` runs Dual-Vth, conventional
+Selective-MT and improved Selective-MT on the same circuit with
+identical constraints and reports area/leakage normalized to the
+Dual-Vth baseline in these types — the exact format of Table 1.
+:class:`ComparisonRow` is also the row of the facade's
+:class:`~repro.api.results.SweepResult`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.liberty.library import Library
 from repro.netlist.core import Netlist
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ComparisonRow:
     """Normalized area/leakage of one technique on one circuit."""
 

@@ -49,6 +49,20 @@ class Table1Result:
               metric: str) -> float:
         return PAPER_TABLE1[(circuit, technique)][metric]
 
+    def fidelity(self) -> dict[str, float]:
+        """Mean |ours - paper| over the four SMT cells, in percentage
+        points of the Dual-Vth baseline (``area_gap_pp``,
+        ``leak_gap_pp``)."""
+        cells = [key for key in PAPER_TABLE1
+                 if key[1] != Technique.DUAL_VTH]
+
+        def gap(metric: str) -> float:
+            return sum(abs(self.measured(circuit, technique, metric)
+                           - self.paper(circuit, technique, metric))
+                       for circuit, technique in cells) / len(cells)
+
+        return {"area_gap_pp": gap("area"), "leak_gap_pp": gap("leakage")}
+
     def render(self) -> str:
         lines = [
             "Table 1 reproduction (percent of Dual-Vth baseline)",

@@ -151,9 +151,3 @@ def write_liberty(library: Library) -> str:
         _write_cell(emitter, cell)
     emitter.close_group()
     return emitter.text()
-
-
-def write_liberty_file(library: Library, path: str):
-    """Write the library to a ``.lib`` file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(write_liberty(library))

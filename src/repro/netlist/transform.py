@@ -89,19 +89,6 @@ def remove_buffer(netlist: Netlist, inst: Instance):
     return moved
 
 
-def connect_control_net(netlist: Netlist, pins: list[Pin],
-                        net_name: str) -> Net:
-    """Attach control pins (MTE) of many instances to one net."""
-    net = netlist.get_or_create_net(net_name)
-    for pin in pins:
-        if pin.net is net:
-            continue
-        if pin.net is not None:
-            netlist.disconnect(pin)
-        netlist.connect(pin.instance, pin.name, net, PinDirection.INPUT)
-    return net
-
-
 def count_by_cell(netlist: Netlist) -> dict[str, int]:
     """Histogram of instance counts per cell name."""
     histogram: dict[str, int] = {}

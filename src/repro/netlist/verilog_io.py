@@ -170,11 +170,6 @@ def parse_verilog(text: str, library: Library | None = None,
     return _VerilogParser(tokens, library, filename).parse()
 
 
-def parse_verilog_file(path: str, library: Library | None = None) -> Netlist:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_verilog(handle.read(), library=library, filename=path)
-
-
 def write_verilog(netlist: Netlist) -> str:
     """Serialize a netlist to structural Verilog."""
     lines: list[str] = []
@@ -198,8 +193,3 @@ def write_verilog(netlist: Netlist) -> str:
         lines.append(f"  {inst.cell_name} {inst.name} ({conns});")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
-
-
-def write_verilog_file(netlist: Netlist, path: str):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(write_verilog(netlist))

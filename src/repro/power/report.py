@@ -31,12 +31,3 @@ def render_leakage_table(breakdown: LeakageBreakdown,
                  f"{units.pretty_power(breakdown.total_nw):>14}")
     lines.append(f"{'Instances':<36} {breakdown.instance_count:>14d}")
     return "\n".join(lines)
-
-
-def render_comparison_row(name: str, area: float, leakage: float,
-                          area_base: float, leakage_base: float) -> str:
-    """One Table-1-style row: normalized area and leakage."""
-    area_pct = 100.0 * area / area_base if area_base else 0.0
-    leak_pct = 100.0 * leakage / leakage_base if leakage_base else 0.0
-    return (f"{name:<12} area={area_pct:7.2f}%  leakage={leak_pct:7.2f}%  "
-            f"({units.pretty_area(area)}, {units.pretty_power(leakage)})")

@@ -5,15 +5,20 @@ in — is a grid of (circuit x technique) flow runs.  Each run is
 independent and CPU-bound, so :class:`ExperimentRunner` fans
 :class:`FlowJob` items out over a process pool while guaranteeing:
 
-* **deterministic results** — every job carries its own seed (the
-  placement seed, the flow's only randomness), so a job's outcome is a
-  pure function of the job, independent of scheduling or worker count;
+* **deterministic results** — every job carries its own config, and
+  with it the placement seed (the flow's only randomness), so a job's
+  outcome is a pure function of the job, independent of scheduling or
+  worker count;
 * **deterministic ordering** — outcomes are returned in submission
   order regardless of completion order;
 * **identical serial/parallel numbers** — ``jobs=1`` executes in
   process through the very same job function, so ``--jobs N`` can be
   raised or lowered without perturbing a single digit (pinned by
   ``tests/test_determinism.py``).
+
+:func:`comparison_from_outcomes` is the one Dual-Vth normalization of a
+technique grid: pooled jobs and in-process flows (through
+:func:`outcome_from_result`) feed it the same slim outcomes.
 
 A library passed to the runner is installed in every worker via the
 pool initializer (fork or spawn alike); otherwise workers build the
@@ -35,34 +40,24 @@ from repro.core.compare import (
     TechniqueComparison,
     count_cell_kinds,
 )
-from repro.core.flow import SelectiveMtFlow
+from repro.core.flow import FlowResult, SelectiveMtFlow
 from repro.errors import FlowError
 from repro.liberty.library import Library
 from repro.liberty.synth import build_default_library
 from repro.netlist.core import Netlist
 from repro.obs import spans as obs_spans
 
-ALL_TECHNIQUES = (Technique.DUAL_VTH, Technique.CONVENTIONAL_SMT,
-                  Technique.IMPROVED_SMT)
-
 
 @dataclasses.dataclass(frozen=True)
 class FlowJob:
-    """One flow run: a circuit, a technique, a config, a seed."""
+    """One flow run: a circuit, a technique, a config."""
 
     circuit: str
     technique: Technique
     config: FlowConfig = dataclasses.field(default_factory=FlowConfig)
-    #: Placement seed override; ``None`` keeps the config's seed.
-    seed: int | None = None
     #: In-memory netlist override (pickled to workers); ``circuit``
     #: then only labels the outcome.
     netlist: Netlist | None = None
-
-    def resolved_config(self) -> FlowConfig:
-        if self.seed is None:
-            return self.config
-        return dataclasses.replace(self.config, placement_seed=self.seed)
 
 
 @dataclasses.dataclass
@@ -78,7 +73,7 @@ class JobOutcome:
     mt_cells: int
     switches: int
     holders: int
-    elapsed_s: float
+    elapsed_s: float = 0.0
     error: str | None = None
     #: The compute backend the job actually ran on (after the graceful
     #: numpy-missing fallback in the worker process).
@@ -117,6 +112,20 @@ def _worker_init(library: Library | None, tracing: bool = False):
     obs_spans.enable(tracing)
 
 
+def outcome_from_result(circuit: str, technique: Technique,
+                        result: FlowResult, library: Library) -> JobOutcome:
+    """The slim :class:`JobOutcome` of a finished flow."""
+    mt, switches, holders = count_cell_kinds(result.netlist, library)
+    return JobOutcome(
+        circuit=circuit,
+        technique=technique,
+        area_um2=result.total_area,
+        leakage_nw=result.leakage_nw,
+        wns=result.timing.wns,
+        hold_wns=result.timing.hold_wns,
+        mt_cells=mt, switches=switches, holders=holders)
+
+
 def run_flow_job(job: FlowJob, library: Library | None = None) -> JobOutcome:
     """Execute one job; never raises (errors land in the outcome)."""
     from repro.compute import resolve_backend
@@ -125,35 +134,25 @@ def run_flow_job(job: FlowJob, library: Library | None = None) -> JobOutcome:
     library = library or _process_library()
     backend = "python"
     try:
-        config = job.resolved_config()
-        backend = resolve_backend(config.compute_backend)
+        backend = resolve_backend(job.config.compute_backend)
         netlist = job.netlist if job.netlist is not None \
             else load_circuit(job.circuit)
         with obs_spans.span("runner.flow_job", circuit=job.circuit,
                             technique=job.technique.value) as sp:
             flow = SelectiveMtFlow(netlist, library, job.technique,
-                                   config)
+                                   job.config)
             result = flow.run()
             sp.set(backend=backend)
-        mt, switches, holders = count_cell_kinds(result.netlist, library)
-        outcome = JobOutcome(
-            circuit=job.circuit,
-            technique=job.technique,
-            area_um2=result.total_area,
-            leakage_nw=result.leakage_nw,
-            wns=result.timing.wns,
-            hold_wns=result.timing.hold_wns,
-            mt_cells=mt, switches=switches, holders=holders,
-            elapsed_s=time.perf_counter() - started,
-            compute_backend=backend)
+        outcome = outcome_from_result(job.circuit, job.technique, result,
+                                      library)
     except Exception:
         outcome = JobOutcome(
             circuit=job.circuit, technique=job.technique,
             area_um2=0.0, leakage_nw=0.0, wns=0.0, hold_wns=0.0,
             mt_cells=0, switches=0, holders=0,
-            elapsed_s=time.perf_counter() - started,
-            error=traceback.format_exc(),
-            compute_backend=backend)
+            error=traceback.format_exc())
+    outcome.elapsed_s = time.perf_counter() - started
+    outcome.compute_backend = backend
     return outcome
 
 
@@ -215,10 +214,10 @@ def comparison_from_outcomes(circuit: str,
                              ) -> TechniqueComparison:
     """Normalize one circuit's outcomes to the Dual-Vth baseline.
 
-    Produces the same rows (same float operations) as
-    :func:`repro.api.studies.technique_comparison`; the heavyweight
-    per-technique ``results`` dict stays empty because outcomes cross a
-    process boundary.
+    The only normalization of a technique grid: serial and pooled
+    sweeps both land here.  The heavyweight per-technique ``results``
+    dict stays empty, since outcomes may have crossed a process
+    boundary.
     """
     failed = [o for o in outcomes if not o.ok]
     if failed:
@@ -226,8 +225,8 @@ def comparison_from_outcomes(circuit: str,
         raise FlowError(
             f"{len(failed)} flow job(s) failed on circuit {circuit!r} "
             f"({first.technique.value}):\n{first.error}")
-    # Mirror technique_comparison(): Dual-Vth is the reference when
-    # present, else the first requested technique normalizes to 100 %.
+    # Dual-Vth is the reference when present, else the first requested
+    # technique normalizes to 100 %.
     baseline = next((o for o in outcomes
                      if o.technique == Technique.DUAL_VTH), None)
     if baseline is None and outcomes:
@@ -248,47 +247,3 @@ def comparison_from_outcomes(circuit: str,
         for outcome in outcomes
     ]
     return TechniqueComparison(circuit=circuit, rows=rows, results={})
-
-
-def run_sweep(circuits: Sequence[str],
-              config: FlowConfig | None = None,
-              techniques: Sequence[Technique] = ALL_TECHNIQUES,
-              jobs: int = 1,
-              seed: int | None = None,
-              library: Library | None = None
-              ) -> list[TechniqueComparison]:
-    """Compare techniques across circuits, optionally in parallel.
-
-    The work grid is ``circuits x techniques``; results come back as
-    one :class:`TechniqueComparison` per circuit, in input order.
-    """
-    config = config or FlowConfig()
-    flow_jobs = [FlowJob(circuit=circuit, technique=technique,
-                         config=config, seed=seed)
-                 for circuit in circuits for technique in techniques]
-    outcomes = ExperimentRunner(jobs=jobs, library=library).run(flow_jobs)
-    per_circuit = len(techniques)
-    comparisons = []
-    for index, circuit in enumerate(circuits):
-        chunk = outcomes[index * per_circuit:(index + 1) * per_circuit]
-        comparisons.append(comparison_from_outcomes(circuit, chunk))
-    return comparisons
-
-
-SWEEP_HEADER = (f"{'circuit':<10} {'technique':<18} {'area%':>8} "
-                f"{'leak%':>8} {'MT':>5} {'SW':>4} {'HOLD':>5}")
-
-
-def render_sweep_row(circuit: str, row: ComparisonRow) -> str:
-    return (f"{circuit:<10} {row.technique.value:<18} "
-            f"{row.area_pct:8.2f} {row.leakage_pct:8.2f} "
-            f"{row.mt_cells:5d} {row.switches:4d} {row.holders:5d}")
-
-
-def render_sweep(comparisons: Sequence[TechniqueComparison]) -> str:
-    """The ISCAS-sweep table: Table 1's format across circuits."""
-    lines = [SWEEP_HEADER]
-    for comparison in comparisons:
-        for row in comparison.rows:
-            lines.append(render_sweep_row(comparison.circuit, row))
-    return "\n".join(lines)

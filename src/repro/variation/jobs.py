@@ -11,9 +11,9 @@ Two job shapes ride :meth:`repro.runner.ExperimentRunner.map`:
   number of jobs and merged in submission order without changing a
   digit.
 
-Both inherit the runner's per-job-seed determinism contract: the
-placement seed rides in the job, so outcomes are pure functions of the
-job and independent of scheduling or worker count.
+Both inherit the runner's determinism contract: the placement seed
+rides in each job's config, so outcomes are pure functions of the job
+and independent of scheduling or worker count.
 """
 
 from __future__ import annotations
@@ -42,13 +42,10 @@ class CornerJob:
     technique: Technique
     config: FlowConfig = dataclasses.field(default_factory=FlowConfig)
     corners: tuple[str, ...] = ()
-    seed: int | None = None
 
     def resolved_config(self) -> FlowConfig:
-        changes: dict = {"signoff_corners": tuple(self.corners)}
-        if self.seed is not None:
-            changes["placement_seed"] = self.seed
-        return dataclasses.replace(self.config, **changes)
+        return dataclasses.replace(self.config,
+                                   signoff_corners=tuple(self.corners))
 
 
 @dataclasses.dataclass
@@ -131,9 +128,6 @@ class McJob:
     #: designs); ``circuit`` then only labels the outcome.
     netlist: Netlist | None = None
 
-    def resolved_config(self) -> FlowConfig:
-        return self.config
-
 
 @dataclasses.dataclass
 class McChunkOutcome:
@@ -185,8 +179,7 @@ def run_mc_job(job: McJob, library: Library) -> McChunkOutcome:
     try:
         netlist = job.netlist if job.netlist is not None \
             else load_circuit(job.circuit)
-        flow = SelectiveMtFlow(netlist, library, job.technique,
-                               job.resolved_config())
+        flow = SelectiveMtFlow(netlist, library, job.technique, job.config)
         result = flow.run()
         engine = build_engine(result, library, job.mc, job.corner,
                               compute_backend=job.config.compute_backend)

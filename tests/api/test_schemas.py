@@ -71,9 +71,9 @@ def test_from_dict_rejects_newer_version():
 
 
 def test_from_dict_rejects_missing_required_field():
-    from repro.api.results import SweepRow
+    from repro.core.compare import ComparisonRow
 
-    payload = schemas.to_dict(SweepRow(
+    payload = schemas.to_dict(ComparisonRow(
         circuit="c17", technique=Technique.DUAL_VTH, area_um2=1.0,
         leakage_nw=1.0, area_pct=100.0, leakage_pct=100.0,
         mt_cells=0, switches=0, holders=0))

@@ -233,6 +233,19 @@ def test_serve_command_registered():
     assert args.workers == 1
 
 
+def test_serve_result_store_default_honours_disabled_values(monkeypatch,
+                                                            tmp_path):
+    """``REPRO_RESULT_STORE=off`` (or 0/none/disabled) means no store,
+    not a store in a directory literally named ``off``."""
+    for value in ("off", "0", "none", "disabled", "Off", " DISABLED "):
+        monkeypatch.setenv("REPRO_RESULT_STORE", value)
+        args = build_parser().parse_args(["serve"])
+        assert args.result_store is None, value
+    monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path))
+    args = build_parser().parse_args(["serve"])
+    assert str(args.result_store) == str(tmp_path)
+
+
 def _child_pids(pid: int) -> list[int]:
     """Processes whose parent is ``pid``."""
     return [int(entry) for entry in os.listdir("/proc")

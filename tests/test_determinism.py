@@ -58,38 +58,39 @@ def test_full_flow_deterministic(library):
 
 def test_sweep_parallel_matches_serial(library):
     """`repro sweep --jobs 4` and `--jobs 1` yield identical rows."""
-    from repro.runner import run_sweep
+    from repro.api import Workspace
 
     config = FlowConfig(timing_margin=0.2, placement_seed=5)
-    serial = run_sweep(["c17"], config=config, jobs=1, library=library)
-    parallel = run_sweep(["c17"], config=config, jobs=4, library=library)
-    assert len(serial) == len(parallel) == 1
-    assert serial[0].circuit == parallel[0].circuit
-    assert serial[0].rows == parallel[0].rows  # dataclass equality: exact
+    serial = Workspace(library=library, config=config).sweep(
+        ["c17"], jobs=1)
+    parallel = Workspace(library=library, config=config).sweep(
+        ["c17"], jobs=4)
+    assert len(serial.rows) == len(parallel.rows) == 3
+    assert serial.circuits() == parallel.circuits() == ("c17",)
+    assert serial.rows == parallel.rows  # dataclass equality: exact
 
 
 def test_sweep_rows_match_in_process_compare(library):
-    """The runner's slim path reproduces the in-process comparison
-    exactly."""
+    """The facade sweep reproduces the in-process comparison exactly."""
+    from repro.api import Workspace
     from repro.api.studies import technique_comparison
     from repro.benchcircuits.suite import load_circuit
-    from repro.runner import run_sweep
 
     config = FlowConfig(timing_margin=0.2, placement_seed=3)
     netlist = load_circuit("c17")
     direct = technique_comparison(netlist, library, config,
                                   circuit_name="c17")
-    swept = run_sweep(["c17"], config=config, jobs=1, library=library)[0]
-    assert direct.rows == swept.rows
+    swept = Workspace(library=library, config=config).sweep(["c17"])
+    assert tuple(direct.rows) == swept.rows
 
 
 def test_per_job_seed_overrides_config(library):
+    """A flow job is a pure function of its config's placement seed."""
     from repro.runner import FlowJob, run_flow_job
 
-    config = FlowConfig(timing_margin=0.2, placement_seed=1)
+    config = FlowConfig(timing_margin=0.2, placement_seed=9)
     job = FlowJob(circuit="c17", technique=Technique.DUAL_VTH,
-                  config=config, seed=9)
-    assert job.resolved_config().placement_seed == 9
+                  config=config)
     outcome = run_flow_job(job, library=library)
     assert outcome.ok
     repeat = run_flow_job(job, library=library)
