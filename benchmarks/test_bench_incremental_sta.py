@@ -41,9 +41,10 @@ ASSIGNMENT_REPEATS = 3
 
 
 class FreshAnalyzerSession(TimingSession):
-    """Reference arm: every probe is a from-scratch ``TimingAnalyzer``
-    run on the current netlist.  Edits still go through the session's
-    edit API; its propagation state is never consulted."""
+    """Reference arm: every probe — full report or the bisection's
+    ``wns()`` — is a from-scratch ``TimingAnalyzer`` run on the current
+    netlist.  Edits still go through the session's edit API; its
+    propagation state is never consulted."""
 
     def report(self):
         return TimingAnalyzer(
@@ -51,6 +52,9 @@ class FreshAnalyzerSession(TimingSession):
             parasitics=self.net_model.parasitics, derates=self.derates,
             clock_arrivals=self.clock_arrivals,
             compute_backend=self.compute_backend).run()
+
+    def wns(self):
+        return self.report().wns
 
 
 def _prepared(library):

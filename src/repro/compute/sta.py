@@ -8,14 +8,22 @@ insertion order a scalar full run would produce) and the
 :class:`~repro.timing.session.TimingSession` can swap it in for its
 scalar ``_full_run`` and every downstream consumer (incremental
 re-propagation, path tracing, report rendering) keeps working
-unchanged.
+unchanged.  :func:`run_arrivals` is the forward half alone (required
+times stay +inf), behind the session's arrivals-only ``wns()`` query.
 """
 
 from __future__ import annotations
 
 from repro.compute.kernels import backward, forward
 from repro.compute.view import NetlistArrayView
-from repro.timing.sta import EndpointCheck, NodeTiming
+from repro.timing.sta import INF, EndpointCheck, NodeTiming
+
+
+def run_arrivals(view: NetlistArrayView, derates) -> dict[str, NodeTiming]:
+    """One forward propagation; returns the node dict, required +inf."""
+    view.ensure()
+    vec = view.derate_vector(derates)[None, :]
+    return _materialize(view, forward(view, vec, track_winners=True))
 
 
 def run_full(view: NetlistArrayView, derates
@@ -24,18 +32,26 @@ def run_full(view: NetlistArrayView, derates
     view.ensure()
     vec = view.derate_vector(derates)[None, :]
     fwd = forward(view, vec, track_winners=True)
-    req_rise, req_fall = backward(view, fwd, vec)
+    nodes = _materialize(view, fwd, backward(view, fwd, vec))
+    return nodes, _endpoint_checks(view, nodes)
 
+
+def _materialize(view: NetlistArrayView, fwd, required=None
+                 ) -> dict[str, NodeTiming]:
+    """Sample 0 of a forward state (and optionally its ``(req_rise,
+    req_fall)``) as the scalar engine's node dict."""
     arr_rise = fwd.arr_rise[0].tolist()
     arr_fall = fwd.arr_fall[0].tolist()
     min_rise = fwd.min_rise[0].tolist()
     min_fall = fwd.min_fall[0].tolist()
     slew_rise = fwd.slew_rise[0].tolist()
     slew_fall = fwd.slew_fall[0].tolist()
-    req_rise = req_rise[0].tolist()
-    req_fall = req_fall[0].tolist()
     win_rise = fwd.win_rise.tolist()
     win_fall = fwd.win_fall.tolist()
+    if required is None:
+        req_rise = req_fall = [INF] * len(arr_rise)
+    else:
+        req_rise, req_fall = (req[0].tolist() for req in required)
 
     node_names = view.node_names
     inst_names = view.inst_names
@@ -58,9 +74,7 @@ def run_full(view: NetlistArrayView, derates
             entry.prev_fall = (node_names[fall_src[row]],
                                inst_names[fall_inst[row]])
         nodes[name] = entry
-
-    checks = _endpoint_checks(view, nodes)
-    return nodes, checks
+    return nodes
 
 
 def _endpoint_checks(view: NetlistArrayView,

@@ -19,9 +19,9 @@ Algorithm (deterministic, STA-in-the-loop):
 Only combinational cells are candidates: flip-flops keep the variant
 technology mapping gave them.
 
-Every probe is a :meth:`~repro.timing.session.TimingSession.report`
-and every swap goes through the session, so a probe re-propagates only
-the cones the swap touched.
+Every swap goes through the session.  A bisection probe asks only
+:meth:`~repro.timing.session.TimingSession.wns` (arrivals alone); the
+per-round slack sort and the final result read a full ``report()``.
 """
 
 from __future__ import annotations
@@ -83,6 +83,10 @@ class DualVthAssigner:
     def _sta(self) -> TimingReport:
         self._sta_runs += 1
         return self.session.report()
+
+    def _wns(self) -> float:
+        self._sta_runs += 1
+        return self.session.wns()
 
     def _candidates(self) -> list[Instance]:
         """Instances eligible for slow assignment (currently fast)."""
@@ -214,8 +218,7 @@ class DualVthAssigner:
             first_probe = False
             trial = candidates[low:mid]
             self._swap(trial, self.slow_variant)
-            report = self._sta()
-            if report.setup_met:
+            if self._wns() >= 0.0:
                 low = mid
             else:
                 self._swap(trial, self.fast_variant)

@@ -16,9 +16,13 @@ hooks); :meth:`report` then re-propagates only the affected region:
 * endpoint checks are always regenerated (they are cheap and make the
   report's check list bit-identical to a from-scratch run).
 
-When the dirty region exceeds ``full_threshold`` of the combinational
-instances the session falls back to a full propagation over the cached
-structures — incremental STA must never be slower than the rebuild it
+:meth:`wns` (what feasibility probes read) answers ``report().wns``
+from the forward cone alone and leaves required times stale; the next
+:meth:`report` recomputes them in one backward sweep.  A forward cone
+over ``full_threshold`` of the combinational instances — or, for a
+report, cone plus backward region over twice that — escalates to a
+full propagation over the cached structures (arrivals only for
+:meth:`wns`): incremental STA must never be slower than the rebuild it
 replaces.  With ``compute_backend="numpy"`` that full-propagation path
 runs on the vectorized array kernels of :mod:`repro.compute` (the
 scalar cone-limited path composes with it unchanged, reading the node
@@ -28,16 +32,17 @@ backends" for the equivalence and invalidation contracts.
 **Exactness contract**: the report produced after any tracked edit
 sequence is bit-identical (not approximately equal) to the report a
 fresh :class:`~repro.timing.sta.TimingAnalyzer` would produce on the
-same netlist, because per-node values are pure functions of their
-fan-in evaluated by the same code in the same arc order.  The property
-test ``tests/timing/test_session.py`` enforces this on randomized edit
-sequences.
+same netlist (and :meth:`wns` its ``wns``), because per-node values
+are pure functions of their fan-in evaluated by the same code in the
+same arc order.  ``tests/timing/test_session.py`` enforces this on
+randomized edit sequences and interleaved queries.
 
 **Invalidation contract**: a report's ``node_timing`` shares state
 with the session; treat a report as stale once further edits have been
-applied *and* :meth:`report` has been called again.  Untracked netlist
-mutations require :meth:`touch_structural` (tracked dirt, rebuilt
-order) or :meth:`invalidate` (conservative full re-propagation).
+applied *and* either :meth:`report` or :meth:`wns` has run again.
+Untracked netlist mutations require :meth:`touch_structural` (tracked
+dirt, rebuilt order) or :meth:`invalidate` (conservative full
+re-propagation).
 """
 
 from __future__ import annotations
@@ -66,10 +71,11 @@ from repro.timing.sta import (
 class SessionStats:
     """Work counters: how much propagation the session actually did."""
 
-    sta_calls: int = 0            # report() invocations
+    sta_calls: int = 0            # report() and wns() invocations
     cached_reports: int = 0       # served with zero propagation
-    full_runs: int = 0            # full forward+backward propagations
+    full_runs: int = 0            # full propagations (incl. arrivals-only)
     incremental_runs: int = 0     # cone-limited propagations
+    required_sweeps: int = 0      # whole-design required-time sweeps
     structure_builds: int = 0     # topo order / membership rebuilds
     forward_instances: int = 0    # instances actually forward-evaluated
     forward_instances_saved: int = 0   # clean instances skipped
@@ -121,6 +127,9 @@ class TimingSession:
         self._comb_count = 0
         self._nodes: dict[str, NodeTiming] = {}
         self._report: TimingReport | None = None
+        self._wns: float | None = None
+        #: Arrivals are current but required times stale (since wns()).
+        self._arrivals_only = False
         self._dirty_comb: set[str] = set()
         self._dirty_seq: set[str] = set()
         self._structural = True
@@ -263,25 +272,71 @@ class TimingSession:
         if self._report is not None and not self.dirty:
             self.stats.cached_reports += 1
             return self._report
+        self._refresh_structure()
+        if self._full_needed:
+            report = self._full_run()
+        elif self._arrivals_only:
+            # Required times went stale at the last wns(): forward the
+            # new dirt like wns() does, then one backward sweep.
+            self._propagate_arrivals()
+            report = self._required_sweep()
+        else:
+            # An incremental pass that blows its cone budget escalates
+            # to _full_run() internally; the trace shows that as an
+            # sta.full_run span (escalated=True) nested under this one.
+            with span("sta.incremental", arrivals_only=False,
+                      dirty_comb=len(self._dirty_comb),
+                      dirty_seq=len(self._dirty_seq)):
+                report = self._incremental_run()
+        self._settle(report.wns, report)
+        return report
+
+    def wns(self) -> float:
+        """Worst setup slack — exactly :meth:`report`'s ``wns`` — from
+        arrivals alone, leaving required times stale until the next
+        :meth:`report`."""
+        self.stats.sta_calls += 1
+        if self._wns is not None and not self.dirty:
+            self.stats.cached_reports += 1
+            return self._wns
+        self._refresh_structure()
+        self._propagate_arrivals()
+        wns = self._summarize(self._endpoint_pass(self._nodes),
+                              self._nodes).wns
+        self._settle(wns, None)
+        return wns
+
+    def _refresh_structure(self):
         if self._structural and self._view is not None:
             self._view.touch_structural()
         if self._structural or self._order is None:
             self._build_structure()
-        if self._full_needed or self._report is None:
-            report = self._full_run()
-        else:
-            # An incremental pass that blows its cone budget escalates
-            # to _full_run() internally; the trace shows that as an
-            # sta.full_run span nested under this one.
-            with span("sta.incremental",
-                      dirty_comb=len(self._dirty_comb),
-                      dirty_seq=len(self._dirty_seq)):
-                report = self._incremental_run()
+
+    def _settle(self, wns: float, report: TimingReport | None):
+        """Arrivals are current; required times too iff ``report``."""
         self._dirty_comb.clear()
         self._dirty_seq.clear()
         self._full_needed = False
+        self._wns = wns
         self._report = report
-        return report
+        self._arrivals_only = report is None
+
+    def _propagate_arrivals(self):
+        """Re-evaluate the dirty forward cone, or every arrival when the
+        cone is over budget; required times are left as they are."""
+        if self._full_needed:
+            self._full_run(arrivals_only=True)
+            return
+        if not (self._dirty_comb or self._dirty_seq):
+            return
+        with span("sta.incremental", arrivals_only=True,
+                  dirty_comb=len(self._dirty_comb),
+                  dirty_seq=len(self._dirty_seq)):
+            walk = self._forward_cone()
+            if walk is None:
+                self._full_run(arrivals_only=True, escalated=True)
+            else:
+                self._forward_region(walk)
 
     # --- structure --------------------------------------------------------
 
@@ -315,7 +370,7 @@ class TimingSession:
         for name in list(self._nodes):
             if name not in membership:
                 del self._nodes[name]
-        if not self._full_needed and self._report is not None:
+        if not self._full_needed:
             for name in membership:
                 if name not in self._nodes:
                     self._adopt_net(name)
@@ -363,61 +418,63 @@ class TimingSession:
             clock_arrivals=self.clock_arrivals)
         return self._view
 
-    def _full_run(self) -> TimingReport:
-        with span("sta.full_run", instances=self._comb_count) as sp:
-            if self.compute_backend == "numpy":
-                report = self._full_run_numpy()
-                if report is not None:
-                    sp.set(backend="numpy")
-                    return report
-            sp.set(backend="python")
-            return self._full_run_python()
-
-    def _full_run_numpy(self) -> TimingReport | None:
-        view = self._ensure_view()
-        if view is None:
-            return None
-        from repro.compute.sta import run_full
-
+    def _full_run(self, arrivals_only: bool = False,
+                  escalated: bool = False) -> TimingReport | None:
+        """Propagate the whole design.  ``arrivals_only`` leaves every
+        required time at +inf and returns no report."""
         self.stats.full_runs += 1
         self.stats.forward_instances += self._comb_count
-        nodes, checks = run_full(view, self.derates)
-        self._nodes = nodes
-        return self._summarize(checks, nodes)
+        with span("sta.full_run", instances=self._comb_count,
+                  arrivals_only=arrivals_only, escalated=escalated) as sp:
+            view = (self._ensure_view() if self.compute_backend == "numpy"
+                    else None)
+            sp.set(backend="python" if view is None else "numpy")
+            if view is not None:
+                from repro.compute.sta import run_arrivals, run_full
 
-    def _full_run_python(self) -> TimingReport:
-        self.stats.full_runs += 1
-        self.stats.forward_instances += self._comb_count
-        nodes: dict[str, NodeTiming] = {}
-        self._nodes = nodes
-        self._startpoint_ports(nodes)
-        for inst in self.netlist.instances.values():
-            if self._is_seq(inst):
-                self._startpoint_ff(inst, nodes)
-        for inst in self._order:
-            if self._is_seq(inst) or self._skip_cell(inst):
-                continue
-            self._forward_instance(inst, nodes)
+                if arrivals_only:
+                    self._nodes = run_arrivals(view, self.derates)
+                    return None
+                self._nodes, checks = run_full(view, self.derates)
+                return self._summarize(checks, self._nodes)
+            nodes: dict[str, NodeTiming] = {}
+            self._nodes = nodes
+            self._startpoint_ports(nodes)
+            for inst in self.netlist.instances.values():
+                if self._is_seq(inst):
+                    self._startpoint_ff(inst, nodes)
+            for inst in self._order:
+                if not (self._is_seq(inst) or self._skip_cell(inst)):
+                    self._forward_instance(inst, nodes)
+            return None if arrivals_only else self._backward_sweep(nodes)
+
+    def _required_sweep(self) -> TimingReport:
+        """Recompute every required time over the current arrivals."""
+        self.stats.required_sweeps += 1
+        with span("sta.required", instances=self._comb_count):
+            for entry in self._nodes.values():
+                entry.req_rise = entry.req_fall = INF
+            return self._backward_sweep(self._nodes)
+
+    def _backward_sweep(self, nodes: dict[str, NodeTiming]) -> TimingReport:
+        """Endpoint checks, then required times over the whole order."""
         checks = self._endpoint_pass(nodes)
         for inst in reversed(self._order):
-            if self._is_seq(inst) or self._skip_cell(inst):
-                continue
-            self._backward_instance(inst, nodes, None)
+            if not (self._is_seq(inst) or self._skip_cell(inst)):
+                self._backward_instance(inst, nodes, None)
         return self._summarize(checks, nodes)
 
     # --- incremental propagation ------------------------------------------
 
-    def _incremental_run(self) -> TimingReport:
+    def _forward_cone(self):
+        """``(cone, reset_nets, dirty_ffs, seed_back)``: the combinational
+        fan-out of every dirty instance and the nets it drives, the
+        dirty flip-flops, and the nets a report's backward pass starts
+        from.  None once the cone crosses ``full_threshold`` of the
+        combinational instances; it only grows, so the BFS stops there.
+        """
         netlist = self.netlist
-        nodes = self._nodes
         membership = self._membership
-
-        # 1. Forward cone: combinational fan-out of every dirty instance.
-        # The cone only ever grows, so the moment it crosses the
-        # full-run threshold the decision is already made — bail out
-        # immediately instead of finishing the BFS first.  (Bisection
-        # probes that swap half the design used to pay a complete cone
-        # walk *and then* a full run.)
         budget = self.full_threshold * max(self._comb_count, 1)
         cone: set[str] = set()
         frontier: deque[Instance] = deque()
@@ -437,7 +494,7 @@ class TimingSession:
                     seed_back.add(in_pin.net.name)
 
         if len(cone) > budget:
-            return self._full_run()
+            return None
 
         for name in self._dirty_seq:
             inst = netlist.instances.get(name)
@@ -463,7 +520,7 @@ class TimingSession:
 
         while frontier:
             if len(cone) > budget:
-                return self._full_run()
+                return None
             inst = frontier.popleft()
             for out_pin in inst.output_pins():
                 out_net = out_pin.net
@@ -481,11 +538,36 @@ class TimingSession:
                     frontier.append(target)
 
         if len(cone) > budget:
-            return self._full_run()
+            return None
+        return cone, reset_nets, dirty_ffs, seed_back
+
+    def _forward_region(self, walk):
+        """Reset and re-evaluate one forward cone in topological order."""
+        cone, reset_nets, dirty_ffs, _ = walk
+        self.stats.incremental_runs += 1
+        self.stats.forward_instances += len(cone)
+        self.stats.forward_instances_saved += self._comb_count - len(cone)
+        nodes = self._nodes
+        for net_name in reset_nets:
+            nodes[net_name] = NodeTiming()
+        for inst in dirty_ffs:
+            self._startpoint_ff(inst, nodes)
+        for inst in self._order:
+            if inst.name in cone:
+                self._forward_instance(inst, nodes)
+
+    def _incremental_run(self) -> TimingReport:
+        # 1. Forward cone: combinational fan-out of every dirty instance.
+        walk = self._forward_cone()
+        if walk is None:
+            return self._full_run(escalated=True)
+        cone, reset_nets, _, seed_back = walk
 
         # 2. Backward region: transitive fan-in of everything that changed.
         # Same early exit: cone and back_insts only grow, so crossing
         # the combined threshold mid-walk is final.
+        netlist = self.netlist
+        membership = self._membership
         back_budget = self.full_threshold * 2 * max(self._comb_count, 1)
         seed_back |= reset_nets
         back_nets: set[str] = set()
@@ -493,7 +575,7 @@ class TimingSession:
         stack = list(seed_back)
         while stack:
             if len(cone) + len(back_insts) > back_budget:
-                return self._full_run()
+                return self._full_run(escalated=True)
             net_name = stack.pop()
             if net_name in back_nets:
                 continue
@@ -523,25 +605,16 @@ class TimingSession:
         # forward, one backward sweep); incremental pays off while the
         # touched region stays below that, scaled by the threshold.
         if len(cone) + len(back_insts) > back_budget:
-            return self._full_run()
-
-        self.stats.incremental_runs += 1
-        self.stats.forward_instances += len(cone)
-        self.stats.forward_instances_saved += self._comb_count - len(cone)
+            return self._full_run(escalated=True)
 
         # 3. Reset and re-propagate.
-        for net_name in reset_nets:
-            nodes[net_name] = NodeTiming()
+        self._forward_region(walk)
+        nodes = self._nodes
         for net_name in back_nets:
             entry = nodes.get(net_name)
             if entry is not None:
                 entry.req_rise = INF
                 entry.req_fall = INF
-        for inst in dirty_ffs:
-            self._startpoint_ff(inst, nodes)
-        for inst in self._order:
-            if inst.name in cone:
-                self._forward_instance(inst, nodes)
         checks = self._endpoint_pass(nodes)
         for inst in reversed(self._order):
             if inst.name in back_insts:

@@ -202,7 +202,7 @@ class MonteCarloEngine:
                 compute_backend=self.compute_backend)
         self.nominal_wns: float | None = None
         if self._session is not None:
-            self.nominal_wns = self._session.report().wns
+            self.nominal_wns = self._session.wns()
         elif self._view is not None:
             from repro.compute.kernels import setup_wns
 
@@ -264,7 +264,7 @@ class MonteCarloEngine:
         wns = None
         if self._session is not None:
             self._session.set_derates(derates)
-            wns = self._session.report().wns
+            wns = self._session.wns()
         return McSample(index=index, global_dvth_v=global_dvth,
                         leakage_nw=total_nw, wns=wns)
 

@@ -2,11 +2,12 @@
 
 The assignment and ECO stages each run their STA-in-the-loop on one
 incremental :class:`~repro.timing.session.TimingSession`.  Here the
-stages build an audited subclass instead: every ``report()`` is
-checked against a fresh :class:`~repro.timing.sta.TimingAnalyzer` run
-on the same netlist with the session's parasitics, derates, clock
-arrivals and backend.  A loop that edits the netlist without reporting
-the edit to its session shows up as a mismatch at the next probe.
+stages build an audited subclass instead: every ``report()`` and every
+arrivals-only ``wns()`` (the bisection probes) is checked against a
+fresh :class:`~repro.timing.sta.TimingAnalyzer` run on the same
+netlist with the session's parasitics, derates, clock arrivals and
+backend.  A loop that edits the netlist without reporting the edit to
+its session shows up as a mismatch at the next probe.
 
 s344 at margin 0.12 with no assignment guardband makes the ECO setup
 fixer swap cells in all three techniques, so the audit covers the
@@ -36,23 +37,33 @@ def _summary(report):
                          ids=lambda technique: technique.value)
 def test_every_session_probe_matches_a_fresh_analyzer(library, monkeypatch,
                                                       technique):
-    probes = 0
+    probes = {"report": 0, "wns": 0}
     mismatches = []
 
     class AuditedSession(TimingSession):
-        def report(self):
-            nonlocal probes
-            probes += 1
-            report = super().report()
-            fresh = TimingAnalyzer(
+        def _fresh(self):
+            return TimingAnalyzer(
                 self.netlist, self.library, self.constraints,
                 parasitics=self.net_model.parasitics, derates=self.derates,
                 clock_arrivals=self.clock_arrivals,
                 compute_backend=self.compute_backend).run()
+
+        def report(self):
+            probes["report"] += 1
+            report = super().report()
+            fresh = self._fresh()
             if _summary(report) != _summary(fresh):
-                mismatches.append((probes, report.summary(),
+                mismatches.append((dict(probes), report.summary(),
                                    fresh.summary()))
             return report
+
+        def wns(self):
+            probes["wns"] += 1
+            wns = super().wns()
+            fresh = self._fresh().wns
+            if wns != fresh:
+                mismatches.append((dict(probes), wns, fresh))
+            return wns
 
     monkeypatch.setattr(stages, "TimingSession", AuditedSession)
     result = SelectiveMtFlow(
@@ -60,5 +71,5 @@ def test_every_session_probe_matches_a_fresh_analyzer(library, monkeypatch,
         FlowConfig(timing_margin=0.12, assignment_guardband=0.0)).run()
 
     assert result.stage("eco_and_sta").details["setup_swaps"] > 0
-    assert probes > 0
+    assert probes["report"] > 0 and probes["wns"] > 0
     assert mismatches == []

@@ -108,3 +108,33 @@ def test_forked_pool_workers_ship_only_their_own_spans(library):
     jobs = roots[1].children
     assert [child.name for child in jobs] == ["runner.flow_job"] * 2
     assert all(job.pid != os.getpid() for job in jobs)
+
+
+def test_sta_escalation_is_a_span_attribute(library):
+    """A cone pass over its budget escalates to a full run; the
+    ``escalated`` attribute counts exactly those, so the count no
+    longer has to be read off span nesting."""
+    enable()
+    Workspace(library=library, config=FlowConfig(timing_margin=0.12)) \
+        .design("c432").flow_result(Technique.IMPROVED_SMT)
+    full_runs, escalated, nested, arrivals_only = 0, 0, 0, set()
+
+    def visit(record, in_incremental):
+        nonlocal full_runs, escalated, nested
+        if record.name in ("sta.full_run", "sta.incremental"):
+            arrivals_only.add((record.name,
+                               record.attributes["arrivals_only"]))
+        if record.name == "sta.full_run":
+            full_runs += 1
+            escalated += record.attributes["escalated"]
+            nested += in_incremental
+        for child in record.children:
+            visit(child, in_incremental or record.name == "sta.incremental")
+
+    for root in take_records():
+        visit(root, False)
+    assert 0 < escalated < full_runs
+    assert escalated == nested
+    # The bisection probes ran arrivals-only passes of both kinds.
+    assert ("sta.incremental", True) in arrivals_only
+    assert ("sta.full_run", True) in arrivals_only

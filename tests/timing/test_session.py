@@ -5,7 +5,8 @@ sequence, its report must be bit-identical (==, not approx) to the
 report a fresh TimingAnalyzer produces on the same netlist.  The
 property tests drive randomized sequences of variant swaps, derate
 changes and buffer insertions over ISCAS-class circuits and compare
-every node and every endpoint check.
+every node and every endpoint check, and every arrivals-only
+``wns()`` answer, with the two queries randomly interleaved.
 """
 
 import random
@@ -140,6 +141,42 @@ def test_session_with_parasitics_and_clock_arrivals(library):
                                derates=session.derates,
                                clock_arrivals=clock_arrivals).run()
         assert_reports_identical(session.report(), fresh)
+
+
+@pytest.mark.parametrize("full_threshold", [0.5, 0.05])
+@pytest.mark.parametrize("circuit,seed", [
+    ("c432", 15),
+    ("s298", 21),
+    ("s344", 10),
+])
+def test_interleaved_wns_and_report_match_full_sta(library, circuit, seed,
+                                                   full_threshold):
+    """wns() propagates arrivals only and leaves required times stale;
+    whichever query comes next, after any edit batch (possibly empty),
+    must still answer exactly like a fresh analyzer.  At 0.05 most
+    batches blow the cone budget, so both queries also escalate.  At
+    0.5 these seeds also catch a report() whose backward sweep keeps
+    the stale required times instead of resetting them."""
+    netlist = _mapped(circuit, library)
+    constraints = Constraints(clock_period=3.0)
+    session = TimingSession(netlist, library, constraints,
+                            full_threshold=full_threshold)
+    rng = random.Random(seed)
+    queries = []
+    for _ in range(16):
+        for _ in range(rng.randint(0, 4)):
+            _random_edit(rng, session, netlist, library)
+        fresh = TimingAnalyzer(netlist, library, constraints,
+                               derates=session.derates).run()
+        if rng.random() < 0.5:
+            queries.append("wns")
+            assert session.wns() == fresh.wns
+        else:
+            queries.append("report")
+            assert_reports_identical(session.report(), fresh)
+    assert set(queries) == {"wns", "report"}
+    assert session.stats.required_sweeps > 0
+    assert session.stats.sta_calls == len(queries)
 
 
 def test_zero_threshold_forces_full_runs(library):
