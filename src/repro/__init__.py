@@ -47,7 +47,7 @@ from repro.liberty.synth import LibraryBuilder, build_default_library
 from repro.netlist.bench_io import parse_bench, parse_bench_file
 from repro.netlist.core import Netlist
 from repro.netlist.stats import design_stats
-from repro.runner import ExperimentRunner, FlowJob, JobOutcome
+from repro.runner import ExperimentRunner
 from repro.timing.constraints import Constraints
 from repro.timing.session import TimingSession
 
@@ -69,8 +69,6 @@ __all__ = [
     "StageRunner",
     "build_pipeline",
     "ExperimentRunner",
-    "FlowJob",
-    "JobOutcome",
     "TimingSession",
     "DEFAULT_TECHNOLOGY",
     "Technology",

@@ -17,18 +17,17 @@ imports :mod:`repro.api.schemas` lazily, at call time.
 from __future__ import annotations
 
 from repro.api import schemas
-from repro.api import results as _results  # noqa: F401  (registers
-#                                           mc_statistics, nested below)
+from repro.api.results import SignoffCornerRow, SignoffResult
 from repro.config import FlowConfig, Technique
 from repro.core.artifacts import ExportManifest
 from repro.experiments import (
     CornerSignoffResult,
     McTechniqueResult,
     MonteCarloStudy,
+    _resolve_circuit,
 )
 from repro.power.leakage import LeakageBreakdown
 from repro.variation.corners import PvtCorner
-from repro.variation.jobs import CornerOutcome, CornerRow
 from repro.variation.montecarlo import McSample
 from repro.variation.signoff import CornerResult
 
@@ -128,7 +127,9 @@ def _encode_corner_signoff(result: CornerSignoffResult) -> dict:
                      "hold_wns": _ENC_F(row.hold_wns)}
                     for row in outcome.rows
                 ],
-                "error": outcome.error,
+                # Kept for v1 payload compatibility: a failing signoff
+                # raises, so no entry ever carries an error.
+                "error": None,
             }
             for (circuit, technique), outcome in result.outcomes.items()
         ],
@@ -136,23 +137,25 @@ def _encode_corner_signoff(result: CornerSignoffResult) -> dict:
 
 
 def _decode_corner_signoff(payload: dict) -> CornerSignoffResult:
+    corners = tuple(payload["corners"])
     outcomes = {}
     for entry in payload["results"]:
         technique = Technique(entry["technique"])
-        outcomes[(entry["circuit"], technique)] = CornerOutcome(
-            circuit=entry["circuit"],
+        # The study keys results by the caller's circuit name and signs
+        # off the design that name resolves to.
+        outcomes[(entry["circuit"], technique)] = SignoffResult(
+            circuit=_resolve_circuit(entry["circuit"]),
             technique=technique,
+            corners=corners,
             area_um2=entry["area_um2"],
             nominal_leakage_nw=entry["nominal_leakage_nw"],
             nominal_wns=_DEC_F(entry["nominal_wns"]),
-            rows=[CornerRow(corner=row["corner"],
-                            leakage_nw=row["leakage_nw"],
-                            wns=_DEC_F(row["wns"]),
-                            hold_wns=_DEC_F(row["hold_wns"]))
-                  for row in entry["corners"]],
-            error=entry["error"])
-    return CornerSignoffResult(corners=tuple(payload["corners"]),
-                               outcomes=outcomes)
+            rows=tuple(SignoffCornerRow(corner=row["corner"],
+                                        leakage_nw=row["leakage_nw"],
+                                        wns=_DEC_F(row["wns"]),
+                                        hold_wns=_DEC_F(row["hold_wns"]))
+                       for row in entry["corners"]))
+    return CornerSignoffResult(corners=corners, outcomes=outcomes)
 
 
 schemas.register("corner_signoff_report", 1, CornerSignoffResult,

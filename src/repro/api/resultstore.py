@@ -26,7 +26,8 @@ Robustness contract (same as :mod:`repro.compute.lowercache`):
 
 * loads are corruption-safe — any unreadable / truncated / mismatched
   entry counts a miss **and an error**, is unlinked, and the job
-  simply executes;
+  simply executes; an entry gone at open time (never stored, or
+  evicted by another process) is a plain miss;
 * stores are atomic (temp file + ``os.replace``), so a crashed writer
   can never publish a partial entry;
 * the directory is capped at :data:`DEFAULT_MAX_ENTRIES` entries
@@ -122,9 +123,6 @@ class ResultStore:
     def load(self, key: str) -> dict | None:
         """The stored payload under ``key``; None on miss/corruption."""
         path = self._entry_path(key)
-        if not path.exists():
-            self._bump("misses")
-            return None
         try:
             entry = json.loads(path.read_text(encoding="utf-8"))
             if entry.get("format_version") != FORMAT_VERSION:
@@ -134,6 +132,10 @@ class ResultStore:
             payload = entry["payload"]
             if not isinstance(payload, dict):
                 raise ValueError("payload is not an object")
+        except FileNotFoundError:
+            # Never stored, or another process evicted it just now.
+            self._bump("misses")
+            return None
         except Exception:
             # Truncated, corrupt, stale-format or plain unreadable:
             # count a miss, drop the entry so it cannot poison reloads.

@@ -1,20 +1,35 @@
-"""Sharded process-pool execution tier for the job service.
+"""The one cross-process job, and the sharded execution tier.
+
+A :class:`FacadeJob` is one facade call — a job kind, a circuit and
+schema payload dicts for the request and the flow configuration —
+and the only work besides Monte-Carlo chunks that crosses a process
+boundary.  A worker decodes the payloads, gets the
+:class:`~repro.api.Design` from a :class:`~repro.api.Workspace`
+(``adopt()`` when the job ships an ad-hoc netlist), runs
+:func:`execute_kind` and returns the round-trip-checked result
+payload.  Two callers submit it, both through the runner's
+:func:`~repro.runner._map_call`, so the worker's spans come home in
+the same envelope as its result:
+
+* pooled grids (:func:`repro.api.workspace.facade_grid`) run
+  :func:`run_facade_job`, which builds a fresh workspace per job, so a
+  cell depends only on its job;
+* :class:`ShardPool` runs each service job on the warm workspace of
+  its design's shard process.
 
 One warm in-process workspace caps the service's throughput at one
-GIL.  This module runs jobs in worker *processes* instead — but not an
-anonymous pool: workers are **sharded by the design's SHA-256 content
-fingerprint** (:func:`repro.netlist.fingerprint.netlist_fingerprint`).
-Every job for a given design lands on the same shard process, so each
-shard keeps its own warm :class:`~repro.api.Workspace` (compiled
-library, flow results, timing sessions, lowering caches) and
-same-design jobs stay cache-local, while jobs for *different* designs
-run truly in parallel on different processes.
-
-Each shard is a single-worker :class:`ProcessPoolExecutor` (spawned
-lazily); jobs cross the process boundary as schema payload dicts —
-the same durable-serializable envelopes the HTTP layer speaks — and
-come back as round-trip-checked result payloads, so a shard worker
-and the in-process tier produce byte-identical response bodies.
+GIL.  The shard tier runs jobs in worker *processes* instead — but
+not an anonymous pool: workers are **sharded by the design's SHA-256
+content fingerprint**
+(:func:`repro.netlist.fingerprint.netlist_fingerprint`).  Every job
+for a given design lands on the same shard process, so each shard
+keeps its own warm workspace (compiled library, flow results, timing
+sessions, lowering caches) and same-design jobs stay cache-local,
+while jobs for *different* designs run truly in parallel on different
+processes.  Each shard is a single-worker :class:`ProcessPoolExecutor`
+(spawned lazily); its payloads are the same durable-serializable
+envelopes the HTTP layer speaks, so a shard worker and the in-process
+tier produce byte-identical response bodies.
 
 Crash containment: a shard worker that dies mid-job (OOM-killed,
 segfault) breaks only its own executor.  :meth:`ShardPool.run` turns
@@ -26,15 +41,34 @@ a fresh warm worker.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.errors import ReproError
+from repro.api import schemas
+from repro.errors import ReproError, ServiceError
+from repro.netlist.core import Netlist
+from repro.obs import spans as obs_spans
+from repro.runner import _map_call, _process_library, _worker_init
 
 
 class ShardError(ReproError):
     """A shard worker process died while running a job."""
+
+
+@dataclasses.dataclass(frozen=True)
+class FacadeJob:
+    """One facade call, in the payload form that crosses processes."""
+
+    kind: str
+    circuit: str
+    #: Schema payload of the typed request; None means facade defaults.
+    request_payload: dict | None
+    config_payload: dict
+    #: Ad-hoc netlist the worker cannot load by name (pickled along);
+    #: ``circuit`` then only names the design.
+    netlist: Netlist | None = None
 
 
 def shard_index(fingerprint: str, shards: int) -> int:
@@ -42,22 +76,8 @@ def shard_index(fingerprint: str, shards: int) -> int:
     return int(fingerprint[:16], 16) % max(1, int(shards))
 
 
-#: Per-shard-process warm workspace (set by the pool initializer).
-_WORKSPACE = None
-
-
-def _shard_init(library, jobs: int):
-    """Executor initializer: one warm workspace per shard process."""
-    global _WORKSPACE
-    from repro.api.workspace import Workspace
-
-    _WORKSPACE = Workspace(library=library, jobs=jobs)
-
-
 def execute_kind(design, kind: str, request):
     """Dispatch one job kind onto a :class:`~repro.api.Design` facade."""
-    from repro.errors import ServiceError
-
     method = {
         "analyze": design.analyze,
         "optimize": design.optimize,
@@ -72,16 +92,44 @@ def execute_kind(design, kind: str, request):
     return method(request)
 
 
-def _shard_run(kind: str, circuit: str, request_payload: dict | None,
-               config_payload: dict) -> dict:
-    """Worker-side job execution: payload dicts in, payload dict out."""
-    from repro.api import schemas
+def _execute_job(job: FacadeJob, workspace) -> dict:
+    """Payload dicts in, round-trip-checked result payload out."""
+    config = schemas.from_dict(job.config_payload)
+    request = None if job.request_payload is None \
+        else schemas.from_dict(job.request_payload)
+    if job.netlist is None:
+        design = workspace.design(job.circuit, config)
+    else:
+        design = workspace.adopt(job.netlist, name=job.circuit,
+                                 config=config)
+    return schemas.check_round_trip(execute_kind(design, job.kind, request))
 
-    config = schemas.from_dict(config_payload)
-    request = None if request_payload is None \
-        else schemas.from_dict(request_payload)
-    design = _WORKSPACE.design(circuit, config)
-    return schemas.check_round_trip(execute_kind(design, kind, request))
+
+def run_facade_job(job: FacadeJob, library) -> dict:
+    """Grid worker: run one job on a fresh workspace over ``library``."""
+    from repro.api.workspace import Workspace
+
+    return _execute_job(job, Workspace(library=library))
+
+
+#: Per-shard-process warm workspace (set by the executor initializer).
+_WORKSPACE = None
+
+
+def _shard_init(library, tracing: bool, jobs: int):
+    """Executor initializer: the pool worker's setup plus one warm
+    workspace, built over the process library so a shard builds the
+    default library at most once."""
+    global _WORKSPACE
+    from repro.api.workspace import Workspace
+
+    _worker_init(library, tracing)
+    _WORKSPACE = Workspace(library=_process_library(), jobs=jobs)
+
+
+def _run_on_shard(job: FacadeJob, library) -> dict:
+    """Shard worker: run one job on the shard's warm workspace."""
+    return _execute_job(job, _WORKSPACE)
 
 
 class ShardPool:
@@ -107,7 +155,8 @@ class ShardPool:
             if executor is None:
                 executor = ProcessPoolExecutor(
                     max_workers=1, initializer=_shard_init,
-                    initargs=(self._library, self._jobs))
+                    initargs=(self._library, obs_spans.is_enabled(),
+                              self._jobs))
                 self._executors[index] = executor
             return executor
 
@@ -115,22 +164,26 @@ class ShardPool:
             request_payload: dict | None, config_payload: dict) -> dict:
         """Execute one job on its design's shard; blocks until done.
 
+        The worker's spans are grafted under the caller's open span.
         Exceptions raised by the job inside the worker propagate
         unchanged; a *dead worker process* becomes a
         :class:`ShardError` and the shard's executor is rebuilt.
         """
         index = self.shard_for(fingerprint)
         executor = self._executor(index)
-        future = executor.submit(_shard_run, kind, circuit,
-                                 request_payload, config_payload)
+        future = executor.submit(
+            _map_call, _run_on_shard,
+            FacadeJob(kind, circuit, request_payload, config_payload))
         try:
-            return future.result()
+            payload, worker_spans = future.result()
         except BrokenProcessPool as exc:
             self._rebuild(index, executor)
             raise ShardError(
                 f"shard {index} worker process died while running "
                 f"{kind} on {circuit!r} (killed or crashed); the shard "
                 f"has been restarted — resubmit the job") from exc
+        obs_spans.adopt(worker_spans)
+        return payload
 
     def _rebuild(self, index: int, broken: ProcessPoolExecutor):
         with self._lock:

@@ -2,8 +2,10 @@
 
 Every study runs on :class:`~repro.api.Workspace` designs, so its
 numbers are the facade's: the technique comparisons are one
-:func:`~repro.api.workspace.sweep_grid` each and the Monte-Carlo study
-is one :meth:`~repro.api.Design.montecarlo` per technique, both
+:func:`~repro.api.workspace.sweep_grid` each, the corner study is one
+``signoff`` cell per (circuit, technique) through
+:func:`~repro.api.workspace.facade_grid`, and the Monte-Carlo study is
+one :meth:`~repro.api.Design.montecarlo` per technique, all
 bit-identical for any ``jobs``.  The pinned Table 1 configurations and
 the result types live in :mod:`repro.experiments`.
 """
@@ -12,11 +14,14 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.api.requests import DEFAULT_TECHNIQUES, MonteCarloRequest
-from repro.api.workspace import Workspace, sweep_grid
+from repro.api.requests import (
+    DEFAULT_TECHNIQUES,
+    MonteCarloRequest,
+    SignoffRequest,
+)
+from repro.api.workspace import Workspace, facade_grid, sweep_grid
 from repro.config import FlowConfig, Technique
 from repro.core.compare import TechniqueComparison
-from repro.errors import FlowError
 from repro.liberty.library import Library
 from repro.netlist.core import Netlist
 
@@ -63,40 +68,31 @@ def corner_signoff_study(workspace: Workspace,
                          jobs: int = 1):
     """Corner signoff across a circuit x technique grid.
 
-    Every (circuit, technique) pair is one flow-plus-signoff job,
-    fanned out through the experiment runner; deterministic for any
-    ``jobs``.
+    Every (circuit, technique) pair is one ``signoff`` cell of
+    :func:`~repro.api.workspace.facade_grid` on the circuit's workspace
+    design; deterministic for any ``jobs``.
     """
     from repro.experiments import (
         CornerSignoffResult,
         _circuit_config,
         _resolve_circuit,
     )
-    from repro.runner import ExperimentRunner
     from repro.variation.corners import default_signoff_corners
-    from repro.variation.jobs import CornerJob, run_corner_job
 
-    library = workspace.library
     techniques = tuple(techniques or DEFAULT_TECHNIQUES)
-    corners = tuple(corners or default_signoff_corners(library.tech))
-    labeled_grid = [
-        (short, CornerJob(circuit=_resolve_circuit(short),
-                          technique=technique,
-                          config=_circuit_config(short, config),
-                          corners=corners))
-        for short in circuits for technique in techniques]
-    grid = [job for _, job in labeled_grid]
-    outcomes = ExperimentRunner(jobs=jobs, library=library).map(
-        run_corner_job, grid)
-    failed = [o for o in outcomes if not o.ok]
-    if failed:
-        first = failed[0]
-        raise FlowError(
-            f"{len(failed)} corner job(s) failed "
-            f"({first.circuit}/{first.technique.value}):\n{first.error}")
-    keyed = {(short, job.technique): outcome
-             for (short, job), outcome in zip(labeled_grid, outcomes)}
-    return CornerSignoffResult(corners=corners, outcomes=keyed)
+    corners = tuple(corners or
+                    default_signoff_corners(workspace.library.tech))
+    designs = {short: workspace.design(_resolve_circuit(short),
+                                       _circuit_config(short, config))
+               for short in circuits}
+    keys = [(short, technique)
+            for short in circuits for technique in techniques]
+    results = facade_grid(
+        [(designs[short], "signoff",
+          SignoffRequest(technique=technique, corners=corners))
+         for short, technique in keys], jobs)
+    return CornerSignoffResult(corners=corners,
+                               outcomes=dict(zip(keys, results)))
 
 
 def montecarlo_study(workspace: Workspace,

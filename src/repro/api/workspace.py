@@ -54,11 +54,16 @@ from repro.api.results import (
     SignoffResult,
     SweepResult,
 )
+from repro.api.shards import FacadeJob, execute_kind, run_facade_job
 from repro.policy.optimize import PolicyOptimizer, PolicyResult
 from repro.standby.engine import StandbyResult
 from repro.benchcircuits.suite import load_circuit
 from repro.config import FlowConfig, Technique
-from repro.core.compare import TechniqueComparison, count_cell_kinds
+from repro.core.compare import (
+    ComparisonRow,
+    TechniqueComparison,
+    count_cell_kinds,
+)
 from repro.core.flow import FlowResult, SelectiveMtFlow
 from repro.errors import ConfigError, FlowError
 from repro.liberty.library import (
@@ -72,12 +77,7 @@ from repro.netlist.fingerprint import netlist_fingerprint
 from repro.netlist.techmap import technology_map
 from repro.obs.spans import span
 from repro.power.leakage import LeakageAnalyzer
-from repro.runner import (
-    ExperimentRunner,
-    FlowJob,
-    comparison_from_outcomes,
-    outcome_from_result,
-)
+from repro.runner import ExperimentRunner
 from repro.timing.constraints import Constraints
 from repro.timing.session import TimingSession
 from repro.timing.sta import TimingAnalyzer
@@ -355,35 +355,82 @@ def _locked(method):
     return wrapper
 
 
+def facade_grid(cells: Sequence[tuple["Design", str, object]],
+                jobs: int) -> list:
+    """Run ``(design, kind, request)`` cells; results in cell order.
+
+    The one grid over the facade.  Serially each cell is one
+    :func:`~repro.api.shards.execute_kind` call on its design, so it
+    reads and fills the design's caches.  With ``jobs > 1`` every cell
+    becomes a :class:`~repro.api.shards.FacadeJob` on the
+    :class:`ExperimentRunner` pool, whose workers build a fresh
+    workspace per job; the payloads decode to the very results the
+    serial path returns, so a grid is bit-identical for any ``jobs``.
+    A failing cell raises its own exception either way.
+    """
+    cells = list(cells)
+    if jobs <= 1 or len(cells) <= 1:
+        return [execute_kind(design, kind, request)
+                for design, kind, request in cells]
+    payloads = ExperimentRunner(
+        jobs=jobs, library=cells[0][0].library).map(run_facade_job, [
+            FacadeJob(kind=kind, circuit=design.circuit,
+                      request_payload=schemas.to_dict(request),
+                      config_payload=schemas.to_dict(design.config),
+                      netlist=design._shipped())
+            for design, kind, request in cells])
+    return [schemas.from_dict(payload) for payload in payloads]
+
+
+def comparison_from_results(circuit: str,
+                            results: Sequence[OptimizeResult]
+                            ) -> TechniqueComparison:
+    """Normalize one circuit's optimize results to the Dual-Vth baseline.
+
+    The only normalization of a technique grid.  The heavyweight
+    per-technique ``results`` dict stays empty, since the results may
+    have crossed a process boundary.
+    """
+    # Dual-Vth is the reference when present, else the first requested
+    # technique normalizes to 100 %.
+    baseline = next((r for r in results
+                     if r.technique == Technique.DUAL_VTH), None)
+    if baseline is None and results:
+        baseline = results[0]
+    base_area = baseline.area_um2 if baseline else 1.0
+    base_leak = baseline.leakage_nw if baseline else 1.0
+    rows = [
+        ComparisonRow(
+            circuit=circuit,
+            technique=result.technique,
+            area_um2=result.area_um2,
+            leakage_nw=result.leakage_nw,
+            area_pct=100.0 * result.area_um2 / base_area,
+            leakage_pct=100.0 * result.leakage_nw / base_leak,
+            mt_cells=result.mt_cells,
+            switches=result.switches,
+            holders=result.holders)
+        for result in results
+    ]
+    return TechniqueComparison(circuit=circuit, rows=rows, results={})
+
+
 def sweep_grid(designs: Sequence["Design"],
                techniques: tuple[Technique, ...],
                jobs: int) -> list[TechniqueComparison]:
     """Every technique on every design, normalized to Dual-Vth.
 
-    The one technique-comparison grid.  Serial runs read each design's
-    cached flow results; with ``jobs > 1`` the whole designs x
-    techniques grid goes through one :class:`ExperimentRunner` pool.
-    Both feed the same slim outcomes to
-    :func:`~repro.runner.comparison_from_outcomes`, so the rows are
-    bit-identical for any ``jobs``.  One comparison per design, in
-    input order.
+    The one technique-comparison grid: one ``optimize`` cell per
+    (design, technique) through :func:`facade_grid`, then
+    :func:`comparison_from_results` per design, in input order.
     """
-    if jobs > 1 and designs:
-        outcomes = ExperimentRunner(
-            jobs=jobs, library=designs[0].library).run([
-                FlowJob(circuit=design.circuit, technique=technique,
-                        config=design.config, netlist=design._shipped())
-                for design in designs for technique in techniques])
-    else:
-        outcomes = [
-            outcome_from_result(design.circuit, technique,
-                                design.flow_result(technique),
-                                design.library)
-            for design in designs for technique in techniques]
+    results = facade_grid(
+        [(design, "optimize", OptimizeRequest(technique=technique))
+         for design in designs for technique in techniques], jobs)
     per_design = len(techniques)
-    return [comparison_from_outcomes(
+    return [comparison_from_results(
                 design.circuit,
-                outcomes[index * per_design:(index + 1) * per_design])
+                results[index * per_design:(index + 1) * per_design])
             for index, design in enumerate(designs)]
 
 
@@ -897,12 +944,6 @@ class Design:
                     for (start, stop) in bounds]
             outcomes = ExperimentRunner(
                 jobs=jobs, library=self.library).map(run_mc_job, grid)
-            failed = [o for o in outcomes if not o.ok]
-            if failed:
-                raise FlowError(
-                    f"{len(failed)} Monte-Carlo job(s) failed "
-                    f"({failed[0].circuit}/"
-                    f"{failed[0].technique.value}):\n{failed[0].error}")
             # The chunk outcomes already carry the flow-level numbers;
             # re-running the flow here just to read them would cost one
             # full serial flow before any worker output is used.

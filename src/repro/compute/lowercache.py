@@ -23,7 +23,9 @@ Cache key — SHA-256 over:
 Robustness contract:
 
 * loads are corruption-safe — any unreadable / truncated / mismatched
-  file counts a miss, is deleted, and lowering proceeds fresh;
+  file counts a miss, is deleted, and lowering proceeds fresh; a file
+  gone at open time (never stored, or evicted by another process) is
+  a plain miss;
 * stores are atomic (temp file + ``os.replace``) so a crashed writer
   can never publish a partial entry;
 * the directory is capped at :data:`DEFAULT_MAX_ENTRIES` entries
@@ -169,9 +171,6 @@ def load_view(key: str, netlist, library, constraints, net_model,
     if directory is None:
         return None
     path = _entry_path(directory, key)
-    if not path.exists():
-        _bump("misses")
-        return None
     try:
         with np.load(path, allow_pickle=False) as data:
             if int(data["format_version"]) != FORMAT_VERSION:
@@ -182,6 +181,10 @@ def load_view(key: str, netlist, library, constraints, net_model,
         view = NetlistArrayView.from_state(
             state, netlist, library, constraints, net_model,
             clock_arrivals)
+    except FileNotFoundError:
+        # Never stored, or another process evicted it just now.
+        _bump("misses")
+        return None
     except Exception:
         # Truncated, corrupt, stale-format or plain unreadable: treat
         # as a miss and drop the entry so it cannot poison reloads.

@@ -92,7 +92,13 @@ class ConfigError(FlowError):
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.reason = message
         super().__init__(f"invalid {field}: {message}")
+
+    def __reduce__(self):
+        # Pickle (e.g. out of a pool worker) from the two constructor
+        # arguments, not from the formatted ``args``.
+        return type(self), (self.field, self.reason)
 
 
 class SchemaError(ReproError):

@@ -100,10 +100,11 @@ class CornerSignoffResult:
     """Corner signoff across a circuit x technique x corner grid."""
 
     corners: tuple[str, ...]
-    #: (circuit, technique) -> CornerOutcome, submission order.
-    outcomes: dict[tuple[str, "Technique"], "CornerOutcome"]
+    #: (circuit, technique) -> the design's ``SignoffResult``, in
+    #: submission order; ``circuit`` is the caller's name.
+    outcomes: dict[tuple[str, "Technique"], "SignoffResult"]
 
-    def outcome(self, circuit: str, technique: Technique) -> "CornerOutcome":
+    def outcome(self, circuit: str, technique: Technique) -> "SignoffResult":
         return self.outcomes[(circuit, technique)]
 
     def render(self) -> str:

@@ -31,9 +31,11 @@ Thread/process model:
   service worker threads trace concurrently without interleaving;
 * completed *root* spans land in a process-wide list guarded by a
   lock; :func:`take_records` drains it;
-* child processes (the :class:`~repro.runner.ExperimentRunner` pool)
-  trace independently and ship their finished roots back to the
-  parent, which grafts them with :func:`adopt` — under the currently
+* child processes (the :class:`~repro.runner.ExperimentRunner` pool
+  and the service's shard workers) trace independently and ship their
+  finished roots back to the parent in the runner's
+  :func:`~repro.runner._map_call` envelope; the parent grafts them
+  with :func:`adopt` — under the currently
   open span when there is one, else as new roots.  Timestamps are
   ``time.perf_counter`` values and therefore process-local; exported
   traces keep per-process tracks (``pid``/``tid``) instead of

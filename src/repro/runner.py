@@ -1,24 +1,27 @@
-"""Parallel experiment runner.
+"""Parallel experiment runner: the one process pool.
 
 The paper's evaluation — and the cluster-substrate literature it sits
-in — is a grid of (circuit x technique) flow runs.  Each run is
-independent and CPU-bound, so :class:`ExperimentRunner` fans
-:class:`FlowJob` items out over a process pool while guaranteeing:
+in — is a grid of independent, CPU-bound runs.
+:meth:`ExperimentRunner.map` fans ``fn(item, library)`` out over a
+process pool while guaranteeing:
 
-* **deterministic results** — every job carries its own config, and
-  with it the placement seed (the flow's only randomness), so a job's
-  outcome is a pure function of the job, independent of scheduling or
+* **deterministic results** — every item carries its own config, and
+  with it the placement seed (the flow's only randomness), so a
+  result is a pure function of the item, independent of scheduling or
   worker count;
-* **deterministic ordering** — outcomes are returned in submission
+* **deterministic ordering** — results are returned in submission
   order regardless of completion order;
 * **identical serial/parallel numbers** — ``jobs=1`` executes in
-  process through the very same job function, so ``--jobs N`` can be
+  process through the very same function, so ``--jobs N`` can be
   raised or lowered without perturbing a single digit (pinned by
   ``tests/test_determinism.py``).
 
-:func:`comparison_from_outcomes` is the one Dual-Vth normalization of a
-technique grid: pooled jobs and in-process flows (through
-:func:`outcome_from_result`) feed it the same slim outcomes.
+Every pooled submission — here and in the service's shard workers
+(:mod:`repro.api.shards`) — is :func:`_map_call`, whose envelope
+carries the worker's finished spans home with its result.  The work
+itself is one facade call (:class:`repro.api.shards.FacadeJob`, fanned
+out by :func:`repro.api.workspace.facade_grid`) or one Monte-Carlo
+chunk (:class:`repro.variation.jobs.McJob`).
 
 A library passed to the runner is installed in every worker via the
 pool initializer (fork or spawn alike); otherwise workers build the
@@ -27,62 +30,12 @@ deterministic default library once per process.
 
 from __future__ import annotations
 
-import dataclasses
-import time
-import traceback
 from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
-from repro.benchcircuits.suite import load_circuit
-from repro.config import FlowConfig, Technique
-from repro.core.compare import (
-    ComparisonRow,
-    TechniqueComparison,
-    count_cell_kinds,
-)
-from repro.core.flow import FlowResult, SelectiveMtFlow
-from repro.errors import FlowError
 from repro.liberty.library import Library
 from repro.liberty.synth import build_default_library
-from repro.netlist.core import Netlist
 from repro.obs import spans as obs_spans
-
-
-@dataclasses.dataclass(frozen=True)
-class FlowJob:
-    """One flow run: a circuit, a technique, a config."""
-
-    circuit: str
-    technique: Technique
-    config: FlowConfig = dataclasses.field(default_factory=FlowConfig)
-    #: In-memory netlist override (pickled to workers); ``circuit``
-    #: then only labels the outcome.
-    netlist: Netlist | None = None
-
-
-@dataclasses.dataclass
-class JobOutcome:
-    """Slim, picklable result of one :class:`FlowJob`."""
-
-    circuit: str
-    technique: Technique
-    area_um2: float
-    leakage_nw: float
-    wns: float
-    hold_wns: float
-    mt_cells: int
-    switches: int
-    holders: int
-    elapsed_s: float = 0.0
-    error: str | None = None
-    #: The compute backend the job actually ran on (after the graceful
-    #: numpy-missing fallback in the worker process).
-    compute_backend: str = "python"
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
 
 _PROCESS_LIBRARY: Library | None = None
 
@@ -112,70 +65,24 @@ def _worker_init(library: Library | None, tracing: bool = False):
     obs_spans.enable(tracing)
 
 
-def outcome_from_result(circuit: str, technique: Technique,
-                        result: FlowResult, library: Library) -> JobOutcome:
-    """The slim :class:`JobOutcome` of a finished flow."""
-    mt, switches, holders = count_cell_kinds(result.netlist, library)
-    return JobOutcome(
-        circuit=circuit,
-        technique=technique,
-        area_um2=result.total_area,
-        leakage_nw=result.leakage_nw,
-        wns=result.timing.wns,
-        hold_wns=result.timing.hold_wns,
-        mt_cells=mt, switches=switches, holders=holders)
-
-
-def run_flow_job(job: FlowJob, library: Library | None = None) -> JobOutcome:
-    """Execute one job; never raises (errors land in the outcome)."""
-    from repro.compute import resolve_backend
-
-    started = time.perf_counter()
-    library = library or _process_library()
-    backend = "python"
-    try:
-        backend = resolve_backend(job.config.compute_backend)
-        netlist = job.netlist if job.netlist is not None \
-            else load_circuit(job.circuit)
-        with obs_spans.span("runner.flow_job", circuit=job.circuit,
-                            technique=job.technique.value) as sp:
-            flow = SelectiveMtFlow(netlist, library, job.technique,
-                                   job.config)
-            result = flow.run()
-            sp.set(backend=backend)
-        outcome = outcome_from_result(job.circuit, job.technique, result,
-                                      library)
-    except Exception:
-        outcome = JobOutcome(
-            circuit=job.circuit, technique=job.technique,
-            area_um2=0.0, leakage_nw=0.0, wns=0.0, hold_wns=0.0,
-            mt_cells=0, switches=0, holders=0,
-            error=traceback.format_exc())
-    outcome.elapsed_s = time.perf_counter() - started
-    outcome.compute_backend = backend
-    return outcome
-
-
 def _map_call(fn, item):
     """Pool-side trampoline: hand the worker's library to the job fn.
 
-    Ships the worker's finished span trees (if tracing) alongside the
-    result, so generic mapped functions — corner signoff, Monte-Carlo
-    chunks — propagate their spans without knowing about tracing.
+    Returns the envelope ``(result, spans)``: the worker's finished
+    span trees (if tracing) ride home with the result, so mapped
+    functions propagate their spans without knowing about tracing.  A
+    failing job's spans are drained too, so they never ride along with
+    the next job's result on a long-lived worker.
     """
-    result = fn(item, _process_library())
-    return result, obs_spans.take_records()
+    try:
+        result = fn(item, _process_library())
+    finally:
+        records = obs_spans.take_records()
+    return result, records
 
 
 class ExperimentRunner:
-    """Fans jobs out across processes, results in submission order.
-
-    :meth:`run` executes flow jobs; :meth:`map` is the generic
-    substrate underneath it, used by the variation engine to fan out
-    corner-signoff and Monte-Carlo-chunk jobs with the same
-    determinism guarantees (per-job purity, submission-order results,
-    serial ≡ parallel).
-    """
+    """Fans jobs out across processes, results in submission order."""
 
     def __init__(self, jobs: int = 1, library: Library | None = None):
         self.jobs = max(1, int(jobs))
@@ -186,7 +93,9 @@ class ExperimentRunner:
 
         ``fn`` must be a picklable top-level function whose result is a
         pure function of ``(item, library)``; the runner then
-        guarantees identical results for any ``jobs`` setting.
+        guarantees identical results for any ``jobs`` setting.  An
+        exception raised by ``fn`` reaches the caller as itself, pooled
+        or not.
         """
         items = list(items)
         if self.jobs == 1 or len(items) <= 1:
@@ -204,46 +113,3 @@ class ExperimentRunner:
                 obs_spans.adopt(worker_spans)
                 results.append(result)
         return results
-
-    def run(self, flow_jobs: Sequence[FlowJob]) -> list[JobOutcome]:
-        return self.map(run_flow_job, flow_jobs)
-
-
-def comparison_from_outcomes(circuit: str,
-                             outcomes: Sequence[JobOutcome]
-                             ) -> TechniqueComparison:
-    """Normalize one circuit's outcomes to the Dual-Vth baseline.
-
-    The only normalization of a technique grid: serial and pooled
-    sweeps both land here.  The heavyweight per-technique ``results``
-    dict stays empty, since outcomes may have crossed a process
-    boundary.
-    """
-    failed = [o for o in outcomes if not o.ok]
-    if failed:
-        first = failed[0]
-        raise FlowError(
-            f"{len(failed)} flow job(s) failed on circuit {circuit!r} "
-            f"({first.technique.value}):\n{first.error}")
-    # Dual-Vth is the reference when present, else the first requested
-    # technique normalizes to 100 %.
-    baseline = next((o for o in outcomes
-                     if o.technique == Technique.DUAL_VTH), None)
-    if baseline is None and outcomes:
-        baseline = outcomes[0]
-    base_area = baseline.area_um2 if baseline else 1.0
-    base_leak = baseline.leakage_nw if baseline else 1.0
-    rows = [
-        ComparisonRow(
-            circuit=circuit,
-            technique=outcome.technique,
-            area_um2=outcome.area_um2,
-            leakage_nw=outcome.leakage_nw,
-            area_pct=100.0 * outcome.area_um2 / base_area,
-            leakage_pct=100.0 * outcome.leakage_nw / base_leak,
-            mt_cells=outcome.mt_cells,
-            switches=outcome.switches,
-            holders=outcome.holders)
-        for outcome in outcomes
-    ]
-    return TechniqueComparison(circuit=circuit, rows=rows, results={})

@@ -10,7 +10,7 @@ Signoff-grade robustness analysis for the Selective-MT reproduction:
   finished design (drives the flow's ``corner_signoff`` stage);
 * :mod:`repro.variation.montecarlo` — seeded per-instance Vth
   sampling, log-normal leakage statistics and yield;
-* :mod:`repro.variation.jobs` — picklable corner / Monte-Carlo jobs
+* :mod:`repro.variation.jobs` — the picklable Monte-Carlo chunk job
   for the parallel experiment runner.
 """
 

@@ -1,17 +1,16 @@
-"""Picklable variation jobs for the parallel experiment runner.
+"""The Monte-Carlo chunk job for the parallel experiment runner.
 
-Two job shapes ride :meth:`repro.runner.ExperimentRunner.map`:
+Every other piece of cross-process work is one facade call
+(:class:`repro.api.shards.FacadeJob`; the corner study, for one, is a
+grid of ``Design.signoff`` cells).  A sample chunk is not a facade
+request, so it keeps its own job: :class:`McJob` is one flow run
+followed by Monte-Carlo samples ``start .. start + count - 1``, run by
+:func:`run_mc_job` on :meth:`repro.runner.ExperimentRunner.map`.
+Because sample ``k`` is a pure function of ``(seed, k)``, a sample grid
+can be chunked across any number of jobs and merged in submission
+order without changing a digit.
 
-* :class:`CornerJob` — one (circuit, technique) flow run followed by
-  corner signoff over a corner-name list (via the flow's
-  ``corner_signoff`` stage), returning slim per-corner rows;
-* :class:`McJob` — one flow run followed by Monte-Carlo samples
-  ``start .. start + count - 1``.  Because sample ``k`` is a pure
-  function of ``(seed, k)``, a sample grid can be chunked across any
-  number of jobs and merged in submission order without changing a
-  digit.
-
-Both inherit the runner's determinism contract: the placement seed
+It inherits the runner's determinism contract: the placement seed
 rides in each job's config, so outcomes are pure functions of the job
 and independent of scheduling or worker count.
 """
@@ -19,8 +18,6 @@ and independent of scheduling or worker count.
 from __future__ import annotations
 
 import dataclasses
-import time
-import traceback
 
 from repro.benchcircuits.suite import load_circuit
 from repro.config import FlowConfig, Technique
@@ -32,83 +29,6 @@ from repro.variation.corners import (
     resolve_corner,
 )
 from repro.variation.montecarlo import McConfig, McSample, MonteCarloEngine
-
-
-@dataclasses.dataclass(frozen=True)
-class CornerJob:
-    """One circuit x technique flow plus multi-corner signoff."""
-
-    circuit: str
-    technique: Technique
-    config: FlowConfig = dataclasses.field(default_factory=FlowConfig)
-    corners: tuple[str, ...] = ()
-
-    def resolved_config(self) -> FlowConfig:
-        return dataclasses.replace(self.config,
-                                   signoff_corners=tuple(self.corners))
-
-
-@dataclasses.dataclass
-class CornerRow:
-    """One corner's signoff numbers (slim, picklable)."""
-
-    corner: str
-    leakage_nw: float
-    wns: float
-    hold_wns: float
-
-
-@dataclasses.dataclass
-class CornerOutcome:
-    """Result of one :class:`CornerJob`."""
-
-    circuit: str
-    technique: Technique
-    area_um2: float
-    nominal_leakage_nw: float
-    nominal_wns: float
-    rows: list[CornerRow]
-    #: Wall-clock, not part of the result's identity (so serial and
-    #: parallel runs of the same grid compare equal).
-    elapsed_s: float = dataclasses.field(compare=False, default=0.0)
-    error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def row(self, corner: str) -> CornerRow:
-        for row in self.rows:
-            if row.corner == corner:
-                return row
-        raise KeyError(f"no signoff row for corner {corner!r}")
-
-
-def run_corner_job(job: CornerJob, library: Library) -> CornerOutcome:
-    """Execute one corner job; never raises (errors land in the outcome)."""
-    started = time.perf_counter()
-    try:
-        netlist = load_circuit(job.circuit)
-        flow = SelectiveMtFlow(netlist, library, job.technique,
-                               job.resolved_config())
-        result = flow.run()
-        rows = [CornerRow(corner=name, leakage_nw=res.leakage_nw,
-                          wns=res.wns, hold_wns=res.hold_wns)
-                for name, res in result.corners.items()]
-        return CornerOutcome(
-            circuit=job.circuit,
-            technique=job.technique,
-            area_um2=result.total_area,
-            nominal_leakage_nw=result.leakage_nw,
-            nominal_wns=result.timing.wns,
-            rows=rows,
-            elapsed_s=time.perf_counter() - started)
-    except Exception:
-        return CornerOutcome(
-            circuit=job.circuit, technique=job.technique, area_um2=0.0,
-            nominal_leakage_nw=0.0, nominal_wns=0.0, rows=[],
-            elapsed_s=time.perf_counter() - started,
-            error=traceback.format_exc())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -141,12 +61,6 @@ class McChunkOutcome:
     nominal_wns: float | None
     area_um2: float
     samples: list[McSample]
-    elapsed_s: float
-    error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
 
 def build_engine(result: FlowResult, library: Library, mc: McConfig,
@@ -174,31 +88,20 @@ def build_engine(result: FlowResult, library: Library, mc: McConfig,
 
 
 def run_mc_job(job: McJob, library: Library) -> McChunkOutcome:
-    """Execute one Monte-Carlo chunk; never raises."""
-    started = time.perf_counter()
-    try:
-        netlist = job.netlist if job.netlist is not None \
-            else load_circuit(job.circuit)
-        flow = SelectiveMtFlow(netlist, library, job.technique, job.config)
-        result = flow.run()
-        engine = build_engine(result, library, job.mc, job.corner,
-                              compute_backend=job.config.compute_backend)
-        count = job.count or job.mc.samples
-        samples = engine.run(start=job.start, count=count)
-        return McChunkOutcome(
-            circuit=job.circuit,
-            technique=job.technique,
-            corner=job.corner,
-            start=job.start,
-            nominal_leakage_nw=engine.nominal_leakage_nw,
-            nominal_wns=engine.nominal_wns,
-            area_um2=result.total_area,
-            samples=samples,
-            elapsed_s=time.perf_counter() - started)
-    except Exception:
-        return McChunkOutcome(
-            circuit=job.circuit, technique=job.technique, corner=job.corner,
-            start=job.start, nominal_leakage_nw=0.0, nominal_wns=None,
-            area_um2=0.0, samples=[],
-            elapsed_s=time.perf_counter() - started,
-            error=traceback.format_exc())
+    """Execute one Monte-Carlo chunk (errors raise, pooled or not)."""
+    netlist = job.netlist if job.netlist is not None \
+        else load_circuit(job.circuit)
+    result = SelectiveMtFlow(netlist, library, job.technique,
+                             job.config).run()
+    engine = build_engine(result, library, job.mc, job.corner,
+                          compute_backend=job.config.compute_backend)
+    samples = engine.run(start=job.start, count=job.count or job.mc.samples)
+    return McChunkOutcome(
+        circuit=job.circuit,
+        technique=job.technique,
+        corner=job.corner,
+        start=job.start,
+        nominal_leakage_nw=engine.nominal_leakage_nw,
+        nominal_wns=engine.nominal_wns,
+        area_um2=result.total_area,
+        samples=samples)

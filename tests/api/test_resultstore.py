@@ -1,9 +1,16 @@
 """The persistent result store: keys, robustness contract, eviction."""
 
 import json
+import multiprocessing
 import os
+import random
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import repro
 from repro.api.resultstore import (
     FORMAT_VERSION,
     ResultStore,
@@ -156,3 +163,115 @@ def test_hit_refreshes_mtime_so_hot_entries_survive(tmp_path):
     store.store(new, PAYLOAD)  # evicts one: must be `old`, not `hot`
     assert store.load(old) is None
     assert store.load(hot) == PAYLOAD
+
+
+# --- concurrency ------------------------------------------------------------
+
+
+def test_entry_evicted_while_loading_is_a_plain_miss(tmp_path, monkeypatch):
+    """Another process evicting the entry between lookup and read is an
+    ordinary miss, never a corruption error."""
+    store = ResultStore(tmp_path)
+    key = _key()
+    store.store(key, PAYLOAD)
+    path = store._entry_path(key)
+    real_read_text = Path.read_text
+
+    def evicted_then_read(self, *args, **kwargs):
+        if self == path:
+            self.unlink()  # the concurrent eviction
+        return real_read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", evicted_then_read)
+    assert store.load(key) is None
+    assert store.stats() == {"hits": 0, "misses": 1, "stores": 1,
+                             "evictions": 0, "errors": 0}
+
+
+def _payload(index: int) -> dict:
+    # Large enough that reads and writes overlap with other processes.
+    return {**PAYLOAD, "index": index, "blob": f"{index}" * 20_000}
+
+
+def _hammer(args):
+    """One process: random stores and loads on a two-entry store."""
+    directory, seed = args
+    store = ResultStore(directory, max_entries=2)
+    keys = [_key(fingerprint=f"{index:064x}") for index in range(6)]
+    rng = random.Random(seed)
+    wrong = 0
+    for _ in range(400):
+        index = rng.randrange(len(keys))
+        if rng.random() < 0.5:
+            store.store(keys[index], _payload(index))
+        else:
+            loaded = store.load(keys[index])
+            wrong += loaded is not None and loaded != _payload(index)
+    return wrong, store.stats()
+
+
+def test_concurrent_writers_and_loaders_never_see_errors(tmp_path):
+    context = multiprocessing.get_context("spawn")
+    with context.Pool(3) as pool:
+        outcomes = pool.map_async(
+            _hammer, [(tmp_path, seed) for seed in range(3)]).get(
+                timeout=120)
+    for wrong, stats in outcomes:
+        assert wrong == 0  # every load is a miss or the exact payload
+        assert stats["errors"] == 0, stats
+    assert sum(stats["evictions"] for _, stats in outcomes) > 0
+    assert len(list(tmp_path.glob("result-*.json"))) <= 2
+
+
+_KILLED_WRITER = """
+import os, sys, time
+from repro.api.resultstore import ResultStore
+
+real_fdopen = os.fdopen
+
+
+class HalfWriter:
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.handle.__exit__(*exc)
+
+    def write(self, text):
+        self.handle.write(text[:len(text) // 2])
+        self.handle.flush()
+        print("mid-write", flush=True)
+        time.sleep(60)
+
+
+os.fdopen = lambda fd, *args, **kwargs: HalfWriter(
+    real_fdopen(fd, *args, **kwargs))
+ResultStore(sys.argv[1]).store(sys.argv[2], {"blob": "x" * 20000})
+"""
+
+
+def test_writer_killed_mid_store_publishes_nothing(tmp_path):
+    key = _key()
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    writer = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_WRITER, str(tmp_path), key],
+        stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    try:
+        assert writer.stdout.readline().strip() == "mid-write"
+        os.kill(writer.pid, signal.SIGKILL)
+        assert writer.wait(timeout=30) == -signal.SIGKILL
+    finally:
+        if writer.poll() is None:
+            writer.kill()
+            writer.wait()
+        writer.stdout.close()
+    # The half-written temp file is there, but no entry was published.
+    assert list(tmp_path.glob("*.tmp"))
+    assert not list(tmp_path.glob("result-*.json"))
+    store = ResultStore(tmp_path)
+    assert store.load(key) is None
+    assert store.stats()["misses"] == 1 and store.stats()["errors"] == 0

@@ -159,25 +159,26 @@ def test_optimize_matches_direct_flow(library, design):
 
 
 def test_signoff_matches_legacy_corner_job(library, design):
-    """Post-hoc facade signoff == the flow's corner_signoff stage."""
-    from repro.variation.jobs import CornerJob, run_corner_job
+    """Post-hoc facade signoff == the flow's corner_signoff stage (what
+    the retired corner job ran: a flow with ``signoff_corners`` set)."""
+    from repro.core.flow import SelectiveMtFlow
 
     corners = ("tt_nom", "ff_1.32v_125c", "ss_1.08v_125c")
-    legacy = run_corner_job(
-        CornerJob(circuit="c17", technique=Technique.IMPROVED_SMT,
-                  config=CONFIG, corners=corners), library)
-    assert legacy.ok, legacy.error
+    staged = SelectiveMtFlow(
+        load_circuit("c17"), library, Technique.IMPROVED_SMT,
+        dataclasses.replace(CONFIG, signoff_corners=corners)).run()
+    assert tuple(staged.corners) == corners
     result = design.signoff(technique=Technique.IMPROVED_SMT,
                             corners=corners)
     assert result.corners == corners
-    assert result.area_um2 == legacy.area_um2
-    assert result.nominal_leakage_nw == legacy.nominal_leakage_nw
-    assert result.nominal_wns == legacy.nominal_wns
-    for row in legacy.rows:
-        ours = result.row(row.corner)
-        assert ours.leakage_nw == row.leakage_nw
-        assert ours.wns == row.wns
-        assert ours.hold_wns == row.hold_wns
+    assert result.area_um2 == staged.total_area
+    assert result.nominal_leakage_nw == staged.leakage_nw
+    assert result.nominal_wns == staged.timing.wns
+    for name, corner in staged.corners.items():
+        ours = result.row(name)
+        assert ours.leakage_nw == corner.leakage_nw
+        assert ours.wns == corner.wns
+        assert ours.hold_wns == corner.hold_wns
     # tt_nom reproduces the nominal single-point numbers exactly.
     assert result.row("tt_nom").leakage_nw == result.nominal_leakage_nw
     schemas.check_round_trip(result)
@@ -300,6 +301,27 @@ def test_workspace_sweep_grid_is_one_pool(library):
                         techniques=(Technique.DUAL_VTH,
                                     Technique.IMPROVED_SMT), jobs=4)
     assert parallel.rows == serial.rows
+
+
+def test_failing_grid_cell_raises_its_own_error_serial_or_pooled(design):
+    """A failing cell raises the worker's own exception, not a wrapper,
+    whether the grid runs in process or on the pool."""
+    from repro.api.requests import OptimizeRequest, StandbyRequest
+    from repro.api.workspace import facade_grid
+    from repro.errors import FlowError
+
+    cells = [(design, "optimize",
+              OptimizeRequest(technique=Technique.DUAL_VTH)),
+             (design, "standby",
+              StandbyRequest(technique=Technique.DUAL_VTH))]
+    raised = []
+    for jobs in (1, 2):
+        with pytest.raises(FlowError) as excinfo:
+            facade_grid(cells, jobs)
+        raised.append((type(excinfo.value), str(excinfo.value)))
+    assert raised[0] == raised[1]
+    assert raised[0][0] is FlowError
+    assert "shared-switch VGND network" in raised[0][1]
 
 
 def test_workspace_sweep_spans_circuits(workspace):

@@ -188,6 +188,27 @@ class TestInvalidation:
         assert not path.exists()
 
 
+    def test_entry_evicted_while_loading_is_a_plain_miss(
+            self, cache_env, lowered, library, monkeypatch):
+        """Another process evicting the entry between lookup and read
+        is an ordinary miss, never a corruption error."""
+        netlist, constraints, net_model, view = lowered
+        key = lowercache.view_key(netlist, library, constraints)
+        lowercache.store_view(view, key)
+        path = lowercache._entry_path(cache_env, key)
+        real_load = np.load
+
+        def evicted_then_load(file, *args, **kwargs):
+            path.unlink()  # the concurrent eviction
+            return real_load(file, *args, **kwargs)
+
+        monkeypatch.setattr(lowercache.np, "load", evicted_then_load)
+        assert lowercache.load_view(key, netlist, library, constraints,
+                                    net_model) is None
+        stats = lowercache.stats()
+        assert stats["misses"] == 1 and stats["errors"] == 0
+
+
 class TestEviction:
     def test_cap_evicts_oldest_first(self, cache_env, lowered, library,
                                      monkeypatch):

@@ -1,14 +1,27 @@
-"""Tracing across the real flow: stage coverage, pool propagation."""
+"""Tracing across the real flow: stage coverage, pool and shard
+propagation."""
 
 import os
+import time
 
-from repro.api import Workspace
+from repro.api import Workspace, schemas
+from repro.api.requests import OptimizeRequest
+from repro.api.shards import FacadeJob, run_facade_job
 from repro.config import FlowConfig, Technique
 from repro.core.stages import PIPELINES
 from repro.obs import TraceResult, enable, span, take_records
-from repro.runner import ExperimentRunner, FlowJob
+from repro.runner import ExperimentRunner
 
 CONFIG = FlowConfig(timing_margin=0.2)
+
+
+def _optimize_job(circuit):
+    """A Dual-Vth optimize facade job on ``circuit``."""
+    return FacadeJob(
+        kind="optimize", circuit=circuit,
+        request_payload=schemas.to_dict(
+            OptimizeRequest(technique=Technique.DUAL_VTH)),
+        config_payload=schemas.to_dict(CONFIG))
 
 
 def test_flow_trace_covers_every_pipeline_stage(library):
@@ -49,36 +62,34 @@ def test_stage_report_timings_unchanged_by_tracing(library):
 def test_pool_ships_worker_spans_back_to_the_parent(library):
     enable()
     runner = ExperimentRunner(jobs=2, library=library)
-    jobs = [FlowJob(circuit=circuit, technique=Technique.DUAL_VTH,
-                    config=CONFIG)
-            for circuit in ("c17", "s27")]
-    outcomes = runner.run(jobs)
-    assert all(outcome.ok for outcome in outcomes)
+    payloads = runner.map(run_facade_job,
+                          [_optimize_job(circuit)
+                           for circuit in ("c17", "s27")])
+    assert [payload["circuit"] for payload in payloads] == ["c17", "s27"]
     # The spans crossed the process boundary and were re-adopted here.
     records = take_records()
-    flow_jobs = [record for root in records for record in root.walk()
-                 if record.name == "runner.flow_job"]
-    assert len(flow_jobs) >= 2
-    assert {record.attributes["circuit"] for record in flow_jobs} == \
+    flows = [record for root in records for record in root.walk()
+             if record.name == "api.flow"]
+    assert len(flows) >= 2
+    assert {record.attributes["circuit"] for record in flows} == \
         {"c17", "s27"}
     # At least one was measured in a pool worker, not this process.
-    assert any(record.pid != os.getpid() for record in flow_jobs)
+    assert any(record.pid != os.getpid() for record in flows)
     # And the flow itself traced inside the job span, worker-side.
     assert any(child.name == "flow.run"
-               for record in flow_jobs
+               for record in flows
                for child in record.children)
 
 
 def test_serial_runner_traces_identically_shaped_jobs(library):
     enable()
     runner = ExperimentRunner(jobs=1, library=library)
-    job = FlowJob(circuit="c17", technique=Technique.DUAL_VTH,
-                  config=CONFIG)
-    assert runner.run([job])[0].ok
+    (payload,) = runner.map(run_facade_job, [_optimize_job("c17")])
+    assert payload["schema"] == "optimize_result"
     records = take_records()
     names = [record.name for root in records
              for record in root.walk()]
-    assert "runner.flow_job" in names
+    assert "api.flow" in names
     assert "flow.run" in names
 
 
@@ -89,25 +100,83 @@ def _run_between_spans(library, jobs, circuits):
     with span("earlier"):
         pass
     with span("outer"):
-        ExperimentRunner(jobs=jobs, library=library).run(
-            [FlowJob(circuit=circuit, technique=Technique.DUAL_VTH,
-                     config=CONFIG) for circuit in circuits])
+        ExperimentRunner(jobs=jobs, library=library).map(
+            run_facade_job,
+            [_optimize_job(circuit) for circuit in circuits])
     return take_records()
 
 
 def test_serial_runner_leaves_other_spans_where_they_are(library):
     roots = _run_between_spans(library, 1, ["c17"])
     assert [root.name for root in roots] == ["earlier", "outer"]
-    assert [child.name for child in roots[1].children] == \
-        ["runner.flow_job"]
+    assert [child.name for child in roots[1].children] == ["api.flow"]
 
 
 def test_forked_pool_workers_ship_only_their_own_spans(library):
     roots = _run_between_spans(library, 2, ["c17", "s27"])
     assert [root.name for root in roots] == ["earlier", "outer"]
     jobs = roots[1].children
-    assert [child.name for child in jobs] == ["runner.flow_job"] * 2
+    assert [child.name for child in jobs] == ["api.flow"] * 2
     assert all(job.pid != os.getpid() for job in jobs)
+
+
+def _run_on_one_shard(library, body, jobs=1):
+    """Run one job on a single-shard service; returns (payload, the
+    shard worker's pid)."""
+    from repro.api.service import JobService
+
+    service = JobService(workspace=Workspace(library=library), jobs=jobs,
+                         shards=1).start()
+    try:
+        job = service.submit(body)
+        deadline = time.monotonic() + 120
+        while service.status(job.job_id).status in ("queued", "running"):
+            assert time.monotonic() < deadline, "job did not finish"
+            time.sleep(0.01)
+        assert service.status(job.job_id).status == "done"
+        (shard_pid,) = service._pool.worker_pids()[0]
+        return service.result(job.job_id), shard_pid
+    finally:
+        service.close()
+
+
+def _service_job_span():
+    (service_job,) = [record for root in take_records()
+                      for record in root.walk()
+                      if record.name == "service.job"]
+    assert service_job.pid == os.getpid()
+    return service_job
+
+
+def test_shard_worker_spans_land_under_the_service_job(library):
+    """A sharded service job ships the worker's flow spans home in the
+    runner's envelope, grafted under the job's ``service.job`` span."""
+    enable()
+    _payload, shard_pid = _run_on_one_shard(
+        library, {"kind": "optimize", "circuit": "c17",
+                  "config": {"timing_margin": 0.2}})
+    flows = [child for child in _service_job_span().children
+             if child.name == "api.flow"]
+    assert len(flows) == 1
+    assert flows[0].pid == shard_pid != os.getpid()
+    assert [child.name for child in flows[0].children] == ["flow.run"]
+    assert all(record.pid == shard_pid for record in flows[0].walk())
+
+
+def test_shard_sweep_fans_out_to_grid_workers(library):
+    """A shard honours the service's ``jobs``: its sweep forks grid
+    workers (fresh workspaces), whose spans ride both envelopes home,
+    and the rows equal the in-process tier's."""
+    enable()
+    payload, shard_pid = _run_on_one_shard(
+        library, {"kind": "sweep", "circuit": "c17",
+                  "config": {"timing_margin": 0.2}}, jobs=2)
+    flows = [child for child in _service_job_span().children
+             if child.name == "api.flow"]
+    assert len(flows) == 3
+    assert not {flow.pid for flow in flows} & {shard_pid, os.getpid()}
+    local = Workspace(library=library, config=CONFIG).design("c17").sweep()
+    assert payload == schemas.check_round_trip(local)
 
 
 def test_sta_escalation_is_a_span_attribute(library):

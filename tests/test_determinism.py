@@ -85,15 +85,20 @@ def test_sweep_rows_match_in_process_compare(library):
 
 
 def test_per_job_seed_overrides_config(library):
-    """A flow job is a pure function of its config's placement seed."""
-    from repro.runner import FlowJob, run_flow_job
+    """A facade job is a pure function of its config's placement seed."""
+    from repro.api import schemas
+    from repro.api.requests import OptimizeRequest
+    from repro.api.shards import FacadeJob, run_facade_job
 
     config = FlowConfig(timing_margin=0.2, placement_seed=9)
-    job = FlowJob(circuit="c17", technique=Technique.DUAL_VTH,
-                  config=config)
-    outcome = run_flow_job(job, library=library)
-    assert outcome.ok
-    repeat = run_flow_job(job, library=library)
+    job = FacadeJob(
+        kind="optimize", circuit="c17",
+        request_payload=schemas.to_dict(
+            OptimizeRequest(technique=Technique.DUAL_VTH)),
+        config_payload=schemas.to_dict(config))
+    outcome = schemas.from_dict(run_facade_job(job, library))
+    repeat = schemas.from_dict(run_facade_job(job, library))
+    assert outcome.technique == Technique.DUAL_VTH
     assert outcome.area_um2 == repeat.area_um2
     assert outcome.leakage_nw == repeat.leakage_nw
 

@@ -1,5 +1,7 @@
 """Exception hierarchy and error formatting."""
 
+import pickle
+
 import pytest
 
 from repro import errors
@@ -88,3 +90,57 @@ def test_service_error_carries_status():
     assert err.status == 404
     assert issubclass(errors.ServiceError, errors.ReproError)
     assert issubclass(errors.SchemaError, errors.ReproError)
+
+
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)
+
+
+def test_every_repro_error_pickles_with_its_attributes():
+    """Errors cross process boundaries (pool and shard workers), so
+    each must unpickle as itself, message and attributes intact."""
+    import repro.api  # noqa: F401  (defines ShardError)
+
+    special = {
+        errors.ConfigError: dict(field="samples", message="must be > 0"),
+        errors.ServiceError: dict(message="queue full", status=429,
+                                  retry_after=1.5),
+    }
+    classes = {cls for cls in (errors.ReproError,
+                               *_all_subclasses(errors.ReproError))
+               if cls.__module__.startswith("repro.")}
+    assert errors.ConfigError in classes and len(classes) > 15
+    for cls in classes:
+        if issubclass(cls, errors.ParseError):
+            error = cls("bad token", filename="x.lib", line=4, column=7)
+        elif cls in special:
+            error = cls(**special[cls])
+        else:
+            error = cls("boom")
+        clone = pickle.loads(pickle.dumps(error))
+        assert type(clone) is cls
+        assert str(clone) == str(error)
+        assert vars(clone) == vars(error), cls.__name__
+    config = pickle.loads(pickle.dumps(
+        errors.ConfigError("samples", "must be > 0")))
+    assert config.field == "samples"
+    parse = pickle.loads(pickle.dumps(errors.ParseError("x", line=4)))
+    assert parse.line == 4
+    service = pickle.loads(pickle.dumps(
+        errors.ServiceError("full", status=429, retry_after=1.5)))
+    assert (service.status, service.retry_after) == (429, 1.5)
+
+
+def _reject(item, library):
+    raise errors.ConfigError("samples", f"rejected item {item}")
+
+
+def test_config_error_in_a_pool_worker_arrives_as_config_error(library):
+    from repro.runner import ExperimentRunner
+
+    with pytest.raises(errors.ConfigError) as excinfo:
+        ExperimentRunner(jobs=2, library=library).map(_reject, [1, 2])
+    assert excinfo.value.field == "samples"
+    assert str(excinfo.value) == "invalid samples: rejected item 1"
