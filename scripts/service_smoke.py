@@ -21,7 +21,10 @@ match the frozen golden fixtures in ``tests/golden/``:
    stats must show a lowering-cache *hit* (the lowered design survived
    the process boundary); on the scalar backend the cache must stay
    silent;
-6. a ``--shards 2`` leg whose optimize runs in a shard worker process.
+6. a ``--shards 2`` leg whose optimize runs in a shard worker process;
+7. malformed requests against the first and the sharded server: a
+   non-numeric ``Content-Length`` and a non-JSON body must each get a
+   400 JSON error, and ``/v1/health`` must stay ok afterwards.
 
 Every server is stopped with SIGTERM and must exit 0 without leaving a
 child process (a shard worker) behind.
@@ -33,6 +36,7 @@ Run from the repo root (CI runs it once per compute backend)::
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import pathlib
@@ -142,6 +146,32 @@ def stop_server(server: subprocess.Popen):
           f"{len(children)})", not any(map(alive, children)))
 
 
+def check_malformed_requests(client: ServiceClient, port: int):
+    """Bad framing and a bad body are 400 JSON errors, not a dead
+    connection, and the server stays healthy."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(b"POST /v1/jobs HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                     b"Content-Length: abc\r\n\r\n")
+        response = b""
+        while chunk := sock.recv(65536):  # the server closes after it
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    check("non-numeric Content-Length gets a 400",
+          head.startswith(b"HTTP/1.1 400 "))
+    check("... with a JSON error", "error" in json.loads(body))
+
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    conn.request("POST", "/v1/jobs", body=b"{not json",
+                 headers={"Content-Type": "application/json"})
+    reply = conn.getresponse()
+    error = json.loads(reply.read())["error"]
+    conn.close()
+    check("non-JSON body gets a 400 JSON error",
+          reply.status == 400 and "not valid JSON" in error["message"])
+    check("server healthy after malformed requests",
+          client.health()["status"] == "ok")
+
+
 def kill_server(server: subprocess.Popen):
     if server.poll() is None:
         server.kill()
@@ -160,6 +190,7 @@ def main() -> int:
     try:
         wait_for_health(client)
         logger.info("service healthy on port %s", port)
+        check_malformed_requests(client, port)
 
         logger.info("flow job: optimize improved_smt on c432")
         improved = golden["improved_smt"]
@@ -351,6 +382,7 @@ def main() -> int:
                               "--shards", "2")
         client = ServiceClient(f"http://127.0.0.1:{port}", timeout=120.0)
         wait_for_health(client)
+        check_malformed_requests(client, port)
         sharded = client.run(
             "optimize", CIRCUIT,
             request=OptimizeRequest(technique=Technique.IMPROVED_SMT),

@@ -31,9 +31,9 @@ from repro.variation.corners import PvtCorner
 from repro.variation.montecarlo import McSample
 from repro.variation.signoff import CornerResult
 
-schemas.dataclass_schema("flow_config", 1, FlowConfig,
-                         signoff_corners=schemas.TUPLE,
-                         standby_scenarios=schemas.TUPLE)
+# Version 2 removed the in-flow signoff fields; a version-1 payload
+# still decodes, its removed keys ignored.
+schemas.dataclass_schema("flow_config", 2, FlowConfig)
 
 schemas.dataclass_schema("export_manifest", 1, ExportManifest)
 

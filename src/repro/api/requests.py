@@ -7,6 +7,9 @@ in the schema registry, so a job-service submission body *is* a
 request payload — the HTTP layer and the in-process facade speak the
 same language.
 
+Requests own their field types: technique names become
+:class:`~repro.config.Technique` members and sequences become tuples,
+so a keyword-built request equals (and hashes like) the typed one.
 Field validation raises :class:`~repro.errors.ConfigError` naming the
 offending field, mirroring :class:`~repro.config.FlowConfig`.
 """
@@ -34,6 +37,34 @@ def _check_scenario_payloads(payloads, names) -> None:
                 "scenario_payloads",
                 f"duplicate scenario name {payload.name!r}")
         seen.add(payload.name)
+
+
+def _technique(field: str, value) -> Technique:
+    try:
+        return Technique(value)
+    except ValueError:
+        valid = ", ".join(t.value for t in Technique)
+        raise ConfigError(
+            field, f"unknown technique {value!r}; valid: {valid}") from None
+
+
+def _own_types(request) -> None:
+    """Coerce a request's technique names and sequences in place."""
+    for field in dataclasses.fields(request):
+        value = getattr(request, field.name)
+        if field.type.startswith("tuple["):
+            try:
+                value = tuple(value)
+            except TypeError:
+                raise ConfigError(
+                    field.name,
+                    f"must be a sequence, got {value!r}") from None
+        if field.name == "technique":
+            value = _technique(field.name, value)
+        elif field.name == "techniques":
+            value = tuple(_technique(field.name, v) for v in value)
+        object.__setattr__(request, field.name, value)
+
 
 #: Mapped-variant names accepted by :class:`AnalyzeRequest`.
 ANALYZE_VARIANTS = ("lvt", "hvt")
@@ -69,6 +100,9 @@ class OptimizeRequest:
 
     technique: Technique = Technique.IMPROVED_SMT
 
+    def __post_init__(self):
+        _own_types(self)
+
 
 @dataclasses.dataclass(frozen=True)
 class SignoffRequest:
@@ -82,6 +116,7 @@ class SignoffRequest:
     corners: tuple[str, ...] = ()
 
     def __post_init__(self):
+        _own_types(self)
         if not all(isinstance(c, str) and c for c in self.corners):
             raise ConfigError(
                 "corners", f"must be non-empty names, got {self.corners!r}")
@@ -106,6 +141,7 @@ class MonteCarloRequest:
     leakage_budget_nw: float | None = None
 
     def __post_init__(self):
+        _own_types(self)
         if self.samples < 1:
             raise ConfigError(
                 "samples", f"needs at least one, got {self.samples!r}")
@@ -143,6 +179,7 @@ class StandbyRequest:
     settle_fraction: float = 0.05
 
     def __post_init__(self):
+        _own_types(self)
         if not all(isinstance(s, str) and s for s in self.scenarios):
             raise ConfigError(
                 "scenarios",
@@ -184,6 +221,7 @@ class PolicyRequest:
     settle_fraction: float = 0.05
 
     def __post_init__(self):
+        _own_types(self)
         if not all(isinstance(s, str) and s for s in self.scenarios):
             raise ConfigError(
                 "scenarios",
@@ -217,6 +255,7 @@ class SweepRequest:
     techniques: tuple[Technique, ...] = DEFAULT_TECHNIQUES
 
     def __post_init__(self):
+        _own_types(self)
         if not self.techniques:
             raise ConfigError("techniques", "must name at least one")
 

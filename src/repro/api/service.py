@@ -182,8 +182,7 @@ def parse_submission(payload) -> tuple[str, str, object, FlowConfig]:
     request_payload = payload.get("request")
     request_cls = JOB_KINDS[kind]
     if request_payload is None:
-        # No payload -> the facade builds the default request, so
-        # config-derived defaults (e.g. FlowConfig.standby_*) apply.
+        # No payload -> the facade builds the default request.
         request = None
     else:
         try:
@@ -602,14 +601,25 @@ class _Handler(BaseHTTPRequestHandler):
                                f"{exc}") from exc
 
     def _dispatch(self, method: str):
-        # Always drain the body up front: a route that ignores it
-        # (e.g. cancel) must not leave bytes on a keep-alive
-        # connection, where they would corrupt the next request.
-        length = int(self.headers.get("Content-Length") or 0)
-        self._body = self.rfile.read(length) if length else b""
         service = self.server.service
         parts = [p for p in self.path.split("?")[0].split("/") if p]
+        headers = {}
         try:
+            # Always drain the body up front: a route that ignores it
+            # (e.g. cancel) must not leave bytes on a keep-alive
+            # connection, where they would corrupt the next request.
+            declared = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(declared)
+            except ValueError:
+                length = -1
+            if length < 0:
+                # The body length is unknown, so the connection cannot
+                # carry another request: answer, then close it.
+                headers["Connection"] = "close"
+                raise ServiceError(
+                    f"malformed Content-Length header {declared!r}")
+            self._body = self.rfile.read(length) if length else b""
             if parts[:1] != ["v1"]:
                 raise ServiceError(f"unknown path {self.path!r}",
                                    status=404)
@@ -645,7 +655,6 @@ class _Handler(BaseHTTPRequestHandler):
                 raise ServiceError(f"unknown path {self.path!r}",
                                    status=404)
         except ServiceError as error:
-            headers = {}
             if error.retry_after is not None:
                 headers["Retry-After"] = error.retry_after
             self._send(error.status, _error_payload(error),

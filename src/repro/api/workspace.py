@@ -15,9 +15,12 @@ One :class:`Workspace` owns every piece of expensive compiled state:
 :meth:`Workspace.design` hands out :class:`Design` facades exposing
 the whole capability surface — :meth:`Design.analyze`,
 :meth:`Design.optimize`, :meth:`Design.signoff`,
+:meth:`Design.standby`, :meth:`Design.policy`,
 :meth:`Design.montecarlo`, :meth:`Design.sweep` — each taking a typed
 frozen request (:mod:`repro.api.requests`) and returning a typed,
-schema-registered result (:mod:`repro.api.results`).  Repeated calls
+schema-registered result (:mod:`repro.api.results`).  Signoff,
+standby and policy run only here, on the cached flow result; no flow
+stage computes them.  Repeated calls
 with an equal request are served from cache; the warm hit path is what
 the persistent job service rides (see :mod:`repro.api.service`) and
 what ``benchmarks/test_bench_api.py`` pins at >= 3x over a cold
@@ -283,30 +286,6 @@ class Workspace:
             row for comparison in sweep_grid(designs, techniques, jobs)
             for row in comparison.rows))
 
-    def standby(self, circuit: str,
-                request: "StandbyRequest | None" = None,
-                config: FlowConfig | None = None,
-                **kwargs) -> "StandbyResult":
-        """Standby-transition study of one circuit (facade shortcut).
-
-        Equivalent to ``workspace.design(circuit).standby(...)`` — the
-        cached flow result, corner libraries and compiled library are
-        all reused.
-        """
-        return self.design(circuit, config).standby(request, **kwargs)
-
-    def policy(self, circuit: str,
-               request: "PolicyRequest | None" = None,
-               config: FlowConfig | None = None,
-               **kwargs) -> "PolicyResult":
-        """Sleep-policy sweep of one circuit (facade shortcut).
-
-        Equivalent to ``workspace.design(circuit).policy(...)`` — the
-        cached flow result, corner libraries and compiled library are
-        all reused.
-        """
-        return self.design(circuit, config).policy(request, **kwargs)
-
     def cache_stats(self) -> dict[str, dict[str, int]]:
         """Compatibility view: the flat dict ``/v1/health`` has always
         served (workspace caches by name, plus the process-wide
@@ -542,9 +521,11 @@ class Design:
         return baseline
 
     @staticmethod
-    def _request_or_kwargs(request, kwargs: dict):
-        """A method takes EITHER a request object OR field kwargs."""
-        supplied = {key: value for key, value in kwargs.items()
+    def _request(request, cls, **fields):
+        """The request object, or a ``cls`` built from the non-``None``
+        keyword fields (the dataclass defaults fill the rest) — never
+        both."""
+        supplied = {key: value for key, value in fields.items()
                     if value is not None}
         if request is not None and supplied:
             raise ConfigError(
@@ -552,14 +533,13 @@ class Design:
                 f"pass either a request object or field keyword "
                 f"arguments, not both (got request plus "
                 f"{sorted(supplied)})")
-        return supplied
+        return request if request is not None else cls(**supplied)
 
     @_locked
     def analyze(self, request: AnalyzeRequest | None = None, *,
                 variant: str | None = None) -> AnalyzeResult:
         """Baseline STA + leakage of the design as loaded (no flow)."""
-        supplied = self._request_or_kwargs(request, {"variant": variant})
-        request = request or AnalyzeRequest(**supplied)
+        request = self._request(request, AnalyzeRequest, variant=variant)
         if request in self._analyses:
             self._stats().hit("analyze")
             return self._analyses[request]
@@ -610,10 +590,8 @@ class Design:
                  technique: Technique | str | None = None
                  ) -> OptimizeResult:
         """Run one technique end to end (cached per technique)."""
-        self._request_or_kwargs(request, {"technique": technique})
-        request = request or OptimizeRequest(
-            technique=Technique(technique) if technique is not None
-            else Technique.IMPROVED_SMT)
+        request = self._request(request, OptimizeRequest,
+                                technique=technique)
         if request.technique in self._optimizations:
             self._stats().hit("optimize")
             return self._optimizations[request.technique]
@@ -642,18 +620,14 @@ class Design:
                 corners=None) -> SignoffResult:
         """Multi-corner signoff of one technique's finished design.
 
-        The flow result is reused from the optimize cache; each corner
-        is then one leakage pass plus one STA against the corner-derived
-        library from the process-wide derivation memo — identical
-        numbers to the flow's ``corner_signoff`` stage.
+        The one corner-signoff path: the flow result is reused from
+        the optimize cache; each corner is then one leakage pass plus
+        one STA against the corner-derived library from the
+        process-wide derivation memo.  Empty ``corners`` means the
+        technology's default signoff set.
         """
-        self._request_or_kwargs(request,
-                                {"technique": technique,
-                                 "corners": corners})
-        request = request or SignoffRequest(
-            technique=Technique(technique) if technique is not None
-            else Technique.IMPROVED_SMT,
-            corners=tuple(corners) if corners is not None else ())
+        request = self._request(request, SignoffRequest,
+                                technique=technique, corners=corners)
         if request in self._signoffs:
             self._stats().hit("signoff")
             return self._signoffs[request]
@@ -678,7 +652,7 @@ class Design:
         result = SignoffResult(
             circuit=self.circuit,
             technique=request.technique,
-            corners=tuple(corner_names),
+            corners=corner_names,
             area_um2=flow.total_area,
             nominal_leakage_nw=flow.leakage_nw,
             nominal_wns=flow.timing.wns,
@@ -686,25 +660,38 @@ class Design:
         self._signoffs[request] = result
         return result
 
-    # --- standby ------------------------------------------------------------
+    # --- standby and sleep policy ------------------------------------------
 
-    def _scenario_objects(self, request):
-        """Resolve a request's named + payload scenarios (in order).
+    def _sleep_inputs(self, request, analysis: str):
+        """The standby/policy prologue: the library, the technique's
+        flow result (which must carry a shared-switch VGND network),
+        the request's scenarios and its corners.
 
-        Built-in names default in only when the request carries
-        neither names nor payloads — a payload-only request means
-        exactly those workloads.
+        Built-in scenario names default in only when the request
+        carries neither names nor payloads — a payload-only request
+        means exactly those workloads.  Empty ``corners`` means the
+        technology's default signoff set.
         """
         from repro.standby.scenario import (
             resolve_scenario,
             standard_scenarios,
         )
+        from repro.variation.corners import default_signoff_corners
 
+        library = self.library
+        flow = self.flow_result(request.technique)
+        if flow.network is None or not flow.network.clusters:
+            raise FlowError(
+                f"technique {request.technique.value!r} builds no "
+                f"shared-switch VGND network; {analysis} needs "
+                f"improved_smt")
         names = request.scenarios
         if not names and not request.scenario_payloads:
             names = tuple(standard_scenarios())
-        return [resolve_scenario(name) for name in names] \
+        scenarios = [resolve_scenario(name) for name in names] \
             + list(request.scenario_payloads)
+        corners = request.corners or default_signoff_corners(library.tech)
+        return library, flow, scenarios, corners
 
     @_locked
     def standby(self, request: StandbyRequest | None = None, *,
@@ -714,78 +701,32 @@ class Design:
                 settle_fraction: float | None = None) -> StandbyResult:
         """Standby-transition study of one technique's finished design.
 
-        The flow result comes from the optimize cache; corner-derived
-        libraries come from the process-wide derivation memo; the
-        post-route parasitics the flow extracted refine the VGND rail
-        capacitances.  Only the improved technique builds the
-        shared-switch network this analysis characterizes — the others
-        raise :class:`~repro.errors.FlowError`.
-
-        Field defaults come from the design's :class:`FlowConfig`
-        (``standby_scenarios``, ``standby_rush_budget_ma``,
-        ``standby_settle_fraction``, ``signoff_corners``) with the
-        same fallbacks as the flow's ``standby_signoff`` stage (all
-        built-in scenarios, the default signoff corner set), so for
-        any configuration with ``standby_scenarios`` set the facade
-        answer equals — and is simply reused from — the stage's
-        ``FlowResult.standby``.  An explicit request object is taken
-        verbatim.
+        The one standby path: the flow result comes from the optimize
+        cache; corner-derived libraries come from the process-wide
+        derivation memo; the post-route parasitics the flow extracted
+        refine the VGND rail capacitances.  Only the improved
+        technique builds the shared-switch network this analysis
+        characterizes — the others raise
+        :class:`~repro.errors.FlowError`.  Empty ``scenarios`` means
+        every built-in scenario, empty ``corners`` the default signoff
+        set.
         """
-        self._request_or_kwargs(request, {
-            "technique": technique, "scenarios": scenarios,
-            "scenario_payloads": scenario_payloads,
-            "corners": corners, "rush_budget_ma": rush_budget_ma,
-            "settle_fraction": settle_fraction})
-        request = request or StandbyRequest(
-            technique=Technique(technique) if technique is not None
-            else Technique.IMPROVED_SMT,
-            scenarios=tuple(scenarios) if scenarios is not None
-            else self.config.standby_scenarios,
-            scenario_payloads=tuple(scenario_payloads)
-            if scenario_payloads is not None else (),
-            corners=tuple(corners) if corners is not None
-            else self.config.signoff_corners,
-            rush_budget_ma=rush_budget_ma
-            if rush_budget_ma is not None
-            else self.config.standby_rush_budget_ma,
-            settle_fraction=settle_fraction
-            if settle_fraction is not None
-            else self.config.standby_settle_fraction)
+        request = self._request(
+            request, StandbyRequest, technique=technique,
+            scenarios=scenarios, scenario_payloads=scenario_payloads,
+            corners=corners, rush_budget_ma=rush_budget_ma,
+            settle_fraction=settle_fraction)
         if request in self._standbys:
             self._stats().hit("standby")
             return self._standbys[request]
         self._stats().miss("standby")
         from repro.standby.engine import StandbyEngine
-        from repro.variation.corners import default_signoff_corners
 
-        library = self.library
-        flow = self.flow_result(request.technique)
-        if flow.network is None or not flow.network.clusters:
-            raise FlowError(
-                f"technique {request.technique.value!r} builds no "
-                f"shared-switch VGND network; standby-transition "
-                f"analysis needs improved_smt")
-        scenario_objs = self._scenario_objects(request)
-        scenario_names = tuple(s.name for s in scenario_objs)
-        corner_names = request.corners \
-            or default_signoff_corners(library.tech)
-        # The standby_signoff stage may have computed exactly this
-        # analysis during the flow run — reuse it instead of running
-        # the engine a second time.
-        stage_result = flow.standby
-        if stage_result is not None \
-                and stage_result.circuit == self.circuit \
-                and stage_result.scenarios == tuple(scenario_names) \
-                and stage_result.corners == tuple(corner_names) \
-                and stage_result.settle_fraction \
-                == request.settle_fraction \
-                and request.rush_budget_ma \
-                == self.config.standby_rush_budget_ma:
-            self._standbys[request] = stage_result
-            return stage_result
+        library, flow, scenario_objs, corner_names = self._sleep_inputs(
+            request, "standby-transition analysis")
         engine = StandbyEngine(
             flow.netlist, library, flow.network, scenario_objs,
-            corners=tuple(corner_names),
+            corners=corner_names,
             settle_fraction=request.settle_fraction,
             rush_budget_ma=request.rush_budget_ma,
             parasitics=flow.parasitics,
@@ -794,8 +735,6 @@ class Design:
         result = engine.run()
         self._standbys[request] = result
         return result
-
-    # --- sleep policy -------------------------------------------------------
 
     @_locked
     def policy(self, request: PolicyRequest | None = None, *,
@@ -807,80 +746,27 @@ class Design:
                settle_fraction: float | None = None) -> PolicyResult:
         """Sleep-policy sweep of one technique's finished design.
 
-        Sweeps at least ``candidates`` (domain plan, threshold)
-        policies through the batched scenario kernel and returns the
-        Pareto front of (net savings, worst wake latency, peak rush).
-        Scenario, corner and cache semantics match :meth:`standby`:
-        flow result from the optimize cache, corner libraries from the
-        derivation memo, defaults from the design's
-        :class:`FlowConfig` (``policy_candidates`` falls back to 1024
-        when the config leaves the stage off), and when the flow's
-        ``policy_signoff`` stage already ran exactly this sweep its
-        result is reused.
+        The one policy path: sweeps at least ``candidates`` (domain
+        plan, threshold) policies through the batched scenario kernel
+        and returns the Pareto front of (net savings, worst wake
+        latency, peak rush).  Flow result, scenarios, corners and
+        caching work as in :meth:`standby`.
         """
-        self._request_or_kwargs(request, {
-            "technique": technique, "scenarios": scenarios,
-            "scenario_payloads": scenario_payloads,
-            "corners": corners, "candidates": candidates,
-            "max_domains": max_domains,
-            "rush_budget_ma": rush_budget_ma,
-            "settle_fraction": settle_fraction})
-        request = request or PolicyRequest(
-            technique=Technique(technique) if technique is not None
-            else Technique.IMPROVED_SMT,
-            scenarios=tuple(scenarios) if scenarios is not None
-            else self.config.standby_scenarios,
-            scenario_payloads=tuple(scenario_payloads)
-            if scenario_payloads is not None else (),
-            corners=tuple(corners) if corners is not None
-            else self.config.signoff_corners,
-            candidates=candidates if candidates is not None
-            else (self.config.policy_candidates or 1024),
-            max_domains=max_domains if max_domains is not None
-            else self.config.policy_max_domains,
-            rush_budget_ma=rush_budget_ma
-            if rush_budget_ma is not None
-            else self.config.standby_rush_budget_ma,
-            settle_fraction=settle_fraction
-            if settle_fraction is not None
-            else self.config.standby_settle_fraction)
+        request = self._request(
+            request, PolicyRequest, technique=technique,
+            scenarios=scenarios, scenario_payloads=scenario_payloads,
+            corners=corners, candidates=candidates,
+            max_domains=max_domains, rush_budget_ma=rush_budget_ma,
+            settle_fraction=settle_fraction)
         if request in self._policies:
             self._stats().hit("policy")
             return self._policies[request]
         self._stats().miss("policy")
-        from repro.variation.corners import default_signoff_corners
-
-        library = self.library
-        flow = self.flow_result(request.technique)
-        if flow.network is None or not flow.network.clusters:
-            raise FlowError(
-                f"technique {request.technique.value!r} builds no "
-                f"shared-switch VGND network; sleep-policy "
-                f"optimization needs improved_smt")
-        scenario_objs = self._scenario_objects(request)
-        scenario_names = tuple(s.name for s in scenario_objs)
-        corner_names = request.corners \
-            or default_signoff_corners(library.tech)
-        # The policy_signoff stage may have swept exactly this space
-        # during the flow run — reuse it instead of sweeping again.
-        stage_result = flow.policy
-        if stage_result is not None \
-                and stage_result.circuit == self.circuit \
-                and stage_result.scenarios == scenario_names \
-                and stage_result.corners == tuple(corner_names) \
-                and stage_result.settle_fraction \
-                == request.settle_fraction \
-                and request.candidates \
-                == self.config.policy_candidates \
-                and request.max_domains \
-                == self.config.policy_max_domains \
-                and request.rush_budget_ma \
-                == self.config.standby_rush_budget_ma:
-            self._policies[request] = stage_result
-            return stage_result
+        library, flow, scenario_objs, corner_names = self._sleep_inputs(
+            request, "sleep-policy optimization")
         optimizer = PolicyOptimizer(
             flow.netlist, library, flow.network, scenario_objs,
-            corners=tuple(corner_names),
+            corners=corner_names,
             candidates=request.candidates,
             max_domains=request.max_domains,
             settle_fraction=request.settle_fraction,
@@ -905,8 +791,7 @@ class Design:
         the statistics are identical for any fan-out.  The serial path
         reuses the cached flow result and evaluates in-process.
         """
-        self._request_or_kwargs(request, kwargs)
-        request = request or MonteCarloRequest(**kwargs)
+        request = self._request(request, MonteCarloRequest, **kwargs)
         jobs = self.workspace.jobs if jobs is None else max(1, int(jobs))
         if request in self._montecarlos:
             self._stats().hit("montecarlo")
@@ -974,10 +859,8 @@ class Design:
     def sweep(self, request: SweepRequest | None = None, *,
               techniques=None, jobs: int | None = None) -> SweepResult:
         """Compare techniques on this design (one Table 1 row group)."""
-        self._request_or_kwargs(request, {"techniques": techniques})
-        if request is None:
-            request = SweepRequest(
-                techniques=tuple(techniques or DEFAULT_TECHNIQUES))
+        request = self._request(request, SweepRequest,
+                                techniques=techniques)
         jobs = self.workspace.jobs if jobs is None else max(1, int(jobs))
         key = (request, jobs)
         if key in self._sweeps:

@@ -297,12 +297,12 @@ def _load_scenario_payload(path: str):
                 f"{path!r} holds a {payload['schema']!r} payload, "
                 f"not a standby_scenario")
         return scenario
-    if "points" in payload:
-        payload = dict(payload, points=tuple(
-            (float(d), float(w)) for d, w in payload["points"]))
     try:
+        if "points" in payload:
+            payload = dict(payload, points=tuple(
+                (float(d), float(w)) for d, w in payload["points"]))
         return PowerModeScenario(**payload)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(
             "scenario_file", f"bad scenario in {path!r}: {exc}") from exc
 
@@ -328,7 +328,7 @@ def cmd_standby(args) -> int:
         corners=corners,
         rush_budget_ma=args.rush_budget,
         settle_fraction=args.settle_fraction)
-    result = workspace.standby(args.circuit, request)
+    result = workspace.design(args.circuit).standby(request)
     print(render_standby_table(result))
     _emit_json(result, args.json)
     return 0
@@ -358,7 +358,7 @@ def cmd_policy(args) -> int:
         max_domains=args.max_domains,
         rush_budget_ma=args.rush_budget,
         settle_fraction=args.settle_fraction)
-    result = workspace.policy(args.circuit, request)
+    result = workspace.design(args.circuit).policy(request)
     print(result.render())
     _emit_json(result, args.json)
     return 0

@@ -70,33 +70,6 @@ class FlowConfig:
     hold_fix_buffer_cell: str = "BUF_X1_HVT"
     max_hold_fix_passes: int = 3
 
-    # PVT corner signoff: names from repro.variation.corners (e.g.
-    # "tt_nom", "ss_1.08v_125c").  Empty = the corner_signoff stage is
-    # a no-op and the flow behaves exactly as single-point.
-    signoff_corners: tuple[str, ...] = ()
-
-    # Standby-transition signoff: power-mode scenario names from
-    # repro.standby.scenario.standard_scenarios().  Empty = the
-    # standby_signoff stage is a no-op.  Wake latencies are evaluated
-    # at signoff_corners (nominal only when none are set).
-    standby_scenarios: tuple[str, ...] = ()
-    # Aggregate rush-current (di/dt) budget for the staged wake-up
-    # scheduler, in mA; None derives the default (half the
-    # simultaneous-enable rush, floored at the largest cluster peak).
-    standby_rush_budget_ma: float | None = None
-    # VGND settle threshold as a fraction of Vdd: wake-up counts as
-    # finished once the rail is below it.
-    standby_settle_fraction: float = 0.05
-
-    # Sleep-policy signoff (repro.policy): candidate budget for the
-    # batched threshold/domain sweep.  0 = the policy_signoff stage is
-    # a no-op.  Workloads come from standby_scenarios, corners from
-    # signoff_corners (nominal only when none are set).
-    policy_candidates: int = 0
-    # Largest hierarchical power-domain count a plan may use (the
-    # per-cluster plan is always swept as well).
-    policy_max_domains: int = 4
-
     # Simultaneity model of the VGND cluster current (overrides the
     # repro.vgnd.bounce defaults): the fraction of summed member peak
     # current flowing at once is max(n^-exponent, floor).
@@ -125,26 +98,6 @@ class FlowConfig:
                 "compute_backend",
                 f"unknown backend {self.compute_backend!r}; "
                 f"known: {BACKENDS}")
-        if self.standby_rush_budget_ma is not None \
-                and self.standby_rush_budget_ma <= 0:
-            raise ConfigError(
-                "standby_rush_budget_ma",
-                f"must be positive when set, got "
-                f"{self.standby_rush_budget_ma!r}")
-        if not 0.0 < self.standby_settle_fraction < 0.5:
-            raise ConfigError(
-                "standby_settle_fraction",
-                f"must be in (0, 0.5), got "
-                f"{self.standby_settle_fraction!r}")
-        if self.policy_candidates < 0:
-            raise ConfigError(
-                "policy_candidates",
-                f"must be non-negative, got {self.policy_candidates!r}")
-        if self.policy_max_domains < 1:
-            raise ConfigError(
-                "policy_max_domains",
-                f"needs at least one domain, got "
-                f"{self.policy_max_domains!r}")
         if not 0.0 <= self.simultaneity_exponent <= 1.0:
             raise ConfigError(
                 "simultaneity_exponent",

@@ -42,11 +42,8 @@ from repro.obs.spans import span
 from repro.placement.placer import Placement
 from repro.power.leakage import LeakageBreakdown
 from repro.routing.extract import NetParasitics
-from repro.policy.optimize import PolicyResult
-from repro.standby.engine import StandbyResult
 from repro.timing.constraints import Constraints
 from repro.timing.sta import TimingReport
-from repro.variation.signoff import CornerResult
 from repro.vgnd.network import VgndNetwork
 
 __all__ = [
@@ -77,17 +74,6 @@ class FlowResult:
     stages: list[StageReport]
     sta_stats: dict[str, dict[str, int]] = dataclasses.field(
         default_factory=dict)
-    #: Per-corner signoff results (empty unless
-    #: ``FlowConfig.signoff_corners`` was set).
-    corners: dict[str, "CornerResult"] = dataclasses.field(
-        default_factory=dict)
-    #: Standby-transition signoff (None unless
-    #: ``FlowConfig.standby_scenarios`` was set and the technique
-    #: built a shared-switch VGND network).
-    standby: "StandbyResult | None" = None
-    #: Sleep-policy signoff (None unless ``FlowConfig.policy_candidates``
-    #: was positive alongside standby scenarios and a VGND network).
-    policy: "PolicyResult | None" = None
 
     @property
     def leakage_nw(self) -> float:
@@ -132,10 +118,7 @@ class FlowResult:
             leakage=ctx.leakage,
             total_area=ctx.total_area,
             stages=list(ctx.stages),
-            sta_stats=dict(ctx.sta_stats),
-            corners=dict(ctx.corners),
-            standby=ctx.standby,
-            policy=ctx.policy)
+            sta_stats=dict(ctx.sta_stats))
 
 
 class SelectiveMtFlow:

@@ -57,13 +57,9 @@ from repro.routing.extract import (
     PreRouteEstimator,
 )
 from repro.routing.steiner import build_mst
-from repro.policy.optimize import PolicyOptimizer, PolicyResult
-from repro.standby.engine import StandbyEngine, StandbyResult
-from repro.standby.scenario import resolve_scenario
 from repro.timing.constraints import Constraints
 from repro.timing.session import TimingSession
 from repro.timing.sta import TimingAnalyzer, TimingReport
-from repro.variation.signoff import CornerResult
 from repro.vgnd.cluster import ClusterConfig
 from repro.vgnd.em import check_em
 from repro.vgnd.network import VgndNetwork
@@ -114,10 +110,6 @@ class FlowContext:
     timing: TimingReport | None = None
     leakage: LeakageBreakdown | None = None
     total_area: float = 0.0
-    corners: dict[str, CornerResult] = dataclasses.field(
-        default_factory=dict)
-    standby: "StandbyResult | None" = None
-    policy: "PolicyResult | None" = None
 
     # Improved-SMT intermediates (between replacement and the switch
     # structure construction).
@@ -228,9 +220,6 @@ PIPELINES: dict[Technique, tuple[str, ...]] = {
         "eco_placement",
         "routing_cts_mte",
         "eco_and_sta",
-        "corner_signoff",
-        "standby_signoff",
-        "policy_signoff",
         "finalize",
     ),
     Technique.CONVENTIONAL_SMT: (
@@ -241,9 +230,6 @@ PIPELINES: dict[Technique, tuple[str, ...]] = {
         "eco_placement",
         "routing_cts_mte",
         "eco_and_sta",
-        "corner_signoff",
-        "standby_signoff",
-        "policy_signoff",
         "finalize",
     ),
     Technique.IMPROVED_SMT: (
@@ -257,9 +243,6 @@ PIPELINES: dict[Technique, tuple[str, ...]] = {
         "routing_cts_mte",
         "spef_reoptimization",
         "eco_and_sta",
-        "corner_signoff",
-        "standby_signoff",
-        "policy_signoff",
         "finalize",
     ),
 }
@@ -692,135 +675,6 @@ def stage_eco_and_sta(ctx: FlowContext) -> dict[str, Any]:
         "wns": round(eco_result.final_report.wns, 4),
         "hold_wns": round(eco_result.final_report.hold_wns, 4),
     })
-
-
-@flow_stage("corner_signoff")
-def stage_corner_signoff(ctx: FlowContext) -> dict[str, Any] | None:
-    """PVT corner signoff of the finished design (variation engine).
-
-    Re-evaluates the final netlist's standby leakage and timing at
-    each corner named in ``FlowConfig.signoff_corners`` using
-    corner-derived libraries; with no corners configured the stage is
-    invisible (no report), so single-point flows are untouched.
-    """
-    names = ctx.config.signoff_corners
-    if not names:
-        return None
-    ctx.require("netlist", "constraints")
-    from repro.variation.signoff import evaluate_corners_batched
-
-    clock_arrivals = ctx.cts.clock_arrivals if ctx.cts else None
-    ctx.corners = evaluate_corners_batched(
-        ctx.netlist, ctx.library, names, ctx.constraints,
-        parasitics=ctx.parasitics, network=ctx.network,
-        clock_arrivals=clock_arrivals,
-        compute_backend=ctx.config.compute_backend)
-    worst_leak = max(ctx.corners.values(), key=lambda r: r.leakage_nw)
-    worst_wns = min(ctx.corners.values(), key=lambda r: r.wns)
-    return {
-        "corners": len(ctx.corners),
-        "worst_leakage_nw": round(worst_leak.leakage_nw, 3),
-        "worst_leakage_corner": worst_leak.corner.name,
-        "worst_wns": round(worst_wns.wns, 4),
-        "worst_wns_corner": worst_wns.corner.name,
-    }
-
-
-@flow_stage("standby_signoff")
-def stage_standby_signoff(ctx: FlowContext) -> dict[str, Any] | None:
-    """Standby-transition signoff (repro.standby).
-
-    Characterizes the VGND network's sleep/wake transients, builds the
-    rush-current-bounded wake-up schedule and evaluates every
-    power-mode scenario named in ``FlowConfig.standby_scenarios`` —
-    at each signoff corner when corners are configured, at the
-    technology's default signoff set otherwise (the same fallback
-    ``Design.standby()`` uses, so the two entry points agree for any
-    configuration).  Invisible (no report) with no scenarios
-    configured, and for techniques without a shared-switch network
-    (Dual-Vth and the conventional SMT have nothing to schedule).
-    """
-    names = ctx.config.standby_scenarios
-    if not names:
-        return None
-    network = ctx.network
-    if network is None or not network.clusters:
-        return None
-    ctx.require("netlist")
-    from repro.variation.corners import default_signoff_corners
-
-    scenarios = [resolve_scenario(name) for name in names]
-    corners = ctx.config.signoff_corners \
-        or default_signoff_corners(ctx.tech)
-    engine = StandbyEngine(
-        ctx.netlist, ctx.library, network, scenarios, corners=corners,
-        settle_fraction=ctx.config.standby_settle_fraction,
-        rush_budget_ma=ctx.config.standby_rush_budget_ma,
-        parasitics=ctx.parasitics,
-        compute_backend=ctx.config.compute_backend,
-        circuit=ctx.source_netlist.name, technique=ctx.technique)
-    result = engine.run()
-    ctx.standby = result
-    first = result.corner_rows[0]
-    return {
-        "scenarios": len(result.scenarios),
-        "corners": len(result.corners),
-        "corner": first.corner,   # the corner the numbers below are at
-        "wake_latency_ns": round(first.wake_latency_ns, 4),
-        "peak_rush_ma": round(first.peak_rush_ma, 3),
-        "break_even_ns": (round(first.break_even_ns, 1)
-                          if first.break_even_ns != float("inf")
-                          else "inf"),
-    }
-
-
-@flow_stage("policy_signoff")
-def stage_policy_signoff(ctx: FlowContext) -> dict[str, Any] | None:
-    """Sleep-policy signoff (repro.policy).
-
-    Sweeps ``FlowConfig.policy_candidates`` candidate
-    (domain plan, per-domain threshold) policies against the standby
-    workloads and signoff corners in one batched pass, keeping the
-    Pareto front of (net savings, worst wake latency, peak rush).
-    Invisible with ``policy_candidates == 0``, with no standby
-    scenarios configured, and for techniques without a shared-switch
-    network.
-    """
-    if ctx.config.policy_candidates < 1:
-        return None
-    names = ctx.config.standby_scenarios
-    if not names:
-        return None
-    network = ctx.network
-    if network is None or not network.clusters:
-        return None
-    ctx.require("netlist")
-    from repro.variation.corners import default_signoff_corners
-
-    scenarios = [resolve_scenario(name) for name in names]
-    corners = ctx.config.signoff_corners \
-        or default_signoff_corners(ctx.tech)
-    optimizer = PolicyOptimizer(
-        ctx.netlist, ctx.library, network, scenarios, corners=corners,
-        candidates=ctx.config.policy_candidates,
-        max_domains=ctx.config.policy_max_domains,
-        settle_fraction=ctx.config.standby_settle_fraction,
-        rush_budget_ma=ctx.config.standby_rush_budget_ma,
-        parasitics=ctx.parasitics,
-        compute_backend=ctx.config.compute_backend,
-        circuit=ctx.source_netlist.name, technique=ctx.technique)
-    result = optimizer.run()
-    ctx.policy = result
-    best = result.best
-    return {
-        "candidates": result.candidates,
-        "pareto_points": len(result.pareto),
-        "best_plan": best.plan,
-        "best_net_savings_pj": round(best.net_savings_pj, 3),
-        "best_wake_latency_ns": round(best.worst_wake_latency_ns, 4),
-        "oracle_net_savings_pj": round(result.oracle_net_savings_pj,
-                                       3),
-    }
 
 
 @flow_stage("finalize")

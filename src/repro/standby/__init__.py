@@ -21,10 +21,9 @@ actually pays*:
   ``(scenario x cluster x corner)`` with a vectorized numpy path and a
   bit-identical scalar fallback.
 
-Integration points: the ``standby_signoff`` flow stage
-(:mod:`repro.core.stages`), ``Design.standby()`` /
-``Workspace.standby()`` (:mod:`repro.api.workspace`), the ``standby``
-job kind of the service, and the ``repro-smt standby`` CLI subcommand.
+The one way in is ``Design.standby()`` (:mod:`repro.api.workspace`),
+which reads the finished flow result; the service's ``standby`` job
+kind and the ``repro-smt standby`` CLI subcommand both call it.
 """
 
 from repro.standby.engine import (

@@ -7,7 +7,7 @@ Signoff-grade robustness analysis for the Selective-MT reproduction:
 * :mod:`repro.variation.corners` — named PVT corners and non-mutating
   corner-library derivation;
 * :mod:`repro.variation.signoff` — multi-corner evaluation of a
-  finished design (drives the flow's ``corner_signoff`` stage);
+  finished design (behind ``Design.signoff()``, the one signoff path);
 * :mod:`repro.variation.montecarlo` — seeded per-instance Vth
   sampling, log-normal leakage statistics and yield;
 * :mod:`repro.variation.jobs` — the picklable Monte-Carlo chunk job

@@ -297,8 +297,8 @@ def derive_corner_library_cached(library: Library,
     Derivation is a pure function of (library content, corner), so a
     process-wide LRU of ``_CORNER_MEMO_MAX`` (64) entries keyed by
     ``(library.content_digest(), corner)`` lets every consumer —
-    corner signoff (flow stage, facade, runner jobs), the standby
-    engine and the policy sweep — share one derivation per corner;
+    corner signoff (facade, runner jobs), the standby engine and the
+    policy sweep — share one derivation per corner;
     an evicted entry only costs a re-derivation.  The returned library
     is shared: callers must treat it as immutable (they all do — a
     derived library is only ever read).

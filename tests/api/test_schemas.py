@@ -39,13 +39,10 @@ def test_every_request_round_trips():
 
 
 def test_flow_config_round_trips_through_json():
-    config = FlowConfig(timing_margin=0.123456789,
-                        signoff_corners=("tt_nom", "ff_1.32v_125c"),
-                        placement_seed=7)
+    config = FlowConfig(timing_margin=0.123456789, placement_seed=7)
     payload = schemas.check_round_trip(config)
     rebuilt = schemas.from_dict(json.loads(json.dumps(payload)))
     assert rebuilt == config
-    assert isinstance(rebuilt.signoff_corners, tuple)
 
 
 def test_from_dict_rejects_unknown_schema():
@@ -95,10 +92,23 @@ def test_missing_optional_field_falls_back_to_default():
 
 def test_removed_field_in_older_payload_is_ignored():
     """A flow_config written while FlowConfig still had
-    ``incremental_sta`` decodes to the same configuration."""
-    payload = schemas.to_dict(FlowConfig(timing_margin=0.12))
-    payload["incremental_sta"] = False
-    assert schemas.from_dict(payload) == FlowConfig(timing_margin=0.12)
+    ``incremental_sta`` or the in-flow signoff fields decodes to the
+    same configuration, and so does a version-1 payload carrying all
+    of them."""
+    removed = {"incremental_sta": False,
+               "signoff_corners": ["tt_nom", "ff_1.32v_125c"],
+               "standby_scenarios": ["mostly_idle"],
+               "standby_rush_budget_ma": 5.0,
+               "standby_settle_fraction": 0.08,
+               "policy_candidates": 24,
+               "policy_max_domains": 2}
+    expected = FlowConfig(timing_margin=0.12)
+    payload = schemas.to_dict(expected)
+    assert payload[schemas.VERSION_KEY] == 2
+    for key, value in removed.items():
+        assert schemas.from_dict({**payload, key: value}) == expected
+    older = {**payload, **removed, schemas.VERSION_KEY: 1}
+    assert schemas.from_dict(older) == expected
 
 
 def test_unregistered_type_is_an_error():

@@ -1,6 +1,7 @@
 """Job-service mode: live-server end-to-end, cancel, malformed requests."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -236,6 +237,30 @@ def test_malformed_json_body_is_400(server):
     status, payload = _post_raw(server, "/v1/jobs", b"{not json")
     assert status == 400
     assert "not valid JSON" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"],
+                         ids=["non-numeric", "negative"])
+def test_malformed_content_length_is_400_and_closes(server, client,
+                                                    length):
+    """The body length is unknown, so the server answers a JSON 400 and
+    closes the connection (regression: the handler thread raised and
+    the client got no response at all)."""
+    host, port = server.server_address[:2]
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(f"POST /v1/jobs HTTP/1.1\r\nHost: {host}\r\n"
+                     f"Content-Type: application/json\r\n"
+                     f"Content-Length: {length}\r\n\r\n".encode())
+        response = b""
+        while chunk := sock.recv(65536):  # until the server closes
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"\r\nconnection: close" in head.lower()
+    error = json.loads(body)["error"]
+    assert error["status"] == 400
+    assert f"Content-Length header {length!r}" in error["message"]
+    assert client.health()["status"] == "ok"
 
 
 def test_unknown_kind_is_400(client):

@@ -1,7 +1,5 @@
 """Workspace/Design facade: caching, fingerprints, legacy equivalence."""
 
-import dataclasses
-
 import pytest
 
 from repro.api import Workspace, netlist_fingerprint, schemas
@@ -111,6 +109,50 @@ def test_adopting_registry_identical_content_keeps_by_name_loading(
     assert "c17" in ws._adopted
 
 
+# --- requests own their field types ----------------------------------------
+
+
+def test_requests_coerce_technique_names_and_sequences():
+    from repro.api.requests import (
+        OptimizeRequest,
+        StandbyRequest,
+        SweepRequest,
+    )
+    from repro.errors import ConfigError
+
+    assert SweepRequest(techniques=["dual_vth"]) \
+        == SweepRequest(techniques=(Technique.DUAL_VTH,))
+    assert StandbyRequest(technique="improved_smt",
+                          scenarios=["mostly_idle"], corners=["tt_nom"]) \
+        == StandbyRequest(scenarios=("mostly_idle",), corners=("tt_nom",))
+    with pytest.raises(ConfigError) as excinfo:
+        OptimizeRequest(technique="nope")
+    assert excinfo.value.field == "technique"
+
+
+def test_keyword_path_builds_the_typed_request(design):
+    """Keyword fields with technique names and lists build the very
+    request an explicit typed request is: same numbers, same payload
+    schema, same cache entry."""
+    from repro.api.requests import MonteCarloRequest, SweepRequest
+    from repro.errors import ConfigError
+
+    swept = design.sweep(techniques=["improved_smt", "dual_vth"])
+    baseline = swept.row("c17", Technique.DUAL_VTH)
+    assert (baseline.area_pct, baseline.leakage_pct) == (100.0, 100.0)
+    schemas.check_round_trip(swept)
+    assert design.sweep(SweepRequest(techniques=(
+        Technique.IMPROVED_SMT, Technique.DUAL_VTH))) is swept
+
+    sampled = design.montecarlo(technique="dual_vth", samples=2)
+    schemas.check_round_trip(sampled)
+    assert design.montecarlo(MonteCarloRequest(
+        technique=Technique.DUAL_VTH, samples=2)) is sampled
+
+    with pytest.raises(ConfigError, match="unknown technique 'nope'"):
+        design.optimize(technique="nope")
+
+
 # --- corner libraries: one lookup, the process derivation memo -------------
 
 CORNERS = ("tt_nom", "ff_1.32v_125c", "ss_1.08v_125c")
@@ -132,17 +174,6 @@ def test_facade_signoff_standby_policy_derive_each_corner_once(library):
     _assert_each_corner_derived_once()
 
 
-def test_flow_signoff_stages_derive_each_corner_once(library):
-    config = dataclasses.replace(
-        CONFIG, signoff_corners=CORNERS,
-        standby_scenarios=("mostly_idle",), policy_candidates=8)
-    reset_corner_memo()
-    flow = Workspace(library=library, config=config).design("c17") \
-        .flow_result(Technique.IMPROVED_SMT)
-    assert flow.corners and flow.standby and flow.policy
-    _assert_each_corner_derived_once()
-
-
 # --- legacy equivalence -----------------------------------------------------
 
 
@@ -159,22 +190,24 @@ def test_optimize_matches_direct_flow(library, design):
 
 
 def test_signoff_matches_legacy_corner_job(library, design):
-    """Post-hoc facade signoff == the flow's corner_signoff stage (what
-    the retired corner job ran: a flow with ``signoff_corners`` set)."""
-    from repro.core.flow import SelectiveMtFlow
+    """Facade signoff == per-corner evaluation of the cached flow
+    result (what the retired corner job ran, one corner at a time)."""
+    from repro.variation.signoff import evaluate_corners
 
     corners = ("tt_nom", "ff_1.32v_125c", "ss_1.08v_125c")
-    staged = SelectiveMtFlow(
-        load_circuit("c17"), library, Technique.IMPROVED_SMT,
-        dataclasses.replace(CONFIG, signoff_corners=corners)).run()
-    assert tuple(staged.corners) == corners
+    flow = design.flow_result(Technique.IMPROVED_SMT)
+    expected = evaluate_corners(
+        flow.netlist, library, corners, flow.constraints,
+        parasitics=flow.parasitics, network=flow.network,
+        clock_arrivals=flow.cts.clock_arrivals if flow.cts else None,
+        compute_backend=design.config.compute_backend)
     result = design.signoff(technique=Technique.IMPROVED_SMT,
                             corners=corners)
     assert result.corners == corners
-    assert result.area_um2 == staged.total_area
-    assert result.nominal_leakage_nw == staged.leakage_nw
-    assert result.nominal_wns == staged.timing.wns
-    for name, corner in staged.corners.items():
+    assert result.area_um2 == flow.total_area
+    assert result.nominal_leakage_nw == flow.leakage_nw
+    assert result.nominal_wns == flow.timing.wns
+    for name, corner in expected.items():
         ours = result.row(name)
         assert ours.leakage_nw == corner.leakage_nw
         assert ours.wns == corner.wns

@@ -1,4 +1,4 @@
-"""Facade, service and flow-stage integration of the policy engine."""
+"""Facade and service integration of the policy engine."""
 
 from __future__ import annotations
 
@@ -29,10 +29,10 @@ def _trace_payload(name="measured"):
 def test_facade_policy_is_cached(workspace):
     request = PolicyRequest(scenarios=("mostly_idle",),
                             corners=("tt_nom",), candidates=48)
-    first = workspace.policy("c432", request)
+    first = workspace.design("c432").policy(request)
     assert first.candidates >= 48
     before = dict(workspace.stats.as_dict()["policy"])
-    again = workspace.policy("c432", request)
+    again = workspace.design("c432").policy(request)
     assert again is first
     after = workspace.stats.as_dict()["policy"]
     assert after["hits"] == before["hits"] + 1
@@ -41,7 +41,7 @@ def test_facade_policy_is_cached(workspace):
 def test_policy_with_trace_payloads(workspace):
     request = PolicyRequest(scenario_payloads=(_trace_payload(),),
                             corners=("tt_nom",), candidates=32)
-    result = workspace.policy("c432", request)
+    result = workspace.design("c432").policy(request)
     # Payload-only requests sweep exactly the given workloads.
     assert result.scenarios == ("measured",)
     schemas.check_round_trip(result)
@@ -52,7 +52,7 @@ def test_standby_accepts_scenario_payloads(workspace):
     request = StandbyRequest(scenarios=("mostly_idle",),
                              scenario_payloads=(payload,),
                              corners=("tt_nom",))
-    result = workspace.standby("c432", request)
+    result = workspace.design("c432").standby(request)
     assert result.scenarios == ("mostly_idle", "trace_idle")
     assert {o.scenario for o in result.outcomes} \
         == {"mostly_idle", "trace_idle"}
@@ -75,23 +75,9 @@ def test_policy_needs_the_switch_network(workspace):
     from repro.config import Technique
 
     with pytest.raises(FlowError, match="improved_smt"):
-        workspace.policy("c432", PolicyRequest(
+        workspace.design("c432").policy(PolicyRequest(
             technique=Technique.DUAL_VTH, corners=("tt_nom",),
             candidates=8))
-
-
-def test_flow_stage_result_is_reused():
-    config = FlowConfig(standby_scenarios=("mostly_idle",),
-                        signoff_corners=("tt_nom",),
-                        policy_candidates=24, **SMALL_CLUSTERS)
-    workspace = Workspace(config=config)
-    design = workspace.design("c432")
-    flow = design.flow_result("improved_smt")
-    assert flow.policy is not None
-    report = flow.stage("policy_signoff")
-    assert report.details["candidates"] >= 24
-    # The facade with matching defaults hands back the stage result.
-    assert design.policy() is flow.policy
 
 
 def test_requests_round_trip_and_service_kind():
@@ -114,7 +100,7 @@ def test_execute_kind_dispatches_policy(workspace):
     request = PolicyRequest(scenarios=("mostly_idle",),
                             corners=("tt_nom",), candidates=48)
     result = execute_kind(design, "policy", request)
-    assert result is workspace.policy("c432", request)
+    assert result is workspace.design("c432").policy(request)
 
 
 def test_policy_request_validation():
@@ -164,7 +150,7 @@ def test_backends_agree_through_the_facade():
     for backend in ("python", "numpy"):
         workspace = Workspace(config=FlowConfig(
             compute_backend=backend, **SMALL_CLUSTERS))
-        results[backend] = workspace.policy("c432", request)
+        results[backend] = workspace.design("c432").policy(request)
     assert dataclasses.replace(results["numpy"],
                                compute_backend="python") \
         == results["python"]

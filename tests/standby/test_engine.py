@@ -173,38 +173,18 @@ class TestEngine:
 
 class TestFlowAndFacade:
     def test_flow_stage_populates_result(self, library):
-        from repro.benchcircuits.suite import load_circuit
-        from repro.core.flow import SelectiveMtFlow
-
-        config = FlowConfig(timing_margin=0.2,
-                            standby_scenarios=("mostly_idle",
-                                               "always_on"))
-        netlist = load_circuit("c17")
-        result = SelectiveMtFlow(netlist, library,
-                                 Technique.IMPROVED_SMT, config).run()
-        standby = result.standby
-        assert standby is not None
-        assert isinstance(standby, StandbyResult)
-        assert standby.scenarios == ("mostly_idle", "always_on")
+        """Design.standby on the finished improved-SMT flow keeps the
+        requested scenario order and defaults to the signoff corners."""
+        from repro.api import Workspace
         from repro.variation.corners import default_signoff_corners
 
+        design = Workspace(library=library,
+                           config=FlowConfig(timing_margin=0.2)) \
+            .design("c17")
+        standby = design.standby(scenarios=("mostly_idle", "always_on"))
+        assert isinstance(standby, StandbyResult)
+        assert standby.scenarios == ("mostly_idle", "always_on")
         assert standby.corners == default_signoff_corners(library.tech)
-        assert result.stage("standby_signoff").details["scenarios"] == 2
-
-    def test_flow_stage_noop_without_network_or_config(self, library):
-        from repro.benchcircuits.suite import load_circuit
-        from repro.core.flow import SelectiveMtFlow
-
-        netlist = load_circuit("c17")
-        config = FlowConfig(timing_margin=0.2,
-                            standby_scenarios=("mostly_idle",))
-        dual = SelectiveMtFlow(netlist, library, Technique.DUAL_VTH,
-                               config).run()
-        assert dual.standby is None
-        plain = SelectiveMtFlow(netlist, library,
-                                Technique.IMPROVED_SMT,
-                                FlowConfig(timing_margin=0.2)).run()
-        assert plain.standby is None
 
     def test_design_standby_caches_on_request(self):
         from repro.api import StandbyRequest, Workspace
@@ -240,35 +220,6 @@ class TestFlowAndFacade:
         with pytest.raises(ConfigError):
             design.standby(StandbyRequest(scenarios=("mostly_idle",)),
                            corners=("tt_nom",))  # request + kwargs
-
-    def test_facade_defaults_follow_flow_config(self):
-        """Design.standby() with no request answers exactly like the
-        flow's standby_signoff stage for the same configuration."""
-        from repro.api import Workspace
-
-        config = FlowConfig(timing_margin=0.2,
-                            standby_scenarios=("mostly_idle",),
-                            standby_settle_fraction=0.08,
-                            signoff_corners=("tt_nom",))
-        workspace = Workspace(config=config)
-        design = workspace.design("c17")
-        from_stage = design.flow_result(
-            Technique.IMPROVED_SMT).standby
-        from_facade = design.standby()
-        assert from_facade.settle_fraction == 0.08
-        # Not merely equal: the facade reuses the stage's result
-        # instead of running the engine twice.
-        assert from_facade is from_stage
-
-    def test_workspace_standby_shortcut(self):
-        from repro.api import StandbyRequest, Workspace
-
-        workspace = Workspace(config=FlowConfig(timing_margin=0.2))
-        request = StandbyRequest(scenarios=("mostly_idle",),
-                                 corners=("tt_nom",))
-        via_workspace = workspace.standby("c17", request)
-        via_design = workspace.design("c17").standby(request)
-        assert via_workspace is via_design
 
     def test_request_validation(self):
         from repro.api import StandbyRequest

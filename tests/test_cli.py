@@ -331,6 +331,25 @@ def test_standby_rejects_unknown_corner(capsys):
     assert "unknown corner" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("points", [[[1, 2, 3]], [["x", 1]], 5],
+                         ids=["three-values", "non-numeric", "not-a-list"])
+def test_standby_rejects_bad_scenario_file_points(tmp_path, capsys,
+                                                  points):
+    import json
+
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "name": "measured", "active_ns": 400.0, "idle_ns": 5000.0,
+        "distribution": "empirical", "points": points}),
+        encoding="utf-8")
+    assert main(["standby", "--circuit", "c17", "--margin", "0.2",
+                 "--scenario-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario_file: ")
+    assert str(path) in err
+    assert len(err.splitlines()) == 1
+
+
 def test_flow_command_trace(tmp_path, capsys):
     import json
 

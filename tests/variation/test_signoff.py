@@ -1,11 +1,9 @@
-"""Corner signoff: flow integration and nominal bit-identity."""
+"""Corner signoff: the Design.signoff path and nominal bit-identity."""
 
 import pytest
 
-from repro.api import schemas
-from repro.benchcircuits.suite import load_circuit
+from repro.api import Workspace, schemas
 from repro.config import FlowConfig, Technique
-from repro.core.flow import SelectiveMtFlow
 from repro.errors import FlowError
 from repro.timing.constraints import Constraints
 from repro.timing.sta import TimingAnalyzer
@@ -15,49 +13,45 @@ SIGNOFF = ("tt_nom", "ff_1.32v_125c", "ss_1.08v_125c")
 
 
 @pytest.fixture(scope="module")
-def signed_off(library):
-    """One improved-SMT flow on c432 with corner signoff enabled."""
-    config = FlowConfig(timing_margin=0.10, signoff_corners=SIGNOFF)
-    return SelectiveMtFlow(load_circuit("c432"), library,
-                           Technique.IMPROVED_SMT, config).run()
+def design(library):
+    return Workspace(library=library,
+                     config=FlowConfig(timing_margin=0.10)).design("c432")
+
+
+@pytest.fixture(scope="module")
+def signed_off(design):
+    """Improved-SMT corner signoff of c432's finished flow."""
+    return design.signoff(technique=Technique.IMPROVED_SMT,
+                          corners=SIGNOFF)
 
 
 class TestFlowIntegration:
     def test_result_carries_all_corners(self, signed_off):
-        assert tuple(signed_off.corners) == SIGNOFF
+        assert signed_off.corners == SIGNOFF
+        assert tuple(row.corner for row in signed_off.rows) == SIGNOFF
 
-    def test_stage_report_emitted(self, signed_off):
-        report = signed_off.stage("corner_signoff")
-        assert report.details["corners"] == len(SIGNOFF)
-        assert report.details["worst_leakage_corner"] == "ff_1.32v_125c"
-
-    def test_nominal_corner_bit_identical(self, signed_off):
+    def test_nominal_corner_bit_identical(self, design, signed_off):
         """tt_nom signoff == the single-point flow result, exactly."""
-        nominal = signed_off.corners["tt_nom"]
-        assert nominal.leakage_nw == signed_off.leakage_nw
-        assert nominal.wns == signed_off.timing.wns
-        assert nominal.hold_wns == signed_off.timing.hold_wns
+        flow = design.flow_result(Technique.IMPROVED_SMT)
+        nominal = signed_off.row("tt_nom")
+        assert nominal.leakage_nw == flow.leakage_nw
+        assert nominal.wns == flow.timing.wns
+        assert nominal.hold_wns == flow.timing.hold_wns
 
     def test_corner_orderings(self, signed_off):
-        nominal = signed_off.corners["tt_nom"]
-        hot_fast = signed_off.corners["ff_1.32v_125c"]
-        slow_low = signed_off.corners["ss_1.08v_125c"]
+        nominal = signed_off.row("tt_nom")
+        hot_fast = signed_off.row("ff_1.32v_125c")
+        slow_low = signed_off.row("ss_1.08v_125c")
         assert hot_fast.leakage_nw > nominal.leakage_nw
         assert slow_low.wns < nominal.wns
 
-    def test_empty_config_is_single_point(self, library):
-        result = SelectiveMtFlow(
-            load_circuit("c17"), library, Technique.DUAL_VTH,
-            FlowConfig(timing_margin=0.2)).run()
-        assert result.corners == {}
-        assert all(s.name != "corner_signoff" for s in result.stages)
-
     def test_unknown_corner_fails_fast(self, library):
-        config = FlowConfig(timing_margin=0.2,
-                            signoff_corners=("no_such_corner",))
+        design = Workspace(library=library,
+                           config=FlowConfig(timing_margin=0.2)) \
+            .design("c17")
         with pytest.raises(FlowError, match="unknown corner"):
-            SelectiveMtFlow(load_circuit("c17"), library,
-                            Technique.DUAL_VTH, config).run()
+            design.signoff(technique=Technique.DUAL_VTH,
+                           corners=("no_such_corner",))
 
 
 class TestEvaluateCorners:
