@@ -67,7 +67,8 @@ from repro.core.compare import (
     TechniqueComparison,
     count_cell_kinds,
 )
-from repro.core.flow import FlowResult, SelectiveMtFlow
+from repro.core.flow import FlowResult, run_fork, shared_prefix
+from repro.core.stages import FlowContext
 from repro.errors import ConfigError, FlowError
 from repro.liberty.library import (
     Library,
@@ -178,6 +179,9 @@ class Workspace:
         #: name (lets :meth:`adopt` recognize registry-identical
         #: content and keep the cheap by-name worker loading).
         self._registry_fingerprints: dict[str, str] = {}
+        #: ``(design, context)``: the most recent design's shared flow
+        #: prefix (see :meth:`_flow_prefix`).
+        self._prefix: tuple[Design, FlowContext] | None = None
 
     # --- compiled-library state --------------------------------------------
 
@@ -266,6 +270,26 @@ class Workspace:
             design = Design(self, circuit, config)
             self._designs[key] = design
             return design
+
+    def _flow_prefix(self, design: "Design") -> FlowContext:
+        """The :func:`~repro.core.flow.shared_prefix` of ``design``.
+
+        One slot, holding the most recent design's prefix: every serial
+        caller runs a design's techniques back to back, while a prefix
+        kept per design would hold every placed netlist alive for
+        nothing where no design runs a second technique (the service
+        mix).  Built outside the lock; designs serialize their own
+        flows.
+        """
+        with self._lock:
+            if self._prefix is not None and self._prefix[0] is design:
+                self.stats.hit("prefix")
+                return self._prefix[1]
+        self.stats.miss("prefix")
+        prefix = shared_prefix(design.netlist, self.library, design.config)
+        with self._lock:
+            self._prefix = (design, prefix)
+        return prefix
 
     # --- workspace-level studies -------------------------------------------
 
@@ -570,7 +594,10 @@ class Design:
 
         This is the in-process escape hatch for consumers that need
         the heavyweight artifacts (stage reports, VGND network, design
-        export); the typed surface is :meth:`optimize`.
+        export); the typed surface is :meth:`optimize`.  The technique
+        runs on a fork of the design's shared-stage prefix (see
+        :meth:`Workspace._flow_prefix`), with the result a standalone
+        :class:`~repro.core.flow.SelectiveMtFlow` run gives.
         """
         technique = Technique(technique)
         if technique in self._flows:
@@ -579,9 +606,8 @@ class Design:
         self._stats().miss("flow")
         with span("api.flow", circuit=self.circuit,
                   technique=technique.value):
-            flow = SelectiveMtFlow(self.netlist, self.library, technique,
-                                   self.config)
-            result = flow.run()
+            result = run_fork(self.netlist, technique,
+                              lambda: self.workspace._flow_prefix(self))
         self._flows[technique] = result
         return result
 

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 
 from repro.compute import BACKENDS, default_backend
 from repro.errors import ConfigError
+from repro.placement.floorplan import MIN_UTILIZATION
 from repro.vgnd.bounce import SIMULTANEITY_EXPONENT, SIMULTANEITY_FLOOR
 
 
@@ -77,18 +79,37 @@ class FlowConfig:
     simultaneity_floor: float = SIMULTANEITY_FLOOR
 
     def __post_init__(self):
-        if self.timing_margin < 0:
+        if not _is_number(self.timing_margin) \
+                or not 0.0 <= self.timing_margin < math.inf:
             raise ConfigError(
                 "timing_margin",
-                f"must be non-negative, got {self.timing_margin!r}")
+                f"must be a finite number >= 0, got {self.timing_margin!r}")
         if self.clock_period_ns is not None and self.clock_period_ns <= 0:
             raise ConfigError(
                 "clock_period_ns",
                 f"must be positive, got {self.clock_period_ns!r}")
-        if not 0.0 < self.utilization <= 1.0:
+        if not _is_number(self.utilization) \
+                or not MIN_UTILIZATION <= self.utilization <= 1.0:
             raise ConfigError(
                 "utilization",
-                f"must be in (0, 1], got {self.utilization!r}")
+                f"must be in [{MIN_UTILIZATION}, 1], "
+                f"got {self.utilization!r}")
+        if not _is_number(self.aspect_ratio) \
+                or not 0.0 < self.aspect_ratio < math.inf:
+            raise ConfigError(
+                "aspect_ratio",
+                f"must be a finite number > 0, got {self.aspect_ratio!r}")
+        if not isinstance(self.placer_iterations, int) \
+                or isinstance(self.placer_iterations, bool) \
+                or self.placer_iterations < 0:
+            raise ConfigError(
+                "placer_iterations",
+                f"must be an int >= 0, got {self.placer_iterations!r}")
+        if not _is_number(self.assignment_guardband) \
+                or not 0.0 <= self.assignment_guardband < 1.0:
+            raise ConfigError(
+                "assignment_guardband",
+                f"must be in [0, 1), got {self.assignment_guardband!r}")
         if not 0.0 < self.bounce_limit_fraction < 0.5:
             raise ConfigError(
                 "bounce_limit_fraction",
@@ -109,3 +130,7 @@ class FlowConfig:
 
     def bounce_limit_v(self, vdd: float) -> float:
         return self.bounce_limit_fraction * vdd
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

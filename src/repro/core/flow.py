@@ -14,12 +14,17 @@ The flow is assembled from the composable stage registry in
 custom pipeline (subset, reorder, extra stages) can be passed via the
 ``stages`` argument or run directly with
 :meth:`SelectiveMtFlow.run_context`.
+
+All three techniques open with the same :data:`SHARED_STAGES`.
+:func:`shared_prefix` runs them once per design and :func:`run_fork`
+finishes one technique on a fork of that context, with the same
+result as a standalone :meth:`SelectiveMtFlow.run`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.config import FlowConfig, Technique
 from repro.core.dual_vth import AssignmentResult
@@ -28,6 +33,8 @@ from repro.core.improved_smt import ImprovedSmtResult
 from repro.core.mte import MteTreeResult
 from repro.core.selective_mt import ConventionalSmtResult
 from repro.core.stages import (
+    PIPELINES,
+    SHARED_STAGES,
     FlowContext,
     Stage,
     StageReport,
@@ -50,6 +57,8 @@ __all__ = [
     "FlowResult",
     "SelectiveMtFlow",
     "StageReport",
+    "run_fork",
+    "shared_prefix",
 ]
 
 
@@ -154,10 +163,37 @@ class SelectiveMtFlow:
         """
         ctx = FlowContext.create(self.source_netlist, self.library,
                                  self.technique, self.config)
-        with span("flow.run", circuit=self.source_netlist.name,
-                  technique=self.technique.value):
+        with _flow_span(self.source_netlist, self.technique):
             StageRunner(self.pipeline()).run(ctx)
         return ctx
 
     def run(self) -> FlowResult:
         return FlowResult.from_context(self.run_context())
+
+
+def _flow_span(netlist: Netlist, technique: Technique):
+    return span("flow.run", circuit=netlist.name, technique=technique.value)
+
+
+def shared_prefix(netlist: Netlist, library: Library,
+                  config: FlowConfig | None = None) -> FlowContext:
+    """Run :data:`SHARED_STAGES` on ``netlist``, for :func:`run_fork`."""
+    return StageRunner(SHARED_STAGES).run(
+        FlowContext.create(netlist, library, config=config))
+
+
+def run_fork(netlist: Netlist, technique: Technique,
+             prefix: Callable[[], FlowContext]) -> FlowResult:
+    """Finish ``technique`` on a fork of a shared-stage prefix.
+
+    ``prefix()`` returns the :func:`shared_prefix` context of
+    ``netlist``; a prefix it has to build runs inside this flow's
+    ``flow.run`` span.  The fork runs the technique's stages after
+    :data:`SHARED_STAGES` and leaves the prefix as it was, so the
+    result equals ``SelectiveMtFlow(netlist, library, technique,
+    config).run()``.
+    """
+    with _flow_span(netlist, technique):
+        ctx = prefix().fork(technique)
+        StageRunner(PIPELINES[technique][len(SHARED_STAGES):]).run(ctx)
+    return FlowResult.from_context(ctx)

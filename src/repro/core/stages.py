@@ -28,6 +28,7 @@ parasitics) regime — see ``ARCHITECTURE.md``.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Any, Callable, Iterable
 
 from repro.config import FlowConfig, Technique
@@ -135,6 +136,25 @@ class FlowContext:
     @property
     def tech(self):
         return self.library.tech
+
+    def fork(self, technique: Technique) -> "FlowContext":
+        """A context for ``technique`` resuming after this one.
+
+        Meant for a context that ran :data:`SHARED_STAGES`, which do
+        not read the technique.  The fork gets its own copy of the
+        netlist and of the placement dicts, which the remaining stages
+        edit; the pre-route parasitics, the constraints and the stage
+        reports so far are shared and must stay read-only, so one
+        prefix serves every technique.
+        """
+        self.require("netlist", "placement")
+        placement = dataclasses.replace(
+            self.placement, locations=dict(self.placement.locations),
+            port_locations=dict(self.placement.port_locations))
+        return dataclasses.replace(
+            self, technique=technique, netlist=self.netlist.copy(),
+            placement=placement, stages=list(self.stages),
+            sta_stats=dict(self.sta_stats))
 
     def require(self, *fields: str) -> None:
         """Fail fast when a stage runs before its prerequisites."""
@@ -246,6 +266,15 @@ PIPELINES: dict[Technique, tuple[str, ...]] = {
         "finalize",
     ),
 }
+
+
+#: The stages every technique opens with, the common prefix of
+#: :data:`PIPELINES`: low-Vth physical synthesis and placement,
+#: pre-route estimation and the clock period.  None reads the
+#: technique, so one run serves all three (:meth:`FlowContext.fork`).
+SHARED_STAGES: tuple[str, ...] = tuple(
+    keys[0] for keys in itertools.takewhile(
+        lambda keys: len(set(keys)) == 1, zip(*PIPELINES.values())))
 
 
 def build_pipeline(technique: Technique) -> list[Stage]:

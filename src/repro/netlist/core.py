@@ -407,6 +407,49 @@ class Netlist:
         copy._name_counter = self._name_counter
         return copy
 
+    def copy(self) -> "Netlist":
+        """An exact copy: every dict and pin list keeps its order.
+
+        :meth:`clone` rebuilds nets and pin lists in connection order,
+        which technology mapping's wide-gate decomposition does not
+        follow; a flow resuming from a copied netlist must see the very
+        order the original would have shown it.  Attributes are
+        shallow-copied, pins without a net are kept.
+        """
+        copy = Netlist(self.name)
+        nets = {name: Net(name) for name in self.nets}
+        copy.nets = nets
+        for port in self.ports.values():
+            twin = Port(port.name, port.direction)
+            if port.net is not None:
+                twin.net = nets[port.net.name]
+            copy.ports[port.name] = twin
+        for inst in self.instances.values():
+            twin = Instance(inst.name, inst.cell_name)
+            twin.attributes = dict(inst.attributes)
+            for pin in inst.pins.values():
+                twin_pin = Pin(twin, pin.name, pin.direction)
+                if pin.net is not None:
+                    twin_pin.net = nets[pin.net.name]
+                twin.pins[pin.name] = twin_pin
+            copy.instances[inst.name] = twin
+
+        def twin_pin_of(pin: Pin) -> Pin:
+            return copy.instances[pin.instance.name].pins[pin.name]
+
+        for net in self.nets.values():
+            twin = nets[net.name]
+            if net.driver is not None:
+                twin.driver = twin_pin_of(net.driver)
+            if net.driver_port is not None:
+                twin.driver_port = copy.ports[net.driver_port.name]
+            twin.sinks = [twin_pin_of(pin) for pin in net.sinks]
+            twin.sink_ports = [copy.ports[port.name]
+                               for port in net.sink_ports]
+            twin.keepers = [twin_pin_of(pin) for pin in net.keepers]
+        copy._name_counter = self._name_counter
+        return copy
+
     def __repr__(self):
         s = self.stats()
         return (f"Netlist({self.name}, {s['instances']} instances, "

@@ -13,6 +13,9 @@ import math
 from repro.device.process import Technology
 from repro.errors import PlacementError
 
+#: Lowest cell-area utilization a floorplan accepts (the highest is 1).
+MIN_UTILIZATION = 0.1
+
 
 @dataclasses.dataclass(frozen=True)
 class Row:
@@ -36,9 +39,10 @@ class Floorplan:
                  utilization: float = 0.7, aspect_ratio: float = 1.0):
         if total_cell_area <= 0:
             raise PlacementError("total cell area must be positive")
-        if not 0.1 <= utilization <= 1.0:
+        if not MIN_UTILIZATION <= utilization <= 1.0:
             raise PlacementError(
-                f"utilization {utilization} outside [0.1, 1.0]")
+                f"utilization {utilization} outside "
+                f"[{MIN_UTILIZATION}, 1.0]")
         self.tech = tech
         self.utilization = utilization
         die_area = total_cell_area / utilization

@@ -32,6 +32,17 @@ def _site_width_of(placement: Placement, netlist: Netlist,
     return sites * site
 
 
+def _rows_outward(home: int, count: int):
+    """Row indices by distance from ``home``, the lower one first on a
+    tie: the home row, then home - 1, home + 1, home - 2, ..."""
+    yield home
+    for distance in range(1, max(home, count - 1 - home) + 1):
+        if home - distance >= 0:
+            yield home - distance
+        if home + distance < count:
+            yield home + distance
+
+
 def legalize(placement: Placement, netlist: Netlist,
              library: Library) -> int:
     """Legalize in place; returns the number of cells moved."""
@@ -50,16 +61,12 @@ def legalize(placement: Placement, netlist: Netlist,
         x, y = placement.locations[name]
         home = floorplan.row_at(y).index
         width = widths[name]
-        placed = False
-        # Try the home row, then rows by distance.
-        for row_index in sorted(capacity,
-                                key=lambda r: abs(r - home)):
+        for row_index in _rows_outward(home, len(floorplan.rows)):
             if used[row_index] + width <= capacity[row_index] + 1e-9:
                 rows[row_index].append(name)
                 used[row_index] += width
-                placed = True
                 break
-        if not placed:
+        else:
             raise PlacementError(
                 f"cannot legalize cell {name}: width {width:.2f}um "
                 f"exceeds every row's remaining space")

@@ -112,32 +112,27 @@ class GlobalPlacer:
         boundary = floorplan.boundary_positions(len(port_names))
         port_locations = dict(zip(port_names, boundary))
 
-        # Force-directed sweeps.
+        # Force-directed sweeps.  Each instance's centroid terms are
+        # built once; instance points in them are the live position
+        # lists, so a sweep still reads the moves made earlier in the
+        # same sweep (Gauss-Seidel).
+        sweep = []
+        for inst in instances:
+            terms = self._centroid_terms(inst, positions, port_locations)
+            weight = 0.0
+            for w, _point in terms:
+                weight += w
+            if weight > 0.0:
+                sweep.append((positions[inst.name], terms, weight))
         for _ in range(self.iterations):
-            for inst in instances:
+            for position, terms, weight in sweep:
                 sum_x = 0.0
                 sum_y = 0.0
-                weight = 0.0
-                for pin in inst.pins.values():
-                    net = pin.net
-                    if net is None:
-                        continue
-                    # Weight high-fanout nets down so the clock net does
-                    # not glue everything together.
-                    fanout = net.fanout()
-                    if fanout > 16:
-                        continue
-                    w = 1.0 / max(fanout, 1)
-                    for other in self._net_points(net, inst.name,
-                                                  positions, port_locations):
-                        sum_x += w * other[0]
-                        sum_y += w * other[1]
-                        weight += w
-                if weight > 0.0:
-                    x = sum_x / weight
-                    y = sum_y / weight
-                    positions[inst.name][0] = x
-                    positions[inst.name][1] = y
+                for w, point in terms:
+                    sum_x += w * point[0]
+                    sum_y += w * point[1]
+                position[0] = sum_x / weight
+                position[1] = sum_y / weight
 
         # Spread into row bands.
         locations = self._spread(instances, positions, floorplan)
@@ -145,20 +140,33 @@ class GlobalPlacer:
         self._annotate(placement)
         return placement
 
-    def _net_points(self, net, self_name, positions, port_locations):
-        points = []
-        connected = []
-        if net.driver is not None:
-            connected.append(net.driver.instance.name)
-        connected.extend(pin.instance.name for pin in net.sinks)
-        for name in connected:
-            if name != self_name and name in positions:
-                points.append(positions[name])
-        if net.driver_port is not None:
-            points.append(port_locations[net.driver_port.name])
-        for port in net.sink_ports:
-            points.append(port_locations[port.name])
-        return points
+    @staticmethod
+    def _centroid_terms(inst, positions, port_locations):
+        """``(net weight, point)`` for every other pin and port on the
+        nets of ``inst``, in the order the centroid sums them."""
+        terms = []
+        for pin in inst.pins.values():
+            net = pin.net
+            if net is None:
+                continue
+            # Weight high-fanout nets down so the clock net does not
+            # glue everything together.
+            fanout = net.fanout()
+            if fanout > 16:
+                continue
+            w = 1.0 / max(fanout, 1)
+            connected = []
+            if net.driver is not None:
+                connected.append(net.driver.instance.name)
+            connected.extend(sink.instance.name for sink in net.sinks)
+            for name in connected:
+                if name != inst.name and name in positions:
+                    terms.append((w, positions[name]))
+            if net.driver_port is not None:
+                terms.append((w, port_locations[net.driver_port.name]))
+            for port in net.sink_ports:
+                terms.append((w, port_locations[port.name]))
+        return terms
 
     def _spread(self, instances, positions, floorplan):
         """Assign cells to rows by y-order, pack by x-order."""

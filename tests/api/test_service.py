@@ -286,11 +286,21 @@ def test_mismatched_request_schema_is_400(client):
     assert "signoff_request" in str(excinfo.value)
 
 
-def test_bad_config_override_is_400(client):
+@pytest.mark.parametrize("override", [
+    {"timing_margin": -1},
+    # Each of these used to be accepted and fail the job mid-flow.
+    {"aspect_ratio": -1},
+    {"aspect_ratio": 0},
+    {"aspect_ratio": "wide"},
+    {"utilization": 0.05},
+    {"assignment_guardband": 1.5},
+], ids=lambda override: "-".join(f"{k}={v}" for k, v in override.items()))
+def test_bad_config_override_is_400(client, override):
     with pytest.raises(ServiceError) as excinfo:
-        client.submit("analyze", "c17", config={"timing_margin": -1})
+        client.submit("analyze", "c17", config=override)
     assert excinfo.value.status == 400
-    assert "timing_margin" in str(excinfo.value)
+    (field,) = override
+    assert field in str(excinfo.value)
 
 
 def test_bad_enum_in_request_payload_is_400(client):

@@ -177,16 +177,96 @@ def test_facade_signoff_standby_policy_derive_each_corner_once(library):
 # --- legacy equivalence -----------------------------------------------------
 
 
-def test_optimize_matches_direct_flow(library, design):
-    from repro.core.flow import SelectiveMtFlow
+#: A netlist with gates wider than the library's: technology mapping
+#: decomposes them, leaving nets in an order ``Netlist.clone`` would
+#: not reproduce.
+WIDE_BENCH = """
+INPUT(a)
+INPUT(b)
+INPUT(c)
+INPUT(d)
+INPUT(e)
+INPUT(f)
+OUTPUT(out)
+OUTPUT(o2)
+n1 = AND(a, b, c, d, e, f)
+q = NOT(a)
+r = NOR(b, c, d, e, f)
+out = NAND(n1, q)
+o2 = XOR(r, q)
+"""
 
-    direct = SelectiveMtFlow(load_circuit("c17"), library,
-                             Technique.IMPROVED_SMT, CONFIG).run()
-    optimized = design.optimize(technique=Technique.IMPROVED_SMT)
-    assert optimized.area_um2 == direct.total_area
-    assert optimized.leakage_nw == direct.leakage_nw
-    assert optimized.wns == direct.timing.wns
-    assert optimized.hold_wns == direct.timing.hold_wns
+
+def _flow_fields(result, library):
+    from repro.core.compare import count_cell_kinds
+
+    return {
+        "area": result.total_area,
+        "leakage": result.leakage_nw,
+        "wns": result.timing.wns,
+        "hold_wns": result.timing.hold_wns,
+        "cells": count_cell_kinds(result.netlist, library),
+        "stages": [(stage.name, stage.details) for stage in result.stages],
+        "sta_stats": result.sta_stats,
+        "clock_period": result.constraints.clock_period,
+        "instances": list(result.netlist.instances),
+        "nets": list(result.netlist.nets),
+    }
+
+
+def test_optimize_matches_direct_flow(library):
+    """Every technique forked from a design's shared prefix equals a
+    standalone ``SelectiveMtFlow`` run field for field, whatever order
+    the techniques come in; interleaving designs A, B, A evicts A's
+    prefix from the workspace's one slot and builds it again."""
+    from repro.benchcircuits.generator import (
+        GeneratorConfig,
+        generate_circuit,
+    )
+    from repro.core.flow import SelectiveMtFlow
+    from repro.netlist.bench_io import parse_bench
+
+    sources = {
+        "c17": lambda: load_circuit("c17"),
+        "s344": lambda: load_circuit("s344"),
+        "adhoc": lambda: generate_circuit("adhoc", GeneratorConfig(
+            n_gates=30, n_inputs=4, n_outputs=3, depth=6, seed=7)),
+        "wide": lambda: parse_bench(WIDE_BENCH, name="wide"),
+    }
+    expected = {
+        (name, technique): _flow_fields(SelectiveMtFlow(
+            source(), library, technique, CONFIG).run(), library)
+        for name, source in sources.items() for technique in Technique}
+
+    def check(workspace, plan):
+        for name, technique in plan:
+            design = workspace.adopt(sources[name](), name=name) \
+                if name in ("adhoc", "wide") else workspace.design(name)
+            optimized = design.optimize(technique=technique)
+            fields = _flow_fields(design.flow_result(technique), library)
+            assert fields == expected[name, technique], (name, technique)
+            assert (optimized.area_um2, optimized.leakage_nw,
+                    optimized.wns, optimized.hold_wns) == \
+                (fields["area"], fields["leakage"], fields["wns"],
+                 fields["hold_wns"])
+            assert (optimized.mt_cells, optimized.switches,
+                    optimized.holders) == fields["cells"]
+        return workspace.stats.as_dict()["prefix"]
+
+    forward = tuple(Technique)
+    backward = forward[::-1]
+    # Design-major, both technique orders: one prefix per design.
+    prefix = check(Workspace(library=library, config=CONFIG),
+                   [(name, technique) for name, order in
+                    (("c17", forward), ("s344", backward),
+                     ("adhoc", forward), ("wide", backward))
+                    for technique in order])
+    assert prefix == {"hits": 8, "misses": 4}
+    # A, B, A: each switch of design evicts the other's prefix.
+    prefix = check(Workspace(library=library, config=CONFIG),
+                   [(name, technique) for technique in backward
+                    for name in ("c17", "s344")])
+    assert prefix == {"hits": 0, "misses": 6}
 
 
 def test_signoff_matches_legacy_corner_job(library, design):

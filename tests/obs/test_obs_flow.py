@@ -8,7 +8,7 @@ from repro.api import Workspace, schemas
 from repro.api.requests import OptimizeRequest
 from repro.api.shards import FacadeJob, run_facade_job
 from repro.config import FlowConfig, Technique
-from repro.core.stages import PIPELINES
+from repro.core.stages import PIPELINES, SHARED_STAGES
 from repro.obs import TraceResult, enable, span, take_records
 from repro.runner import ExperimentRunner
 
@@ -40,6 +40,25 @@ def test_flow_trace_covers_every_pipeline_stage(library):
     assert all(not name.startswith("stage.") for name in roots)
     # The STA engine traced its runs somewhere inside the flow.
     assert "sta.full_run" in names
+
+    # Three techniques on one design fork one shared prefix: its stages
+    # run once, inside the first flow's span; every other stage sits in
+    # the flow.run span of its own technique, and nowhere else.
+    design = Workspace(library=library, config=CONFIG).design("c17")
+    for technique in Technique:
+        design.flow_result(technique)
+    records = [record for root in take_records() for record in root.walk()]
+    flows = [record for record in records if record.name == "flow.run"]
+    assert [flow.attributes["technique"] for flow in flows] == \
+        [technique.value for technique in Technique]
+    expected = [PIPELINES[technique][len(SHARED_STAGES) if index else 0:]
+                for index, technique in enumerate(Technique)]
+    for flow, keys in zip(flows, expected):
+        assert [child.name for child in flow.children
+                if child.name.startswith("stage.")] == \
+            [f"stage.{key}" for key in keys]
+    assert sum(record.name.startswith("stage.") for record in records) \
+        == sum(map(len, expected))
 
 
 def test_stage_report_timings_unchanged_by_tracing(library):

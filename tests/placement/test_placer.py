@@ -1,13 +1,25 @@
 """Floorplan, global placement and legalization."""
 
+import hashlib
+
 import pytest
 
+from repro.benchcircuits.suite import load_circuit
 from repro.errors import PlacementError
 from repro.device.process import Technology
+from repro.liberty.library import VARIANT_LVT
+from repro.netlist.core import Netlist
+from repro.netlist.techmap import technology_map
 from repro.placement.floorplan import Floorplan
 from repro.placement.legalize import legalize
 from repro.placement.metrics import average_net_span, total_hpwl
-from repro.placement.placer import GlobalPlacer
+from repro.placement.placer import GlobalPlacer, Placement
+
+#: SHA-256 over ``repr`` of the placed + legalized locations of the
+#: LVT-mapped circuitA, circuitB and c432, in that order.  Any change
+#: to the placer or the legalizer that moves one cell changes it.
+PLACEMENT_DIGEST = (
+    "08cb605bfcc66b62e8418be4eb6c0c619b7e1eb0f6b5c2484f2b8bb814ddff3e")
 
 
 class TestFloorplan:
@@ -101,6 +113,18 @@ class TestGlobalPlacer:
         with pytest.raises(PlacementError):
             GlobalPlacer(Netlist("empty"), library).run()
 
+    def test_placements_are_bit_identical(self, library):
+        """The placer and legalizer are pinned bit for bit on the two
+        Table 1 circuits and c432 (the flow's physical synthesis)."""
+        digest = hashlib.sha256()
+        for name in ("circuitA", "circuitB", "c432"):
+            netlist = load_circuit(name)
+            technology_map(netlist, library, VARIANT_LVT)
+            placement = GlobalPlacer(netlist, library).run()
+            legalize(placement, netlist, library)
+            digest.update(repr(placement.locations).encode())
+        assert digest.hexdigest() == PLACEMENT_DIGEST
+
     def test_ensure_port_location_for_late_ports(self, library, s27):
         placement = GlobalPlacer(s27, library).run()
         x, y = placement.ensure_port_location("MTE_LATE")
@@ -129,6 +153,26 @@ class TestLegalize:
         site = library.tech.site_width
         for x, _y in placement.locations.values():
             assert x / site == pytest.approx(round(x / site), abs=1e-6)
+
+    def test_full_home_row_spills_to_the_lower_neighbour(self, library):
+        """A cell whose home row is full goes to the nearest row with
+        room; of two equally near rows, the lower index wins."""
+        tech = library.tech
+        plan = Floorplan((3.5 * tech.row_height) ** 2, tech,
+                         utilization=1.0)
+        assert len(plan.rows) >= 3
+        home = plan.rows[1]
+        sites = round(home.width / tech.site_width)
+        # Unknown instances are one site wide: fill the home row, then
+        # ask for one more cell in it.
+        locations = {f"fill{i}": (i * tech.site_width, home.y)
+                     for i in range(sites)}
+        locations["extra"] = (0.0, home.y)
+        placement = Placement(locations, {}, plan)
+        legalize(placement, Netlist("rows"), library)
+        assert placement.locations["extra"][1] == plan.rows[0].y
+        assert all(placement.locations[f"fill{i}"][1] == home.y
+                   for i in range(sites))
 
     def test_metrics(self, library, s27):
         placement = GlobalPlacer(s27, library).run()

@@ -44,18 +44,32 @@ def test_config_error_hierarchy_and_field():
 def test_flow_config_validation_raises_typed_config_error():
     from repro.config import FlowConfig
 
-    cases = {
-        "timing_margin": dict(timing_margin=-0.1),
-        "clock_period_ns": dict(clock_period_ns=0.0),
-        "utilization": dict(utilization=1.5),
-        "bounce_limit_fraction": dict(bounce_limit_fraction=0.9),
-        "compute_backend": dict(compute_backend="fortran"),
-    }
-    for field, kwargs in cases.items():
+    cases = [
+        ("timing_margin", dict(timing_margin=-0.1)),
+        ("timing_margin", dict(timing_margin=float("nan"))),
+        ("clock_period_ns", dict(clock_period_ns=0.0)),
+        ("utilization", dict(utilization=1.5)),
+        # Below the floorplan's own floor.
+        ("utilization", dict(utilization=0.05)),
+        ("aspect_ratio", dict(aspect_ratio=-1)),
+        ("aspect_ratio", dict(aspect_ratio=0)),
+        ("aspect_ratio", dict(aspect_ratio="wide")),
+        ("aspect_ratio", dict(aspect_ratio=float("inf"))),
+        ("placer_iterations", dict(placer_iterations=-3)),
+        ("placer_iterations", dict(placer_iterations=2.5)),
+        ("assignment_guardband", dict(assignment_guardband=1.5)),
+        ("assignment_guardband", dict(assignment_guardband=-0.1)),
+        ("bounce_limit_fraction", dict(bounce_limit_fraction=0.9)),
+        ("compute_backend", dict(compute_backend="fortran")),
+    ]
+    for field, kwargs in cases:
         with pytest.raises(errors.ConfigError) as excinfo:
             FlowConfig(**kwargs)
         assert excinfo.value.field == field
         assert field in str(excinfo.value)
+    # The edges of every range are accepted.
+    FlowConfig(utilization=0.1, placer_iterations=0,
+               assignment_guardband=0.0, timing_margin=0.0)
     # Still catchable as the historical FlowError.
     with pytest.raises(errors.FlowError):
         FlowConfig(timing_margin=-1)
