@@ -78,19 +78,16 @@ def test_bench_corner_grid(benchmark, library):
     print(f"\n{len(corners)} corners derived+evaluated in {elapsed:.3f}s")
 
 
-def test_bench_batched_signoff(benchmark, library, tmp_path, monkeypatch):
+def test_bench_batched_signoff(benchmark, library):
     """Corner-batched signoff vs the sequential loop on the full grid.
 
-    Also times the persistent lowering cache: a cold signoff with a
-    warm cache directory vs a cold signoff without one.  The batched
-    floor IS asserted (a wall-clock *ratio* of two same-process runs,
-    so shared-runner noise largely cancels).
+    The batched floor IS asserted (a wall-clock *ratio* of two
+    same-process runs, so shared-runner noise largely cancels).
     """
     import pytest
 
     pytest.importorskip("numpy")
 
-    from repro.compute import lowercache
     from repro.config import FlowConfig, Technique
     from repro.core.flow import SelectiveMtFlow
     from repro.variation.corners import derive_corner_library_cached
@@ -125,40 +122,24 @@ def test_bench_batched_signoff(benchmark, library, tmp_path, monkeypatch):
                                 result.constraints, **kwargs)
         loop_s = time.perf_counter() - started
 
-        # Cold batched signoff, no cache: pays one nominal lowering
-        # (the loop above paid one PER corner).
-        monkeypatch.delenv(lowercache.ENV_VAR, raising=False)
+        # Cold batched signoff: pays one nominal lowering (the loop
+        # above paid one PER corner).
         started = time.perf_counter()
         batched = evaluate_corners_batched(
             result.netlist, library, names, result.constraints,
             **kwargs)
         cold_s = time.perf_counter() - started
+        return loop, batched, derive_s, loop_s, cold_s
 
-        # Warm the on-disk cache, then run cold again from disk.
-        monkeypatch.setenv(lowercache.ENV_VAR, str(tmp_path))
-        evaluate_corners_batched(result.netlist, library, names,
-                                 result.constraints, **kwargs)
-        lowercache.reset_stats()
-        started = time.perf_counter()
-        cached = evaluate_corners_batched(
-            result.netlist, library, names, result.constraints,
-            **kwargs)
-        cached_s = time.perf_counter() - started
-        assert lowercache.stats()["hits"] == 1
-        monkeypatch.delenv(lowercache.ENV_VAR, raising=False)
-        return loop, batched, cached, derive_s, loop_s, cold_s, cached_s
-
-    loop, batched, cached, derive_s, loop_s, cold_s, cached_s = \
+    loop, batched, derive_s, loop_s, cold_s = \
         run_once(benchmark, signoff_both)
 
     # Per-corner bit-identity: the batched pass is an evaluation
-    # strategy, not an approximation (cached reload included).
+    # strategy, not an approximation.
     for name in names:
         assert batched[name].wns == loop[name].wns
         assert batched[name].hold_wns == loop[name].hold_wns
         assert batched[name].leakage_nw == loop[name].leakage_nw
-        assert cached[name].wns == loop[name].wns
-        assert cached[name].leakage_nw == loop[name].leakage_nw
 
     speedup = loop_s / max(cold_s, 1e-9)
     metrics = {
@@ -171,15 +152,11 @@ def test_bench_batched_signoff(benchmark, library, tmp_path, monkeypatch):
         "batched_corners_per_s": round(
             len(names) / max(cold_s, 1e-9), 2),
         "batched_speedup": round(speedup, 2),
-        "batched_cached_cold_s": round(cached_s, 4),
-        "cached_corners_per_s": round(
-            len(names) / max(cached_s, 1e-9), 2),
     }
     benchmark.extra_info.update(metrics)
     record("batched_signoff", metrics)
     print(f"\n{len(names)} corners: loop {loop_s:.3f}s vs batched "
-          f"{cold_s:.3f}s ({speedup:.1f}x); warm-cache cold "
-          f"{cached_s:.3f}s")
+          f"{cold_s:.3f}s ({speedup:.1f}x)")
 
     # Floor: one stacked array pass must beat K sequential STAs by 4x
     # (the trajectory target is 10x over the PR-5 loop baseline).

@@ -16,11 +16,10 @@ match the frozen golden fixtures in ``tests/golden/``:
    must reuse the corner libraries the signoff derived (the process
    corner-derivation memo derives each corner once);
 5. a **restart**: the first server is torn down and a second
-   ``repro-smt serve`` process re-runs the signoff against the same
-   ``REPRO_LOWER_CACHE`` directory — on the numpy backend its health
-   stats must show a lowering-cache *hit* (the lowered design survived
-   the process boundary); on the scalar backend the cache must stay
-   silent;
+   ``repro-smt serve`` process on the same result store re-runs the
+   signoff — it must come off the store (a clean result-store *hit*)
+   bit-for-bit — and a signoff the store has not seen must still
+   execute and reproduce the nominal corner;
 6. a ``--shards 2`` leg whose optimize runs in a shard worker process;
 7. malformed requests against the first and the sharded server: a
    non-numeric ``Content-Length`` and a non-JSON body must each get a
@@ -98,15 +97,13 @@ def wait_for_health(client: ServiceClient, deadline_s: float = 60.0):
     raise SystemExit("service never became healthy")
 
 
-def start_server(port: int, cache_dir: str, store_dir: str,
+def start_server(port: int, store_dir: str,
                  *extra_args: str) -> subprocess.Popen:
-    env = dict(os.environ)
-    env["REPRO_LOWER_CACHE"] = cache_dir
     return subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve",
          "--port", str(port), "--result-store", store_dir,
          *extra_args],
-        cwd=REPO, env=env,
+        cwd=REPO,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
 
 
@@ -182,10 +179,9 @@ def main() -> int:
     golden = json.loads(
         (REPO / "tests" / "golden" / "table1_c432_s298.json")
         .read_text(encoding="utf-8"))[CIRCUIT]
-    cache_dir = tempfile.mkdtemp(prefix="repro-lower-cache-")
     store_dir = tempfile.mkdtemp(prefix="repro-result-store-")
     port = free_port()
-    server = start_server(port, cache_dir, store_dir)
+    server = start_server(port, store_dir)
     client = ServiceClient(f"http://127.0.0.1:{port}", timeout=60.0)
     try:
         wait_for_health(client)
@@ -309,21 +305,14 @@ def main() -> int:
         logger.info("metrics counters: %s",
                     json.dumps(metrics["counters"], sort_keys=True))
 
-        # Restart: a SECOND serve process against the same lowering
-        # cache AND the same result store.  The identical signoff must
-        # come straight off the result store (no recompute); a signoff
-        # the store has NOT seen must still execute — and on the numpy
-        # backend pick the lowered design up from disk (a
-        # lowering-cache hit with zero stores); the scalar backend
-        # never lowers, so its counters must stay flat.
-        from repro.compute import resolve_backend
-
-        backend = resolve_backend(None)
-        logger.info("restart: second serve process, shared lowering "
-                    "cache + result store (%s backend)", backend)
+        # Restart: a SECOND serve process against the same result
+        # store.  The identical signoff must come straight off the
+        # store (no recompute); a signoff the store has NOT seen must
+        # still execute.
+        logger.info("restart: second serve process, shared result store")
         stop_server(server)
         port = free_port()
-        server = start_server(port, cache_dir, store_dir)
+        server = start_server(port, store_dir)
         client = ServiceClient(f"http://127.0.0.1:{port}", timeout=60.0)
         wait_for_health(client)
         again = client.run(
@@ -348,8 +337,7 @@ def main() -> int:
                     json.dumps(store_stats, sort_keys=True))
 
         # A request the store has never seen (same config, fewer
-        # corners) must actually execute — this is what drives the
-        # lowering cache below.
+        # corners) must actually execute.
         nominal_only = client.run(
             "signoff", CIRCUIT,
             request=SignoffRequest(technique=Technique.IMPROVED_SMT,
@@ -358,18 +346,6 @@ def main() -> int:
         check("store-missed signoff still reproduces tt_nom exactly",
               nominal_only.row("tt_nom").leakage_nw
               == signoff.row("tt_nom").leakage_nw)
-        lowering = client.health()["cache_stats"].get("lowering", {})
-        if backend == "numpy":
-            check("second process hit the persistent lowering cache",
-                  lowering.get("hits", 0) >= 1)
-            check("lowering cache load was clean (no errors)",
-                  lowering.get("errors", 0) == 0)
-        else:
-            check("scalar backend leaves the lowering cache untouched",
-                  lowering.get("hits", 0) == 0
-                  and lowering.get("stores", 0) == 0)
-        logger.info("restart lowering stats: %s",
-                    json.dumps(lowering, sort_keys=True))
 
         # Shard leg: a THIRD serve process with --shards 2 and a fresh
         # result store, so the optimize actually executes in a shard
@@ -378,7 +354,7 @@ def main() -> int:
         stop_server(server)
         port = free_port()
         shard_store = tempfile.mkdtemp(prefix="repro-result-store-")
-        server = start_server(port, cache_dir, shard_store,
+        server = start_server(port, shard_store,
                               "--shards", "2")
         client = ServiceClient(f"http://127.0.0.1:{port}", timeout=120.0)
         wait_for_health(client)

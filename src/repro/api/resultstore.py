@@ -22,7 +22,7 @@ Store key — SHA-256 over:
 * the canonical JSON of the :class:`~repro.config.FlowConfig`
   overrides (the config digest).
 
-Robustness contract (same as :mod:`repro.compute.lowercache`):
+Robustness contract:
 
 * loads are corruption-safe — any unreadable / truncated / mismatched
   entry counts a miss **and an error**, is unlinked, and the job

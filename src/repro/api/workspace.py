@@ -68,7 +68,7 @@ from repro.core.compare import (
     count_cell_kinds,
 )
 from repro.core.flow import FlowResult, run_fork, shared_prefix
-from repro.core.stages import FlowContext
+from repro.core.stages import FlowContext, derive_clock_constraints
 from repro.errors import ConfigError, FlowError
 from repro.liberty.library import (
     Library,
@@ -84,7 +84,6 @@ from repro.power.leakage import LeakageAnalyzer
 from repro.runner import ExperimentRunner
 from repro.timing.constraints import Constraints
 from repro.timing.session import TimingSession
-from repro.timing.sta import TimingAnalyzer
 
 
 def config_key(config: FlowConfig) -> str:
@@ -313,39 +312,28 @@ class Workspace:
     def cache_stats(self) -> dict[str, dict[str, int]]:
         """Compatibility view: the flat dict ``/v1/health`` has always
         served (workspace caches by name, plus the process-wide
-        ``lowering`` and ``corner_memo`` counter dicts in their native
-        shapes).  New consumers should prefer :meth:`stats_tree`."""
+        ``corner_memo`` counter dict in its native shape).  New
+        consumers should prefer :meth:`stats_tree`."""
         stats = self.stats.as_dict()
-        tree = self.stats_tree()
-        # The persistent lowering cache and the corner-library memo
-        # keep process-wide counters (they outlive any one workspace);
-        # fold them in so the service health endpoint reports them.
-        if tree["lowering"]:
-            stats["lowering"] = tree["lowering"]
-        stats["corner_memo"] = tree["corner_memo"]
+        # The corner-library memo keeps process-wide counters (it
+        # outlives any one workspace); fold them in so the service
+        # health endpoint reports them.
+        stats["corner_memo"] = self.stats_tree()["corner_memo"]
         return stats
 
     def stats_tree(self) -> dict[str, dict]:
         """One coherent stats tree across every cache layer.
 
         ``workspace`` holds this workspace's hit/miss/hit_rate per
-        cache (:meth:`CacheStats.tree`); ``corner_memo`` and
-        ``lowering`` are the process-wide counter dicts (``lowering``
-        is empty on scalar-only installs).  This is the shape
-        ``/v1/metrics`` reports under ``caches``.
+        cache (:meth:`CacheStats.tree`); ``corner_memo`` is the
+        process-wide counter dict.  This is the shape ``/v1/metrics``
+        reports under ``caches``.
         """
-        try:
-            from repro.compute.lowercache import stats as lower_stats
-
-            lowering = lower_stats()
-        except ImportError:  # pragma: no cover - python-only installs
-            lowering = {}
         from repro.variation.corners import corner_memo_stats
 
         return {
             "workspace": self.stats.tree(),
             "corner_memo": corner_memo_stats(),
-            "lowering": lowering,
         }
 
 
@@ -512,25 +500,11 @@ class Design:
         netlist = self.netlist.clone()
         variant = VARIANT_LVT if request.variant == "lvt" else VARIANT_HVT
         technology_map(netlist, library, variant)
-        if self.config.clock_period_ns is not None:
-            constraints = Constraints(
-                clock_period=self.config.clock_period_ns)
-        else:
-            # Mirrors the derive_constraints stage: clock period is the
-            # critical delay times (1 + margin) — here on the unplaced
-            # mapped netlist (no parasitics), since analyze() probes
-            # the design before any physical flow exists.
-            probe = Constraints(clock_period=1000.0)
-            report = TimingAnalyzer(
-                netlist, library, probe,
-                compute_backend=self.config.compute_backend).run()
-            min_period = 1000.0 - report.wns
-            if min_period <= 0:
-                raise FlowError(
-                    "could not derive a positive minimum period")
-            constraints = Constraints(
-                clock_period=min_period
-                * (1.0 + self.config.timing_margin))
+        # The derive_constraints stage's rule, on the unplaced mapped
+        # netlist (no parasitics): analyze() probes the design before
+        # any physical flow exists.
+        constraints = derive_clock_constraints(netlist, library,
+                                               self.config)
         session = TimingSession(
             netlist, library, constraints,
             compute_backend=self.config.compute_backend)

@@ -238,7 +238,7 @@ def backward(view: NetlistArrayView, fwd: ForwardState,
         req_rise[:, idx] = np.minimum(req_rise[:, idx], required)
         req_fall[:, idx] = np.minimum(req_fall[:, idx], required)
 
-    for start, stop, seg_starts, seg_src in view.bwd.levels:
+    for _level, start, stop, seg_starts, seg_src in view.bwd.levels:
         src = view.bwd.src[start:stop]
         out = view.bwd.out[start:stop]
         slew = np.maximum(fwd.slew_rise[:, src], fwd.slew_fall[:, src])

@@ -14,7 +14,9 @@ alive across edits:
   so one level evaluates as one vectorized pass;
 * **gathered Liberty coefficients** — every NLDM LUT referenced by an
   arc is registered in a :class:`LutStore` (stacked, padded tables) and
-  arcs carry integer LUT ids.  (The Monte-Carlo engine gathers its own
+  arcs carry integer LUT ids.  Each (cell, out pin, in pin) arc
+  registers its tables once, into a row template every instance of
+  the cell copies.  (The Monte-Carlo engine gathers its own
   per-instance leakage/Vth coefficient vectors in the same sorted-name
   index order, so its derate matrices align with this view's columns.)
 
@@ -24,10 +26,10 @@ Invalidation contract (mirrors the
 * :meth:`touch_net` — only the net's capacitive load changed; the load
   vector entry is refreshed in place;
 * :meth:`touch_instance` — the instance's timing tables changed (a
-  variant swap); the instance is re-gathered through the same walk
-  that built its rows, and when the arc signature is unchanged (tied
-  inputs included) the new LUT ids are written into the stored rows
-  in place, otherwise the view rebuilds;
+  variant swap); the instance is re-walked the way the build walked
+  it, and when the fresh rows match the stored ones (tied inputs
+  included) the new LUT ids are written into them in place, otherwise
+  the view rebuilds;
 * :meth:`touch_structural` — the graph changed shape (buffer
   insertion, removal); the next :meth:`ensure` rebuilds everything.
 
@@ -40,8 +42,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TimingError
-from repro.liberty.library import CellKind, Lut, VthClass
+from repro.liberty.library import Lut, VthClass
+from repro.netlist.core import PinDirection
 from repro.obs.spans import span
+from repro.timing.sta import cell_constraint_value, timing_roles
 
 #: Sense codes used by the backward kernel.
 SENSE_POSITIVE = 0
@@ -87,8 +91,6 @@ class LutStore:
         self._classes: list[int] = []
         self._arrays = None
         self._scale_classes = None
-        self._frozen = False
-        self._count = 0
 
     def register(self, lut: Lut | None, scale_class: int = 0) -> int:
         """The id of ``lut`` (registering it if new); -1 for ``None``.
@@ -106,9 +108,6 @@ class LutStore:
         found = self._ids.get(key)
         if found is not None:
             return found
-        if self._frozen:
-            raise TimingError(
-                "cannot register new LUTs in a cache-loaded store")
         index = len(self._luts)
         self._ids[key] = index
         self._luts.append(lut)
@@ -118,7 +117,7 @@ class LutStore:
         return index
 
     def __len__(self) -> int:
-        return self._count if self._frozen else len(self._luts)
+        return len(self._luts)
 
     def arrays(self):
         """(search1, interp1, search2, interp2, values) stacked arrays."""
@@ -134,21 +133,6 @@ class LutStore:
             classes[:len(self._classes)] = self._classes
             self._scale_classes = classes
         return self._scale_classes
-
-    @classmethod
-    def from_arrays(cls, arrays, scale_classes, count: int) -> "LutStore":
-        """A frozen store over pre-built arrays (lowering-cache load).
-
-        Frozen stores serve ``arrays()``/``scale_classes()`` but refuse
-        new registrations — a view loaded from the cache rebuilds
-        instead of patching in place.
-        """
-        store = cls()
-        store._arrays = tuple(arrays)
-        store._scale_classes = np.asarray(scale_classes, dtype=np.int64)
-        store._count = int(count)
-        store._frozen = True
-        return store
 
     def _build(self):
         count = max(len(self._luts), 1)
@@ -186,45 +170,165 @@ def _fill_axis(search_row: np.ndarray, interp_row: np.ndarray,
     interp_row[n:] = axis[-1]
 
 
-class _Stream:
+#: Forward rows per delay arc, by timing sense, as (target stream,
+#: source edge) with stream 0 = rise target, 1 = fall target: a
+#: positive arc maps rise to rise and fall to fall, a negative one
+#: crosses them, a non-unate one drives both targets from both edges.
+_FORWARD_ROWS = {
+    SENSE_POSITIVE: ((0, 0), (1, 1)),
+    SENSE_NEGATIVE: ((0, 1), (1, 0)),
+    SENSE_NON_UNATE: ((0, 0), (1, 0), (0, 1), (1, 1)),
+}
+
+#: Stream index of the backward (required-time) rows.
+_BACKWARD = 2
+
+
+class _CellArcs:
+    """One library cell as lowering sees it: its pins, its delay-scale
+    class and the template id of each (out pin, in pin) pair met so far
+    (-1: no delay arc)."""
+
+    __slots__ = ("pins", "klass", "ids")
+
+    def __init__(self, cell):
+        self.pins = cell.pins
+        self.klass = _delay_scale_class(cell)
+        self.ids: dict[tuple[str, str], int] = {}
+
+
+class _Arcs:
+    """Arc records in walk order: (template id, out node, source node,
+    instance) as four flat ints each, plus the arc's wire delay."""
+
+    __slots__ = ("ints", "wires")
+
+    def __init__(self):
+        self.ints: list[int] = []
+        self.wires: list[float] = []
+
+
+class _ArcTemplates:
+    """Row templates of the delay arcs lowered so far, by integer id.
+
+    A template holds the rows one (cell, out pin, in pin) arc adds to
+    each stream (rise, fall, backward) as ``(code, lut_a, lut_b)``: its
+    forward rows (code = source edge, LUTs = delay and slew table), then
+    its backward row (code = sense, LUTs = rise and fall delay table).
+    :meth:`lower` registers the tables in exactly that order, the order
+    a walk over every instance first meets them, so each arc registers
+    once and the LUT store numbers its tables as such a walk would.
+    """
+
+    def __init__(self, library, luts: LutStore):
+        self.library = library
+        self.luts = luts
+        self.cells: dict[str, _CellArcs] = {}
+        self.rows: tuple[list[int], ...] = ([], [], [])   # flat triples
+        self.first: tuple[list[int], ...] = ([], [], [])
+        self.count: tuple[list[int], ...] = ([], [], [])
+
+    def cell(self, name: str) -> _CellArcs:
+        cell = self.cells.get(name)
+        if cell is None:
+            cell = self.cells[name] = _CellArcs(self.library.cell(name))
+        return cell
+
+    def lower(self, cell: _CellArcs, out_name: str, in_name: str) -> int:
+        """The template id of one arc (-1 without a delay arc)."""
+        lib_out = cell.pins.get(out_name)
+        arc = lib_out.arc_from(in_name) if lib_out is not None else None
+        tid = -1
+        if arc is not None:
+            register, klass = self.luts.register, cell.klass
+            sense = _SENSE_CODE.get(arc.timing_sense, SENSE_NON_UNATE)
+            tables = ((arc.cell_rise, arc.rise_transition),
+                      (arc.cell_fall, arc.fall_transition))
+            per_stream: tuple[list, ...] = ([], [], [])
+            for stream, edge in _FORWARD_ROWS[sense]:
+                delay_lut, slew_lut = tables[stream]
+                if delay_lut is not None:
+                    per_stream[stream].extend(
+                        (edge, register(delay_lut, klass),
+                         register(slew_lut, klass)))
+            per_stream[_BACKWARD].extend(
+                (sense, register(arc.cell_rise, klass),
+                 register(arc.cell_fall, klass)))
+            tid = len(self.first[0])
+            for stream, rows in enumerate(per_stream):
+                self.first[stream].append(len(self.rows[stream]) // 3)
+                self.count[stream].append(len(rows) // 3)
+                self.rows[stream].extend(rows)
+        cell.ids[(out_name, in_name)] = tid
+        return tid
+
+    def expand(self, arcs: _Arcs) -> list[tuple]:
+        """Per stream (rise, fall, backward), the rows of ``arcs`` in
+        walk order: the six int columns (out, src, inst, code, lut_a,
+        lut_b), the wire delays, and each arc's first row (plus one
+        past the last)."""
+        table = np.array(arcs.ints, dtype=np.int64).reshape(-1, 4)
+        tid = table[:, 0]
+        wires = np.array(arcs.wires, dtype=float)
+        streams = []
+        for stream in range(3):
+            count = np.array(self.count[stream], dtype=np.int64)[tid]
+            bounds = np.zeros(len(tid) + 1, dtype=np.int64)
+            np.cumsum(count, out=bounds[1:])
+            arc = np.repeat(np.arange(len(tid)), count)
+            rows = np.array(self.rows[stream],
+                            dtype=np.int64).reshape(-1, 3)
+            first = np.array(self.first[stream], dtype=np.int64)
+            at = first[tid][arc] + np.arange(len(arc)) - bounds[arc]
+            cols = (table[arc, 1], table[arc, 2], table[arc, 3],
+                    rows[at, 0], rows[at, 1], rows[at, 2])
+            streams.append((cols, wires[arc], bounds))
+        return streams
+
+
+class _ArcTable:
+    """One stream's rows, stored level-sorted for the kernels.
+
+    ``cols`` holds the int columns (out, src, inst, code, lut_a,
+    lut_b), which subclasses alias under the names the kernels read;
+    ``perm[k]`` is the build-order id of stored row ``k``.
+    """
+
+    __slots__ = ("cols", "wire", "perm", "levels", "_inverse")
+
+    def _store(self, cols, wire, perm):
+        self.cols = [col[perm] for col in cols]
+        self.wire = wire[perm]
+        self.perm = perm
+        self._inverse = None
+
+    def stored(self, build_rows) -> np.ndarray:
+        """Stored positions of the given build-order row ids."""
+        if self._inverse is None:
+            inverse = np.empty_like(self.perm)
+            inverse[self.perm] = np.arange(len(self.perm))
+            self._inverse = inverse
+        return self._inverse[build_rows]
+
+
+class _Stream(_ArcTable):
     """One forward contribution stream (rise-target or fall-target)."""
 
-    __slots__ = ("out", "src", "inst", "src_edge", "dlut", "slut", "wire",
-                 "levels", "size", "perm")
+    __slots__ = ("out", "src", "inst", "src_edge", "dlut", "slut")
 
-    def __init__(self, rows, level_of):
-        # rows: list of [out, src, inst, src_edge, dlut, slut, wire]
-        self.size = len(rows)
-        if rows:
-            out = np.array([r[0] for r in rows], dtype=np.int64)
-            src = np.array([r[1] for r in rows], dtype=np.int64)
-            inst = np.array([r[2] for r in rows], dtype=np.int64)
-            edge = np.array([r[3] for r in rows], dtype=np.int64)
-            dlut = np.array([r[4] for r in rows], dtype=np.int64)
-            slut = np.array([r[5] for r in rows], dtype=np.int64)
-            wire = np.array([r[6] for r in rows], dtype=float)
-            levels = level_of[inst]
-            perm = np.argsort(levels, kind="stable")
-        else:
-            out = src = inst = edge = dlut = slut = np.zeros(0, np.int64)
-            wire = np.zeros(0)
-            levels = np.zeros(0, np.int64)
-            perm = np.zeros(0, np.int64)
-        # Build-order row id of each stored row (None once rehydrated
-        # from the lowering cache).
-        self.perm = perm
-        self.out = out[perm]
-        self.src = src[perm]
-        self.inst = inst[perm]
-        self.src_edge = edge[perm]
-        self.dlut = dlut[perm]
-        self.slut = slut[perm]
-        self.wire = wire[perm]
+    def __init__(self, cols, wire, level_of):
+        levels = level_of[cols[2]]
+        perm = np.argsort(levels, kind="stable")
+        self._store(cols, wire, perm)
+        (self.out, self.src, self.inst, self.src_edge, self.dlut,
+         self.slut) = self.cols
         self.levels = _level_slices(levels[perm], self.out)
 
 
-def _level_slices(sorted_levels: np.ndarray, out: np.ndarray):
-    """[(level, start, stop, seg_starts, seg_out)] for a sorted table."""
+def _level_slices(sorted_levels: np.ndarray, keys: np.ndarray):
+    """[(level, start, stop, seg_starts, seg_keys)] for a level-sorted
+    table: one entry per level run, segmented where ``keys`` (the out
+    or source node the kernel reduces over) changes."""
     slices = []
     n = len(sorted_levels)
     if n == 0:
@@ -232,118 +336,29 @@ def _level_slices(sorted_levels: np.ndarray, out: np.ndarray):
     boundaries = [0] + list(
         np.nonzero(np.diff(sorted_levels))[0] + 1) + [n]
     for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        seg_out = out[lo:hi]
-        change = np.nonzero(np.diff(seg_out))[0] + 1
+        seg_keys = keys[lo:hi]
+        change = np.nonzero(np.diff(seg_keys))[0] + 1
         seg_starts = np.concatenate(
             ([0], change)).astype(np.int64)
         slices.append((int(sorted_levels[lo]), lo, hi, seg_starts,
-                       seg_out[seg_starts]))
+                       seg_keys[seg_starts]))
     return slices
 
 
-class _BackwardStream:
+class _BackwardStream(_ArcTable):
     """Backward (required-time) arc table, level-descending."""
 
-    __slots__ = ("out", "src", "inst", "sense", "rlut", "flut", "wire",
-                 "levels", "perm")
+    __slots__ = ("out", "src", "inst", "sense", "rlut", "flut")
 
-    def __init__(self, rows, level_of):
-        if rows:
-            out = np.array([r[0] for r in rows], dtype=np.int64)
-            src = np.array([r[1] for r in rows], dtype=np.int64)
-            inst = np.array([r[2] for r in rows], dtype=np.int64)
-            sense = np.array([r[3] for r in rows], dtype=np.int64)
-            rlut = np.array([r[4] for r in rows], dtype=np.int64)
-            flut = np.array([r[5] for r in rows], dtype=np.int64)
-            wire = np.array([r[6] for r in rows], dtype=float)
-            levels = level_of[inst]
-            # Descending level; within a level group by source net so
-            # the min-reduction segments are contiguous.
-            perm = np.lexsort((src, -levels))
-        else:
-            out = src = inst = sense = rlut = flut = np.zeros(0, np.int64)
-            wire = np.zeros(0)
-            levels = np.zeros(0, np.int64)
-            perm = np.zeros(0, np.int64)
-        self.perm = perm
-        self.out = out[perm]
-        self.src = src[perm]
-        self.inst = inst[perm]
-        self.sense = sense[perm]
-        self.rlut = rlut[perm]
-        self.flut = flut[perm]
-        self.wire = wire[perm]
-        self.levels = _bwd_level_slices(levels[perm], self.src) \
-            if len(perm) else []
-
-
-def _bwd_level_slices(sorted_desc_levels: np.ndarray, src: np.ndarray):
-    slices = []
-    n = len(sorted_desc_levels)
-    boundaries = [0] + list(
-        np.nonzero(np.diff(sorted_desc_levels))[0] + 1) + [n]
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        seg_src = src[lo:hi]
-        change = np.nonzero(np.diff(seg_src))[0] + 1
-        seg_starts = np.concatenate(([0], change)).astype(np.int64)
-        slices.append((lo, hi, seg_starts, seg_src[seg_starts]))
-    return slices
-
-
-def _str_array(names) -> np.ndarray:
-    return np.array(names, dtype=np.str_) if names \
-        else np.zeros(0, dtype="U1")
-
-
-def _stream_levels(stream: "_Stream") -> np.ndarray:
-    """Recover the level-sorted per-row level array from the slices."""
-    levels = np.zeros(len(stream.out), dtype=np.int64)
-    for level, lo, hi, _starts, _out in stream.levels:
-        levels[lo:hi] = level
-    return levels
-
-
-def _bwd_group_codes(bwd: "_BackwardStream") -> np.ndarray:
-    """Strictly-descending group codes reproducing the bwd slices.
-
-    The backward slices only use level *boundaries*, never the level
-    values, so any strictly-descending code sequence round-trips.
-    """
-    codes = np.zeros(len(bwd.out), dtype=np.int64)
-    groups = len(bwd.levels)
-    for g, (lo, hi, _starts, _src) in enumerate(bwd.levels):
-        codes[lo:hi] = groups - g
-    return codes
-
-
-def _stream_from_state(state, tag: str) -> "_Stream":
-    stream = _Stream.__new__(_Stream)
-    stream.out = state[f"{tag}_out"]
-    stream.src = state[f"{tag}_src"]
-    stream.inst = state[f"{tag}_inst"]
-    stream.src_edge = state[f"{tag}_edge"]
-    stream.dlut = state[f"{tag}_dlut"]
-    stream.slut = state[f"{tag}_slut"]
-    stream.wire = state[f"{tag}_wire"]
-    stream.perm = None
-    stream.size = len(stream.out)
-    stream.levels = _level_slices(state[f"{tag}_levels"], stream.out)
-    return stream
-
-
-def _bwd_from_state(state) -> "_BackwardStream":
-    bwd = _BackwardStream.__new__(_BackwardStream)
-    bwd.out = state["bwd_out"]
-    bwd.src = state["bwd_src"]
-    bwd.inst = state["bwd_inst"]
-    bwd.sense = state["bwd_sense"]
-    bwd.rlut = state["bwd_rlut"]
-    bwd.flut = state["bwd_flut"]
-    bwd.wire = state["bwd_wire"]
-    bwd.perm = None
-    bwd.levels = _bwd_level_slices(state["bwd_levels"], bwd.src) \
-        if len(bwd.out) else []
-    return bwd
+    def __init__(self, cols, wire, level_of):
+        levels = level_of[cols[2]]
+        # Descending level; within a level group by source net so
+        # the min-reduction segments are contiguous.
+        perm = np.lexsort((cols[1], -levels))
+        self._store(cols, wire, perm)
+        (self.out, self.src, self.inst, self.sense, self.rlut,
+         self.flut) = self.cols
+        self.levels = _level_slices(levels[perm], self.src)
 
 
 class NetlistArrayView:
@@ -356,6 +371,8 @@ class NetlistArrayView:
         self.constraints = constraints
         self.net_model = net_model
         self.clock_arrivals = dict(clock_arrivals or {})
+        self._roles = timing_roles(library)
+        self._order = None
         self._built = False
         self._structural_dirty = True
         self._dirty_loads: set[str] = set()
@@ -363,17 +380,11 @@ class NetlistArrayView:
         self.rebuilds = 0
         self.patches = 0
 
-    # --- classification (mirrors TimingSession) ------------------------
-
-    def _is_seq(self, inst) -> bool:
-        return (inst.cell_name in self.library
-                and self.library.cell(inst.cell_name).is_sequential)
-
-    def _skip(self, inst) -> bool:
-        if inst.cell_name not in self.library:
-            return True
-        kind = self.library.cell(inst.cell_name).kind
-        return kind in (CellKind.SWITCH, CellKind.HOLDER)
+    def use_order(self, order):
+        """Lower along ``order`` — the owner's current topological order
+        of the netlist — instead of sorting the netlist again.  A
+        structural touch drops it."""
+        self._order = order
 
     # --- invalidation ---------------------------------------------------
 
@@ -390,6 +401,7 @@ class NetlistArrayView:
     def touch_structural(self):
         """The netlist graph changed shape: full rebuild next ensure."""
         self._structural_dirty = True
+        self._order = None
 
     @property
     def dirty(self) -> bool:
@@ -425,92 +437,93 @@ class NetlistArrayView:
 
     def _rebuild_arrays(self):
         self.rebuilds += 1
+        self._built = False   # a lowering that raises leaves no half view
         netlist, library = self.netlist, self.library
         constraints = self.constraints
-
-        order = netlist.topological_order(self._is_seq)
+        roles = self._roles
+        order = self._order
+        if order is None:
+            order = netlist.topological_order(
+                lambda inst: roles.get(inst.cell_name, False))
+        self.luts = luts = LutStore()
+        self._templates = templates = _ArcTemplates(library, luts)
 
         # Node domain, in the exact insertion order of a scalar full
-        # run: input-port nets, flip-flop Q nets, comb out nets (topo).
+        # run: input-port nets, flip-flop Q nets, comb out nets (topo),
+        # each with its topological level (startpoints are level 0).
         node_names: list[str] = []
         node_index: dict[str, int] = {}
+        net_level: list[int] = []
+        self.node_names, self.node_index = node_names, node_index
 
-        def add_node(name: str) -> int:
+        def add_node(name: str, level: int) -> int:
             idx = node_index.get(name)
             if idx is None:
                 idx = len(node_names)
                 node_index[name] = idx
                 node_names.append(name)
+                net_level.append(level)
+            else:
+                net_level[idx] = level
             return idx
 
         input_ports = [p for p in netlist.input_ports() if p.net is not None]
         for port in input_ports:
-            add_node(port.net.name)
+            add_node(port.net.name, 0)
         seq_insts = [inst for inst in netlist.instances.values()
-                     if self._is_seq(inst)]
+                     if roles.get(inst.cell_name, False)]
         for inst in seq_insts:
             q_pin = inst.pins.get("Q")
             if q_pin is not None and q_pin.net is not None:
-                add_node(q_pin.net.name)
-        comb_order = [inst for inst in order
-                      if not self._is_seq(inst) and not self._skip(inst)]
-        for inst in comb_order:
-            cell = library.cell(inst.cell_name)
-            for out_pin in inst.output_pins():
-                if out_pin.net is not None and out_pin.name in cell.pins:
-                    add_node(out_pin.net.name)
+                add_node(q_pin.net.name, 0)
 
         inst_names = sorted(netlist.instances)
         inst_index = {name: i for i, name in enumerate(inst_names)}
 
-        # Topological levels (per instance; startpoint nets are level 0).
-        net_level: dict[int, int] = {}
-        for port in input_ports:
-            net_level[node_index[port.net.name]] = 0
-        for inst in seq_insts:
-            q_pin = inst.pins.get("Q")
-            if q_pin is not None and q_pin.net is not None:
-                net_level[node_index[q_pin.net.name]] = 0
+        # One topological walk: each comb instance's level is one past
+        # its deepest source, its out nets join the node domain, and
+        # its arcs are recorded.  Every driver precedes its sinks, so
+        # every source node already exists when a sink reads it.
+        arcs = _Arcs()
+        comb_iidx: list[int] = []
+        comb_level: list[int] = []
+        arc_starts: list[int] = []
+        for inst in order:
+            if roles.get(inst.cell_name) is not False:
+                continue
+            cell = templates.cell(inst.cell_name)
+            ins, outs = self._pins(inst, cell)
+            level = 1 + max([net_level[sidx] for _pin, sidx, _wire in ins],
+                            default=0)
+            iidx = inst_index[inst.name]
+            comb_iidx.append(iidx)
+            comb_level.append(level)
+            arc_starts.append(len(arcs.wires))
+            for out_pin in outs:
+                self._record_arcs(cell, out_pin.name,
+                                  add_node(out_pin.net.name, level),
+                                  ins, iidx, arcs)
+        arc_starts.append(len(arcs.wires))
+
         level_of = np.zeros(len(inst_names), dtype=np.int64)
-        for inst in comb_order:
-            best = 0
-            for in_pin in inst.input_pins():
-                if in_pin.net is None or in_pin.name == "MTE":
-                    continue
-                sidx = node_index.get(in_pin.net.name)
-                if sidx is not None:
-                    best = max(best, net_level.get(sidx, 0))
-            lvl = best + 1
-            level_of[inst_index[inst.name]] = lvl
-            cell = library.cell(inst.cell_name)
-            for out_pin in inst.output_pins():
-                if out_pin.net is not None and out_pin.name in cell.pins:
-                    net_level[node_index[out_pin.net.name]] = lvl
+        level_of[comb_iidx] = comb_level
+        streams = templates.expand(arcs)
+        (rise, rise_wire, _), (fall, fall_wire, _), (bwd, bwd_wire, _) = \
+            streams
+        self.rise = _Stream(rise, rise_wire, level_of)
+        self.fall = _Stream(fall, fall_wire, level_of)
+        self.bwd = _BackwardStream(bwd, bwd_wire, level_of)
+        # Build-order rows of the instance in comb slot k span
+        # _row_starts[k] to _row_starts[k + 1], per stream; a patch
+        # maps them to stored rows only for the instances it touches.
+        self._comb_slot = np.full(len(inst_names), -1, dtype=np.int64)
+        self._comb_slot[comb_iidx] = np.arange(len(comb_iidx))
+        self._row_starts = np.stack(
+            [bounds[arc_starts] for _cols, _wire, bounds in streams], axis=1)
 
-        luts = LutStore()
-        rise_rows: list[list] = []
-        fall_rows: list[list] = []
-        bwd_rows: list[list] = []
-        inst_sig: dict[str, list] = {}
-
-        for inst in comb_order:
-            signature = self._gather_instance(
-                inst, node_index, inst_index, luts,
-                rise_rows, fall_rows, bwd_rows)
-            inst_sig[inst.name] = signature
-
-        self.node_names = node_names
-        self.node_index = node_index
         self.inst_names = inst_names
         self.inst_index = inst_index
-        self.comb_count = len(comb_order)
-        self.luts = luts
-        self.rise = _Stream(rise_rows, level_of)
-        self.fall = _Stream(fall_rows, level_of)
-        self.bwd = _BackwardStream(bwd_rows, level_of)
-        # _gather_instance recorded build-order row ids; map them
-        # through each stream's level sort so patches hit stored rows.
-        self._finalize_row_maps(inst_sig)
+        self.comb_count = len(comb_iidx)
 
         self.loads = np.zeros(len(node_names))
         for name, idx in node_index.items():
@@ -589,110 +602,47 @@ class NetlistArrayView:
         self.ff_ep_hold = np.array(ff_ep_hold)
         self.ff_ep_clk = np.array(ff_ep_clk)
 
-        self._inst_sig = inst_sig
         self._built = True
         self._structural_dirty = False
         self._dirty_loads.clear()
         self._dirty_insts.clear()
 
-    def _gather_instance(self, inst, node_index, inst_index, luts,
-                         rise_rows, fall_rows, bwd_rows) -> list:
-        """Append one instance's contributions; returns its row entry.
+    def _pins(self, inst, cell: _CellArcs):
+        """``(ins, outs)`` of one instance, in pin order: its timing
+        inputs as ``(pin name, source node, wire delay)`` and the
+        connected output pins its cell times."""
+        node_index = self.node_index
+        wire_delay = self.net_model.wire_delay
+        ins, outs = [], []
+        for pin in inst.pins.values():
+            net = pin.net
+            if net is None:
+                continue
+            if pin.direction is PinDirection.INPUT:
+                if pin.name != "MTE":
+                    sidx = node_index.get(net.name)
+                    if sidx is not None:
+                        ins.append((pin.name, sidx, wire_delay(net, pin)))
+            elif pin.direction is PinDirection.OUTPUT \
+                    and pin.name in cell.pins:
+                outs.append(pin)
+        return ins, outs
 
-        The entry is ``[signature, rise ids, fall ids, backward ids]``.
-        The signature is the arc topology — (out, src, sense, has-rise,
-        has-fall) per arc, which fixes every stream's row count and
-        order — and the ids are the rows appended, in walk order.
-        :meth:`_patch_instances` re-runs this walk after a variant swap
-        and rewrites LUT ids in place when the signature is unchanged.
+    def _record_arcs(self, cell: _CellArcs, out_name: str, oidx: int,
+                     ins, iidx: int, arcs: _Arcs):
+        """Record the delay arcs into one out pin, in input-pin order.
+
+        The build and :meth:`_patch_instances` share this walk, so a
+        patch re-derives exactly the rows the build stored.
         """
-        library = self.library
-        cell = library.cell(inst.cell_name)
-        klass = _delay_scale_class(cell)
-        iidx = inst_index[inst.name]
-        sig: list = []
-        my_rise: list[int] = []
-        my_fall: list[int] = []
-        my_bwd: list[int] = []
-        for out_pin in inst.output_pins():
-            out_net = out_pin.net
-            if out_net is None:
-                continue
-            lib_out = cell.pins.get(out_pin.name)
-            if lib_out is None:
-                continue
-            oidx = node_index.get(out_net.name)
-            if oidx is None:
-                continue
-            for in_pin in inst.input_pins():
-                if in_pin.net is None or in_pin.name == "MTE":
-                    continue
-                arc = lib_out.arc_from(in_pin.name)
-                if arc is None:
-                    continue
-                sidx = node_index.get(in_pin.net.name)
-                if sidx is None:
-                    continue
-                wire = self.net_model.wire_delay(in_pin.net, in_pin)
-                sense = _SENSE_CODE.get(arc.timing_sense, SENSE_NON_UNATE)
-                if sense == SENSE_POSITIVE:
-                    pairs = (
-                        (rise_rows, my_rise, 0, arc.cell_rise,
-                         arc.rise_transition),
-                        (fall_rows, my_fall, 1, arc.cell_fall,
-                         arc.fall_transition),
-                    )
-                elif sense == SENSE_NEGATIVE:
-                    pairs = (
-                        (rise_rows, my_rise, 1, arc.cell_rise,
-                         arc.rise_transition),
-                        (fall_rows, my_fall, 0, arc.cell_fall,
-                         arc.fall_transition),
-                    )
-                else:
-                    pairs = (
-                        (rise_rows, my_rise, 0, arc.cell_rise,
-                         arc.rise_transition),
-                        (fall_rows, my_fall, 0, arc.cell_fall,
-                         arc.fall_transition),
-                        (rise_rows, my_rise, 1, arc.cell_rise,
-                         arc.rise_transition),
-                        (fall_rows, my_fall, 1, arc.cell_fall,
-                         arc.fall_transition),
-                    )
-                for rows, mine, edge, delay_lut, slew_lut in pairs:
-                    if delay_lut is None:
-                        continue
-                    mine.append(len(rows))
-                    rows.append([oidx, sidx, iidx, edge,
-                                 luts.register(delay_lut, klass),
-                                 luts.register(slew_lut, klass), wire])
-                my_bwd.append(len(bwd_rows))
-                bwd_rows.append([oidx, sidx, iidx, sense,
-                                 luts.register(arc.cell_rise, klass),
-                                 luts.register(arc.cell_fall, klass), wire])
-                sig.append((oidx, sidx, sense,
-                            arc.cell_rise is not None,
-                            arc.cell_fall is not None))
-        return [sig, my_rise, my_fall, my_bwd]
-
-    def _finalize_row_maps(self, inst_sig):
-        """Map build-order row ids to stored row positions.
-
-        Each stream stores its rows level-sorted (``stream.perm``): the
-        forward streams stably by level, the backward stream by
-        descending level, then source net.  The inverse permutation
-        sends every row id :meth:`_gather_instance` recorded to the
-        stored row :meth:`_patch_instances` writes.
-        """
-        inverses = []
-        for stream in (self.rise, self.fall, self.bwd):
-            inverse = np.empty_like(stream.perm)
-            inverse[stream.perm] = np.arange(len(stream.perm))
-            inverses.append(inverse)
-        for entry in inst_sig.values():
-            for slot, inverse in enumerate(inverses, start=1):
-                entry[slot] = inverse[entry[slot]]
+        ids, ints, wires = cell.ids, arcs.ints, arcs.wires
+        for in_name, sidx, wire in ins:
+            tid = ids.get((out_name, in_name))
+            if tid is None:
+                tid = self._templates.lower(cell, out_name, in_name)
+            if tid >= 0:
+                ints.extend((tid, oidx, sidx, iidx))
+                wires.append(wire)
 
     # --- incremental refresh -------------------------------------------
 
@@ -709,48 +659,58 @@ class NetlistArrayView:
     def _patch_instances(self) -> bool:
         """Re-gather every dirty instance and rewrite its LUT ids in place.
 
-        Each instance is re-walked by :meth:`_gather_instance` — the
-        walk that built its rows — into fresh row lists.  Only when every
-        walk reproduces its recorded arc signature are the new LUT ids
-        written into the stored rows by position, one fancy-index
-        assignment per array, so the view is never left half-patched.
-        A signature mismatch, or an unknown, sequential or skipped
-        instance, reports False and the caller rebuilds.
+        Each instance is re-walked by :meth:`_record_arcs` — the walk
+        that built its rows.  Only when the fresh rows reproduce the
+        stored ones' out node, source node, instance and code (source
+        edge or sense), row for row, are the new LUT ids written into
+        them, one fancy-index assignment per array, so the view is
+        never left half-patched.  A mismatch, or an unknown, sequential
+        or skipped instance, reports False and the caller rebuilds.
         """
-        rise_rows: list[list] = []
-        fall_rows: list[list] = []
-        bwd_rows: list[list] = []
-        rise_at, fall_at, bwd_at = [], [], []
+        arcs = _Arcs()
+        slots: list[int] = []
         for name in sorted(self._dirty_insts):
-            entry = self._inst_sig.get(name)
             inst = self.netlist.instances.get(name)
-            if entry is None or inst is None or self._is_seq(inst) \
-                    or self._skip(inst):
+            iidx = self.inst_index.get(name)
+            if inst is None or iidx is None \
+                    or self._roles.get(inst.cell_name) is not False:
                 return False
-            signature = self._gather_instance(
-                inst, self.node_index, self.inst_index, self.luts,
-                rise_rows, fall_rows, bwd_rows)[0]
-            if signature != entry[0]:
+            slot = int(self._comb_slot[iidx])
+            if slot < 0:
                 return False
-            rise_at.append(entry[1])
-            fall_at.append(entry[2])
-            bwd_at.append(entry[3])
-        for stream, rows, at in ((self.rise, rise_rows, rise_at),
-                                 (self.fall, fall_rows, fall_at)):
-            at = np.concatenate(at)
-            stream.dlut[at] = [row[4] for row in rows]
-            stream.slut[at] = [row[5] for row in rows]
-        at = np.concatenate(bwd_at)
-        self.bwd.rlut[at] = [row[4] for row in bwd_rows]
-        self.bwd.flut[at] = [row[5] for row in bwd_rows]
+            cell = self._templates.cell(inst.cell_name)
+            ins, outs = self._pins(inst, cell)
+            for out_pin in outs:
+                oidx = self.node_index.get(out_pin.net.name)
+                if oidx is None:
+                    return False
+                self._record_arcs(cell, out_pin.name, oidx, ins, iidx,
+                                  arcs)
+            slots.append(slot)
+        writes = []
+        streams = self._templates.expand(arcs)
+        for stream, table in enumerate((self.rise, self.fall, self.bwd)):
+            fresh = streams[stream][0]
+            build_rows: list[int] = []
+            for slot in slots:
+                build_rows.extend(range(self._row_starts[slot, stream],
+                                        self._row_starts[slot + 1, stream]))
+            if len(build_rows) != len(fresh[0]):
+                return False
+            at = table.stored(np.array(build_rows, dtype=np.int64))
+            for col in range(4):   # out, src, inst, code
+                if not np.array_equal(table.cols[col][at], fresh[col]):
+                    return False
+            writes.append((table, at, fresh))
+        for table, at, fresh in writes:
+            table.cols[4][at] = fresh[4]
+            table.cols[5][at] = fresh[5]
         self.patches += len(self._dirty_insts)
         return True
 
     # --- helpers --------------------------------------------------------
 
     def _constraint_value(self, cell, which: str) -> float:
-        from repro.timing.sta import cell_constraint_value
-
         return cell_constraint_value(cell, which, self.constraints.input_slew)
 
     def derate_vector(self, derates) -> np.ndarray:
@@ -782,108 +742,3 @@ class NetlistArrayView:
         per_table = factors[:, self.luts.scale_classes()]
         stacked = values[None, ...] * per_table[:, :, None, None]
         return (search1, interp1, search2, interp2, stacked)
-
-    # --- (de)serialization for the on-disk lowering cache ---------------
-
-    def export_state(self) -> dict:
-        """All built arrays as a flat name->array dict (npz-ready)."""
-        self.ensure()
-        search1, interp1, search2, interp2, values = self.luts.arrays()
-        state = {
-            "node_names": _str_array(self.node_names),
-            "inst_names": _str_array(self.inst_names),
-            "comb_count": np.int64(self.comb_count),
-            "loads": self.loads,
-            "lut_count": np.int64(len(self.luts)),
-            "lut_classes": self.luts.scale_classes(),
-            "lut_search1": search1, "lut_interp1": interp1,
-            "lut_search2": search2, "lut_interp2": interp2,
-            "lut_values": values,
-            "port_nodes": self.port_nodes,
-            "port_delay": self.port_delay,
-            "port_min": self.port_min,
-            "ff_node": self.ff_node, "ff_inst": self.ff_inst,
-            "ff_launch": self.ff_launch,
-            "ff_cr": self.ff_cr, "ff_cf": self.ff_cf,
-            "ff_rt": self.ff_rt, "ff_ft": self.ff_ft,
-            "out_ep_names": _str_array(self.out_ep_names),
-            "out_ep_node": self.out_ep_node,
-            "out_ep_wire": self.out_ep_wire,
-            "out_ep_delay": self.out_ep_delay,
-            "ff_ep_names": _str_array(self.ff_ep_names),
-            "ff_ep_node": self.ff_ep_node,
-            "ff_ep_wire": self.ff_ep_wire,
-            "ff_ep_setup": self.ff_ep_setup,
-            "ff_ep_hold": self.ff_ep_hold,
-            "ff_ep_clk": self.ff_ep_clk,
-        }
-        for tag, stream in (("rise", self.rise), ("fall", self.fall)):
-            state[f"{tag}_out"] = stream.out
-            state[f"{tag}_src"] = stream.src
-            state[f"{tag}_inst"] = stream.inst
-            state[f"{tag}_edge"] = stream.src_edge
-            state[f"{tag}_dlut"] = stream.dlut
-            state[f"{tag}_slut"] = stream.slut
-            state[f"{tag}_wire"] = stream.wire
-            state[f"{tag}_levels"] = _stream_levels(stream)
-        state["bwd_out"] = self.bwd.out
-        state["bwd_src"] = self.bwd.src
-        state["bwd_inst"] = self.bwd.inst
-        state["bwd_sense"] = self.bwd.sense
-        state["bwd_rlut"] = self.bwd.rlut
-        state["bwd_flut"] = self.bwd.flut
-        state["bwd_wire"] = self.bwd.wire
-        state["bwd_levels"] = _bwd_group_codes(self.bwd)
-        return state
-
-    @classmethod
-    def from_state(cls, state, netlist, library, constraints, net_model,
-                   clock_arrivals=None) -> "NetlistArrayView":
-        """Rehydrate a view from :meth:`export_state` arrays.
-
-        The loaded view serves kernels immediately (no lowering pass)
-        and honors ``touch_net`` load refreshes; instance patches are
-        refused (``_patch_instances`` reports False), so a variant swap
-        falls back to a normal rebuild against the live netlist, traced
-        with ``cause="patch_failed"``.
-        """
-        view = cls(netlist, library, constraints, net_model,
-                   clock_arrivals)
-        view.node_names = [str(s) for s in state["node_names"]]
-        view.node_index = {n: i for i, n in enumerate(view.node_names)}
-        view.inst_names = [str(s) for s in state["inst_names"]]
-        view.inst_index = {n: i for i, n in enumerate(view.inst_names)}
-        view.comb_count = int(state["comb_count"])
-        view.loads = state["loads"]
-        view.luts = LutStore.from_arrays(
-            (state["lut_search1"], state["lut_interp1"],
-             state["lut_search2"], state["lut_interp2"],
-             state["lut_values"]),
-            state["lut_classes"], int(state["lut_count"]))
-        view.rise = _stream_from_state(state, "rise")
-        view.fall = _stream_from_state(state, "fall")
-        view.bwd = _bwd_from_state(state)
-        view.port_nodes = state["port_nodes"]
-        view.port_delay = state["port_delay"]
-        view.port_min = state["port_min"]
-        view.ff_node = state["ff_node"]
-        view.ff_inst = state["ff_inst"]
-        view.ff_launch = state["ff_launch"]
-        view.ff_cr = state["ff_cr"]
-        view.ff_cf = state["ff_cf"]
-        view.ff_rt = state["ff_rt"]
-        view.ff_ft = state["ff_ft"]
-        view.out_ep_names = [str(s) for s in state["out_ep_names"]]
-        view.out_ep_node = state["out_ep_node"]
-        view.out_ep_wire = state["out_ep_wire"]
-        view.out_ep_delay = state["out_ep_delay"]
-        view.ff_ep_names = [str(s) for s in state["ff_ep_names"]]
-        view.ff_ep_node = state["ff_ep_node"]
-        view.ff_ep_wire = state["ff_ep_wire"]
-        view.ff_ep_setup = state["ff_ep_setup"]
-        view.ff_ep_hold = state["ff_ep_hold"]
-        view.ff_ep_clk = state["ff_ep_clk"]
-        view._inst_sig = {}
-        view._built = True
-        view._structural_dirty = False
-        return view

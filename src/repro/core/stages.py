@@ -342,22 +342,32 @@ def stage_pre_route_estimation(ctx: FlowContext) -> None:
     return None
 
 
+def derive_clock_constraints(
+        netlist: Netlist, library: Library, config: FlowConfig,
+        parasitics: dict[str, NetParasitics] | None = None) -> Constraints:
+    """Clock period = critical delay x (1 + ``config.timing_margin``).
+
+    The critical delay is read off one STA probe at a 1000 ns period
+    (with ``parasitics`` when a placement exists); a configured
+    ``clock_period_ns`` overrides the derivation.
+    """
+    if config.clock_period_ns is not None:
+        return Constraints(clock_period=config.clock_period_ns)
+    probe = Constraints(clock_period=1000.0)
+    report = TimingAnalyzer(netlist, library, probe, parasitics=parasitics,
+                            compute_backend=config.compute_backend).run()
+    min_period = 1000.0 - report.wns
+    if min_period <= 0:
+        raise FlowError("could not derive a positive minimum period")
+    return Constraints(clock_period=min_period * (1.0 + config.timing_margin))
+
+
 @flow_stage("derive_constraints")
 def stage_derive_constraints(ctx: FlowContext) -> None:
     """Clock period = all-LVT critical delay x (1 + margin)."""
     ctx.require("netlist")
-    if ctx.config.clock_period_ns is not None:
-        ctx.constraints = Constraints(clock_period=ctx.config.clock_period_ns)
-        return None
-    probe = Constraints(clock_period=1000.0)
-    report = TimingAnalyzer(ctx.netlist, ctx.library, probe,
-                            parasitics=ctx.parasitics,
-                            compute_backend=ctx.config.compute_backend).run()
-    min_period = 1000.0 - report.wns
-    if min_period <= 0:
-        raise FlowError("could not derive a positive minimum period")
-    ctx.constraints = Constraints(
-        clock_period=min_period * (1.0 + ctx.config.timing_margin))
+    ctx.constraints = derive_clock_constraints(
+        ctx.netlist, ctx.library, ctx.config, ctx.parasitics)
     return None
 
 

@@ -437,10 +437,10 @@ class Library:
         Covers everything the compute-backend lowering and the corner
         derivation read: technology constants, per-cell LUTs, pin
         capacitances, leakage numbers and classification fields — so
-        it keys both the on-disk lowering cache and the corner-library
-        memo.  Memoized; ``add_cell`` invalidates (cells themselves
-        are treated as immutable once added, which every producer in
-        this codebase honors — corner derivation builds fresh cells).
+        it keys the corner-library memo.  Memoized; ``add_cell``
+        invalidates (cells themselves are treated as immutable once
+        added, which every producer in this codebase honors — corner
+        derivation builds fresh cells).
         """
         if self._content_digest is None:
             self._content_digest = self._compute_content_digest()

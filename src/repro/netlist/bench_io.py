@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 
-from repro.errors import ParseError
+from repro.errors import NetlistError, ParseError
 from repro.netlist.core import Netlist, PinDirection
 
 #: .bench gate keyword -> generic base name (arity appended for n-ary).
@@ -86,7 +86,11 @@ def parse_bench(text: str, name: str = "bench",
             direction, signal = io_match.groups()
             signal = sanitize_name(signal)
             if direction.upper() == "INPUT":
-                netlist.add_input(signal)
+                try:
+                    netlist.add_input(signal)
+                except NetlistError as exc:
+                    raise ParseError(str(exc), filename=filename,
+                                     line=line_no) from exc
             else:
                 outputs.append(signal)
             continue
@@ -98,6 +102,9 @@ def parse_bench(text: str, name: str = "bench",
             if not operands:
                 raise ParseError(f"gate with no operands: {line!r}",
                                  filename=filename, line=line_no)
+            if gate.upper() not in _GATE_MAP:
+                raise ParseError(f"unsupported .bench gate type {gate!r}",
+                                 filename=filename, line=line_no)
             assignments.append((line_no, sanitize_name(target),
                                 gate.upper(), operands))
             continue
@@ -105,33 +112,39 @@ def parse_bench(text: str, name: str = "bench",
                          filename=filename, line=line_no)
 
     for line_no, target, gate, operands in assignments:
-        if gate in ("NOT", "INV", "BUF", "BUFF") and len(operands) != 1:
-            raise ParseError(
-                f"{gate} takes exactly one operand, got {len(operands)}",
-                filename=filename, line=line_no)
-        if gate == "DFF":
-            if len(operands) != 1:
-                raise ParseError("DFF takes exactly one operand",
-                                 filename=filename, line=line_no)
-            inst = netlist.add_instance(f"ff_{target}", "DFF")
-            netlist.connect(inst, "D", operands[0], PinDirection.INPUT)
-            netlist.connect(inst, "CK", _clock_net(netlist),
-                            PinDirection.INPUT)
-            netlist.connect(inst, "Q", target, PinDirection.OUTPUT)
-            continue
-        cell_name = generic_gate_name(gate, len(operands))
-        if len(operands) > len(INPUT_PIN_NAMES):
-            raise ParseError(
-                f"gate with {len(operands)} inputs exceeds supported arity",
-                filename=filename, line=line_no)
-        inst = netlist.add_instance(f"g_{target}", cell_name)
-        for pin_name, operand in zip(INPUT_PIN_NAMES, operands):
-            netlist.connect(inst, pin_name, operand, PinDirection.INPUT)
-        netlist.connect(inst, "Z", target, PinDirection.OUTPUT)
+        try:
+            _add_gate(netlist, target, gate, operands)
+        except (NetlistError, ParseError) as exc:
+            raise ParseError(str(exc), filename=filename,
+                             line=line_no) from exc
 
     for signal in outputs:
         _attach_output(netlist, signal)
     return netlist
+
+
+def _add_gate(netlist: Netlist, target: str, gate: str,
+              operands: list[str]):
+    """Instantiate one ``target = GATE(operands)`` assignment."""
+    if gate in ("NOT", "INV", "BUF", "BUFF") and len(operands) != 1:
+        raise ParseError(
+            f"{gate} takes exactly one operand, got {len(operands)}")
+    if gate == "DFF":
+        if len(operands) != 1:
+            raise ParseError("DFF takes exactly one operand")
+        inst = netlist.add_instance(f"ff_{target}", "DFF")
+        netlist.connect(inst, "D", operands[0], PinDirection.INPUT)
+        netlist.connect(inst, "CK", _clock_net(netlist), PinDirection.INPUT)
+        netlist.connect(inst, "Q", target, PinDirection.OUTPUT)
+        return
+    if len(operands) > len(INPUT_PIN_NAMES):
+        raise ParseError(
+            f"gate with {len(operands)} inputs exceeds supported arity")
+    inst = netlist.add_instance(f"g_{target}",
+                                generic_gate_name(gate, len(operands)))
+    for pin_name, operand in zip(INPUT_PIN_NAMES, operands):
+        netlist.connect(inst, pin_name, operand, PinDirection.INPUT)
+    netlist.connect(inst, "Z", target, PinDirection.OUTPUT)
 
 
 def _attach_output(netlist: Netlist, signal: str):

@@ -1,8 +1,7 @@
 """Content fingerprint of a netlist.
 
 Lives at the netlist layer (not :mod:`repro.api`) so low-level
-consumers — the compute backend's on-disk lowering cache in
-particular — can key per-design artifacts without importing the API
+consumers can key per-design artifacts without importing the API
 package.  :mod:`repro.api.workspace` re-exports it unchanged.
 """
 

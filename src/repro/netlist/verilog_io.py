@@ -19,30 +19,46 @@ from __future__ import annotations
 
 import re
 
-from repro.errors import ParseError
+from repro.errors import LibertyError, NetlistError, ParseError
 from repro.liberty.library import Library, PinDirection as LibPinDirection
 from repro.netlist.core import Netlist, PinDirection, PortDirection
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*|[();.,#]|\S")
+#: A comment (skipped) or one token (group 1).
+_TOKEN_RE = re.compile(
+    r"//[^\n]*|/\*.*?\*/|([A-Za-z_][A-Za-z0-9_$]*|[();.,#]|\S)",
+    re.DOTALL)
 
 
-def _tokenize(text: str) -> list[str]:
-    # Strip comments first.
-    text = re.sub(r"//[^\n]*", " ", text)
-    text = re.sub(r"/\*.*?\*/", " ", text, flags=re.DOTALL)
-    return _TOKEN_RE.findall(text)
+def _tokenize(text: str) -> tuple[list[str], list[int]]:
+    """Tokens, comments skipped, and the line each token starts on."""
+    tokens: list[str] = []
+    lines: list[int] = []
+    line, scanned = 1, 0
+    for match in _TOKEN_RE.finditer(text):
+        token = match.group(1)
+        if token is None:
+            continue
+        line += text.count("\n", scanned, match.start())
+        scanned = match.start()
+        tokens.append(token)
+        lines.append(line)
+    return tokens, lines
 
 
 class _VerilogParser:
-    def __init__(self, tokens: list[str], library: Library | None,
-                 filename: str | None):
+    def __init__(self, tokens: list[str], lines: list[int],
+                 library: Library | None, filename: str | None):
         self.tokens = tokens
+        self.lines = lines
         self.pos = 0
         self.library = library
         self.filename = filename
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, filename=self.filename)
+    def error(self, message: str, line: int | None = None) -> ParseError:
+        """A ParseError at ``line`` (default: the last token read)."""
+        if line is None:
+            line = self.lines[max(self.pos - 1, 0)]
+        return ParseError(message, filename=self.filename, line=line)
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -87,6 +103,7 @@ class _VerilogParser:
                 break
             if token in ("input", "output", "wire"):
                 self.advance()
+                line = self.lines[self.pos - 1]
                 names = self.parse_identifier_list(";")
                 for name in names:
                     if token == "wire":
@@ -94,11 +111,14 @@ class _VerilogParser:
                     else:
                         declared[name] = token
                 # Create ports as soon as their direction is known.
-                for name in names:
-                    if token == "input":
-                        netlist.add_input(name)
-                    elif token == "output":
-                        netlist.add_output(name)
+                try:
+                    for name in names:
+                        if token == "input":
+                            netlist.add_input(name)
+                        elif token == "output":
+                            netlist.add_output(name)
+                except NetlistError as exc:
+                    raise self.error(str(exc), line) from exc
                 continue
             self.parse_instance(netlist)
 
@@ -111,6 +131,7 @@ class _VerilogParser:
 
     def parse_instance(self, netlist: Netlist):
         cell_name = self.advance()
+        line = self.lines[self.pos - 1]
         inst_name = self.advance()
         self.expect("(")
         connections: list[tuple[str, str]] = []
@@ -131,16 +152,21 @@ class _VerilogParser:
             connections.append((pin_name, net_name))
         self.expect(";")
 
-        inst = netlist.add_instance(inst_name, cell_name)
-        for pin_name, net_name in connections:
-            direction = self._pin_direction(cell_name, pin_name, inst_name)
-            keeper = direction == PinDirection.INOUT and pin_name == "Z"
-            if keeper:
-                # Output holders attach weakly to an already-driven net.
-                netlist.connect(inst, pin_name, net_name,
-                                PinDirection.INOUT, keeper=True)
-            else:
-                netlist.connect(inst, pin_name, net_name, direction)
+        try:
+            inst = netlist.add_instance(inst_name, cell_name)
+            for pin_name, net_name in connections:
+                direction = self._pin_direction(cell_name, pin_name,
+                                                inst_name)
+                keeper = direction == PinDirection.INOUT and pin_name == "Z"
+                if keeper:
+                    # Output holders attach weakly to an already-driven
+                    # net.
+                    netlist.connect(inst, pin_name, net_name,
+                                    PinDirection.INOUT, keeper=True)
+                else:
+                    netlist.connect(inst, pin_name, net_name, direction)
+        except (NetlistError, LibertyError) as exc:
+            raise self.error(str(exc), line) from exc
 
     def _pin_direction(self, cell_name: str, pin_name: str,
                        inst_name: str) -> PinDirection:
@@ -164,10 +190,10 @@ def parse_verilog(text: str, library: Library | None = None,
     When ``library`` is given, pin directions come from the library;
     otherwise a naming heuristic (Z/Q/Y outputs) is used.
     """
-    tokens = _tokenize(text)
+    tokens, lines = _tokenize(text)
     if not tokens:
         raise ParseError("empty verilog source", filename=filename)
-    return _VerilogParser(tokens, library, filename).parse()
+    return _VerilogParser(tokens, lines, library, filename).parse()
 
 
 def write_verilog(netlist: Netlist) -> str:

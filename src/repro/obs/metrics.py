@@ -1,12 +1,11 @@
 """Unified metrics: named counters, gauges, histograms, cache sources.
 
-One process-wide :class:`MetricsRegistry` replaces the three divergent
+One process-wide :class:`MetricsRegistry` replaces the divergent
 stats dicts that grew organically (``Workspace.CacheStats``,
-``corner_memo_stats()``, ``repro.compute.lowercache.stats()``).  The
-pre-existing stores keep their own counters — they are the source of
-truth — and register *sources*: zero-argument callables the registry
-polls at snapshot time, so a snapshot always reflects live state
-without double-counting.
+``corner_memo_stats()``).  The pre-existing stores keep their own
+counters — they are the source of truth — and register *sources*:
+zero-argument callables the registry polls at snapshot time, so a
+snapshot always reflects live state without double-counting.
 
 Metric kinds:
 
@@ -119,16 +118,8 @@ def _corner_memo_source() -> dict:
     return corner_memo_stats()
 
 
-def _lowering_source() -> dict:
-    try:
-        from repro.compute import lowercache
-    except ImportError:  # scalar-only install: no numpy, no lowering
-        return {}
-    return lowercache.stats()
-
-
 def install_builtin_sources(registry: MetricsRegistry | None = None):
-    """Attach the library-wide cache sources (corner memo, lowering).
+    """Attach the library-wide cache source (the corner memo).
 
     Idempotent; called lazily by the consumers that serve snapshots
     (the job service, the CLI) rather than at import, so ``repro.obs``
@@ -136,4 +127,3 @@ def install_builtin_sources(registry: MetricsRegistry | None = None):
     """
     reg = registry if registry is not None else REGISTRY
     reg.register_source("corner_memo", _corner_memo_source)
-    reg.register_source("lowering", _lowering_source)

@@ -133,10 +133,10 @@ def _parse_json(text: str, name: str) -> IdleTrace:
             "trace_file", "trace JSON needs an 'intervals_ns' list")
     intervals: list[float] = []
     for entry in entries:
-        if isinstance(entry, (int, float)) and \
-                not isinstance(entry, bool):
+        if _is_number(entry):
             intervals.append(float(entry))
-        elif isinstance(entry, list) and len(entry) == 2:
+        elif isinstance(entry, list) and len(entry) == 2 \
+                and _is_number(entry[0]):
             duration, count = entry
             if not isinstance(count, int) or count < 1:
                 raise ConfigError(
@@ -149,10 +149,18 @@ def _parse_json(text: str, name: str) -> IdleTrace:
                 "trace_file",
                 f"intervals are durations or [duration, count] "
                 f"pairs, got {entry!r}")
+    active_ns = payload.get("active_ns", 0.0)
+    if not _is_number(active_ns):
+        raise ConfigError(
+            "trace_file", f"active_ns must be a number, got {active_ns!r}")
     return IdleTrace(
         name=str(payload.get("name", name)) or name,
         intervals_ns=tuple(intervals),
-        active_ns=float(payload.get("active_ns", 0.0)))
+        active_ns=float(active_ns))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # --- reduction ---------------------------------------------------------------

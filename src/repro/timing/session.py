@@ -52,7 +52,7 @@ from collections import deque
 from typing import Mapping
 
 from repro.errors import TimingError
-from repro.liberty.library import CellKind, Library, TimingArc
+from repro.liberty.library import Library, TimingArc
 from repro.netlist import transform
 from repro.netlist.core import Instance, Net, Netlist, Pin
 from repro.obs.spans import span
@@ -64,6 +64,7 @@ from repro.timing.sta import (
     NodeTiming,
     TimingReport,
     cell_constraint_value,
+    timing_roles,
 )
 
 
@@ -115,6 +116,7 @@ class TimingSession:
         self.derates = dict(derates or {})
         self.clock_arrivals = dict(clock_arrivals or {})
         self.full_threshold = full_threshold
+        self._roles = timing_roles(library)
         #: Which engine runs full propagations ("python" | "numpy").
         #: Incremental cone re-propagation is always scalar; the numpy
         #: backend accelerates the full-run path (the expensive case:
@@ -135,17 +137,13 @@ class TimingSession:
         self._structural = True
         self._full_needed = True
 
-    # --- classification helpers (mirror TimingAnalyzer) -------------------
+    # --- classification helpers (see timing_roles) ------------------------
 
     def _is_seq(self, inst: Instance) -> bool:
-        return (inst.cell_name in self.library
-                and self.library.cell(inst.cell_name).is_sequential)
+        return self._roles.get(inst.cell_name, False)
 
     def _skip_cell(self, inst: Instance) -> bool:
-        if inst.cell_name not in self.library:
-            return True
-        kind = self.library.cell(inst.cell_name).kind
-        return kind in (CellKind.SWITCH, CellKind.HOLDER)
+        return inst.cell_name not in self._roles
 
     def _derate(self, inst: Instance) -> float:
         return self.derates.get(inst.name, 1.0)
@@ -252,11 +250,10 @@ class TimingSession:
         self.net_model.invalidate()
 
     def _mark_instance(self, inst: Instance):
-        if inst.cell_name not in self.library:
-            return
-        if self.library.cell(inst.cell_name).is_sequential:
+        role = self._roles.get(inst.cell_name)
+        if role is True:
             self._dirty_seq.add(inst.name)
-        elif not self._skip_cell(inst):
+        elif role is False:
             self._dirty_comb.add(inst.name)
 
     # --- main entry -------------------------------------------------------
@@ -344,6 +341,8 @@ class TimingSession:
         """(Re)build the topological order and the node-domain set."""
         self.stats.structure_builds += 1
         self._order = self.netlist.topological_order(self._is_seq)
+        if self._view is not None:
+            self._view.use_order(self._order)
         membership: set[str] = set()
         comb = 0
         for port in self.netlist.input_ports():
@@ -409,13 +408,14 @@ class TimingSession:
         if self._view is not None:
             return self._view
         try:
-            from repro.compute.lowercache import cached_view
+            from repro.compute.view import NetlistArrayView
         except ImportError:
             self.compute_backend = "python"
             return None
-        self._view = cached_view(
+        self._view = NetlistArrayView(
             self.netlist, self.library, self.constraints, self.net_model,
             clock_arrivals=self.clock_arrivals)
+        self._view.use_order(self._order)
         return self._view
 
     def _full_run(self, arrivals_only: bool = False,

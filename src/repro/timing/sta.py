@@ -25,12 +25,25 @@ import dataclasses
 import math
 from typing import Mapping
 
-from repro.liberty.library import Library
+from repro.liberty.library import CellKind, Library
 from repro.netlist.core import Netlist
 from repro.timing.constraints import Constraints
 from repro.timing.delay import NetModel
 
 INF = math.inf
+
+
+def timing_roles(library: Library) -> dict[str, bool]:
+    """Cell name -> is-sequential, for every cell that takes part in STA.
+
+    Switches and holders are absent (STA skips them), as is every cell
+    the library lacks.  The scalar session and the array view classify
+    instances through this one map, built once each, instead of
+    looking the cell up in the library at every instance visit.
+    """
+    return {name: cell.is_sequential
+            for name, cell in library.cells.items()
+            if cell.kind not in (CellKind.SWITCH, CellKind.HOLDER)}
 
 
 def cell_constraint_value(cell, which: str, input_slew: float) -> float:

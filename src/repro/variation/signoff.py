@@ -146,7 +146,7 @@ def evaluate_corners_batched(netlist: Netlist, library: Library,
         import numpy as np
 
         from repro.compute.kernels import batched_wns
-        from repro.compute.lowercache import cached_view
+        from repro.compute.view import NetlistArrayView
         from repro.timing.delay import NetModel
         from repro.timing.sta import cell_constraint_value
 
@@ -158,9 +158,8 @@ def evaluate_corners_batched(netlist: Netlist, library: Library,
 
         net_model = NetModel(netlist, library, constraints,
                              parasitics=parasitics)
-        view = cached_view(netlist, library, constraints, net_model,
-                           clock_arrivals=clock_arrivals)
-        view.ensure()
+        view = NetlistArrayView(netlist, library, constraints, net_model,
+                                clock_arrivals=clock_arrivals).ensure()
 
         if network is not None:
             derates = np.vstack([

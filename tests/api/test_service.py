@@ -56,7 +56,6 @@ def test_metrics_endpoint_is_schema_stamped(client):
     # process-wide sources.
     assert "workspace" in payload["caches"]
     assert "corner_memo" in payload["caches"]
-    assert "lowering" in payload["caches"]
 
 
 def test_metrics_count_jobs_and_latency(client):

@@ -453,7 +453,7 @@ def test_cache_stats_shape(workspace):
 
 def test_stats_tree_unifies_every_cache_layer(workspace):
     tree = workspace.stats_tree()
-    assert set(tree) == {"workspace", "corner_memo", "lowering"}
+    assert set(tree) == {"workspace", "corner_memo"}
     flow = tree["workspace"]["flow"]
     assert set(flow) == {"hits", "misses", "hit_rate"}
     assert 0.0 <= flow["hit_rate"] <= 1.0
@@ -470,10 +470,6 @@ def test_cache_stats_is_a_view_of_the_tree(workspace):
         assert stats[cache]["hits"] == counts["hits"]
         assert stats[cache]["misses"] == counts["misses"]
     assert stats["corner_memo"] == tree["corner_memo"]
-    if tree["lowering"]:
-        assert stats["lowering"] == tree["lowering"]
-    else:
-        assert "lowering" not in stats
 
 
 def test_empty_cache_stats_tree_has_zero_hit_rates(library):

@@ -50,22 +50,3 @@ def test_lowering_span_records_its_cause(c17, library):
     view.touch_instance("no_such_instance")
     run_full(view, {})
     assert lowering_causes() == ["patch_failed"]
-
-
-def test_cache_loaded_view_reports_its_first_swap_as_patch_failed(
-        c17, library):
-    constraints = Constraints(clock_period=2.0)
-    net_model = NetModel(c17, library, constraints)
-    state = NetlistArrayView(c17, library, constraints,
-                             net_model).export_state()
-    view = NetlistArrayView.from_state(state, c17, library, constraints,
-                                       net_model)
-    enable()
-    run_full(view, {})
-    assert lowering_causes() == []
-
-    inst = c17.instances["g_N16"]
-    transform.swap_variant(c17, inst, library, VARIANT_HVT)
-    view.touch_instance(inst.name)
-    run_full(view, {})
-    assert lowering_causes() == ["patch_failed"]

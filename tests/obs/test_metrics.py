@@ -64,7 +64,7 @@ def test_register_source_replaces_silently(registry):
 def test_builtin_sources_cover_the_library_caches(registry):
     install_builtin_sources(registry)
     caches = registry.snapshot()["caches"]
-    assert set(caches) == {"corner_memo", "lowering"}
+    assert set(caches) == {"corner_memo"}
     assert "hits" in caches["corner_memo"]
 
 

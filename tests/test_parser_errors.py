@@ -1,15 +1,25 @@
-"""Malformed SPEF and SDC input raises a typed ParseError with a line.
+"""Malformed input raises a typed error with a line.
 
-Each regression input below used to leak a raw ``ValueError`` or
-``IndexError`` out of :func:`parse_spef` / :func:`parse_sdc`; the
-property then mutates valid files and asserts that nothing but
-:class:`~repro.errors.ParseError` escapes either parser.
+Each regression input below used to leak a raw ``ValueError``,
+``IndexError`` or ``NetlistError`` (or a ``ParseError`` without a
+line) out of its parser; the property then mutates valid files and
+asserts that nothing but each parser's one typed error escapes:
+:class:`~repro.errors.ParseError` for SPEF, SDC, Liberty, Verilog,
+``.bench`` and DEF, :class:`~repro.errors.ConfigError` for idle
+traces.
 """
+
+import functools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ParseError
+from repro.errors import ConfigError, ParseError
+from repro.liberty.parser import parse_liberty
+from repro.netlist.bench_io import parse_bench
+from repro.netlist.verilog_io import parse_verilog
+from repro.placement.defio import parse_def
+from repro.policy.traces import parse_trace
 from repro.routing.spef import parse_spef
 from repro.timing.sdc import parse_sdc
 
@@ -34,6 +44,67 @@ set_output_delay 0.2 [get_ports Z]
 set_load 0.004 [get_ports Z]
 """
 
+LIBERTY = """library (demo) {
+  time_unit : "1ns";
+  cell (NAND2_X1) {
+    area : 4.8;
+    pin (A) { direction : input; capacitance : 0.0018; }
+    pin (Z) {
+      direction : output;
+      function : "(A * B)'";
+      timing () {
+        related_pin : "A";
+        cell_rise (tmpl) {
+          index_1 ("0.01, 0.1");
+          values ("0.02, 0.05");
+        }
+      }
+    }
+  }
+}
+"""
+
+VERILOG = """module top (a, b, z);
+  input a, b;
+  output z;
+  wire n1;
+  NAND2 g1 (.A(a), .B(b), .Z(n1));
+  INV g2 (.A(n1), .Z(z));
+endmodule
+"""
+
+BENCH = """# c17-like
+INPUT(1)
+INPUT(2)
+OUTPUT(22)
+10 = NAND(1, 2)
+22 = NOT(10)
+"""
+
+DEF = """VERSION 5.8 ;
+DESIGN top ;
+UNITS DISTANCE MICRONS 1000 ;
+DIEAREA ( 0 0 ) ( 12000 9000 ) ;
+COMPONENTS 2 ;
+  - g1 NAND2_X1_LVT + PLACED ( 2400 4800 ) N ;
+  - g2 INV_X1_LVT + PLACED ( 4800 4800 ) N ;
+END COMPONENTS
+PINS 1 ;
+  - a + NET a + DIRECTION INPUT + PLACED ( 0 1200 ) N ;
+END PINS
+END DESIGN
+"""
+
+TRACE_LINES = """# idle intervals (ns)
+120
+95
+4000
+"""
+
+TRACE_JSON = """{"name": "bursty", "active_ns": 400.0,
+ "intervals_ns": [60.0, [120.0, 3], 9000]}
+"""
+
 
 @pytest.mark.parametrize("parser, text, line", [
     (parse_spef, "*D_NET n1 0input.5\n*END\n", 1),
@@ -43,20 +114,45 @@ set_load 0.004 [get_ports Z]
     (parse_sdc, "create_clock -period\n2.0 [get_ports CLK]\n", 1),
     (parse_sdc, CLOCK + "set_load\n", 2),
     (parse_sdc, CLOCK + "set_input_transition abc\n", 2),
+    (parse_verilog, VERILOG.replace("INV g2", "INV g1"), 6),
+    (parse_verilog, VERILOG.replace(".B(b)", ".A(b)"), 5),
+    (parse_verilog, VERILOG.replace("(.A(n1)", "(n1"), 6),
+    (parse_verilog,
+     "/* two\n   lines */ module top (a);\n  input a a;\nendmodule\n", 3),
+    (parse_verilog, VERILOG.replace("input a, b;", "input a, a;"), 2),
+    (parse_bench, BENCH.replace("NOT(10)", "FOO(10)"), 6),
+    (parse_bench, BENCH + "10 = NOR(1, 2)\n", 7),
 ], ids=["spef-dnet-cap", "spef-len-missing", "spef-delay-value",
         "sdc-unbalanced-quote", "sdc-period-next-line", "sdc-bare-set-load",
-        "sdc-input-transition"])
+        "sdc-input-transition", "verilog-duplicate-instance",
+        "verilog-pin-connected-twice", "verilog-positional-connection",
+        "verilog-error-after-block-comment", "verilog-duplicate-port",
+        "bench-unsupported-gate", "bench-signal-assigned-twice"])
 def test_malformed_input_raises_parse_error(parser, text, line):
     with pytest.raises(ParseError) as caught:
         parser(text)
     assert caught.value.line == line
 
 
+@pytest.mark.parametrize("text", [
+    '{"intervals_ns": [["x", 2]]}',
+    '{"intervals_ns": [1], "active_ns": "abc"}',
+    '{"intervals_ns": [1], "active_ns": [1]}',
+], ids=["trace-json-string-duration", "trace-json-string-active",
+        "trace-json-list-active"])
+def test_malformed_trace_raises_config_error(text):
+    with pytest.raises(ConfigError):
+        parse_trace(text)
+
+
 PIECES = st.sampled_from([
     "*D_NET", "*PARAM", "*LEN", "*RTOT", "*DELAY", "*END", "create_clock",
     "-period", "-name", "-clock", "set_load", "set_input_transition",
     "set_input_delay", "[get_ports", "[all_inputs]", "[", "]", '"', "'",
-    "\\", "#", "\n", " ", "0.5", "1e", "nan", "x"])
+    "\\", "#", "\n", " ", "0.5", "1e", "nan", "x", "module", "endmodule",
+    "input", "output", "wire", ".", "(", ")", ";", ",", "=", ":", "{", "}",
+    "/*", "*/", "//", "INPUT(", "OUTPUT(", "DFF", "NAND", "pin", "cell",
+    "COMPONENTS", "END", "- ", "+ PLACED", "-1"])
 
 EDITS = st.lists(st.tuples(st.integers(min_value=0, max_value=400),
                            st.integers(min_value=0, max_value=12),
@@ -64,15 +160,27 @@ EDITS = st.lists(st.tuples(st.integers(min_value=0, max_value=400),
                  min_size=1, max_size=6)
 
 
+#: (parser, valid seed text, the one error type it may raise).
+TARGETS = [
+    (parse_spef, SPEF, ParseError),
+    (parse_sdc, SDC, ParseError),
+    (parse_liberty, LIBERTY, ParseError),
+    (parse_verilog, VERILOG, ParseError),
+    (parse_bench, BENCH, ParseError),
+    (functools.partial(parse_def, tech=None), DEF, ParseError),
+    (parse_trace, TRACE_LINES, ConfigError),
+    (parse_trace, TRACE_JSON, ConfigError),
+]
+
+
 @settings(max_examples=400, deadline=None)
-@given(target=st.sampled_from([(parse_spef, SPEF), (parse_sdc, SDC)]),
-       edits=EDITS)
+@given(target=st.sampled_from(TARGETS), edits=EDITS)
 def test_property_only_parse_errors_escape(target, edits):
-    parser, text = target
+    parser, text, error = target
     for position, cut, piece in edits:
         position %= len(text) + 1
         text = text[:position] + piece + text[position + cut:]
     try:
         parser(text)
-    except ParseError:
+    except error:
         pass
