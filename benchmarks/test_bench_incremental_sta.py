@@ -6,12 +6,12 @@ This bench pins the TimingSession's two claims on the paper's
 timing-tight circuit:
 
 * the *assignment loop* (bisection over full-circuit swaps) gets
-  cached structures + cone fallbacks: fewer full re-propagations and
+  cached structures + exact-cutoff passes: fewer full re-propagations and
   lower wall-clock than a fresh ``TimingAnalyzer`` per probe (the
   reference arm, :class:`FreshAnalyzerSession`), with a bit-identical
   assignment;
 * the *ECO pattern* (small edit, re-probe) is where incremental STA
-  shines: single-swap probes re-propagate only the affected cones.
+  shines: single-swap probes re-evaluate only what the swap changed.
 
 Wall-clocks and propagation counts land in the bench JSON via
 ``extra_info`` so the speedup shows up in the ``BENCH_*.json``

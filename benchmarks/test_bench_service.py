@@ -24,6 +24,7 @@ Everything lands in ``BENCH_service.json`` via the shared recorder.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 
@@ -140,6 +141,7 @@ def test_coalesced_throughput_beats_sequential_baseline(library):
 
         # Coalesced: N *identical* jobs in flight at once -> one
         # computation, N-1 subscribers.
+        _hold_worker_until_submitted(service, COALESCE_JOBS)
         coalesced0 = REGISTRY.counter("service.coalesced")
         shared = {"timing_margin": 0.175}  # fresh key: not yet computed
         wall0 = time.perf_counter()
@@ -174,6 +176,29 @@ def test_coalesced_throughput_beats_sequential_baseline(library):
     finally:
         server.shutdown()
         service.close()
+
+
+def _hold_worker_until_submitted(service, count: int):
+    """Hold the worker before it computes until ``count`` submissions
+    have landed, so each of them finds the primary job in flight: a
+    primary that finished before the last submitter's request arrived
+    would leave that job uncoalesced."""
+    landed = itertools.count(1)
+    all_in = threading.Event()
+    submit, execute = service.submit, service._execute
+
+    def counted_submit(payload):
+        status = submit(payload)
+        if next(landed) == count:
+            all_in.set()
+        return status
+
+    def held_execute(job):
+        all_in.wait(timeout=60)
+        return execute(job)
+
+    service.submit = counted_submit
+    service._execute = held_execute
 
 
 def _run_coalesced(address: str, config: dict) -> tuple[float,

@@ -99,7 +99,7 @@ def from_dict(payload: dict):
     name = payload.get(SCHEMA_KEY)
     if name is None:
         raise SchemaError(f"payload carries no {SCHEMA_KEY!r} field")
-    entry = _BY_NAME.get(name)
+    entry = _BY_NAME.get(name) if isinstance(name, str) else None
     if entry is None:
         raise SchemaError(
             f"unknown schema {name!r}; known: {', '.join(schema_names())}")

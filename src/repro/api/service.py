@@ -169,7 +169,7 @@ def parse_submission(payload) -> tuple[str, str, object, FlowConfig]:
     if not isinstance(payload, dict):
         raise ServiceError("submission body must be a JSON object")
     kind = payload.get("kind")
-    if kind not in JOB_KINDS:
+    if not isinstance(kind, str) or kind not in JOB_KINDS:
         raise ServiceError(
             f"unknown job kind {kind!r}; known: {sorted(JOB_KINDS)}")
     circuit = payload.get("circuit")
@@ -195,7 +195,9 @@ def parse_submission(payload) -> tuple[str, str, object, FlowConfig]:
                 f"{schemas.entry_for(request).name!r}, but job kind "
                 f"{kind!r} needs a "
                 f"{schemas.entry_for(request_cls).name!r}")
-    overrides = payload.get("config") or {}
+    overrides = payload.get("config")
+    if overrides is None:
+        overrides = {}   # absent or null: the default FlowConfig
     if not isinstance(overrides, dict):
         raise ServiceError("'config' must be an object of FlowConfig "
                            "field overrides")

@@ -21,11 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compute.view import (
-    NetlistArrayView,
-    SENSE_NEGATIVE,
-    SENSE_POSITIVE,
-)
+from repro.compute.view import NetlistArrayView
+from repro.liberty.library import SENSE_NEGATIVE, SENSE_POSITIVE
 from repro.obs.spans import span
 
 NEG_INF = -np.inf

@@ -6,13 +6,15 @@ engine's native shapes — a ``{net: NodeTiming}`` dict (in the exact
 insertion order a scalar full run would produce) and the
 ``EndpointCheck`` list (same check order) — so
 :class:`~repro.timing.session.TimingSession` can swap it in for its
-scalar ``_full_run`` and every downstream consumer (incremental
-re-propagation, path tracing, report rendering) keeps working
+scalar ``_full_run`` and every downstream consumer (the exact-cutoff
+pass, path tracing, report rendering) keeps working
 unchanged.  :func:`run_arrivals` is the forward half alone (required
 times stay +inf), behind the session's arrivals-only ``wns()`` query.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.compute.kernels import backward, forward
 from repro.compute.view import NetlistArrayView
@@ -39,42 +41,32 @@ def run_full(view: NetlistArrayView, derates
 def _materialize(view: NetlistArrayView, fwd, required=None
                  ) -> dict[str, NodeTiming]:
     """Sample 0 of a forward state (and optionally its ``(req_rise,
-    req_fall)``) as the scalar engine's node dict."""
-    arr_rise = fwd.arr_rise[0].tolist()
-    arr_fall = fwd.arr_fall[0].tolist()
-    min_rise = fwd.min_rise[0].tolist()
-    min_fall = fwd.min_fall[0].tolist()
-    slew_rise = fwd.slew_rise[0].tolist()
-    slew_fall = fwd.slew_fall[0].tolist()
-    win_rise = fwd.win_rise.tolist()
-    win_fall = fwd.win_fall.tolist()
+    req_fall)``) as the scalar engine's node dict, in node order."""
+    columns = [getattr(fwd, field)[0].tolist()
+               for field in ("arr_rise", "arr_fall", "min_rise",
+                             "min_fall", "slew_rise", "slew_fall")]
     if required is None:
-        req_rise = req_fall = [INF] * len(arr_rise)
+        columns += [[INF] * len(view.node_names)] * 2
     else:
-        req_rise, req_fall = (req[0].tolist() for req in required)
+        columns += [req[0].tolist() for req in required]
+    columns.append(_backrefs(view, fwd.win_rise, view.rise))
+    columns.append(_backrefs(view, fwd.win_fall, view.fall))
+    # NodeTiming's fields, positionally: arrivals, min arrivals, slews,
+    # required times, backrefs.
+    return dict(zip(view.node_names, map(NodeTiming, *columns)))
 
-    node_names = view.node_names
-    inst_names = view.inst_names
-    rise_src, rise_inst = view.rise.src, view.rise.inst
-    fall_src, fall_inst = view.fall.src, view.fall.inst
 
-    nodes: dict[str, NodeTiming] = {}
-    for idx, name in enumerate(node_names):
-        entry = NodeTiming(
-            arr_rise=arr_rise[idx], arr_fall=arr_fall[idx],
-            min_rise=min_rise[idx], min_fall=min_fall[idx],
-            slew_rise=slew_rise[idx], slew_fall=slew_fall[idx],
-            req_rise=req_rise[idx], req_fall=req_fall[idx])
-        row = win_rise[idx]
-        if row >= 0:
-            entry.prev_rise = (node_names[rise_src[row]],
-                               inst_names[rise_inst[row]])
-        row = win_fall[idx]
-        if row >= 0:
-            entry.prev_fall = (node_names[fall_src[row]],
-                               inst_names[fall_inst[row]])
-        nodes[name] = entry
-    return nodes
+def _backrefs(view: NetlistArrayView, winners, stream) -> list:
+    """Per node, ``(source net, instance)`` of its winning row of
+    ``stream``, or None where no row won."""
+    refs: list = [None] * len(winners)
+    won = np.flatnonzero(winners >= 0)
+    rows = winners[won]
+    names, insts = view.node_names, view.inst_names
+    for node, src, inst in zip(won.tolist(), stream.src[rows].tolist(),
+                               stream.inst[rows].tolist()):
+        refs[node] = (names[src], insts[inst])
+    return refs
 
 
 def _endpoint_checks(view: NetlistArrayView,

@@ -47,16 +47,6 @@ from repro.netlist.core import PinDirection
 from repro.obs.spans import span
 from repro.timing.sta import cell_constraint_value, timing_roles
 
-#: Sense codes used by the backward kernel.
-SENSE_POSITIVE = 0
-SENSE_NEGATIVE = 1
-SENSE_NON_UNATE = 2
-
-_SENSE_CODE = {
-    "positive_unate": SENSE_POSITIVE,
-    "negative_unate": SENSE_NEGATIVE,
-}
-
 
 def _delay_scale_class(cell) -> int:
     """Delay-scaling law of a cell's timing tables (0 = low-Vth, 1 = high).
@@ -170,29 +160,21 @@ def _fill_axis(search_row: np.ndarray, interp_row: np.ndarray,
     interp_row[n:] = axis[-1]
 
 
-#: Forward rows per delay arc, by timing sense, as (target stream,
-#: source edge) with stream 0 = rise target, 1 = fall target: a
-#: positive arc maps rise to rise and fall to fall, a negative one
-#: crosses them, a non-unate one drives both targets from both edges.
-_FORWARD_ROWS = {
-    SENSE_POSITIVE: ((0, 0), (1, 1)),
-    SENSE_NEGATIVE: ((0, 1), (1, 0)),
-    SENSE_NON_UNATE: ((0, 0), (1, 0), (0, 1), (1, 1)),
-}
-
-#: Stream index of the backward (required-time) rows.
+#: Stream index of the backward (required-time) rows; streams 0 and 1
+#: are the rise and fall targets of the forward rows.
 _BACKWARD = 2
 
 
 class _CellArcs:
-    """One library cell as lowering sees it: its pins, its delay-scale
-    class and the template id of each (out pin, in pin) pair met so far
-    (-1: no delay arc)."""
+    """One library cell as lowering sees it: its compiled delay arcs by
+    pin (:meth:`~repro.liberty.library.Library.delay_arcs`), its
+    delay-scale class and the template id of each (out pin, in pin)
+    pair met so far (-1: no delay arc)."""
 
-    __slots__ = ("pins", "klass", "ids")
+    __slots__ = ("arcs", "klass", "ids")
 
-    def __init__(self, cell):
-        self.pins = cell.pins
+    def __init__(self, cell, arcs):
+        self.arcs = arcs
         self.klass = _delay_scale_class(cell)
         self.ids: dict[tuple[str, str], int] = {}
 
@@ -231,28 +213,24 @@ class _ArcTemplates:
     def cell(self, name: str) -> _CellArcs:
         cell = self.cells.get(name)
         if cell is None:
-            cell = self.cells[name] = _CellArcs(self.library.cell(name))
+            cell = self.cells[name] = _CellArcs(
+                self.library.cell(name), self.library.delay_arcs()[name])
         return cell
 
     def lower(self, cell: _CellArcs, out_name: str, in_name: str) -> int:
         """The template id of one arc (-1 without a delay arc)."""
-        lib_out = cell.pins.get(out_name)
-        arc = lib_out.arc_from(in_name) if lib_out is not None else None
+        compiled = cell.arcs.get(out_name, {}).get(in_name)
         tid = -1
-        if arc is not None:
+        if compiled is not None:
             register, klass = self.luts.register, cell.klass
-            sense = _SENSE_CODE.get(arc.timing_sense, SENSE_NON_UNATE)
-            tables = ((arc.cell_rise, arc.rise_transition),
-                      (arc.cell_fall, arc.fall_transition))
             per_stream: tuple[list, ...] = ([], [], [])
-            for stream, edge in _FORWARD_ROWS[sense]:
-                delay_lut, slew_lut = tables[stream]
-                if delay_lut is not None:
-                    per_stream[stream].extend(
-                        (edge, register(delay_lut, klass),
-                         register(slew_lut, klass)))
+            for target, edge, delay_lut, slew_lut in compiled.forward:
+                per_stream[target].extend(
+                    (edge, register(delay_lut, klass),
+                     register(slew_lut, klass)))
+            arc = compiled.arc
             per_stream[_BACKWARD].extend(
-                (sense, register(arc.cell_rise, klass),
+                (compiled.sense, register(arc.cell_rise, klass),
                  register(arc.cell_fall, klass)))
             tid = len(self.first[0])
             for stream, rows in enumerate(per_stream):
@@ -546,9 +524,10 @@ class NetlistArrayView:
             if q_pin is None or q_pin.net is None:
                 continue
             cell = library.cell(inst.cell_name)
-            arc = cell.pin("Q").arc_from("CK")
-            if arc is None:
+            compiled = library.delay_arcs()[cell.name].get("Q", {}).get("CK")
+            if compiled is None:
                 raise TimingError(f"flip-flop {cell.name} lacks CK->Q arc")
+            arc = compiled.arc
             klass = _delay_scale_class(cell)
             ff_node.append(node_index[q_pin.net.name])
             ff_inst.append(inst_index[inst.name])
@@ -624,7 +603,7 @@ class NetlistArrayView:
                     if sidx is not None:
                         ins.append((pin.name, sidx, wire_delay(net, pin)))
             elif pin.direction is PinDirection.OUTPUT \
-                    and pin.name in cell.pins:
+                    and pin.name in cell.arcs:
                 outs.append(pin)
         return ins, outs
 

@@ -5,7 +5,9 @@ This is the object model the rest of the system works with: the AST from
 
 * :class:`Lut` — an NLDM lookup table with bilinear interpolation and
   linear extrapolation (input slew x output load).
-* :class:`TimingArc` — one input-to-output delay arc of a cell.
+* :class:`TimingArc` — one input-to-output delay arc of a cell, and
+  :class:`DelayArc`, the form both STA engines read
+  (:meth:`Library.delay_arcs`, compiled once per library).
 * :class:`LeakageState` — a ``leakage_power`` entry, optionally guarded
   by a ``when`` condition for state-dependent leakage.
 * :class:`PinDef`, :class:`CellDef`, :class:`Library`.
@@ -21,7 +23,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Iterable, Mapping, Sequence
+from bisect import bisect_left
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from repro.errors import LibertyError
 from repro.liberty.function import BooleanFunction, LogicValue, X
@@ -92,42 +95,28 @@ class Lut:
         """A degenerate 1x1 table returning ``value`` everywhere."""
         return cls((0.0,), (0.0,), ((value,),))
 
-    @staticmethod
-    def _axis_position(axis: tuple[float, ...], x: float) -> tuple[int, float]:
-        """Segment index and interpolation fraction for value ``x``.
-
-        The fraction may fall outside [0, 1] to extrapolate linearly.
-        """
-        if len(axis) == 1:
-            return 0, 0.0
-        # Find the segment [axis[i], axis[i+1]] bracketing x (clamped).
-        hi = len(axis) - 1
-        i = 0
-        while i < hi - 1 and x > axis[i + 1]:
-            i += 1
-        span = axis[i + 1] - axis[i]
-        if span <= 0.0:
-            return i, 0.0
-        return i, (x - axis[i]) / span
-
     def lookup(self, slew: float, load: float) -> float:
         """Interpolated table value at (slew, load)."""
-        i, fi = self._axis_position(self.index_1, slew)
-        j, fj = self._axis_position(self.index_2, load)
-        v = self.values
-        if len(self.index_1) == 1 and len(self.index_2) == 1:
-            return v[0][0]
-        if len(self.index_1) == 1:
-            return v[0][j] + fj * (v[0][j + 1] - v[0][j])
-        if len(self.index_2) == 1:
-            return v[i][0] + fi * (v[i + 1][0] - v[i][0])
-        v00 = v[i][j]
-        v01 = v[i][j + 1]
-        v10 = v[i + 1][j]
-        v11 = v[i + 1][j + 1]
-        top = v00 + fj * (v01 - v00)
-        bottom = v10 + fj * (v11 - v10)
-        return top + fi * (bottom - top)
+        i, fi = _locate(self.index_1, slew)
+        j, fj = _locate(self.index_2, load)
+        return _interpolate(self.values, i, fi, j, fj)
+
+    def lookup_pair(self, other: "Lut | None", slew: float,
+                    load: float) -> tuple[float, float]:
+        """``(self.lookup(slew, load), other.lookup(slew, load))``.
+
+        Tables with the same axes (a delay table and its transition
+        table, a rise and a fall delay) share one axis search; a
+        missing ``other`` reads 0.0.
+        """
+        if other is None:
+            return self.lookup(slew, load), 0.0
+        if other.index_1 != self.index_1 or other.index_2 != self.index_2:
+            return self.lookup(slew, load), other.lookup(slew, load)
+        i, fi = _locate(self.index_1, slew)
+        j, fj = _locate(self.index_2, load)
+        return (_interpolate(self.values, i, fi, j, fj),
+                _interpolate(other.values, i, fi, j, fj))
 
     def scaled(self, factor: float) -> "Lut":
         """A copy with every value multiplied by ``factor``."""
@@ -140,6 +129,42 @@ class Lut:
     def __repr__(self):
         return (f"Lut({len(self.index_1)}x{len(self.index_2)}, "
                 f"max={self.max_value():.4g})")
+
+
+def _locate(axis: tuple[float, ...], x: float) -> tuple[int, float]:
+    """Segment index and interpolation fraction of ``x`` on ``axis``.
+
+    The segment ``[axis[i], axis[i + 1]]`` is the first whose upper end
+    is at least ``x``, clamped to the two end segments, so the fraction
+    may fall outside [0, 1] to extrapolate linearly.  A singleton axis
+    is segment 0 at fraction 0.0.
+    """
+    hi = len(axis) - 1
+    if hi == 0:
+        return 0, 0.0
+    i = bisect_left(axis, x, 1, hi) - 1
+    lo = axis[i]
+    span = axis[i + 1] - lo
+    if span <= 0.0:
+        return i, 0.0
+    return i, (x - lo) / span
+
+
+def _interpolate(values: tuple[tuple[float, ...], ...], i: int, fi: float,
+                 j: int, fj: float) -> float:
+    """Bilinear interpolation at a located position (linear along a
+    singleton axis)."""
+    row = values[i]
+    if len(values) == 1:
+        if len(row) == 1:
+            return row[0]
+        return row[j] + fj * (row[j + 1] - row[j])
+    below = values[i + 1]
+    if len(row) == 1:
+        return row[0] + fi * (below[0] - row[0])
+    top = row[j] + fj * (row[j + 1] - row[j])
+    bottom = below[j] + fj * (below[j + 1] - below[j])
+    return top + fi * (bottom - top)
 
 
 @dataclasses.dataclass
@@ -163,17 +188,12 @@ class TimingArc:
 
     def delay(self, slew: float, load: float) -> tuple[float, float]:
         """(rise, fall) delay at the given input slew / output load."""
-        rise = self.cell_rise.lookup(slew, load) if self.cell_rise else 0.0
-        fall = self.cell_fall.lookup(slew, load) if self.cell_fall else 0.0
-        return rise, fall
+        return _lookup_both(self.cell_rise, self.cell_fall, slew, load)
 
     def output_slew(self, slew: float, load: float) -> tuple[float, float]:
         """(rise, fall) output transition time."""
-        rise = (self.rise_transition.lookup(slew, load)
-                if self.rise_transition else 0.0)
-        fall = (self.fall_transition.lookup(slew, load)
-                if self.fall_transition else 0.0)
-        return rise, fall
+        return _lookup_both(self.rise_transition, self.fall_transition,
+                            slew, load)
 
     def constraint(self, slew: float, clock_slew: float = 0.0) -> float:
         """Worst setup/hold constraint value (max of rise/fall tables)."""
@@ -182,6 +202,57 @@ class TimingArc:
             if lut is not None:
                 worst = max(worst, lut.lookup(slew, clock_slew))
         return worst
+
+
+#: Timing-sense codes of a delay arc, as both STA engines read them.
+SENSE_POSITIVE = 0
+SENSE_NEGATIVE = 1
+SENSE_NON_UNATE = 2
+
+_SENSE_CODE = {
+    "positive_unate": SENSE_POSITIVE,
+    "negative_unate": SENSE_NEGATIVE,
+}
+
+#: Forward contributions of a delay arc by sense, in the order both
+#: engines fold them, as (target edge, source edge) with 0 = rise and
+#: 1 = fall: a positive arc maps rise to rise and fall to fall, a
+#: negative one crosses them, a non-unate one drives both targets from
+#: both edges.
+_FORWARD_EDGES = {
+    SENSE_POSITIVE: ((0, 0), (1, 1)),
+    SENSE_NEGATIVE: ((0, 1), (1, 0)),
+    SENSE_NON_UNATE: ((0, 0), (1, 0), (0, 1), (1, 1)),
+}
+
+
+class DelayArc(NamedTuple):
+    """One delay arc, compiled for both STA engines."""
+
+    arc: TimingArc
+    sense: int
+    #: ``(target edge, source edge, delay table, slew table)`` per
+    #: forward contribution, in fold order; a target edge without a
+    #: delay table contributes nothing and is left out.
+    forward: tuple[tuple[int, int, Lut, Lut | None], ...]
+
+    @classmethod
+    def compile(cls, arc: TimingArc) -> "DelayArc":
+        sense = _SENSE_CODE.get(arc.timing_sense, SENSE_NON_UNATE)
+        tables = ((arc.cell_rise, arc.rise_transition),
+                  (arc.cell_fall, arc.fall_transition))
+        return cls(arc, sense, tuple(
+            (target, edge) + tables[target]
+            for target, edge in _FORWARD_EDGES[sense]
+            if tables[target][0] is not None))
+
+
+def _lookup_both(rise: Lut | None, fall: Lut | None, slew: float,
+                 load: float) -> tuple[float, float]:
+    """(rise, fall) table values; a missing table reads 0.0."""
+    if rise is None:
+        return 0.0, (fall.lookup(slew, load) if fall is not None else 0.0)
+    return rise.lookup_pair(fall, slew, load)
 
 
 @dataclasses.dataclass
@@ -361,6 +432,8 @@ class Library:
         self._cells: dict[str, CellDef] = {}
         self._variant_index: dict[tuple[str, str], str] = {}
         self._content_digest: str | None = None
+        self._delay_arcs: dict[str, dict[str, dict[str, DelayArc]]] | None \
+            = None
 
     # --- container protocol -----------------------------------------------
 
@@ -386,6 +459,7 @@ class Library:
         self._cells[cell.name] = cell
         self._variant_index[(cell.base_name, cell.variant)] = cell.name
         self._content_digest = None
+        self._delay_arcs = None
         return cell
 
     def cell(self, name: str) -> CellDef:
@@ -394,6 +468,23 @@ class Library:
         except KeyError:
             raise LibertyError(
                 f"library {self.name!r} has no cell {name!r}") from None
+
+    def delay_arcs(self) -> dict[str, dict[str, dict[str, DelayArc]]]:
+        """Cell name -> pin name -> related pin -> compiled delay arc.
+
+        Each entry holds the arc :meth:`PinDef.arc_from` returns, so the
+        STA engines look an arc up in a dict instead of searching a
+        pin's arcs at every instance visit.  Every pin of every cell has
+        an entry, empty when no delay arc ends there.  Built once per
+        library (every session and array view shares it); ``add_cell``
+        invalidates it.
+        """
+        if self._delay_arcs is None:
+            self._delay_arcs = {
+                name: {pin_name: _compile_delay_arcs(pin)
+                       for pin_name, pin in cell.pins.items()}
+                for name, cell in self._cells.items()}
+        return self._delay_arcs
 
     def variant_of(self, cell: CellDef | str, variant: str) -> CellDef:
         """The sibling of ``cell`` with the requested variant tag."""
@@ -493,6 +584,16 @@ class Library:
                     put_lut("rc", arc.rise_constraint)
                     put_lut("fc", arc.fall_constraint)
         return digest.hexdigest()
+
+
+def _compile_delay_arcs(pin: PinDef) -> dict[str, DelayArc]:
+    """Related pin -> compiled delay arc ending at ``pin``: the first
+    one per related pin, as :meth:`PinDef.arc_from` picks it."""
+    arcs: dict[str, DelayArc] = {}
+    for arc in pin.timing_arcs:
+        if not arc.is_constraint() and arc.related_pin not in arcs:
+            arcs[arc.related_pin] = DelayArc.compile(arc)
+    return arcs
 
 
 def library_from_ast(root, tech=None) -> Library:

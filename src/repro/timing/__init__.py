@@ -10,8 +10,8 @@
 * :mod:`repro.timing.paths` — critical path extraction and reports.
 * :mod:`repro.timing.session` — incremental STA: a
   :class:`~repro.timing.session.TimingSession` keeps the topological
-  order, arc tables and net models alive across edits and
-  re-propagates only dirty fan-out/fan-in cones.
+  order, compiled delay arcs and net models alive across edits and
+  re-evaluates only the instances whose timing can change.
 """
 
 from repro.timing.constraints import Constraints

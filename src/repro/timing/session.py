@@ -1,41 +1,50 @@
-"""Incremental static timing: build once, edit, re-propagate cones.
+"""Incremental static timing: build once, edit, re-evaluate what changed.
 
 A :class:`TimingSession` owns the expensive STA substrate — the
-topological order, the per-net load/wire model and the node-timing
-store — and keeps it alive across netlist edits.  Edits are reported
-through the session (:meth:`TimingSession.swap_variant`,
-:meth:`set_derates`, :meth:`insert_buffer`, or the generic ``touch_*``
-hooks); :meth:`report` then re-propagates only the affected region:
+topological order, the per-net load/wire model, the compiled delay
+arcs and the node-timing store — and keeps it alive across netlist
+edits.  Edits are reported through the session
+(:meth:`TimingSession.swap_variant`, :meth:`set_derates`,
+:meth:`insert_buffer`, or the generic ``touch_*`` hooks), which marks
+the instances whose timing they touch dirty.
 
-* **forward** (arrivals, slews, hold arrivals): the combinational
-  fan-out cone of every dirty instance is reset and re-evaluated in the
-  cached topological order;
-* **backward** (required times): the transitive fan-in of the changed
-  region is reset and re-accumulated, reading cached values at the
-  clean frontier;
-* endpoint checks are always regenerated (they are cheap and make the
-  report's check list bit-identical to a from-scratch run).
+Both queries share one forward pass with an exact cutoff: it
+re-evaluates the dirty instances, then — in the cached topological
+order — only instances with an input net whose timing changed.  When
+an output's recomputed node equals the stored one (arrivals, slews,
+min arrivals, backrefs), the stored node stays, required times
+included, and the wave stops there.
 
-:meth:`wns` (what feasibility probes read) answers ``report().wns``
-from the forward cone alone and leaves required times stale; the next
-:meth:`report` recomputes them in one backward sweep.  A forward cone
-over ``full_threshold`` of the combinational instances — or, for a
-report, cone plus backward region over twice that — escalates to a
-full propagation over the cached structures (arrivals only for
-:meth:`wns`): incremental STA must never be slower than the rebuild it
-replaces.  With ``compute_backend="numpy"`` that full-propagation path
-runs on the vectorized array kernels of :mod:`repro.compute` (the
-scalar cone-limited path composes with it unchanged, reading the node
-store the kernels materialize); see ARCHITECTURE.md "Compute
-backends" for the equivalence and invalidation contracts.
+* :meth:`wns` (what feasibility probes read) answers ``report().wns``
+  from arrivals alone and leaves required times stale;
+* :meth:`report` then resets and re-accumulates required times over
+  the transitive fan-in of every net whose timing changed and of every
+  dirty instance's pins since the last report — or runs one backward
+  sweep (``sta.required``) when that region exceeds ``full_threshold``
+  of the combinational instances, or when a full arrivals-only pass
+  left every required time stale.  Endpoint checks are always
+  regenerated (they are cheap and keep the check list bit-identical
+  to a from-scratch run).
+
+A full propagation runs only on a cold (or invalidated) session, or
+when the dirt alone exceeds ``full_threshold`` of the combinational
+instances — an O(1) check that fires for whole-design re-derates and
+for a bisection's all-candidates probe (arrivals only for
+:meth:`wns`).  With ``compute_backend="numpy"`` that full propagation
+runs on the vectorized array kernels of :mod:`repro.compute`; the
+cutoff pass is scalar on both backends and reads the node store the
+kernels materialize.  See ARCHITECTURE.md "Compute backends" for the
+equivalence and invalidation contracts.
 
 **Exactness contract**: the report produced after any tracked edit
 sequence is bit-identical (not approximately equal) to the report a
 fresh :class:`~repro.timing.sta.TimingAnalyzer` would produce on the
 same netlist (and :meth:`wns` its ``wns``), because per-node values
 are pure functions of their fan-in evaluated by the same code in the
-same arc order.  ``tests/timing/test_session.py`` enforces this on
-randomized edit sequences and interleaved queries.
+same arc order — so a node whose fan-in and instance did not change
+cannot change, which is also why the cutoff is exact.
+``tests/timing/test_session.py`` enforces this on randomized edit
+sequences and interleaved queries.
 
 **Invalidation contract**: a report's ``node_timing`` shares state
 with the session; treat a report as stale once further edits have been
@@ -48,11 +57,11 @@ re-propagation).
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
+from heapq import heappop, heappush
 from typing import Mapping
 
 from repro.errors import TimingError
-from repro.liberty.library import Library, TimingArc
+from repro.liberty.library import SENSE_NEGATIVE, SENSE_POSITIVE, Library
 from repro.netlist import transform
 from repro.netlist.core import Instance, Net, Netlist, Pin
 from repro.obs.spans import span
@@ -75,11 +84,11 @@ class SessionStats:
     sta_calls: int = 0            # report() and wns() invocations
     cached_reports: int = 0       # served with zero propagation
     full_runs: int = 0            # full propagations (incl. arrivals-only)
-    incremental_runs: int = 0     # cone-limited propagations
+    incremental_runs: int = 0     # exact-cutoff propagations
     required_sweeps: int = 0      # whole-design required-time sweeps
     structure_builds: int = 0     # topo order / membership rebuilds
     forward_instances: int = 0    # instances actually forward-evaluated
-    forward_instances_saved: int = 0   # clean instances skipped
+    forward_instances_saved: int = 0   # instances a cutoff pass skipped
 
     @property
     def propagations(self) -> int:
@@ -117,21 +126,27 @@ class TimingSession:
         self.clock_arrivals = dict(clock_arrivals or {})
         self.full_threshold = full_threshold
         self._roles = timing_roles(library)
+        self._arcs = library.delay_arcs()
+        #: Flip-flop cell name -> (setup, hold) at the input slew.
+        self._ff_checks: dict[str, tuple[float, float]] = {}
         #: Which engine runs full propagations ("python" | "numpy").
-        #: Incremental cone re-propagation is always scalar; the numpy
-        #: backend accelerates the full-run path (the expensive case:
-        #: fresh analyses and whole-design derate updates).
+        #: The exact-cutoff pass is always scalar; the numpy backend
+        #: accelerates the full-run path (the expensive case: fresh
+        #: analyses and whole-design derate updates).
         self.compute_backend = resolve_backend(compute_backend)
         self._view = None
         self.stats = SessionStats()
         self._order: list[Instance] | None = None
+        self._pos: dict[str, int] = {}        # instance -> topo position
+        self._seq: list[Instance] = []        # flip-flops, netlist order
         self._membership: set[str] = set()
         self._comb_count = 0
         self._nodes: dict[str, NodeTiming] = {}
         self._report: TimingReport | None = None
         self._wns: float | None = None
-        #: Arrivals are current but required times stale (since wns()).
-        self._arrivals_only = False
+        #: Nets whose fan-in has stale required times since the last
+        #: report (None: every required time is stale).
+        self._stale: set[str] | None = set()
         self._dirty_comb: set[str] = set()
         self._dirty_seq: set[str] = set()
         self._structural = True
@@ -141,9 +156,6 @@ class TimingSession:
 
     def _is_seq(self, inst: Instance) -> bool:
         return self._roles.get(inst.cell_name, False)
-
-    def _skip_cell(self, inst: Instance) -> bool:
-        return inst.cell_name not in self._roles
 
     def _derate(self, inst: Instance) -> float:
         return self.derates.get(inst.name, 1.0)
@@ -250,6 +262,8 @@ class TimingSession:
         self.net_model.invalidate()
 
     def _mark_instance(self, inst: Instance):
+        if self._full_needed:
+            return   # the next query propagates everything anyway
         role = self._roles.get(inst.cell_name)
         if role is True:
             self._dirty_seq.add(inst.name)
@@ -264,27 +278,13 @@ class TimingSession:
                     or self._structural or self._full_needed)
 
     def report(self) -> TimingReport:
-        """Current-design timing, re-propagating only what changed."""
+        """Current-design timing, re-evaluating only what changed."""
         self.stats.sta_calls += 1
         if self._report is not None and not self.dirty:
             self.stats.cached_reports += 1
             return self._report
         self._refresh_structure()
-        if self._full_needed:
-            report = self._full_run()
-        elif self._arrivals_only:
-            # Required times went stale at the last wns(): forward the
-            # new dirt like wns() does, then one backward sweep.
-            self._propagate_arrivals()
-            report = self._required_sweep()
-        else:
-            # An incremental pass that blows its cone budget escalates
-            # to _full_run() internally; the trace shows that as an
-            # sta.full_run span (escalated=True) nested under this one.
-            with span("sta.incremental", arrivals_only=False,
-                      dirty_comb=len(self._dirty_comb),
-                      dirty_seq=len(self._dirty_seq)):
-                report = self._incremental_run()
+        report = self._propagate(arrivals_only=False)
         self._settle(report.wns, report)
         return report
 
@@ -297,7 +297,7 @@ class TimingSession:
             self.stats.cached_reports += 1
             return self._wns
         self._refresh_structure()
-        self._propagate_arrivals()
+        self._propagate(arrivals_only=True)
         wns = self._summarize(self._endpoint_pass(self._nodes),
                               self._nodes).wns
         self._settle(wns, None)
@@ -316,24 +316,29 @@ class TimingSession:
         self._full_needed = False
         self._wns = wns
         self._report = report
-        self._arrivals_only = report is None
+        if report is not None:
+            self._stale = set()
 
-    def _propagate_arrivals(self):
-        """Re-evaluate the dirty forward cone, or every arrival when the
-        cone is over budget; required times are left as they are."""
-        if self._full_needed:
-            self._full_run(arrivals_only=True)
-            return
-        if not (self._dirty_comb or self._dirty_seq):
-            return
-        with span("sta.incremental", arrivals_only=True,
+    def _propagate(self, arrivals_only: bool) -> TimingReport | None:
+        """Bring arrivals — and required times, returning the report,
+        unless ``arrivals_only`` — up to date: a full run on a cold
+        session or when the dirt alone is over budget, the exact-cutoff
+        pass otherwise."""
+        dirt = len(self._dirty_comb) + len(self._dirty_seq)
+        if self._full_needed \
+                or dirt > self.full_threshold * max(self._comb_count, 1):
+            return self._full_run(arrivals_only,
+                                  escalated=not self._full_needed)
+        with span("sta.incremental", arrivals_only=arrivals_only,
                   dirty_comb=len(self._dirty_comb),
-                  dirty_seq=len(self._dirty_seq)):
-            walk = self._forward_cone()
-            if walk is None:
-                self._full_run(arrivals_only=True, escalated=True)
-            else:
-                self._forward_region(walk)
+                  dirty_seq=len(self._dirty_seq)) as sp:
+            evaluated = self._forward()
+            sp.set(evaluated=evaluated)
+            self.stats.incremental_runs += 1
+            self.stats.forward_instances += evaluated
+            self.stats.forward_instances_saved += \
+                self._comb_count - evaluated
+            return None if arrivals_only else self._backward()
 
     # --- structure --------------------------------------------------------
 
@@ -343,32 +348,40 @@ class TimingSession:
         self._order = self.netlist.topological_order(self._is_seq)
         if self._view is not None:
             self._view.use_order(self._order)
+        self._pos = {inst.name: index
+                     for index, inst in enumerate(self._order)}
         membership: set[str] = set()
+        seq: list[Instance] = []
         comb = 0
         for port in self.netlist.input_ports():
             if port.net is not None:
                 membership.add(port.net.name)
         for inst in self.netlist.instances.values():
-            if self._is_seq(inst):
+            role = self._roles.get(inst.cell_name)
+            if role:
+                seq.append(inst)
                 q_pin = inst.pins.get("Q")
                 if q_pin is not None and q_pin.net is not None:
                     membership.add(q_pin.net.name)
-                continue
-            if self._skip_cell(inst):
-                continue
-            comb += 1
-            cell = self.library.cell(inst.cell_name)
-            for out_pin in inst.output_pins():
-                if out_pin.net is not None and out_pin.name in cell.pins:
-                    membership.add(out_pin.net.name)
+            elif role is False:
+                comb += 1
+                arcs = self._arcs[inst.cell_name]
+                for out_pin in inst.output_pins():
+                    if out_pin.net is not None and out_pin.name in arcs:
+                        membership.add(out_pin.net.name)
         self._membership = membership
+        self._seq = seq
         self._comb_count = comb
         self._structural = False
-        # Nets that left the domain must not shadow a fresh run's absence;
-        # nets that joined it need their state (re)computed.
+        # Nets that left the domain must not shadow a fresh run's absence,
+        # and their readers lost a source; nets that joined it need their
+        # state (re)computed.
         for name in list(self._nodes):
             if name not in membership:
                 del self._nodes[name]
+                net = self.netlist.nets.get(name)
+                for sink in net.sinks if net is not None else ():
+                    self._mark_instance(sink.instance)
         if not self._full_needed:
             for name in membership:
                 if name not in self._nodes:
@@ -418,14 +431,19 @@ class TimingSession:
         self._view.use_order(self._order)
         return self._view
 
-    def _full_run(self, arrivals_only: bool = False,
-                  escalated: bool = False) -> TimingReport | None:
-        """Propagate the whole design.  ``arrivals_only`` leaves every
-        required time at +inf and returns no report."""
+    def _full_run(self, arrivals_only: bool,
+                  escalated: bool) -> TimingReport | None:
+        """Propagate the whole design (``escalated``: because the dirt
+        was over budget).  ``arrivals_only`` leaves every required time
+        at +inf, stale until the next report, and returns no report."""
         self.stats.full_runs += 1
         self.stats.forward_instances += self._comb_count
+        if arrivals_only:
+            self._stale = None
         with span("sta.full_run", instances=self._comb_count,
-                  arrivals_only=arrivals_only, escalated=escalated) as sp:
+                  arrivals_only=arrivals_only, escalated=escalated,
+                  dirty_comb=len(self._dirty_comb),
+                  dirty_seq=len(self._dirty_seq)) as sp:
             view = (self._ensure_view() if self.compute_backend == "numpy"
                     else None)
             sp.set(backend="python" if view is None else "numpy")
@@ -440,11 +458,11 @@ class TimingSession:
             nodes: dict[str, NodeTiming] = {}
             self._nodes = nodes
             self._startpoint_ports(nodes)
-            for inst in self.netlist.instances.values():
-                if self._is_seq(inst):
-                    self._startpoint_ff(inst, nodes)
+            for inst in self._seq:
+                self._startpoint_ff(inst, nodes)
+            roles = self._roles
             for inst in self._order:
-                if not (self._is_seq(inst) or self._skip_cell(inst)):
+                if roles.get(inst.cell_name) is False:
                     self._forward_instance(inst, nodes)
             return None if arrivals_only else self._backward_sweep(nodes)
 
@@ -459,169 +477,134 @@ class TimingSession:
     def _backward_sweep(self, nodes: dict[str, NodeTiming]) -> TimingReport:
         """Endpoint checks, then required times over the whole order."""
         checks = self._endpoint_pass(nodes)
+        roles = self._roles
         for inst in reversed(self._order):
-            if not (self._is_seq(inst) or self._skip_cell(inst)):
+            if roles.get(inst.cell_name) is False:
                 self._backward_instance(inst, nodes, None)
         return self._summarize(checks, nodes)
 
-    # --- incremental propagation ------------------------------------------
+    # --- exact-cutoff propagation -----------------------------------------
 
-    def _forward_cone(self):
-        """``(cone, reset_nets, dirty_ffs, seed_back)``: the combinational
-        fan-out of every dirty instance and the nets it drives, the
-        dirty flip-flops, and the nets a report's backward pass starts
-        from.  None once the cone crosses ``full_threshold`` of the
-        combinational instances; it only grows, so the BFS stops there.
+    def _forward(self) -> int:
+        """Re-evaluate what the dirt can change; returns how many
+        instances were evaluated.
+
+        Dirty flip-flops re-launch, then the dirty combinational
+        instances and every reader of a net whose timing changed are
+        re-evaluated once each, in topological order.  An output whose
+        recomputed node equals the stored one keeps the stored node and
+        queues no reader.  Every changed net, and every pin net of a
+        dirty instance, joins the nets whose fan-in the next report
+        refreshes.
         """
-        netlist = self.netlist
-        membership = self._membership
-        budget = self.full_threshold * max(self._comb_count, 1)
-        cone: set[str] = set()
-        frontier: deque[Instance] = deque()
-        reset_nets: set[str] = set()
-        seed_back: set[str] = set()
-        dirty_ffs: list[Instance] = []
+        nodes, nets = self._nodes, self.netlist.nets
+        instances, roles, pos = self.netlist.instances, self._roles, self._pos
+        stale: set[str] = set()
+        wave: list[tuple[int, str]] = []
+        queued: set[str] = set()
 
-        for name in self._dirty_comb:
-            inst = netlist.instances.get(name)
-            if inst is None or self._is_seq(inst) or self._skip_cell(inst):
-                continue
-            cone.add(name)
-            frontier.append(inst)
-            for in_pin in inst.input_pins():
-                if in_pin.net is not None and in_pin.name != "MTE" \
-                        and in_pin.net.name in membership:
-                    seed_back.add(in_pin.net.name)
-
-        if len(cone) > budget:
-            return None
+        def absorb(fresh: dict[str, NodeTiming]):
+            for name, entry in fresh.items():
+                old = nodes.get(name)
+                if old is not None and _same_arrivals(old, entry):
+                    continue
+                nodes[name] = entry
+                stale.add(name)
+                for sink in nets[name].sinks:
+                    reader = sink.instance
+                    if sink.name != "MTE" and reader.name not in queued \
+                            and roles.get(reader.cell_name) is False:
+                        queued.add(reader.name)
+                        heappush(wave, (pos[reader.name], reader.name))
 
         for name in self._dirty_seq:
-            inst = netlist.instances.get(name)
-            if inst is None or not self._is_seq(inst):
+            inst = instances.get(name)
+            if inst is None or not roles.get(inst.cell_name):
                 continue
-            dirty_ffs.append(inst)
-            q_pin = inst.pins.get("Q")
-            if q_pin is not None and q_pin.net is not None \
-                    and q_pin.net.name in membership \
-                    and q_pin.net.name not in reset_nets:
-                reset_nets.add(q_pin.net.name)
-                for sink in q_pin.net.sinks:
-                    target = sink.instance
-                    if sink.name != "MTE" and target.name not in cone \
-                            and not self._is_seq(target) \
-                            and not self._skip_cell(target):
-                        cone.add(target.name)
-                        frontier.append(target)
             d_pin = inst.pins.get("D")
-            if d_pin is not None and d_pin.net is not None \
-                    and d_pin.net.name in membership:
-                seed_back.add(d_pin.net.name)
-
-        while frontier:
-            if len(cone) > budget:
-                return None
-            inst = frontier.popleft()
-            for out_pin in inst.output_pins():
-                out_net = out_pin.net
-                if out_net is None or out_net.name not in membership \
-                        or out_net.name in reset_nets:
-                    continue
-                reset_nets.add(out_net.name)
-                for sink in out_net.sinks:
-                    target = sink.instance
-                    if sink.name == "MTE" or target.name in cone:
-                        continue
-                    if self._is_seq(target) or self._skip_cell(target):
-                        continue
-                    cone.add(target.name)
-                    frontier.append(target)
-
-        if len(cone) > budget:
-            return None
-        return cone, reset_nets, dirty_ffs, seed_back
-
-    def _forward_region(self, walk):
-        """Reset and re-evaluate one forward cone in topological order."""
-        cone, reset_nets, dirty_ffs, _ = walk
-        self.stats.incremental_runs += 1
-        self.stats.forward_instances += len(cone)
-        self.stats.forward_instances_saved += self._comb_count - len(cone)
-        nodes = self._nodes
-        for net_name in reset_nets:
-            nodes[net_name] = NodeTiming()
-        for inst in dirty_ffs:
-            self._startpoint_ff(inst, nodes)
-        for inst in self._order:
-            if inst.name in cone:
-                self._forward_instance(inst, nodes)
-
-    def _incremental_run(self) -> TimingReport:
-        # 1. Forward cone: combinational fan-out of every dirty instance.
-        walk = self._forward_cone()
-        if walk is None:
-            return self._full_run(escalated=True)
-        cone, reset_nets, _, seed_back = walk
-
-        # 2. Backward region: transitive fan-in of everything that changed.
-        # Same early exit: cone and back_insts only grow, so crossing
-        # the combined threshold mid-walk is final.
-        netlist = self.netlist
-        membership = self._membership
-        back_budget = self.full_threshold * 2 * max(self._comb_count, 1)
-        seed_back |= reset_nets
-        back_nets: set[str] = set()
-        back_insts: set[str] = set()
-        stack = list(seed_back)
-        while stack:
-            if len(cone) + len(back_insts) > back_budget:
-                return self._full_run(escalated=True)
-            net_name = stack.pop()
-            if net_name in back_nets:
+            if d_pin is not None and d_pin.net is not None:
+                stale.add(d_pin.net.name)
+            fresh: dict[str, NodeTiming] = {}
+            self._startpoint_ff(inst, fresh)
+            absorb(fresh)
+        for name in self._dirty_comb:
+            inst = instances.get(name)
+            if inst is None or roles.get(inst.cell_name) is not False:
                 continue
-            back_nets.add(net_name)
-            net = netlist.nets.get(net_name)
+            for pin in inst.pins.values():
+                if pin.net is not None and pin.name != "MTE":
+                    stale.add(pin.net.name)
+            if name not in queued:
+                queued.add(name)
+                heappush(wave, (pos[name], name))
+        evaluated = 0
+        while wave:
+            fresh = {}
+            self._forward_instance(instances[heappop(wave)[1]], fresh)
+            absorb(fresh)
+            evaluated += 1
+        if self._stale is not None:
+            self._stale |= stale
+        return evaluated
+
+    def _backward(self) -> TimingReport:
+        """Required times after a cutoff pass: reset and re-accumulate
+        them over the fan-in of the stale nets, or one sweep when that
+        region is over budget or every required time is stale."""
+        region = None if self._stale is None else self._fan_in(self._stale)
+        if region is None:
+            return self._required_sweep()
+        back_nets, readers = region
+        nodes = self._nodes
+        for name in back_nets:
+            entry = nodes.get(name)
+            if entry is not None:
+                entry.req_rise = entry.req_fall = INF
+        checks = self._endpoint_pass(nodes)
+        instances, pos = self.netlist.instances, self._pos
+        for name in sorted(readers, key=pos.__getitem__, reverse=True):
+            self._backward_instance(instances[name], nodes, back_nets)
+        return self._summarize(checks, nodes)
+
+    def _fan_in(self, seeds: set[str]):
+        """``(nets, readers)``: the transitive fan-in of ``seeds`` within
+        the node domain, and every combinational instance reading one
+        of those nets.  None once the readers exceed ``full_threshold``
+        of the combinational instances; they only grow, so the walk
+        stops there."""
+        nets, roles, membership = \
+            self.netlist.nets, self._roles, self._membership
+        budget = self.full_threshold * max(self._comb_count, 1)
+        back_nets: set[str] = set()
+        readers: set[str] = set()
+        stack = [name for name in seeds if name in membership]
+        while stack:
+            name = stack.pop()
+            if name in back_nets:
+                continue
+            back_nets.add(name)
+            net = nets.get(name)
             if net is None:
                 continue
             for sink in net.sinks:
-                target = sink.instance
-                if sink.name != "MTE" and not self._is_seq(target) \
-                        and not self._skip_cell(target):
-                    back_insts.add(target.name)
+                if sink.name != "MTE" \
+                        and roles.get(sink.instance.cell_name) is False:
+                    readers.add(sink.instance.name)
+            if len(readers) > budget:
+                return None
             driver = net.driver
-            if driver is None:
+            if driver is None \
+                    or roles.get(driver.instance.cell_name) is not False:
                 continue
-            driver_inst = driver.instance
-            if self._is_seq(driver_inst) or self._skip_cell(driver_inst):
-                continue
-            for in_pin in driver_inst.input_pins():
-                if in_pin.net is None or in_pin.name == "MTE":
-                    continue
-                if in_pin.net.name in membership \
-                        and in_pin.net.name not in back_nets:
-                    stack.append(in_pin.net.name)
+            for pin in driver.instance.input_pins():
+                source = pin.net
+                if source is not None and pin.name != "MTE" \
+                        and source.name in membership \
+                        and source.name not in back_nets:
+                    stack.append(source.name)
+        return back_nets, readers
 
-        # A full run evaluates every combinational instance twice (one
-        # forward, one backward sweep); incremental pays off while the
-        # touched region stays below that, scaled by the threshold.
-        if len(cone) + len(back_insts) > back_budget:
-            return self._full_run(escalated=True)
-
-        # 3. Reset and re-propagate.
-        self._forward_region(walk)
-        nodes = self._nodes
-        for net_name in back_nets:
-            entry = nodes.get(net_name)
-            if entry is not None:
-                entry.req_rise = INF
-                entry.req_fall = INF
-        checks = self._endpoint_pass(nodes)
-        for inst in reversed(self._order):
-            if inst.name in back_insts:
-                self._backward_instance(inst, nodes, back_nets)
-        return self._summarize(checks, nodes)
-
-    # --- propagation primitives (shared by full and incremental) ----------
+    # --- propagation primitives (shared by full and cutoff passes) --------
 
     @staticmethod
     def _node(nodes: dict[str, NodeTiming], net: Net) -> NodeTiming:
@@ -647,15 +630,15 @@ class TimingSession:
         q_pin = inst.pins.get("Q")
         if q_pin is None or q_pin.net is None:
             return
-        cell = self.library.cell(inst.cell_name)
-        arc = cell.pin("Q").arc_from("CK")
-        if arc is None:
-            raise TimingError(f"flip-flop {cell.name} lacks CK->Q arc")
+        compiled = self._arcs[inst.cell_name].get("Q", {}).get("CK")
+        if compiled is None:
+            raise TimingError(
+                f"flip-flop {inst.cell_name} lacks CK->Q arc")
         load = self.net_model.total_load(q_pin.net)
         clk_slew = self.constraints.input_slew
         derate = self._derate(inst)
-        rise, fall = arc.delay(clk_slew, load)
-        srise, sfall = arc.output_slew(clk_slew, load)
+        rise, fall = compiled.arc.delay(clk_slew, load)
+        srise, sfall = compiled.arc.output_slew(clk_slew, load)
         launch = self._clock_arrival(inst)
         entry = self._node(nodes, q_pin.net)
         entry.arr_rise = launch + rise * derate
@@ -666,76 +649,67 @@ class TimingSession:
         entry.slew_fall = sfall
 
     def _forward_instance(self, inst: Instance, nodes: dict[str, NodeTiming]):
-        cell = self.library.cell(inst.cell_name)
-        derate = self._derate(inst)
+        """Fold every delay arc of ``inst`` into its output nodes in
+        ``nodes``, reading source timing from the session's nodes.
+
+        The fold is inline — per forward contribution of each compiled
+        arc (:meth:`~repro.liberty.library.Library.delay_arcs`), in
+        fold order — so the arithmetic, its operand order and the
+        strict-greater winner rule are the array kernels' too.
+        """
+        arcs = self._arcs[inst.cell_name]
+        derate = self.derates.get(inst.name, 1.0)
+        sources, net_model = self._nodes, self.net_model
         for out_pin in inst.output_pins():
             out_net = out_pin.net
             if out_net is None:
                 continue
-            lib_out = cell.pins.get(out_pin.name)
-            if lib_out is None:
+            per_input = arcs.get(out_pin.name)
+            if per_input is None:
                 continue
-            load = self.net_model.total_load(out_net)
-            entry = self._node(nodes, out_net)
+            load = net_model.total_load(out_net)
+            entry = nodes.get(out_net.name)
+            if entry is None:
+                entry = nodes[out_net.name] = NodeTiming()
             for in_pin in inst.input_pins():
-                if in_pin.net is None or in_pin.name == "MTE":
+                in_net = in_pin.net
+                if in_net is None or in_pin.name == "MTE":
                     continue
-                arc = lib_out.arc_from(in_pin.name)
-                if arc is None:
+                compiled = per_input.get(in_pin.name)
+                if compiled is None:
                     continue
-                src = nodes.get(in_pin.net.name)
+                src = sources.get(in_net.name)
                 if src is None or (src.arr_rise == -INF
                                    and src.arr_fall == -INF):
                     continue
-                wire = self.net_model.wire_delay(in_pin.net, in_pin)
-                self._propagate_arc(entry, src, arc, load, wire,
-                                    derate, in_pin.net.name, inst.name)
-
-    def _propagate_arc(self, entry: NodeTiming, src: NodeTiming,
-                       arc: TimingArc, load: float, wire: float,
-                       derate: float, src_net: str, inst_name: str):
-        """Fold one arc's contribution into the output node timing."""
-        backref = (src_net, inst_name)
-
-        def consider(out_edge: str, in_arr: float, in_min: float,
-                     in_slew: float, delay_lut, slew_lut):
-            if delay_lut is None:
-                return
-            delay = delay_lut.lookup(in_slew, load) * derate
-            slew = slew_lut.lookup(in_slew, load) if slew_lut else 0.0
-            arrival = in_arr + wire + delay
-            minimum = in_min + wire + delay
-            if out_edge == "rise":
-                if arrival > entry.arr_rise:
-                    entry.arr_rise = arrival
-                    entry.slew_rise = slew
-                    entry.prev_rise = backref
-                entry.min_rise = min(entry.min_rise, minimum)
-            else:
-                if arrival > entry.arr_fall:
-                    entry.arr_fall = arrival
-                    entry.slew_fall = slew
-                    entry.prev_fall = backref
-                entry.min_fall = min(entry.min_fall, minimum)
-
-        if arc.timing_sense == "positive_unate":
-            consider("rise", src.arr_rise, src.min_rise, src.slew_rise,
-                     arc.cell_rise, arc.rise_transition)
-            consider("fall", src.arr_fall, src.min_fall, src.slew_fall,
-                     arc.cell_fall, arc.fall_transition)
-        elif arc.timing_sense == "negative_unate":
-            consider("rise", src.arr_fall, src.min_fall, src.slew_fall,
-                     arc.cell_rise, arc.rise_transition)
-            consider("fall", src.arr_rise, src.min_rise, src.slew_rise,
-                     arc.cell_fall, arc.fall_transition)
-        else:  # non_unate: either input edge can cause either output edge
-            for in_arr, in_min, in_slew in (
-                    (src.arr_rise, src.min_rise, src.slew_rise),
-                    (src.arr_fall, src.min_fall, src.slew_fall)):
-                consider("rise", in_arr, in_min, in_slew,
-                         arc.cell_rise, arc.rise_transition)
-                consider("fall", in_arr, in_min, in_slew,
-                         arc.cell_fall, arc.fall_transition)
+                wire = net_model.wire_delay(in_net, in_pin)
+                backref = (in_net.name, inst.name)
+                for target, edge, delay_lut, slew_lut in compiled.forward:
+                    if edge:
+                        in_arr, in_min, in_slew = \
+                            src.arr_fall, src.min_fall, src.slew_fall
+                    else:
+                        in_arr, in_min, in_slew = \
+                            src.arr_rise, src.min_rise, src.slew_rise
+                    delay, slew = delay_lut.lookup_pair(slew_lut, in_slew,
+                                                        load)
+                    delay = delay * derate
+                    arrival = in_arr + wire + delay
+                    minimum = in_min + wire + delay
+                    if target:
+                        if arrival > entry.arr_fall:
+                            entry.arr_fall = arrival
+                            entry.slew_fall = slew
+                            entry.prev_fall = backref
+                        if minimum < entry.min_fall:
+                            entry.min_fall = minimum
+                    else:
+                        if arrival > entry.arr_rise:
+                            entry.arr_rise = arrival
+                            entry.slew_rise = slew
+                            entry.prev_rise = backref
+                        if minimum < entry.min_rise:
+                            entry.min_rise = minimum
 
     def _endpoint_pass(self, nodes: dict[str, NodeTiming]
                        ) -> list[EndpointCheck]:
@@ -758,19 +732,15 @@ class TimingSession:
                 slack=required + wire - arrival,
                 arrival=arrival, required=required + wire))
 
-        for inst in self.netlist.instances.values():
-            if not self._is_seq(inst):
-                continue
+        for inst in self._seq:
             d_pin = inst.pins.get("D")
             if d_pin is None or d_pin.net is None \
                     or d_pin.net.name not in nodes:
                 continue
-            cell = self.library.cell(inst.cell_name)
             entry = nodes[d_pin.net.name]
             wire = self.net_model.wire_delay(d_pin.net, d_pin)
             capture = period + self._clock_arrival(inst)
-            setup = self._constraint_value(cell, "setup")
-            hold = self._constraint_value(cell, "hold")
+            setup, hold = self._ff_constraints(inst.cell_name)
             required = capture - setup - wire
             entry.req_rise = min(entry.req_rise, required)
             entry.req_fall = min(entry.req_fall, required)
@@ -790,38 +760,39 @@ class TimingSession:
     def _backward_instance(self, inst: Instance,
                            nodes: dict[str, NodeTiming],
                            restrict: set[str] | None):
-        cell = self.library.cell(inst.cell_name)
-        derate = self._derate(inst)
+        arcs = self._arcs[inst.cell_name]
+        derate = self.derates.get(inst.name, 1.0)
+        net_model = self.net_model
         for out_pin in inst.output_pins():
             out_net = out_pin.net
             if out_net is None or out_net.name not in nodes:
                 continue
-            lib_out = cell.pins.get(out_pin.name)
-            if lib_out is None:
+            per_input = arcs.get(out_pin.name)
+            if per_input is None:
                 continue
             out_entry = nodes[out_net.name]
-            load = self.net_model.total_load(out_net)
+            load = net_model.total_load(out_net)
             for in_pin in inst.input_pins():
-                if in_pin.net is None or in_pin.name == "MTE":
+                in_net = in_pin.net
+                if in_net is None or in_pin.name == "MTE":
                     continue
-                arc = lib_out.arc_from(in_pin.name)
-                if arc is None or in_pin.net.name not in nodes:
+                compiled = per_input.get(in_pin.name)
+                if compiled is None or in_net.name not in nodes:
                     continue
-                if restrict is not None \
-                        and in_pin.net.name not in restrict:
+                if restrict is not None and in_net.name not in restrict:
                     continue
-                src = nodes[in_pin.net.name]
-                wire = self.net_model.wire_delay(in_pin.net, in_pin)
+                src = nodes[in_net.name]
+                wire = net_model.wire_delay(in_net, in_pin)
                 slew = max(src.slew_rise, src.slew_fall)
-                rise_d, fall_d = arc.delay(slew, load)
+                rise_d, fall_d = compiled.arc.delay(slew, load)
                 rise_d = rise_d * derate + wire
                 fall_d = fall_d * derate + wire
-                if arc.timing_sense == "positive_unate":
+                if compiled.sense == SENSE_POSITIVE:
                     src.req_rise = min(src.req_rise,
                                        out_entry.req_rise - rise_d)
                     src.req_fall = min(src.req_fall,
                                        out_entry.req_fall - fall_d)
-                elif arc.timing_sense == "negative_unate":
+                elif compiled.sense == SENSE_NEGATIVE:
                     src.req_rise = min(src.req_rise,
                                        out_entry.req_fall - fall_d)
                     src.req_fall = min(src.req_fall,
@@ -850,5 +821,21 @@ class TimingSession:
             endpoint_checks=checks, node_timing=nodes,
             critical_endpoint=critical)
 
-    def _constraint_value(self, cell, which: str) -> float:
-        return cell_constraint_value(cell, which, self.constraints.input_slew)
+    def _ff_constraints(self, cell_name: str) -> tuple[float, float]:
+        """(setup, hold) of a flip-flop cell, looked up once per cell."""
+        found = self._ff_checks.get(cell_name)
+        if found is None:
+            cell = self.library.cell(cell_name)
+            slew = self.constraints.input_slew
+            found = self._ff_checks[cell_name] = (
+                cell_constraint_value(cell, "setup", slew),
+                cell_constraint_value(cell, "hold", slew))
+        return found
+
+
+def _same_arrivals(a: NodeTiming, b: NodeTiming) -> bool:
+    """Equal forward timing: every field but the required times."""
+    return (a.arr_rise == b.arr_rise and a.arr_fall == b.arr_fall
+            and a.min_rise == b.min_rise and a.min_fall == b.min_fall
+            and a.slew_rise == b.slew_rise and a.slew_fall == b.slew_fall
+            and a.prev_rise == b.prev_rise and a.prev_fall == b.prev_fall)

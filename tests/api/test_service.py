@@ -302,6 +302,21 @@ def test_bad_config_override_is_400(client, override):
     assert field in str(excinfo.value)
 
 
+@pytest.mark.parametrize("body", [
+    # Only an absent or null config means the default FlowConfig.
+    {"config": 0}, {"config": False}, {"config": ""}, {"config": []},
+    {"config": [1]}, {"config": "x"},
+    # Unhashable names used to escape as a TypeError (HTTP 500).
+    {"kind": ["optimize"]},
+    {"request": {"schema": ["optimize_request"], "schema_version": 1}},
+], ids=repr)
+def test_malformed_submission_body_is_400(client, body):
+    with pytest.raises(ServiceError) as excinfo:
+        client._call("POST", "/v1/jobs",
+                     {"kind": "optimize", "circuit": "c17", **body})
+    assert excinfo.value.status == 400
+
+
 def test_bad_enum_in_request_payload_is_400(client):
     """A schema-valid envelope with a bad field value is a 400, not a
     dropped connection (regression: ValueError escaped the handler)."""

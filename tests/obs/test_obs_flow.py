@@ -199,30 +199,40 @@ def test_shard_sweep_fans_out_to_grid_workers(library):
 
 
 def test_sta_escalation_is_a_span_attribute(library):
-    """A cone pass over its budget escalates to a full run; the
-    ``escalated`` attribute counts exactly those, so the count no
-    longer has to be read off span nesting."""
+    """A full run is ``escalated`` exactly when the dirt alone exceeded
+    ``full_threshold`` (0.5) of the combinational instances; every
+    other full run is a session's cold start, which counts no dirt.
+    The cutoff pass never escalates part-way, so no full run sits
+    inside an ``sta.incremental`` span, and each of those spans says
+    how many instances it re-evaluated."""
     enable()
     Workspace(library=library, config=FlowConfig(timing_margin=0.12)) \
         .design("c432").flow_result(Technique.IMPROVED_SMT)
-    full_runs, escalated, nested, arrivals_only = 0, 0, 0, set()
+    full_runs, incremental = [], []
 
     def visit(record, in_incremental):
-        nonlocal full_runs, escalated, nested
-        if record.name in ("sta.full_run", "sta.incremental"):
-            arrivals_only.add((record.name,
-                               record.attributes["arrivals_only"]))
         if record.name == "sta.full_run":
-            full_runs += 1
-            escalated += record.attributes["escalated"]
-            nested += in_incremental
+            assert not in_incremental, "a full run nested in a cutoff pass"
+            full_runs.append(record.attributes)
+        elif record.name == "sta.incremental":
+            incremental.append(record.attributes)
         for child in record.children:
             visit(child, in_incremental or record.name == "sta.incremental")
 
     for root in take_records():
         visit(root, False)
-    assert 0 < escalated < full_runs
-    assert escalated == nested
+    for attributes in full_runs:
+        dirt = attributes["dirty_comb"] + attributes["dirty_seq"]
+        assert attributes["escalated"] == \
+            (dirt > 0.5 * attributes["instances"]), attributes
+    escalated = [each for each in full_runs if each["escalated"]]
+    assert 0 < len(escalated) < len(full_runs)
+    assert all(0 <= each["evaluated"] for each in incremental)
+    assert sum(each["evaluated"] for each in incremental) > 0
     # The bisection probes ran arrivals-only passes of both kinds.
-    assert ("sta.incremental", True) in arrivals_only
-    assert ("sta.full_run", True) in arrivals_only
+    kinds = {(name, each["arrivals_only"])
+             for name, spans in (("sta.full_run", full_runs),
+                                 ("sta.incremental", incremental))
+             for each in spans}
+    assert ("sta.incremental", True) in kinds
+    assert ("sta.full_run", True) in kinds

@@ -6,15 +6,18 @@ line) out of its parser; the property then mutates valid files and
 asserts that nothing but each parser's one typed error escapes:
 :class:`~repro.errors.ParseError` for SPEF, SDC, Liberty, Verilog,
 ``.bench`` and DEF, :class:`~repro.errors.ConfigError` for idle
-traces.
+traces, :class:`~repro.errors.ServiceError` (the service's 400) for
+job submission bodies.
 """
 
 import functools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigError, ParseError
+from repro.api.service import parse_submission
+from repro.errors import ConfigError, ParseError, ServiceError
 from repro.liberty.parser import parse_liberty
 from repro.netlist.bench_io import parse_bench
 from repro.netlist.verilog_io import parse_verilog
@@ -105,6 +108,23 @@ TRACE_JSON = """{"name": "bursty", "active_ns": 400.0,
  "intervals_ns": [60.0, [120.0, 3], 9000]}
 """
 
+SUBMISSION = """{"kind": "optimize", "circuit": "c17",
+ "request": {"schema": "optimize_request", "schema_version": 1,
+             "technique": "improved_smt"},
+ "config": {"timing_margin": 0.2, "compute_backend": "python"}}
+"""
+
+
+def parse_submission_body(text):
+    """A service submit body as the server reads it: a body that is not
+    JSON is its 400, anything else goes through ``parse_submission``."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ServiceError(f"request body is not valid JSON: {exc}") \
+            from exc
+    return parse_submission(payload)
+
 
 @pytest.mark.parametrize("parser, text, line", [
     (parse_spef, "*D_NET n1 0input.5\n*END\n", 1),
@@ -170,6 +190,7 @@ TARGETS = [
     (functools.partial(parse_def, tech=None), DEF, ParseError),
     (parse_trace, TRACE_LINES, ConfigError),
     (parse_trace, TRACE_JSON, ConfigError),
+    (parse_submission_body, SUBMISSION, ServiceError),
 ]
 
 

@@ -245,3 +245,42 @@ def test_set_derates_diffs_only_changes(library):
     fresh = TimingAnalyzer(netlist, library, Constraints(clock_period=3.0),
                            derates=session.derates).run()
     assert_reports_identical(session.report(), fresh)
+
+
+def test_undone_swap_reevaluates_only_the_dirty_instances(library):
+    """The exact cutoff: a swap undone before the next query leaves each
+    recomputed node equal to the stored one, so the pass stops at the
+    dirty instances (the gate and the drivers of its two inputs, whose
+    loads were touched) instead of re-evaluating their fan-out cone,
+    which for this gate spans most of c880."""
+    netlist = _mapped("c880", library)
+    constraints = Constraints(clock_period=4.0)
+    session = TimingSession(netlist, library, constraints)
+    session.wns()
+    gate = netlist.instances["g15"]
+    session.swap_variant(gate, VARIANT_HVT)
+    session.swap_variant(gate, VARIANT_LVT)
+    evaluated = session.stats.forward_instances
+    fresh = TimingAnalyzer(netlist, library, constraints).run()
+    assert session.wns() == fresh.wns
+    assert session.stats.forward_instances - evaluated == 3
+    assert session.stats.full_runs == 1
+    assert_reports_identical(session.report(), fresh)
+
+
+def test_readers_of_a_net_leaving_the_timing_domain_reevaluate(library):
+    """A gate whose output pin is disconnected stops driving its net,
+    which leaves the node domain; the net's readers lost a source and
+    must re-evaluate although no edit named them."""
+    netlist = _mapped("c432", library)
+    constraints = Constraints(clock_period=3.0)
+    session = TimingSession(netlist, library, constraints)
+    session.report()
+    gate = next(inst for inst in netlist.instances.values()
+                if inst.single_output().net.sinks)
+    netlist.disconnect(gate.single_output())
+    session.touch_structural()
+    session.touch_instance(gate)
+    assert_reports_identical(
+        session.report(),
+        TimingAnalyzer(netlist, library, constraints).run())
