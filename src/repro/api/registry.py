@@ -31,9 +31,11 @@ from repro.variation.corners import PvtCorner
 from repro.variation.montecarlo import McSample
 from repro.variation.signoff import CornerResult
 
-# Version 2 removed the in-flow signoff fields; a version-1 payload
-# still decodes, its removed keys ignored.
-schemas.dataclass_schema("flow_config", 2, FlowConfig)
+# Version 2 removed the in-flow signoff fields and version 3 the
+# component knobs nobody set (assignment rounds, MTE/CTS buffering,
+# hold fixing); an older payload still decodes, its removed keys
+# ignored.
+schemas.dataclass_schema("flow_config", 3, FlowConfig)
 
 schemas.dataclass_schema("export_manifest", 1, ExportManifest)
 

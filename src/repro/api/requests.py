@@ -260,6 +260,19 @@ class SweepRequest:
             raise ConfigError("techniques", "must name at least one")
 
 
+#: Job kind -> request dataclass.  Each kind names the
+#: :class:`~repro.api.Design` method that serves it.
+JOB_KINDS = {
+    "analyze": AnalyzeRequest,
+    "optimize": OptimizeRequest,
+    "signoff": SignoffRequest,
+    "montecarlo": MonteCarloRequest,
+    "standby": StandbyRequest,
+    "policy": PolicyRequest,
+    "sweep": SweepRequest,
+}
+
+
 schemas.dataclass_schema("analyze_request", 1, AnalyzeRequest)
 schemas.dataclass_schema("optimize_request", 1, OptimizeRequest,
                          technique=TECHNIQUE)

@@ -73,15 +73,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.api import schemas
-from repro.api.requests import (
-    AnalyzeRequest,
-    MonteCarloRequest,
-    OptimizeRequest,
-    PolicyRequest,
-    SignoffRequest,
-    StandbyRequest,
-    SweepRequest,
-)
+from repro.api.requests import JOB_KINDS
 from repro.api.resultstore import ResultStore, work_key
 from repro.api.shards import ShardPool, execute_kind
 from repro.api.workspace import Workspace
@@ -103,18 +95,6 @@ RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
-
-#: Job kind -> request dataclass.
-JOB_KINDS = {
-    "analyze": AnalyzeRequest,
-    "optimize": OptimizeRequest,
-    "signoff": SignoffRequest,
-    "montecarlo": MonteCarloRequest,
-    "standby": StandbyRequest,
-    "policy": PolicyRequest,
-    "sweep": SweepRequest,
-}
-
 
 @dataclasses.dataclass(frozen=True)
 class JobStatus:

@@ -47,6 +47,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.api import schemas
+from repro.api.requests import JOB_KINDS
 from repro.errors import ReproError, ServiceError
 from repro.netlist.core import Netlist
 from repro.obs import spans as obs_spans
@@ -77,19 +78,11 @@ def shard_index(fingerprint: str, shards: int) -> int:
 
 
 def execute_kind(design, kind: str, request):
-    """Dispatch one job kind onto a :class:`~repro.api.Design` facade."""
-    method = {
-        "analyze": design.analyze,
-        "optimize": design.optimize,
-        "signoff": design.signoff,
-        "montecarlo": design.montecarlo,
-        "standby": design.standby,
-        "policy": design.policy,
-        "sweep": design.sweep,
-    }.get(kind)
-    if method is None:
+    """Dispatch one job kind onto the :class:`~repro.api.Design` method
+    of that name."""
+    if kind not in JOB_KINDS:
         raise ServiceError(f"unhandled job kind {kind!r}")
-    return method(request)
+    return getattr(design, kind)(request)
 
 
 def _execute_job(job: FacadeJob, workspace) -> dict:

@@ -14,11 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.api.requests import (
-    DEFAULT_TECHNIQUES,
-    MonteCarloRequest,
-    SignoffRequest,
-)
+from repro.api.requests import DEFAULT_TECHNIQUES, SignoffRequest
 from repro.api.workspace import Workspace, facade_grid, sweep_grid
 from repro.config import FlowConfig, Technique
 from repro.core.compare import TechniqueComparison
@@ -98,20 +94,16 @@ def corner_signoff_study(workspace: Workspace,
 def montecarlo_study(workspace: Workspace,
                      circuit: str = "A",
                      techniques=None,
-                     samples: int = 64,
-                     seed: int = 1,
-                     sigma_global_v: float = 0.03,
-                     sigma_local_v: float = 0.015,
-                     timing: bool = True,
-                     corner: str | None = None,
-                     leakage_budget_nw: float | None = None,
                      config: FlowConfig | None = None,
-                     jobs: int = 1):
+                     jobs: int = 1,
+                     **fields):
     """Monte-Carlo leakage/timing study across techniques.
 
-    One :meth:`~repro.api.Design.montecarlo` per technique; sample
-    ``k`` is a pure function of ``(seed, k)``, so the statistics are
-    identical for any ``jobs``.
+    One :meth:`~repro.api.Design.montecarlo` per technique, with the
+    :class:`~repro.api.MonteCarloRequest` ``fields`` given as keywords
+    (``None`` ones take the request defaults); sample ``k`` is a pure
+    function of ``(seed, k)``, so the statistics are identical for any
+    ``jobs``.
     """
     from repro.experiments import (
         McTechniqueResult,
@@ -124,16 +116,14 @@ def montecarlo_study(workspace: Workspace,
     design = workspace.design(resolved, _circuit_config(circuit, config))
     results: dict[Technique, McTechniqueResult] = {}
     for technique in tuple(techniques or DEFAULT_TECHNIQUES):
-        result = design.montecarlo(MonteCarloRequest(
-            technique=technique, samples=samples, seed=seed,
-            sigma_global_v=sigma_global_v, sigma_local_v=sigma_local_v,
-            timing=timing, corner=corner,
-            leakage_budget_nw=leakage_budget_nw), jobs=jobs)
+        result = design.montecarlo(technique=technique, jobs=jobs,
+                                   **fields)
         results[technique] = McTechniqueResult(
             nominal_leakage_nw=result.nominal_leakage_nw,
             nominal_wns=result.nominal_wns,
             area_um2=result.area_um2,
             statistics=result.statistics,
             samples=list(result.sample_values))
-    return MonteCarloStudy(circuit=resolved, samples=samples, seed=seed,
-                           corner=corner, results=results)
+    return MonteCarloStudy(circuit=resolved, samples=result.samples,
+                           seed=result.seed, corner=result.corner,
+                           results=results)

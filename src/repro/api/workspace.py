@@ -798,7 +798,11 @@ class Design:
             return self._montecarlos[request]
         self._stats().miss("montecarlo")
         from repro.variation.jobs import build_engine
-        from repro.variation.montecarlo import McConfig, summarize
+        from repro.variation.montecarlo import (
+            BUDGET_FACTOR,
+            McConfig,
+            summarize,
+        )
 
         mc = McConfig(samples=request.samples, seed=request.seed,
                       sigma_global_v=request.sigma_global_v,
@@ -838,7 +842,7 @@ class Design:
             area_um2 = outcomes[0].area_um2
         budget = mc.leakage_budget_nw
         if budget is None:
-            budget = mc.budget_factor * nominal_leakage
+            budget = BUDGET_FACTOR * nominal_leakage
         result = MonteCarloResult(
             circuit=self.circuit,
             technique=request.technique,

@@ -53,20 +53,20 @@ def _add_obs_options(parser: argparse.ArgumentParser):
 
 
 def _add_config_options(parser: argparse.ArgumentParser):
-    """The FlowConfig knobs shared by flow/compare/sweep."""
+    """The FlowConfig knobs every flow-running subcommand shares.  An
+    unset flag leaves its FlowConfig default."""
     _add_obs_options(parser)
-    parser.add_argument("--margin", type=float, default=0.15,
+    parser.add_argument("--margin", type=float,
                         help="timing margin over the all-LVT critical delay")
-    parser.add_argument("--bounce", type=float, default=0.05,
+    parser.add_argument("--bounce", type=float,
                         help="VGND bounce limit as a fraction of Vdd")
-    parser.add_argument("--max-cells", type=int, default=64,
+    parser.add_argument("--max-cells", type=int,
                         help="EM cap: MT-cells per switch")
-    parser.add_argument("--max-rail", type=float, default=400.0,
+    parser.add_argument("--max-rail", type=float,
                         help="VGND rail length cap (um)")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="placement seed")
+    parser.add_argument("--seed", type=int, help="placement seed")
     parser.add_argument(
-        "--backend", default=None, choices=["python", "numpy"],
+        "--backend", choices=["python", "numpy"],
         help="numeric compute backend for STA / leakage / Monte-Carlo "
              "(default: $REPRO_COMPUTE_BACKEND or python; numpy falls "
              "back to python when the optional dependency is missing)")
@@ -79,16 +79,17 @@ def _add_flow_options(parser: argparse.ArgumentParser):
 
 
 def _config_from(args) -> FlowConfig:
-    kwargs = dict(
+    """The FlowConfig the config flags set; unset flags take the
+    FlowConfig defaults (constructor kwargs, so they are validated)."""
+    fields = dict(
         timing_margin=args.margin,
         bounce_limit_fraction=args.bounce,
         max_cells_per_switch=args.max_cells,
         max_rail_length_um=args.max_rail,
-        placement_seed=args.seed)
-    if getattr(args, "backend", None):
-        # As a constructor kwarg so __post_init__ validates the name.
-        kwargs["compute_backend"] = args.backend
-    return FlowConfig(**kwargs)
+        placement_seed=args.seed,
+        compute_backend=args.backend)
+    return FlowConfig(**{field: value for field, value in fields.items()
+                         if value is not None})
 
 
 def _workspace(args, jobs: int | None = None) -> Workspace:
@@ -308,7 +309,6 @@ def _load_scenario_payload(path: str):
 
 
 def cmd_standby(args) -> int:
-    from repro.api.requests import StandbyRequest
     from repro.standby.scenario import standard_scenarios
     from repro.variation.corners import standard_corners
     from repro.vgnd.report import render_standby_table
@@ -322,20 +322,18 @@ def cmd_standby(args) -> int:
     _check_names("corner", corners, standard_corners(library.tech))
     payloads = tuple(_load_scenario_payload(path)
                      for path in (args.scenario_file or ()))
-    request = StandbyRequest(
-        technique=Technique(args.technique),
+    result = workspace.design(args.circuit).standby(
+        technique=args.technique,
         scenarios=scenarios, scenario_payloads=payloads,
         corners=corners,
         rush_budget_ma=args.rush_budget,
         settle_fraction=args.settle_fraction)
-    result = workspace.design(args.circuit).standby(request)
     print(render_standby_table(result))
     _emit_json(result, args.json)
     return 0
 
 
 def cmd_policy(args) -> int:
-    from repro.api.requests import PolicyRequest
     from repro.policy.traces import load_trace, trace_scenario
     from repro.standby.scenario import standard_scenarios
     from repro.variation.corners import standard_corners
@@ -351,14 +349,13 @@ def cmd_policy(args) -> int:
         trace_scenario(load_trace(path), active_ns=args.active_ns,
                        quantile_points=args.quantile_points)
         for path in (args.trace_file or ()))
-    request = PolicyRequest(
-        technique=Technique(args.technique),
+    result = workspace.design(args.circuit).policy(
+        technique=args.technique,
         scenarios=scenarios, scenario_payloads=payloads,
         corners=corners, candidates=args.candidates,
         max_domains=args.max_domains,
         rush_budget_ma=args.rush_budget,
         settle_fraction=args.settle_fraction)
-    result = workspace.design(args.circuit).policy(request)
     print(result.render())
     _emit_json(result, args.json)
     return 0
@@ -496,14 +493,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--techniques", default=None,
         help="comma-separated subset of "
              + ",".join(t.value for t in Technique))
-    mc_parser.add_argument("--samples", type=int, default=64,
+    mc_parser.add_argument("--samples", type=int,
                            help="Monte-Carlo sample count")
-    mc_parser.add_argument("--mc-seed", type=int, default=1,
+    mc_parser.add_argument("--mc-seed", type=int,
                            help="sampling seed (sample k is a pure "
                                 "function of (seed, k))")
-    mc_parser.add_argument("--sigma-global", type=float, default=0.03,
+    mc_parser.add_argument("--sigma-global", type=float,
                            help="die-to-die Vth sigma (V)")
-    mc_parser.add_argument("--sigma-local", type=float, default=0.015,
+    mc_parser.add_argument("--sigma-local", type=float,
                            help="per-instance Vth sigma (V)")
     mc_parser.add_argument("--no-timing", action="store_true",
                            help="skip per-sample STA (leakage only)")
@@ -543,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="aggregate wake-up rush-current budget in mA (default: "
              "half the simultaneous-enable rush)")
     standby_parser.add_argument(
-        "--settle-fraction", type=float, default=0.05,
+        "--settle-fraction", type=float,
         help="VGND settle threshold as a fraction of Vdd")
     standby_parser.add_argument(
         "--scenario-file", action="append", metavar="PATH",
@@ -590,10 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated PVT corner names (default: nominal + "
              "worst leakage + worst timing)")
     policy_parser.add_argument(
-        "--candidates", type=int, default=1024,
+        "--candidates", type=int,
         help="minimum number of candidate policies swept")
     policy_parser.add_argument(
-        "--max-domains", type=int, default=4,
+        "--max-domains", type=int,
         help="largest hierarchical power-domain count per plan "
              "(the per-cluster plan is always swept too)")
     policy_parser.add_argument(
@@ -601,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="aggregate wake-up rush-current budget in mA (default: "
              "half the simultaneous-enable rush)")
     policy_parser.add_argument(
-        "--settle-fraction", type=float, default=0.05,
+        "--settle-fraction", type=float,
         help="VGND settle threshold as a fraction of Vdd")
     policy_parser.add_argument(
         "--json", metavar="PATH",

@@ -1,7 +1,9 @@
 """Flow configuration.
 
-One :class:`FlowConfig` object parameterizes every stage of the
-Selective-MT flow; defaults match the DESIGN.md experiment setup.
+One :class:`FlowConfig` object carries the values a run of the
+Selective-MT flow sets (:func:`repro.experiments.table1_config` pins
+the Table 1 ones).  Everything else (assignment rounds, CTS/MTE
+buffering, hold fixing) is the default of the component that uses it.
 """
 
 from __future__ import annotations
@@ -47,9 +49,7 @@ class FlowConfig:
     # numpy is not installed).  Default honors REPRO_COMPUTE_BACKEND.
     compute_backend: str = dataclasses.field(default_factory=default_backend)
 
-    # Vth assignment.
-    assignment_rounds: int = 4
-    # The assignment runs against a slightly tightened period so that
+    # Vth assignment: it runs against a slightly tightened period so that
     # pre-route estimation error, holder loading and CTS skew cannot
     # break post-route timing closure.
     assignment_guardband: float = 0.04
@@ -60,18 +60,6 @@ class FlowConfig:
     max_rail_length_um: float = 400.0
     max_cells_per_switch: int = 64
 
-    # MTE buffering.
-    mte_fanout_limit: int = 16
-    mte_buffer_cell: str = "BUF_X8_HVT"
-
-    # CTS.
-    cts_fanout_limit: int = 8
-    cts_buffer_cell: str = "BUF_X4_HVT"
-
-    # ECO.
-    hold_fix_buffer_cell: str = "BUF_X1_HVT"
-    max_hold_fix_passes: int = 3
-
     # Simultaneity model of the VGND cluster current (overrides the
     # repro.vgnd.bounce defaults): the fraction of summed member peak
     # current flowing at once is max(n^-exponent, floor).
@@ -79,58 +67,54 @@ class FlowConfig:
     simultaneity_floor: float = SIMULTANEITY_FLOOR
 
     def __post_init__(self):
-        if not _is_number(self.timing_margin) \
-                or not 0.0 <= self.timing_margin < math.inf:
-            raise ConfigError(
-                "timing_margin",
-                f"must be a finite number >= 0, got {self.timing_margin!r}")
-        if self.clock_period_ns is not None and self.clock_period_ns <= 0:
-            raise ConfigError(
-                "clock_period_ns",
-                f"must be positive, got {self.clock_period_ns!r}")
-        if not _is_number(self.utilization) \
-                or not MIN_UTILIZATION <= self.utilization <= 1.0:
-            raise ConfigError(
-                "utilization",
-                f"must be in [{MIN_UTILIZATION}, 1], "
-                f"got {self.utilization!r}")
-        if not _is_number(self.aspect_ratio) \
-                or not 0.0 < self.aspect_ratio < math.inf:
-            raise ConfigError(
-                "aspect_ratio",
-                f"must be a finite number > 0, got {self.aspect_ratio!r}")
-        if not isinstance(self.placer_iterations, int) \
-                or isinstance(self.placer_iterations, bool) \
-                or self.placer_iterations < 0:
-            raise ConfigError(
-                "placer_iterations",
-                f"must be an int >= 0, got {self.placer_iterations!r}")
-        if not _is_number(self.assignment_guardband) \
-                or not 0.0 <= self.assignment_guardband < 1.0:
-            raise ConfigError(
-                "assignment_guardband",
-                f"must be in [0, 1), got {self.assignment_guardband!r}")
-        if not 0.0 < self.bounce_limit_fraction < 0.5:
-            raise ConfigError(
-                "bounce_limit_fraction",
-                f"must be in (0, 0.5), got {self.bounce_limit_fraction!r}")
-        if self.compute_backend not in BACKENDS:
-            raise ConfigError(
-                "compute_backend",
-                f"unknown backend {self.compute_backend!r}; "
-                f"known: {BACKENDS}")
-        if not 0.0 <= self.simultaneity_exponent <= 1.0:
-            raise ConfigError(
-                "simultaneity_exponent",
-                f"must be in [0, 1], got {self.simultaneity_exponent!r}")
-        if not 0.0 < self.simultaneity_floor <= 1.0:
-            raise ConfigError(
-                "simultaneity_floor",
-                f"must be in (0, 1], got {self.simultaneity_floor!r}")
+        for field, valid, expected in _CHECKS:
+            value = getattr(self, field)
+            if not valid(value):
+                raise ConfigError(field,
+                                  f"must be {expected}, got {value!r}")
 
     def bounce_limit_v(self, vdd: float) -> float:
         return self.bounce_limit_fraction * vdd
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _number(valid):
+    """A predicate: a number, not a bool, for which ``valid`` holds."""
+    return lambda value: isinstance(value, (int, float)) \
+        and not isinstance(value, bool) and valid(value)
+
+
+def _integer(valid):
+    """A predicate: an int, not a bool, for which ``valid`` holds."""
+    return lambda value: isinstance(value, int) \
+        and not isinstance(value, bool) and valid(value)
+
+
+#: (field, predicate, what a valid value is) for every FlowConfig
+#: field, checked in declaration order.
+_CHECKS = (
+    ("timing_margin", _number(lambda v: 0.0 <= v < math.inf),
+     "a finite number >= 0"),
+    ("clock_period_ns",
+     lambda value: value is None
+     or _number(lambda v: 0.0 < v < math.inf)(value),
+     "null or a finite number > 0"),
+    ("utilization", _number(lambda v: MIN_UTILIZATION <= v <= 1.0),
+     f"in [{MIN_UTILIZATION}, 1]"),
+    ("aspect_ratio", _number(lambda v: 0.0 < v < math.inf),
+     "a finite number > 0"),
+    ("placement_seed", _integer(lambda v: True), "an int"),
+    ("placer_iterations", _integer(lambda v: v >= 0), "an int >= 0"),
+    ("compute_backend", lambda value: value in BACKENDS,
+     f"one of {BACKENDS}"),
+    ("assignment_guardband", _number(lambda v: 0.0 <= v < 1.0),
+     "in [0, 1)"),
+    ("bounce_limit_fraction", _number(lambda v: 0.0 < v < 0.5),
+     "in (0, 0.5)"),
+    ("max_rail_length_um", _number(lambda v: 0.0 < v < math.inf),
+     "a finite number > 0"),
+    ("max_cells_per_switch", _integer(lambda v: v >= 1), "an int >= 1"),
+    ("simultaneity_exponent", _number(lambda v: 0.0 <= v <= 1.0),
+     "in [0, 1]"),
+    ("simultaneity_floor", _number(lambda v: 0.0 < v <= 1.0),
+     "in (0, 1]"),
+)

@@ -157,9 +157,8 @@ class DualVthAssigner:
                     and self.library.has_variant(cell, self.fast_variant):
                 self.session.swap_variant(inst, self.fast_variant)
 
-    def run(self, prepare: bool = True) -> AssignmentResult:
-        if prepare:
-            self.prepare()
+    def run(self) -> AssignmentResult:
+        self.prepare()
         report = self._sta()
         if not report.setup_met:
             raise FlowError(

@@ -44,7 +44,6 @@ class ImprovedSmtResult:
     mt_cell_names: list[str]
     holder_names: list[str]
     network: VgndNetwork
-    mte_net_name: str
 
     @property
     def mt_count(self) -> int:
@@ -65,24 +64,19 @@ class ImprovedSmtBuilder:
     """
 
     def __init__(self, session: TimingSession, placement: Placement,
-                 cluster_config: ClusterConfig | None = None,
-                 rounds: int = 4, mte_net_name: str = "MTE"):
+                 cluster_config: ClusterConfig | None = None):
         self.session = session
         self.netlist = session.netlist
         self.library = session.library
         self.placement = placement
         self.cluster_config = cluster_config or ClusterConfig()
-        self.rounds = rounds
-        self.mte_net_name = mte_net_name
 
     # --- stages ---------------------------------------------------------------
 
     def assign(self) -> AssignmentResult:
         """Stage 1: Vth assignment with MT (no VGND port) as fast class."""
-        assigner = DualVthAssigner(
-            self.session, fast_variant=VARIANT_MT,
-            slow_variant=VARIANT_HVT, rounds=self.rounds)
-        return assigner.run()
+        return DualVthAssigner(self.session, fast_variant=VARIANT_MT,
+                               slow_variant=VARIANT_HVT).run()
 
     def add_vgnd_ports(self, assignment: AssignmentResult) -> list[str]:
         """Stage 2: swap MT -> MTV (adds the VGND pin)."""
@@ -100,9 +94,9 @@ class ImprovedSmtBuilder:
         """Stage 3: one switch, all VGND ports on its drain."""
         if not mt_names:
             return None
-        if self.mte_net_name not in self.netlist.ports:
-            self.netlist.add_input(self.mte_net_name)
-        mte_net = self.netlist.net(self.mte_net_name)
+        if "MTE" not in self.netlist.ports:
+            self.netlist.add_input("MTE")
+        mte_net = self.netlist.net("MTE")
         switches = self.library.switch_cells()
         if not switches:
             raise FlowError("library has no switch cells")
@@ -127,8 +121,7 @@ class ImprovedSmtBuilder:
 
     def insert_holders(self) -> list[str]:
         """Stage 4: output holders on MT-region boundaries only."""
-        holders = insert_output_holders(self.netlist, self.library,
-                                        self.mte_net_name)
+        holders = insert_output_holders(self.netlist, self.library)
         for holder_name in holders:
             inst = self.netlist.instances[holder_name]
             z_net = inst.pin("Z").net
@@ -169,7 +162,7 @@ class ImprovedSmtBuilder:
                             self.cluster_config.bounce_limit_v)
         sizer.size_network(network)
 
-        mte_net = self.netlist.net(self.mte_net_name)
+        mte_net = self.netlist.net("MTE")
         for cluster in network.clusters:
             vgnd_net = self.netlist.get_or_create_net(cluster.net_name)
             switch_name = self.netlist.unique_name(
@@ -205,5 +198,4 @@ class ImprovedSmtBuilder:
             assignment=assignment,
             mt_cell_names=mt_names,
             holder_names=holders,
-            network=network,
-            mte_net_name=self.mte_net_name)
+            network=network)

@@ -39,24 +39,22 @@ class MteBufferTree:
     """Buffers the high-fanout MTE net of an SMT netlist."""
 
     def __init__(self, netlist: Netlist, library: Library,
-                 placement: Placement, mte_net_name: str = "MTE",
-                 buffer_cell: str = "BUF_X8_HVT",
+                 placement: Placement, buffer_cell: str = "BUF_X8_HVT",
                  fanout_limit: int = 16):
         if fanout_limit < 2:
             raise FlowError("MTE fanout limit must be at least 2")
         self.netlist = netlist
         self.library = library
         self.placement = placement
-        self.mte_net_name = mte_net_name
         self.buffer_cell = buffer_cell
         self.fanout_limit = fanout_limit
 
     def run(self) -> MteTreeResult:
-        if self.mte_net_name not in self.netlist.nets:
+        if "MTE" not in self.netlist.nets:
             return MteTreeResult([], 0, 0, 0.0)
         if self.buffer_cell not in self.library:
             raise FlowError(f"MTE buffer cell {self.buffer_cell!r} missing")
-        mte_net = self.netlist.net(self.mte_net_name)
+        mte_net = self.netlist.net("MTE")
         sinks = list(mte_net.sinks)
         sink_count = len(sinks)
         if sink_count <= self.fanout_limit:

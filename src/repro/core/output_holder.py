@@ -58,13 +58,12 @@ def nets_needing_holders(netlist: Netlist, library: Library) -> list[Net]:
     return result
 
 
-def insert_output_holders(netlist: Netlist, library: Library,
-                          mte_net_name: str = "MTE") -> list[str]:
+def insert_output_holders(netlist: Netlist, library: Library) -> list[str]:
     """Insert holders on every net that needs one; returns their names.
 
     Idempotent: nets that already carry a holder keeper are skipped.
     """
-    mte_net = netlist.get_or_create_net(mte_net_name)
+    mte_net = netlist.get_or_create_net("MTE")
     inserted: list[str] = []
     for net in nets_needing_holders(netlist, library):
         if any(_is_holder(netlist, library, pin.instance.name)

@@ -23,7 +23,6 @@ class ConventionalSmtResult:
 
     assignment: AssignmentResult
     mt_cell_names: list[str]
-    mte_net_name: str
 
     @property
     def mt_count(self) -> int:
@@ -34,28 +33,23 @@ class ConventionalSmtBuilder:
     """Builds a conventional Selective-MT circuit in place (the
     session's netlist), reporting every edit to the session."""
 
-    def __init__(self, session: TimingSession, rounds: int = 4,
-                 mte_net_name: str = "MTE"):
+    def __init__(self, session: TimingSession):
         self.session = session
         self.netlist = session.netlist
         self.library = session.library
-        self.rounds = rounds
-        self.mte_net_name = mte_net_name
 
     def run(self) -> ConventionalSmtResult:
         # Assignment with the MT variant as the fast class: cells on
         # critical paths stay MT, everything else becomes high-Vth.
         # (MT timing tables already include the virtual-ground derate,
         # so the timing constraint holds for the final MT circuit.)
-        assigner = DualVthAssigner(
-            self.session, fast_variant=VARIANT_MT,
-            slow_variant=VARIANT_HVT, rounds=self.rounds)
-        assignment = assigner.run()
+        assignment = DualVthAssigner(self.session, fast_variant=VARIANT_MT,
+                                     slow_variant=VARIANT_HVT).run()
 
         # Ensure an MTE port exists.
-        if self.mte_net_name not in self.netlist.ports:
-            self.netlist.add_input(self.mte_net_name)
-        mte_net = self.netlist.net(self.mte_net_name)
+        if "MTE" not in self.netlist.ports:
+            self.netlist.add_input("MTE")
+        mte_net = self.netlist.net("MTE")
 
         # Swap the fast set to conventional MT-cells and hook up MTE.
         mt_names = []
@@ -74,7 +68,5 @@ class ConventionalSmtBuilder:
             # New MTE sinks reshape the dependency graph and MTE loading.
             self.session.touch_structural()
             self.session.touch_net(mte_net)
-        return ConventionalSmtResult(
-            assignment=assignment,
-            mt_cell_names=mt_names,
-            mte_net_name=self.mte_net_name)
+        return ConventionalSmtResult(assignment=assignment,
+                                     mt_cell_names=mt_names)

@@ -384,10 +384,8 @@ def stage_dual_vth_assignment(ctx: FlowContext) -> dict[str, Any]:
     ctx.require("netlist")
     constraints = _guardbanded(ctx)
     session = ctx._make_session(constraints)
-    assigner = DualVthAssigner(
-        session, fast_variant=VARIANT_LVT, slow_variant=VARIANT_HVT,
-        rounds=ctx.config.assignment_rounds)
-    assignment = assigner.run()
+    assignment = DualVthAssigner(
+        session, fast_variant=VARIANT_LVT, slow_variant=VARIANT_HVT).run()
     ctx.assignment = assignment
     return ctx._note_session("vth_assignment", session, {
         "low_vth": assignment.fast_count,
@@ -402,9 +400,7 @@ def stage_conventional_smt_assignment(ctx: FlowContext) -> dict[str, Any]:
     ctx.require("netlist")
     constraints = _guardbanded(ctx)
     session = ctx._make_session(constraints)
-    builder = ConventionalSmtBuilder(
-        session, rounds=ctx.config.assignment_rounds)
-    smt_result = builder.run()
+    smt_result = ConventionalSmtBuilder(session).run()
     ctx.smt_result = smt_result
     ctx.assignment = smt_result.assignment
     return ctx._note_session("vth_assignment", session, {
@@ -427,9 +423,8 @@ def stage_improved_smt_assignment(ctx: FlowContext) -> dict[str, Any]:
         simultaneity_exponent=config.simultaneity_exponent,
         simultaneity_floor=config.simultaneity_floor)
     session = ctx._make_session(constraints)
-    builder = ImprovedSmtBuilder(
-        session, ctx.placement, cluster_config=cluster_config,
-        rounds=config.assignment_rounds)
+    builder = ImprovedSmtBuilder(session, ctx.placement,
+                                 cluster_config=cluster_config)
     assignment = builder.assign()
     mt_names = builder.add_vgnd_ports(assignment)
     initial_switch = builder.insert_initial_switch(mt_names)
@@ -503,8 +498,7 @@ def stage_switch_structure(ctx: FlowContext) -> dict[str, Any] | None:
     ctx.network = network
     ctx.smt_result = ImprovedSmtResult(
         assignment=ctx.assignment, mt_cell_names=ctx.mt_names,
-        holder_names=ctx.holders, network=network,
-        mte_net_name=builder.mte_net_name)
+        holder_names=ctx.holders, network=network)
     return {
         "clusters": len(network.clusters),
         "holders": len(ctx.holders),
@@ -522,18 +516,11 @@ def stage_routing_cts_mte(ctx: FlowContext) -> dict[str, Any]:
     if any(inst.cell_name in ctx.library
            and ctx.library.cell(inst.cell_name).is_sequential
            for inst in netlist.instances.values()):
-        cts = ClockTreeSynthesizer(
-            netlist, ctx.library, placement,
-            buffer_cell=ctx.config.cts_buffer_cell,
-            fanout_limit=ctx.config.cts_fanout_limit)
-        cts_result = cts.run()
+        cts_result = ClockTreeSynthesizer(netlist, ctx.library,
+                                          placement).run()
     mte_result = None
     if ctx.technique != Technique.DUAL_VTH:
-        mte = MteBufferTree(
-            netlist, ctx.library, placement,
-            buffer_cell=ctx.config.mte_buffer_cell,
-            fanout_limit=ctx.config.mte_fanout_limit)
-        mte_result = mte.run()
+        mte_result = MteBufferTree(netlist, ctx.library, placement).run()
     legalize(placement, netlist, ctx.library)
     for port_name in netlist.ports:
         placement.ensure_port_location(port_name)
@@ -628,8 +615,8 @@ def make_fast_swap(ctx: FlowContext,
         mte_net = netlist.get_or_create_net("MTE")
         mte_pin = inst.pins.get("MTE")
         if mte_pin is not None and mte_pin.net is None:
+            # The MTE pin is no timing arc: only the net's load changed.
             netlist.connect(inst, "MTE", mte_net, PinDirection.INPUT)
-            session.touch_structural()
             session.touch_net(mte_net)
         return True
 
@@ -662,18 +649,17 @@ def make_fast_swap(ctx: FlowContext,
                 and switch_inst.cell_name != cluster.switch_cell:
             switch_inst.cell_name = cluster.switch_cell
         # The re-accelerated cell may now drive powered logic.
-        new_holders = insert_output_holders(netlist, library, "MTE")
+        new_holders = insert_output_holders(netlist, library)
         if placement is not None:
             for holder_name in new_holders:
                 place_incremental(placement, netlist, library,
                                   holder_name, (x, y))
-        if new_holders:
-            session.touch_structural()
-            for holder_name in new_holders:
-                holder = netlist.instances[holder_name]
-                z_pin = holder.pins.get("Z")
-                if z_pin is not None and z_pin.net is not None:
-                    session.touch_net(z_pin.net)   # keeper adds load
+        # STA skips holders, so the timed graph keeps its shape; each
+        # holder's keeper only adds load to the net it holds.
+        for holder_name in new_holders:
+            z_pin = netlist.instances[holder_name].pins.get("Z")
+            if z_pin is not None and z_pin.net is not None:
+                session.touch_net(z_pin.net)
         return True
 
     if ctx.technique == Technique.DUAL_VTH:
@@ -702,10 +688,7 @@ def stage_eco_and_sta(ctx: FlowContext) -> dict[str, Any]:
         # Cluster membership may have grown: refresh the derates.
         session.set_derates(network.derates(netlist, library))
 
-    fixer = HoldFixer(session,
-                      buffer_cell=ctx.config.hold_fix_buffer_cell,
-                      max_passes=ctx.config.max_hold_fix_passes)
-    eco_result = fixer.run()
+    eco_result = HoldFixer(session).run()
     ctx.eco = eco_result
     ctx.timing = eco_result.final_report
     return ctx._note_session("eco_and_sta", session, {

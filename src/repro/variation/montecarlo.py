@@ -36,6 +36,10 @@ from repro.timing.constraints import Constraints
 from repro.timing.session import TimingSession
 from repro.variation.scaling import local_delay_factor, local_leakage_factor
 
+#: A study without an explicit leakage budget sets the yield budget to
+#: this multiple of the design's nominal standby leakage.
+BUDGET_FACTOR = 2.0
+
 
 @dataclasses.dataclass(frozen=True)
 class McConfig:
@@ -50,9 +54,8 @@ class McConfig:
     #: Evaluate per-sample WNS through an incremental timing session.
     timing: bool = True
     #: Leakage budget for yield; ``None`` derives one per study
-    #: (``budget_factor`` x the design's nominal standby leakage).
+    #: (:data:`BUDGET_FACTOR` x the design's nominal standby leakage).
     leakage_budget_nw: float | None = None
-    budget_factor: float = 2.0
 
     def __post_init__(self):
         if self.samples < 1:

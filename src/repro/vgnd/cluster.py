@@ -12,9 +12,10 @@ Placement-driven greedy clustering with the three §3 constraints:
 * **bounce feasibility** — a cluster must be sizeable: even the largest
   discrete switch must hold the bounce under the limit.
 
-Cells are swept row band by row band in x order and packed greedily;
-a merge pass then joins neighbouring under-full clusters while all
-constraints still hold, minimizing switch count.
+Cells are swept row band by row band (two placement rows each) in x
+order and packed greedily; a merge pass then joins neighbouring
+under-full clusters while all constraints still hold, minimizing
+switch count.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class ClusterConfig:
     bounce_limit_v: float = 0.06          # 5% of a 1.2 V supply
     max_rail_length_um: float = 400.0     # crosstalk cap
     max_cells_per_switch: int = 64        # EM cap
-    row_band_height_um: float | None = None   # defaults to 2 rows
     # Simultaneity model of the cluster current: the fraction of the
     # summed member peak current flowing at once is
     # max(n^-exponent, floor).
@@ -79,8 +79,7 @@ class MtClusterer:
         self.placement = placement
         self.config = config or ClusterConfig()
         tech = library.tech
-        self._band_height = (self.config.row_band_height_um
-                             or 2.0 * tech.row_height)
+        self._band_height = 2.0 * tech.row_height
         # Ron of the largest available switch (feasibility floor).
         switches = library.switch_cells()
         if not switches:

@@ -27,7 +27,6 @@ from repro.vgnd.sizing import SwitchSizer
 
 def split_cluster(netlist: Netlist, library: Library, placement: Placement,
                   network: VgndNetwork, cluster: VgndCluster,
-                  mte_net_name: str = "MTE",
                   simultaneity_exponent: float = SIMULTANEITY_EXPONENT,
                   simultaneity_floor: float = SIMULTANEITY_FLOOR
                   ) -> tuple[VgndCluster, VgndCluster]:
@@ -57,11 +56,11 @@ def split_cluster(netlist: Netlist, library: Library, placement: Placement,
 
     new_index = max(c.index for c in network.clusters) + 1
     first = _build_cluster(netlist, library, placement, cluster.index,
-                           first_members, mte_net_name,
-                           simultaneity_exponent, simultaneity_floor)
+                           first_members, simultaneity_exponent,
+                           simultaneity_floor)
     second = _build_cluster(netlist, library, placement, new_index,
-                            second_members, mte_net_name,
-                            simultaneity_exponent, simultaneity_floor)
+                            second_members, simultaneity_exponent,
+                            simultaneity_floor)
     network.clusters[network.clusters.index(cluster)] = first
     network.clusters.append(second)
     return first, second
@@ -98,7 +97,7 @@ def _rail_length(placement: Placement, members: list[str]) -> float:
 
 
 def _build_cluster(netlist: Netlist, library: Library, placement: Placement,
-                   index: int, members: list[str], mte_net_name: str,
+                   index: int, members: list[str],
                    simultaneity_exponent: float = SIMULTANEITY_EXPONENT,
                    simultaneity_floor: float = SIMULTANEITY_FLOOR
                    ) -> VgndCluster:
@@ -120,7 +119,7 @@ def _build_cluster(netlist: Netlist, library: Library, placement: Placement,
                                    floor=simultaneity_floor),
     )
     vgnd_net = netlist.get_or_create_net(cluster.net_name)
-    mte_net = netlist.get_or_create_net(mte_net_name)
+    mte_net = netlist.get_or_create_net("MTE")
     switches = library.switch_cells()
     switch_name = netlist.unique_name(f"vgnd_switch_{index}")
     inst = netlist.add_instance(switch_name, switches[0].name)
@@ -143,7 +142,6 @@ def _build_cluster(netlist: Netlist, library: Library, placement: Placement,
 def repair_unsizeable(netlist: Netlist, library: Library,
                       placement: Placement, network: VgndNetwork,
                       sizer: SwitchSizer, unsizeable: list[int],
-                      mte_net_name: str = "MTE",
                       max_passes: int = 6,
                       simultaneity_exponent: float = SIMULTANEITY_EXPONENT,
                       simultaneity_floor: float = SIMULTANEITY_FLOOR
@@ -170,7 +168,7 @@ def repair_unsizeable(netlist: Netlist, library: Library,
                     f"meet the bounce limit")
             first, second = split_cluster(
                 netlist, library, placement, network, cluster,
-                mte_net_name, simultaneity_exponent, simultaneity_floor)
+                simultaneity_exponent, simultaneity_floor)
             splits += 1
             for half in (first, second):
                 try:

@@ -92,23 +92,31 @@ def test_missing_optional_field_falls_back_to_default():
 
 def test_removed_field_in_older_payload_is_ignored():
     """A flow_config written while FlowConfig still had
-    ``incremental_sta`` or the in-flow signoff fields decodes to the
-    same configuration, and so does a version-1 payload carrying all
-    of them."""
+    ``incremental_sta``, the in-flow signoff fields or the component
+    knobs decodes to the same configuration, and so do version-1 and
+    version-2 payloads carrying all of them."""
     removed = {"incremental_sta": False,
                "signoff_corners": ["tt_nom", "ff_1.32v_125c"],
                "standby_scenarios": ["mostly_idle"],
                "standby_rush_budget_ma": 5.0,
                "standby_settle_fraction": 0.08,
                "policy_candidates": 24,
-               "policy_max_domains": 2}
+               "policy_max_domains": 2,
+               "assignment_rounds": 4,
+               "mte_fanout_limit": 16,
+               "mte_buffer_cell": "BUF_X8_HVT",
+               "cts_fanout_limit": 8,
+               "cts_buffer_cell": "BUF_X4_HVT",
+               "hold_fix_buffer_cell": "BUF_X1_HVT",
+               "max_hold_fix_passes": 3}
     expected = FlowConfig(timing_margin=0.12)
     payload = schemas.to_dict(expected)
-    assert payload[schemas.VERSION_KEY] == 2
+    assert payload[schemas.VERSION_KEY] == 3
     for key, value in removed.items():
         assert schemas.from_dict({**payload, key: value}) == expected
-    older = {**payload, **removed, schemas.VERSION_KEY: 1}
-    assert schemas.from_dict(older) == expected
+    for version in (1, 2):
+        older = {**payload, **removed, schemas.VERSION_KEY: version}
+        assert schemas.from_dict(older) == expected
 
 
 def test_unregistered_type_is_an_error():

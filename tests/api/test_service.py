@@ -1,5 +1,6 @@
 """Job-service mode: live-server end-to-end, cancel, malformed requests."""
 
+import dataclasses
 import json
 import socket
 import threading
@@ -11,7 +12,7 @@ import pytest
 from repro.api import ServiceClient, Workspace, schemas
 from repro.api.results import AnalyzeResult, OptimizeResult, SignoffResult
 from repro.api.requests import SignoffRequest
-from repro.api.service import JobService, ServiceServer
+from repro.api.service import JobService, ServiceServer, parse_submission
 from repro.config import FlowConfig, Technique
 from repro.errors import ServiceError
 
@@ -361,6 +362,51 @@ def test_finished_jobs_are_evicted_past_the_retention_cap(library):
 def test_unknown_config_field_is_400(client):
     with pytest.raises(ServiceError) as excinfo:
         client.submit("analyze", "c17", config={"bogus_knob": 1})
+    assert excinfo.value.status == 400
+
+
+def test_one_job_kind_table_names_the_design_methods():
+    from repro.api import Design
+    from repro.api.requests import JOB_KINDS
+    from repro.api.service import JOB_KINDS as SERVICE_KINDS
+    from repro.api.shards import execute_kind
+
+    assert SERVICE_KINDS is JOB_KINDS
+    for kind in JOB_KINDS:
+        assert callable(getattr(Design, kind))
+    # A Design method that is no job kind is as unknown as a typo.
+    for kind in ("flow_result", "analyse"):
+        with pytest.raises(ServiceError, match="unhandled job kind"):
+            execute_kind(object(), kind, None)
+
+
+@pytest.mark.parametrize("value", [[1], "abc", {}], ids=repr)
+@pytest.mark.parametrize(
+    "field", [field.name for field in dataclasses.fields(FlowConfig)])
+def test_every_config_field_rejects_a_wrong_type(field, value):
+    """No FlowConfig field takes a list, an arbitrary string or an
+    object: each is a 400 naming the field, never a job that fails
+    mid-flow with a raw TypeError."""
+    with pytest.raises(ServiceError) as excinfo:
+        parse_submission({"kind": "analyze", "circuit": "c17",
+                          "config": {field: value}})
+    assert excinfo.value.status == 400
+    assert field in str(excinfo.value)
+
+
+@pytest.mark.parametrize("override", [
+    {"assignment_rounds": 4}, {"mte_fanout_limit": 16},
+    {"mte_buffer_cell": "BUF_X8_HVT"}, {"cts_fanout_limit": 8},
+    {"cts_buffer_cell": "BUF_X4_HVT"},
+    {"hold_fix_buffer_cell": "BUF_X1_HVT"}, {"max_hold_fix_passes": 3},
+], ids=lambda override: next(iter(override)))
+def test_removed_config_field_is_400(override):
+    """The component knobs FlowConfig no longer carries are unknown
+    overrides, like any other unknown name."""
+    with pytest.raises(ServiceError, match="bad config override") \
+            as excinfo:
+        parse_submission({"kind": "analyze", "circuit": "c17",
+                          "config": override})
     assert excinfo.value.status == 400
 
 

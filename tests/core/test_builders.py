@@ -58,7 +58,7 @@ class TestConventional:
 
     def test_every_cmt_on_mte_net(self, library, conventional):
         _golden, netlist, result = conventional
-        mte_net = netlist.net(result.mte_net_name)
+        mte_net = netlist.net("MTE")
         for name in result.mt_cell_names:
             inst = netlist.instances[name]
             assert inst.pin("MTE").net is mte_net

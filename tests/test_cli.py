@@ -47,6 +47,20 @@ def test_compare_command(capsys):
     assert "improved_smt" in output
 
 
+def test_unset_config_flags_take_the_flow_config_defaults():
+    """No config flag carries a default of its own: a run that sets
+    none builds the facade's FlowConfig."""
+    from repro.cli import _config_from
+    from repro.config import FlowConfig
+
+    for command, option in [("flow", "--circuit"), ("compare", "--circuit"),
+                            ("sweep", "--circuits"), ("corners", "--circuits"),
+                            ("montecarlo", "--circuit"),
+                            ("standby", "--circuit"), ("policy", "--circuit")]:
+        args = build_parser().parse_args([command, option, "c17"])
+        assert _config_from(args) == FlowConfig(), command
+
+
 def test_parser_rejects_bad_technique():
     parser = build_parser()
     with pytest.raises(SystemExit):

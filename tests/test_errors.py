@@ -61,6 +61,23 @@ def test_flow_config_validation_raises_typed_config_error():
         ("assignment_guardband", dict(assignment_guardband=-0.1)),
         ("bounce_limit_fraction", dict(bounce_limit_fraction=0.9)),
         ("compute_backend", dict(compute_backend="fortran")),
+        # Each of these used to be accepted, or to escape as a raw
+        # TypeError from a comparison.
+        ("placement_seed", dict(placement_seed=[1])),
+        ("placement_seed", dict(placement_seed=1.5)),
+        ("placement_seed", dict(placement_seed="abc")),
+        ("placement_seed", dict(placement_seed={})),
+        ("placement_seed", dict(placement_seed=True)),
+        ("max_cells_per_switch", dict(max_cells_per_switch=0)),
+        ("max_cells_per_switch", dict(max_cells_per_switch=2.5)),
+        ("max_rail_length_um", dict(max_rail_length_um=0.0)),
+        ("max_rail_length_um", dict(max_rail_length_um=float("inf"))),
+        ("max_rail_length_um", dict(max_rail_length_um="long")),
+        ("clock_period_ns", dict(clock_period_ns="abc")),
+        ("clock_period_ns", dict(clock_period_ns=float("nan"))),
+        ("bounce_limit_fraction", dict(bounce_limit_fraction=[0.04])),
+        ("simultaneity_exponent", dict(simultaneity_exponent="abc")),
+        ("simultaneity_floor", dict(simultaneity_floor={})),
     ]
     for field, kwargs in cases:
         with pytest.raises(errors.ConfigError) as excinfo:
@@ -70,6 +87,8 @@ def test_flow_config_validation_raises_typed_config_error():
     # The edges of every range are accepted.
     FlowConfig(utilization=0.1, placer_iterations=0,
                assignment_guardband=0.0, timing_margin=0.0)
+    FlowConfig(placement_seed=-7, max_cells_per_switch=1,
+               simultaneity_exponent=0.0, simultaneity_floor=1.0)
     # Still catchable as the historical FlowError.
     with pytest.raises(errors.FlowError):
         FlowConfig(timing_margin=-1)

@@ -7,17 +7,21 @@ asserts that nothing but each parser's one typed error escapes:
 :class:`~repro.errors.ParseError` for SPEF, SDC, Liberty, Verilog,
 ``.bench`` and DEF, :class:`~repro.errors.ConfigError` for idle
 traces, :class:`~repro.errors.ServiceError` (the service's 400) for
-job submission bodies.
+job submission bodies, any :class:`~repro.errors.ReproError` for
+``--scenario-file`` files.
 """
 
 import functools
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api.service import parse_submission
-from repro.errors import ConfigError, ParseError, ServiceError
+from repro.cli import _load_scenario_payload
+from repro.errors import ConfigError, ParseError, ReproError, ServiceError
 from repro.liberty.parser import parse_liberty
 from repro.netlist.bench_io import parse_bench
 from repro.netlist.verilog_io import parse_verilog
@@ -108,10 +112,22 @@ TRACE_JSON = """{"name": "bursty", "active_ns": 400.0,
  "intervals_ns": [60.0, [120.0, 3], 9000]}
 """
 
+#: Names every FlowConfig field, so mutations reach each one's checks.
 SUBMISSION = """{"kind": "optimize", "circuit": "c17",
  "request": {"schema": "optimize_request", "schema_version": 1,
              "technique": "improved_smt"},
- "config": {"timing_margin": 0.2, "compute_backend": "python"}}
+ "config": {"timing_margin": 0.2, "clock_period_ns": null,
+            "utilization": 0.7, "aspect_ratio": 1.0,
+            "placement_seed": 1, "placer_iterations": 24,
+            "compute_backend": "python", "assignment_guardband": 0.04,
+            "bounce_limit_fraction": 0.04, "max_rail_length_um": 400.0,
+            "max_cells_per_switch": 64, "simultaneity_exponent": 0.5,
+            "simultaneity_floor": 0.25}}
+"""
+
+SCENARIO = """{"name": "measured", "active_ns": 400.0, "idle_ns": 5000.0,
+ "distribution": "empirical", "quantile_points": 4, "horizon_ns": 1e9,
+ "points": [[1000.0, 0.5], [9000.0, 0.5]]}
 """
 
 
@@ -124,6 +140,15 @@ def parse_submission_body(text):
         raise ServiceError(f"request body is not valid JSON: {exc}") \
             from exc
     return parse_submission(payload)
+
+
+def load_scenario_file(text):
+    """A ``--scenario-file`` as the CLI reads it, from a real file."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "scenario.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return _load_scenario_payload(path)
 
 
 @pytest.mark.parametrize("parser, text, line", [
@@ -191,6 +216,7 @@ TARGETS = [
     (parse_trace, TRACE_LINES, ConfigError),
     (parse_trace, TRACE_JSON, ConfigError),
     (parse_submission_body, SUBMISSION, ServiceError),
+    (load_scenario_file, SCENARIO, ReproError),
 ]
 
 
