@@ -15,7 +15,9 @@ Quickstart (the :mod:`repro.api` facade caches all compiled state)::
     design = ws.design("c880")
     print(design.optimize(technique="improved_smt").leakage_nw)
 
-or, driving the flow engine directly::
+or, driving the flow engine directly (every run builds the shared
+low-Vth prefix, forks it and runs the technique's remaining stage
+steps; :mod:`repro.core.stages`)::
 
     from repro import (build_default_library, load_circuit,
                        SelectiveMtFlow, Technique)
@@ -33,13 +35,7 @@ from repro.config import FlowConfig, Technique
 from repro.core.artifacts import export_design, verify_export
 from repro.core.compare import TechniqueComparison
 from repro.core.flow import FlowResult, SelectiveMtFlow
-from repro.core.stages import (
-    FlowContext,
-    Stage,
-    StageReport,
-    StageRunner,
-    build_pipeline,
-)
+from repro.core.stages import FlowContext, StageReport
 from repro.device.process import DEFAULT_TECHNOLOGY, Technology
 from repro.errors import ReproError
 from repro.experiments import table1_config
@@ -64,10 +60,7 @@ __all__ = [
     "FlowResult",
     "SelectiveMtFlow",
     "FlowContext",
-    "Stage",
     "StageReport",
-    "StageRunner",
-    "build_pipeline",
     "ExperimentRunner",
     "TimingSession",
     "DEFAULT_TECHNOLOGY",

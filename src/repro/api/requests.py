@@ -10,16 +10,19 @@ same language.
 Requests own their field types: technique names become
 :class:`~repro.config.Technique` members and sequences become tuples,
 so a keyword-built request equals (and hashes like) the typed one.
-Field validation raises :class:`~repro.errors.ConfigError` naming the
-offending field, mirroring :class:`~repro.config.FlowConfig`.
+Every other field is checked by type and range from one table
+(:data:`_CHECKS`), the way :class:`~repro.config.FlowConfig` checks
+its own: a bad value raises :class:`~repro.errors.ConfigError` naming
+the field (the service's 400).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from repro.api import schemas
-from repro.config import Technique
+from repro.config import Technique, _integer, _number, _optional, check_fields
 from repro.errors import ConfigError
 from repro.standby.scenario import PowerModeScenario
 
@@ -49,7 +52,8 @@ def _technique(field: str, value) -> Technique:
 
 
 def _own_types(request) -> None:
-    """Coerce a request's technique names and sequences in place."""
+    """Coerce a request's technique names and sequences in place, then
+    check every field :data:`_CHECKS` names."""
     for field in dataclasses.fields(request):
         value = getattr(request, field.name)
         if field.type.startswith("tuple["):
@@ -64,10 +68,43 @@ def _own_types(request) -> None:
         elif field.name == "techniques":
             value = tuple(_technique(field.name, v) for v in value)
         object.__setattr__(request, field.name, value)
+    check_fields(request, _CHECKS)
 
 
 #: Mapped-variant names accepted by :class:`AnalyzeRequest`.
 ANALYZE_VARIANTS = ("lvt", "hvt")
+
+
+def _name(value) -> bool:
+    return isinstance(value, str) and bool(value)
+
+
+_NAMES = (lambda value: all(map(_name, value)), "non-empty names")
+_COUNT = (_integer(lambda v: v >= 1), "an int >= 1")
+_SIGMA = (_number(lambda v: 0.0 <= v < math.inf), "a finite number >= 0")
+_BUDGET = (_optional(_number(lambda v: 0.0 < v < math.inf)),
+           "null or a finite number > 0")
+
+#: field -> (predicate, what a valid value is) for the fields of every
+#: request type, checked after technique and sequence coercion.
+_CHECKS = {
+    "variant": (lambda value: value in ANALYZE_VARIANTS,
+                f"one of {ANALYZE_VARIANTS}"),
+    "techniques": (bool, "at least one technique"),
+    "scenarios": _NAMES,
+    "corners": _NAMES,
+    "corner": (_optional(_name), "null or a non-empty name"),
+    "samples": _COUNT,
+    "seed": (_integer(lambda v: True), "an int"),
+    "sigma_global_v": _SIGMA,
+    "sigma_local_v": _SIGMA,
+    "timing": (lambda value: isinstance(value, bool), "true or false"),
+    "leakage_budget_nw": _BUDGET,
+    "rush_budget_ma": _BUDGET,
+    "settle_fraction": (_number(lambda v: 0.0 < v < 0.5), "in (0, 0.5)"),
+    "candidates": _COUNT,
+    "max_domains": _COUNT,
+}
 
 #: Every technique, in Table 1 order (the enum declaration order).
 DEFAULT_TECHNIQUES = tuple(Technique)
@@ -88,10 +125,7 @@ class AnalyzeRequest:
     variant: str = "lvt"
 
     def __post_init__(self):
-        if self.variant not in ANALYZE_VARIANTS:
-            raise ConfigError(
-                "variant",
-                f"must be one of {ANALYZE_VARIANTS}, got {self.variant!r}")
+        _own_types(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -117,9 +151,6 @@ class SignoffRequest:
 
     def __post_init__(self):
         _own_types(self)
-        if not all(isinstance(c, str) and c for c in self.corners):
-            raise ConfigError(
-                "corners", f"must be non-empty names, got {self.corners!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -142,17 +173,6 @@ class MonteCarloRequest:
 
     def __post_init__(self):
         _own_types(self)
-        if self.samples < 1:
-            raise ConfigError(
-                "samples", f"needs at least one, got {self.samples!r}")
-        if self.sigma_global_v < 0:
-            raise ConfigError(
-                "sigma_global_v",
-                f"must be non-negative, got {self.sigma_global_v!r}")
-        if self.sigma_local_v < 0:
-            raise ConfigError(
-                "sigma_local_v",
-                f"must be non-negative, got {self.sigma_local_v!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,22 +200,7 @@ class StandbyRequest:
 
     def __post_init__(self):
         _own_types(self)
-        if not all(isinstance(s, str) and s for s in self.scenarios):
-            raise ConfigError(
-                "scenarios",
-                f"must be non-empty names, got {self.scenarios!r}")
         _check_scenario_payloads(self.scenario_payloads, self.scenarios)
-        if not all(isinstance(c, str) and c for c in self.corners):
-            raise ConfigError(
-                "corners", f"must be non-empty names, got {self.corners!r}")
-        if self.rush_budget_ma is not None and self.rush_budget_ma <= 0:
-            raise ConfigError(
-                "rush_budget_ma",
-                f"must be positive when set, got {self.rush_budget_ma!r}")
-        if not 0.0 < self.settle_fraction < 0.5:
-            raise ConfigError(
-                "settle_fraction",
-                f"must be in (0, 0.5), got {self.settle_fraction!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -222,30 +227,7 @@ class PolicyRequest:
 
     def __post_init__(self):
         _own_types(self)
-        if not all(isinstance(s, str) and s for s in self.scenarios):
-            raise ConfigError(
-                "scenarios",
-                f"must be non-empty names, got {self.scenarios!r}")
         _check_scenario_payloads(self.scenario_payloads, self.scenarios)
-        if not all(isinstance(c, str) and c for c in self.corners):
-            raise ConfigError(
-                "corners", f"must be non-empty names, got {self.corners!r}")
-        if self.candidates < 1:
-            raise ConfigError(
-                "candidates",
-                f"needs at least one, got {self.candidates!r}")
-        if self.max_domains < 1:
-            raise ConfigError(
-                "max_domains",
-                f"needs at least one domain, got {self.max_domains!r}")
-        if self.rush_budget_ma is not None and self.rush_budget_ma <= 0:
-            raise ConfigError(
-                "rush_budget_ma",
-                f"must be positive when set, got {self.rush_budget_ma!r}")
-        if not 0.0 < self.settle_fraction < 0.5:
-            raise ConfigError(
-                "settle_fraction",
-                f"must be in (0, 0.5), got {self.settle_fraction!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -256,8 +238,6 @@ class SweepRequest:
 
     def __post_init__(self):
         _own_types(self)
-        if not self.techniques:
-            raise ConfigError("techniques", "must name at least one")
 
 
 #: Job kind -> request dataclass.  Each kind names the

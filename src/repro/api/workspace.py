@@ -48,6 +48,7 @@ from repro.api.requests import (
     SignoffRequest,
     StandbyRequest,
     SweepRequest,
+    _technique,
 )
 from repro.api.results import (
     AnalyzeResult,
@@ -67,7 +68,7 @@ from repro.core.compare import (
     TechniqueComparison,
     count_cell_kinds,
 )
-from repro.core.flow import FlowResult, run_fork, shared_prefix
+from repro.core.flow import FlowResult, SelectiveMtFlow, shared_prefix
 from repro.core.stages import FlowContext, derive_clock_constraints
 from repro.errors import ConfigError, FlowError
 from repro.liberty.library import (
@@ -568,20 +569,22 @@ class Design:
 
         This is the in-process escape hatch for consumers that need
         the heavyweight artifacts (stage reports, VGND network, design
-        export); the typed surface is :meth:`optimize`.  The technique
-        runs on a fork of the design's shared-stage prefix (see
-        :meth:`Workspace._flow_prefix`), with the result a standalone
-        :class:`~repro.core.flow.SelectiveMtFlow` run gives.
+        export); the typed surface is :meth:`optimize`.  The
+        :class:`~repro.core.flow.SelectiveMtFlow` run forks the
+        design's cached shared-stage prefix (see
+        :meth:`Workspace._flow_prefix`).
         """
-        technique = Technique(technique)
+        technique = _technique("technique", technique)
         if technique in self._flows:
             self._stats().hit("flow")
             return self._flows[technique]
         self._stats().miss("flow")
         with span("api.flow", circuit=self.circuit,
                   technique=technique.value):
-            result = run_fork(self.netlist, technique,
-                              lambda: self.workspace._flow_prefix(self))
+            flow = SelectiveMtFlow(self.netlist, self.library, technique,
+                                   self.config)
+            result = flow.run(
+                prefix=lambda: self.workspace._flow_prefix(self))
         self._flows[technique] = result
         return result
 

@@ -67,11 +67,7 @@ class FlowConfig:
     simultaneity_floor: float = SIMULTANEITY_FLOOR
 
     def __post_init__(self):
-        for field, valid, expected in _CHECKS:
-            value = getattr(self, field)
-            if not valid(value):
-                raise ConfigError(field,
-                                  f"must be {expected}, got {value!r}")
+        check_fields(self, _CHECKS)
 
     def bounce_limit_v(self, vdd: float) -> float:
         return self.bounce_limit_fraction * vdd
@@ -89,32 +85,48 @@ def _integer(valid):
         and not isinstance(value, bool) and valid(value)
 
 
-#: (field, predicate, what a valid value is) for every FlowConfig
-#: field, checked in declaration order.
-_CHECKS = (
-    ("timing_margin", _number(lambda v: 0.0 <= v < math.inf),
-     "a finite number >= 0"),
-    ("clock_period_ns",
-     lambda value: value is None
-     or _number(lambda v: 0.0 < v < math.inf)(value),
-     "null or a finite number > 0"),
-    ("utilization", _number(lambda v: MIN_UTILIZATION <= v <= 1.0),
-     f"in [{MIN_UTILIZATION}, 1]"),
-    ("aspect_ratio", _number(lambda v: 0.0 < v < math.inf),
-     "a finite number > 0"),
-    ("placement_seed", _integer(lambda v: True), "an int"),
-    ("placer_iterations", _integer(lambda v: v >= 0), "an int >= 0"),
-    ("compute_backend", lambda value: value in BACKENDS,
-     f"one of {BACKENDS}"),
-    ("assignment_guardband", _number(lambda v: 0.0 <= v < 1.0),
-     "in [0, 1)"),
-    ("bounce_limit_fraction", _number(lambda v: 0.0 < v < 0.5),
-     "in (0, 0.5)"),
-    ("max_rail_length_um", _number(lambda v: 0.0 < v < math.inf),
-     "a finite number > 0"),
-    ("max_cells_per_switch", _integer(lambda v: v >= 1), "an int >= 1"),
-    ("simultaneity_exponent", _number(lambda v: 0.0 <= v <= 1.0),
-     "in [0, 1]"),
-    ("simultaneity_floor", _number(lambda v: 0.0 < v <= 1.0),
-     "in (0, 1]"),
-)
+def _optional(valid):
+    """A predicate: ``None``, or a value for which ``valid`` holds."""
+    return lambda value: value is None or valid(value)
+
+
+def check_fields(obj, checks) -> None:
+    """Raise :class:`ConfigError` for the first field of the dataclass
+    ``obj``, in declaration order, whose value fails its entry in
+    ``checks`` (field -> (predicate, what a valid value is))."""
+    for field in dataclasses.fields(obj):
+        if field.name in checks:
+            valid, expected = checks[field.name]
+            value = getattr(obj, field.name)
+            if not valid(value):
+                raise ConfigError(field.name,
+                                  f"must be {expected}, got {value!r}")
+
+
+#: field -> (predicate, what a valid value is) for every FlowConfig
+#: field.
+_CHECKS = {
+    "timing_margin": (_number(lambda v: 0.0 <= v < math.inf),
+                      "a finite number >= 0"),
+    "clock_period_ns": (_optional(_number(lambda v: 0.0 < v < math.inf)),
+                        "null or a finite number > 0"),
+    "utilization": (_number(lambda v: MIN_UTILIZATION <= v <= 1.0),
+                    f"in [{MIN_UTILIZATION}, 1]"),
+    "aspect_ratio": (_number(lambda v: 0.0 < v < math.inf),
+                     "a finite number > 0"),
+    "placement_seed": (_integer(lambda v: True), "an int"),
+    "placer_iterations": (_integer(lambda v: v >= 0), "an int >= 0"),
+    "compute_backend": (lambda value: value in BACKENDS,
+                        f"one of {BACKENDS}"),
+    "assignment_guardband": (_number(lambda v: 0.0 <= v < 1.0),
+                             "in [0, 1)"),
+    "bounce_limit_fraction": (_number(lambda v: 0.0 < v < 0.5),
+                              "in (0, 0.5)"),
+    "max_rail_length_um": (_number(lambda v: 0.0 < v < math.inf),
+                           "a finite number > 0"),
+    "max_cells_per_switch": (_integer(lambda v: v >= 1), "an int >= 1"),
+    "simultaneity_exponent": (_number(lambda v: 0.0 <= v <= 1.0),
+                              "in [0, 1]"),
+    "simultaneity_floor": (_number(lambda v: 0.0 < v <= 1.0),
+                           "in (0, 1]"),
+}

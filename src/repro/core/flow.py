@@ -9,22 +9,17 @@ CTS + MTE buffering -> post-route (SPEF) switch re-optimization -> ECO
 generic-gate netlist ("the RTL"), recording a :class:`StageReport` per
 box so Fig. 4 itself is reproducible as an executable artifact.
 
-The flow is assembled from the composable stage registry in
-:mod:`repro.core.stages`: a technique is a list of stage keys, and a
-custom pipeline (subset, reorder, extra stages) can be passed via the
-``stages`` argument or run directly with
-:meth:`SelectiveMtFlow.run_context`.
-
-All three techniques open with the same :data:`SHARED_STAGES`.
-:func:`shared_prefix` runs them once per design and :func:`run_fork`
-finishes one technique on a fork of that context, with the same
-result as a standalone :meth:`SelectiveMtFlow.run`.
+Every run goes prefix -> fork -> tail: all three techniques open with
+the same :data:`~repro.core.stages.SHARED_STAGES`, which
+:func:`shared_prefix` runs once per design;
+:meth:`SelectiveMtFlow.run` forks that context and runs the rest of
+the technique's :data:`~repro.core.stages.PIPELINES` steps on the fork.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.config import FlowConfig, Technique
 from repro.core.dual_vth import AssignmentResult
@@ -36,13 +31,10 @@ from repro.core.stages import (
     PIPELINES,
     SHARED_STAGES,
     FlowContext,
-    Stage,
     StageReport,
-    StageRunner,
-    build_pipeline,
+    run_stages,
 )
 from repro.cts.tree import CtsResult
-from repro.errors import FlowError
 from repro.liberty.library import Library
 from repro.netlist.core import Netlist
 from repro.obs.spans import span
@@ -57,7 +49,6 @@ __all__ = [
     "FlowResult",
     "SelectiveMtFlow",
     "StageReport",
-    "run_fork",
     "shared_prefix",
 ]
 
@@ -99,18 +90,7 @@ class FlowResult:
 
     @classmethod
     def from_context(cls, ctx: FlowContext) -> "FlowResult":
-        """Package a completed pipeline context.
-
-        Requires the pipeline to have produced final timing and
-        leakage; partial pipelines should keep working with the
-        :class:`FlowContext` itself.
-        """
-        for field in ("netlist", "placement", "constraints", "timing",
-                      "leakage"):
-            if getattr(ctx, field) is None:
-                raise FlowError(
-                    f"pipeline finished without producing {field!r}; "
-                    f"use run_context() for partial pipelines")
+        """Package the context of a finished technique."""
         return cls(
             technique=ctx.technique,
             netlist=ctx.netlist,
@@ -135,65 +115,34 @@ class SelectiveMtFlow:
 
     def __init__(self, netlist: Netlist, library: Library,
                  technique: Technique = Technique.IMPROVED_SMT,
-                 config: FlowConfig | None = None,
-                 stages: Iterable[Stage | str] | None = None):
+                 config: FlowConfig | None = None):
         self.source_netlist = netlist
         self.library = library
         self.technique = technique
         self.config = config or FlowConfig()
-        self.tech = library.tech
-        if self.tech is None:
-            raise FlowError("library carries no technology")
-        #: Optional custom pipeline (stage keys or Stage objects);
-        #: defaults to the technique's registered stage list.
-        self.stages = list(stages) if stages is not None else None
 
-    def pipeline(self) -> list[Stage]:
-        if self.stages is not None:
-            runner = StageRunner(self.stages)
-            return runner.stages
-        return build_pipeline(self.technique)
+    def run(self, prefix: Callable[[], FlowContext] | None = None
+            ) -> FlowResult:
+        """Fork the shared prefix and run the technique's other stages.
 
-    def run_context(self) -> FlowContext:
-        """Run the pipeline and return the raw context.
-
-        Unlike :meth:`run` this does not require the pipeline to be
-        complete — useful for assembling partial or experimental
-        pipelines from the stage registry.
+        ``prefix()`` returns the :func:`shared_prefix` context of this
+        flow's netlist, library and config (by default, one built for
+        this run); a prefix it builds runs inside this flow's
+        ``flow.run`` span.  The fork leaves the prefix as it was, so
+        one prefix serves every technique.
         """
-        ctx = FlowContext.create(self.source_netlist, self.library,
-                                 self.technique, self.config)
-        with _flow_span(self.source_netlist, self.technique):
-            StageRunner(self.pipeline()).run(ctx)
-        return ctx
-
-    def run(self) -> FlowResult:
-        return FlowResult.from_context(self.run_context())
-
-
-def _flow_span(netlist: Netlist, technique: Technique):
-    return span("flow.run", circuit=netlist.name, technique=technique.value)
+        with span("flow.run", circuit=self.source_netlist.name,
+                  technique=self.technique.value):
+            base = prefix() if prefix is not None else shared_prefix(
+                self.source_netlist, self.library, self.config)
+            ctx = base.fork(self.technique)
+            run_stages(ctx, PIPELINES[self.technique][len(SHARED_STAGES):])
+        return FlowResult.from_context(ctx)
 
 
 def shared_prefix(netlist: Netlist, library: Library,
                   config: FlowConfig | None = None) -> FlowContext:
-    """Run :data:`SHARED_STAGES` on ``netlist``, for :func:`run_fork`."""
-    return StageRunner(SHARED_STAGES).run(
-        FlowContext.create(netlist, library, config=config))
-
-
-def run_fork(netlist: Netlist, technique: Technique,
-             prefix: Callable[[], FlowContext]) -> FlowResult:
-    """Finish ``technique`` on a fork of a shared-stage prefix.
-
-    ``prefix()`` returns the :func:`shared_prefix` context of
-    ``netlist``; a prefix it has to build runs inside this flow's
-    ``flow.run`` span.  The fork runs the technique's stages after
-    :data:`SHARED_STAGES` and leaves the prefix as it was, so the
-    result equals ``SelectiveMtFlow(netlist, library, technique,
-    config).run()``.
-    """
-    with _flow_span(netlist, technique):
-        ctx = prefix().fork(technique)
-        StageRunner(PIPELINES[technique][len(SHARED_STAGES):]).run(ctx)
-    return FlowResult.from_context(ctx)
+    """Run :data:`~repro.core.stages.SHARED_STAGES` on ``netlist``: the
+    context :meth:`SelectiveMtFlow.run` forks."""
+    return run_stages(FlowContext.create(netlist, library, config=config),
+                      SHARED_STAGES)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import statistics
 
+from repro.config import FlowConfig
 from repro.core.dual_vth import AssignmentResult, DualVthAssigner
 from repro.core.output_holder import insert_output_holders
 from repro.errors import FlowError
@@ -60,16 +61,24 @@ class ImprovedSmtBuilder:
 
     Only :meth:`assign` uses the session.  The structural stages (VGND
     ports, switches, holders) run after the last timing probe and edit
-    the netlist directly.
+    the netlist directly.  The switch structure honours ``config``'s
+    §3 limits: bounce, rail length, cells per switch and the
+    simultaneity model.
     """
 
     def __init__(self, session: TimingSession, placement: Placement,
-                 cluster_config: ClusterConfig | None = None):
+                 config: FlowConfig | None = None):
         self.session = session
         self.netlist = session.netlist
         self.library = session.library
         self.placement = placement
-        self.cluster_config = cluster_config or ClusterConfig()
+        config = config or FlowConfig()
+        self.cluster_config = ClusterConfig(
+            bounce_limit_v=config.bounce_limit_v(self.library.tech.vdd),
+            max_rail_length_um=config.max_rail_length_um,
+            max_cells_per_switch=config.max_cells_per_switch,
+            simultaneity_exponent=config.simultaneity_exponent,
+            simultaneity_floor=config.simultaneity_floor)
 
     # --- stages ---------------------------------------------------------------
 

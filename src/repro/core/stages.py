@@ -1,34 +1,25 @@
-"""Composable stage pipeline for the Fig. 4 design flow.
+"""The stage steps of the Fig. 4 design flow.
 
-Every Fig. 4 box is a named :class:`Stage` in a module-level registry;
-a *technique* is nothing more than a list of stage keys
-(:data:`PIPELINES`).  Stages communicate through a typed
-:class:`FlowContext` instead of positional returns or ad-hoc tuples,
-so custom pipelines can be assembled, reordered or truncated in tests
-and examples::
+Every Fig. 4 box is a stage function over one typed
+:class:`FlowContext`; a technique is the tuple of its steps
+(:data:`PIPELINES`), and :func:`run_stages` runs steps in order.  All
+three techniques open with :data:`SHARED_STAGES`, which do not read
+the technique: :class:`~repro.core.flow.SelectiveMtFlow` runs them
+once, forks the context (:meth:`FlowContext.fork`) and runs the rest
+of the technique's steps on the fork.
 
-    from repro.core.stages import FlowContext, StageRunner, build_pipeline
-
-    ctx = FlowContext.create(netlist, library, Technique.DUAL_VTH, config)
-    StageRunner(build_pipeline(Technique.DUAL_VTH)).run(ctx)
-
-or, with a hand-picked stage list::
-
-    StageRunner(["physical_synthesis", "pre_route_estimation",
-                 "derive_constraints"]).run(ctx)
-
-A stage returns a details dict (recorded as a
-:class:`StageReport` with its wall-clock) or ``None`` for hidden
-plumbing stages (estimation, teardown, finalize) that Fig. 4 does not
-draw as boxes.  Timing-heavy stages share one incremental
-:class:`~repro.timing.session.TimingSession` per (constraints,
-parasitics) regime — see ``ARCHITECTURE.md``.
+A step's key is its function's name without the ``stage_`` prefix
+(:func:`stage_key`); it runs in a ``stage.<key>`` span.  It returns a
+details dict (recorded as a :class:`StageReport` with its wall-clock)
+or ``None`` for hidden plumbing steps (estimation, teardown, finalize)
+that Fig. 4 does not draw as boxes.  Timing-heavy stages share one
+incremental :class:`~repro.timing.session.TimingSession` per
+(constraints, parasitics) regime — see ``ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from typing import Any, Callable, Iterable
 
 from repro.config import FlowConfig, Technique
@@ -61,7 +52,6 @@ from repro.routing.steiner import build_mst
 from repro.timing.constraints import Constraints
 from repro.timing.session import TimingSession
 from repro.timing.sta import TimingAnalyzer, TimingReport
-from repro.vgnd.cluster import ClusterConfig
 from repro.vgnd.em import check_em
 from repro.vgnd.network import VgndNetwork
 from repro.vgnd.refine import repair_unsizeable
@@ -83,12 +73,9 @@ class StageReport:
 
 @dataclasses.dataclass
 class FlowContext:
-    """Typed working state threaded through the stage pipeline.
-
-    Replaces the old ``SelectiveMtFlow._improved_ctx`` tuple
-    side-channel: every intermediate the improved technique carries
-    between its boxes is a named field.
-    """
+    """Typed working state threaded through a technique's stage steps:
+    every intermediate the improved technique carries between its boxes
+    is a named field."""
 
     # Inputs (set at creation).
     technique: Technique
@@ -133,10 +120,6 @@ class FlowContext:
         return cls(technique=technique, config=config or FlowConfig(),
                    library=library, source_netlist=netlist)
 
-    @property
-    def tech(self):
-        return self.library.tech
-
     def fork(self, technique: Technique) -> "FlowContext":
         """A context for ``technique`` resuming after this one.
 
@@ -147,7 +130,6 @@ class FlowContext:
         reports so far are shared and must stay read-only, so one
         prefix serves every technique.
         """
-        self.require("netlist", "placement")
         placement = dataclasses.replace(
             self.placement, locations=dict(self.placement.locations),
             port_locations=dict(self.placement.port_locations))
@@ -155,14 +137,6 @@ class FlowContext:
             self, technique=technique, netlist=self.netlist.copy(),
             placement=placement, stages=list(self.stages),
             sta_stats=dict(self.sta_stats))
-
-    def require(self, *fields: str) -> None:
-        """Fail fast when a stage runs before its prerequisites."""
-        for field in fields:
-            if getattr(self, field) is None:
-                raise FlowError(
-                    f"stage prerequisite {field!r} missing from the "
-                    f"context; reorder the pipeline")
 
     def _make_session(self, constraints: Constraints,
                       derates=None, clock_arrivals=None) -> TimingSession:
@@ -182,134 +156,9 @@ class FlowContext:
         return details
 
 
-# --- registry ---------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class Stage:
-    """A named, reusable flow step.
-
-    ``key`` is the unique registry handle; ``label`` is the name the
-    stage reports under (the three assignment stages all report as
-    ``vth_assignment``, matching Fig. 4's single replacement box).
-    """
-
-    key: str
-    fn: Callable[[FlowContext], dict[str, Any] | None]
-    label: str
-
-    def run(self, ctx: FlowContext) -> dict[str, Any] | None:
-        return self.fn(ctx)
-
-
-STAGES: dict[str, Stage] = {}
-
-
-def register_stage(stage: Stage) -> Stage:
-    if stage.key in STAGES:
-        raise FlowError(f"duplicate stage key {stage.key!r}")
-    STAGES[stage.key] = stage
-    return stage
-
-
-def flow_stage(key: str, label: str | None = None):
-    """Decorator: register a function as a named flow stage."""
-    def decorate(fn):
-        register_stage(Stage(key=key, fn=fn, label=label or key))
-        return fn
-    return decorate
-
-
-def resolve_stage(stage: "Stage | str") -> Stage:
-    if isinstance(stage, Stage):
-        return stage
-    try:
-        return STAGES[stage]
-    except KeyError:
-        raise FlowError(
-            f"unknown stage {stage!r}; known: {sorted(STAGES)}") from None
-
-
-#: The three Fig. 4 techniques expressed as stage lists.
-PIPELINES: dict[Technique, tuple[str, ...]] = {
-    Technique.DUAL_VTH: (
-        "physical_synthesis",
-        "pre_route_estimation",
-        "derive_constraints",
-        "dual_vth_assignment",
-        "eco_placement",
-        "routing_cts_mte",
-        "eco_and_sta",
-        "finalize",
-    ),
-    Technique.CONVENTIONAL_SMT: (
-        "physical_synthesis",
-        "pre_route_estimation",
-        "derive_constraints",
-        "conventional_smt_assignment",
-        "eco_placement",
-        "routing_cts_mte",
-        "eco_and_sta",
-        "finalize",
-    ),
-    Technique.IMPROVED_SMT: (
-        "physical_synthesis",
-        "pre_route_estimation",
-        "derive_constraints",
-        "improved_smt_assignment",
-        "initial_switch_teardown",
-        "eco_placement",
-        "switch_structure",
-        "routing_cts_mte",
-        "spef_reoptimization",
-        "eco_and_sta",
-        "finalize",
-    ),
-}
-
-
-#: The stages every technique opens with, the common prefix of
-#: :data:`PIPELINES`: low-Vth physical synthesis and placement,
-#: pre-route estimation and the clock period.  None reads the
-#: technique, so one run serves all three (:meth:`FlowContext.fork`).
-SHARED_STAGES: tuple[str, ...] = tuple(
-    keys[0] for keys in itertools.takewhile(
-        lambda keys: len(set(keys)) == 1, zip(*PIPELINES.values())))
-
-
-def build_pipeline(technique: Technique) -> list[Stage]:
-    """The registered stage list for one of the paper's techniques."""
-    return [resolve_stage(key) for key in PIPELINES[technique]]
-
-
-class StageRunner:
-    """Executes a stage list over a context, recording stage reports."""
-
-    def __init__(self, stages: Iterable[Stage | str]):
-        self.stages = [resolve_stage(stage) for stage in stages]
-
-    def run(self, ctx: FlowContext) -> FlowContext:
-        for stage in self.stages:
-            # timed_span is the same perf_counter enter/exit pair the
-            # runner always used (StageReport.elapsed_s unchanged);
-            # with tracing on it additionally records a nested span
-            # per stage, carrying the stage's report details.
-            sp = timed_span(f"stage.{stage.key}", label=stage.label)
-            with sp:
-                details = stage.run(ctx)
-                if details is not None:
-                    sp.set(**details)
-            if details is not None:
-                ctx.stages.append(StageReport(
-                    name=stage.label, elapsed_s=sp.elapsed_s,
-                    details=details))
-        return ctx
-
-
 # --- stage implementations (the Fig. 4 boxes) -------------------------------
 
 
-@flow_stage("physical_synthesis")
 def stage_physical_synthesis(ctx: FlowContext) -> dict[str, Any]:
     """Fig. 4 box 1: synthesis with low-Vth cells + initial placement."""
     netlist = ctx.source_netlist.clone()
@@ -333,10 +182,8 @@ def stage_physical_synthesis(ctx: FlowContext) -> dict[str, Any]:
     }
 
 
-@flow_stage("pre_route_estimation")
 def stage_pre_route_estimation(ctx: FlowContext) -> None:
     """Hidden plumbing: pre-route RC estimates for the assignment STA."""
-    ctx.require("netlist", "placement")
     ctx.parasitics = PreRouteEstimator(ctx.netlist, ctx.placement,
                                        ctx.library).extract()
     return None
@@ -362,10 +209,8 @@ def derive_clock_constraints(
     return Constraints(clock_period=min_period * (1.0 + config.timing_margin))
 
 
-@flow_stage("derive_constraints")
 def stage_derive_constraints(ctx: FlowContext) -> None:
     """Clock period = all-LVT critical delay x (1 + margin)."""
-    ctx.require("netlist")
     ctx.constraints = derive_clock_constraints(
         ctx.netlist, ctx.library, ctx.config, ctx.parasitics)
     return None
@@ -374,14 +219,11 @@ def stage_derive_constraints(ctx: FlowContext) -> None:
 def _guardbanded(ctx: FlowContext) -> Constraints:
     """The assignment sees a guardbanded (slightly shorter) period so
     pre-route estimation error cannot break final timing closure."""
-    ctx.require("constraints")
     return ctx.constraints.scaled(1.0 - ctx.config.assignment_guardband)
 
 
-@flow_stage("dual_vth_assignment", label="vth_assignment")
 def stage_dual_vth_assignment(ctx: FlowContext) -> dict[str, Any]:
     """Fig. 4 box 2 for the Dual-Vth baseline [Wei et al. 2000]."""
-    ctx.require("netlist")
     constraints = _guardbanded(ctx)
     session = ctx._make_session(constraints)
     assignment = DualVthAssigner(
@@ -394,10 +236,8 @@ def stage_dual_vth_assignment(ctx: FlowContext) -> dict[str, Any]:
     })
 
 
-@flow_stage("conventional_smt_assignment", label="vth_assignment")
 def stage_conventional_smt_assignment(ctx: FlowContext) -> dict[str, Any]:
     """Fig. 4 box 2, fast class = conventional MT-cells (Fig. 2)."""
-    ctx.require("netlist")
     constraints = _guardbanded(ctx)
     session = ctx._make_session(constraints)
     smt_result = ConventionalSmtBuilder(session).run()
@@ -410,21 +250,11 @@ def stage_conventional_smt_assignment(ctx: FlowContext) -> dict[str, Any]:
     })
 
 
-@flow_stage("improved_smt_assignment", label="vth_assignment")
 def stage_improved_smt_assignment(ctx: FlowContext) -> dict[str, Any]:
     """Fig. 4 boxes 2+3: MT replacement, VGND ports, initial switch."""
-    ctx.require("netlist", "placement")
     constraints = _guardbanded(ctx)
-    config = ctx.config
-    cluster_config = ClusterConfig(
-        bounce_limit_v=config.bounce_limit_v(ctx.tech.vdd),
-        max_rail_length_um=config.max_rail_length_um,
-        max_cells_per_switch=config.max_cells_per_switch,
-        simultaneity_exponent=config.simultaneity_exponent,
-        simultaneity_floor=config.simultaneity_floor)
     session = ctx._make_session(constraints)
-    builder = ImprovedSmtBuilder(session, ctx.placement,
-                                 cluster_config=cluster_config)
+    builder = ImprovedSmtBuilder(session, ctx.placement, ctx.config)
     assignment = builder.assign()
     mt_names = builder.add_vgnd_ports(assignment)
     initial_switch = builder.insert_initial_switch(mt_names)
@@ -443,7 +273,6 @@ def stage_improved_smt_assignment(ctx: FlowContext) -> dict[str, Any]:
     })
 
 
-@flow_stage("initial_switch_teardown")
 def stage_initial_switch_teardown(ctx: FlowContext) -> None:
     """Hidden plumbing: drop the transient single-switch structure.
 
@@ -451,15 +280,12 @@ def stage_initial_switch_teardown(ctx: FlowContext) -> None:
     replaced cells changed footprint, so it must not survive into the
     ECO placement.
     """
-    if ctx.improved_builder is None:
-        return None
     ctx.improved_builder.teardown_initial_switch(ctx.mt_names,
                                                  ctx.initial_switch)
     ctx.initial_switch = None
     return None
 
 
-@flow_stage("eco_placement")
 def stage_eco_placement(ctx: FlowContext) -> dict[str, Any]:
     """Re-place after replacement: MTV/CMT cells changed footprint.
 
@@ -468,7 +294,6 @@ def stage_eco_placement(ctx: FlowContext) -> dict[str, Any]:
     fit; an ECO placement restores a legal, congestion-aware layout
     before the switch structure and routing are built.
     """
-    ctx.require("netlist")
     placer = GlobalPlacer(ctx.netlist, ctx.library,
                           utilization=ctx.config.utilization,
                           aspect_ratio=ctx.config.aspect_ratio,
@@ -485,12 +310,8 @@ def stage_eco_placement(ctx: FlowContext) -> dict[str, Any]:
     }
 
 
-@flow_stage("switch_structure")
-def stage_switch_structure(ctx: FlowContext) -> dict[str, Any] | None:
+def stage_switch_structure(ctx: FlowContext) -> dict[str, Any]:
     """Fig. 4 box 4: construct the shared switch structure."""
-    if ctx.improved_builder is None:
-        return None
-    ctx.require("placement")
     builder = ctx.improved_builder
     builder.placement = ctx.placement
     network = builder.build_switch_structure(ctx.mt_names,
@@ -506,10 +327,8 @@ def stage_switch_structure(ctx: FlowContext) -> dict[str, Any] | None:
     }
 
 
-@flow_stage("routing_cts_mte")
 def stage_routing_cts_mte(ctx: FlowContext) -> dict[str, Any]:
     """Fig. 4 box 5: routing including CTS, MTE buffering."""
-    ctx.require("netlist", "placement")
     netlist = ctx.netlist
     placement = ctx.placement
     cts_result = None
@@ -536,13 +355,9 @@ def stage_routing_cts_mte(ctx: FlowContext) -> dict[str, Any]:
     }
 
 
-@flow_stage("spef_reoptimization")
-def stage_spef_reoptimization(ctx: FlowContext) -> dict[str, Any] | None:
+def stage_spef_reoptimization(ctx: FlowContext) -> dict[str, Any]:
     """Fig. 4 box 6: switch re-optimization on post-route (SPEF) RC."""
     network = ctx.network
-    if network is None:
-        return None
-    ctx.require("netlist", "placement")
     netlist = ctx.netlist
     placement = ctx.placement
     measured: dict[int, float] = {}
@@ -669,10 +484,8 @@ def make_fast_swap(ctx: FlowContext,
     return swap_improved
 
 
-@flow_stage("eco_and_sta")
 def stage_eco_and_sta(ctx: FlowContext) -> dict[str, Any]:
     """Fig. 4 box 7: ECO (setup repair + hold fixing), final STA."""
-    ctx.require("netlist", "constraints")
     netlist = ctx.netlist
     library = ctx.library
     network = ctx.network
@@ -699,12 +512,86 @@ def stage_eco_and_sta(ctx: FlowContext) -> dict[str, Any]:
     })
 
 
-@flow_stage("finalize")
 def stage_finalize(ctx: FlowContext) -> None:
     """Hidden plumbing: standby leakage + area accounting."""
-    ctx.require("netlist")
     analyzer = LeakageAnalyzer(ctx.netlist, ctx.library,
                                compute_backend=ctx.config.compute_backend)
     ctx.leakage = analyzer.standby_leakage()
     ctx.total_area = analyzer.total_area()
     return None
+
+
+# --- the techniques ----------------------------------------------------------
+
+#: A stage step: one Fig. 4 box over the context, returning its report
+#: details, or ``None`` for hidden plumbing.
+StageStep = Callable[[FlowContext], dict[str, Any] | None]
+
+#: The stages every technique opens with: low-Vth physical synthesis
+#: and placement, pre-route estimation and the clock period.  None
+#: reads the technique, so one run serves all three
+#: (:meth:`FlowContext.fork`).
+SHARED_STAGES: tuple[StageStep, ...] = (
+    stage_physical_synthesis,
+    stage_pre_route_estimation,
+    stage_derive_constraints,
+)
+
+#: The three Fig. 4 techniques as their stage steps, in order.
+PIPELINES: dict[Technique, tuple[StageStep, ...]] = {
+    Technique.DUAL_VTH: SHARED_STAGES + (
+        stage_dual_vth_assignment,
+        stage_eco_placement,
+        stage_routing_cts_mte,
+        stage_eco_and_sta,
+        stage_finalize,
+    ),
+    Technique.CONVENTIONAL_SMT: SHARED_STAGES + (
+        stage_conventional_smt_assignment,
+        stage_eco_placement,
+        stage_routing_cts_mte,
+        stage_eco_and_sta,
+        stage_finalize,
+    ),
+    Technique.IMPROVED_SMT: SHARED_STAGES + (
+        stage_improved_smt_assignment,
+        stage_initial_switch_teardown,
+        stage_eco_placement,
+        stage_switch_structure,
+        stage_routing_cts_mte,
+        stage_spef_reoptimization,
+        stage_eco_and_sta,
+        stage_finalize,
+    ),
+}
+
+#: Fig. 4 draws one replacement box: each technique's assignment
+#: step reports under its name.
+_REPORT_NAMES = dict.fromkeys(
+    ("dual_vth_assignment", "conventional_smt_assignment",
+     "improved_smt_assignment"), "vth_assignment")
+
+
+def stage_key(step: StageStep) -> str:
+    """The key of a stage step: its span is ``stage.<key>``."""
+    return step.__name__.removeprefix("stage_")
+
+
+def run_stages(ctx: FlowContext,
+               steps: Iterable[StageStep]) -> FlowContext:
+    """Run ``steps`` over ``ctx`` in order, recording stage reports."""
+    for step in steps:
+        key = stage_key(step)
+        label = _REPORT_NAMES.get(key, key)
+        # timed_span always measures elapsed_s with one perf_counter
+        # pair; with tracing on it also records a span per stage,
+        # carrying the stage's report details.
+        sp = timed_span(f"stage.{key}", label=label)
+        with sp:
+            details = step(ctx)
+            if details is not None:
+                sp.set(**details)
+        if details is not None:
+            ctx.stages.append(StageReport(
+                name=label, elapsed_s=sp.elapsed_s, details=details))
+    return ctx

@@ -20,7 +20,7 @@ nothing, so instrumented hot code pays one truthiness check per span
 site (benchmarked in ``benchmarks/test_bench_obs.py``, asserted < 2 %
 on the 10k-instance STA bench).  :func:`timed_span` is the variant
 for call sites that need the elapsed wall-clock *regardless* of
-tracing (e.g. :class:`~repro.core.stages.StageRunner`, whose
+tracing (e.g. :func:`~repro.core.stages.run_stages`, whose
 ``StageReport.elapsed_s`` it feeds): it always performs the same
 ``perf_counter`` pair the hand-rolled timing code used, and records a
 span only when tracing is enabled.

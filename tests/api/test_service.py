@@ -303,6 +303,33 @@ def test_bad_config_override_is_400(client, override):
     assert field in str(excinfo.value)
 
 
+@pytest.mark.parametrize("kind, field, value", [
+    # Each of these used to be accepted, or to fail the job mid-run
+    # with a raw TypeError.
+    ("montecarlo", "samples", 2.5),
+    ("montecarlo", "samples", True),
+    ("montecarlo", "seed", "x"),
+    ("montecarlo", "sigma_global_v", float("nan")),
+    ("montecarlo", "timing", "no"),
+    ("montecarlo", "leakage_budget_nw", "x"),
+    ("montecarlo", "leakage_budget_nw", -5),
+    ("montecarlo", "corner", ["tt_nom"]),
+    ("standby", "rush_budget_ma", "x"),
+    ("standby", "settle_fraction", "x"),
+    ("policy", "candidates", 2.5),
+    ("policy", "max_domains", 1.5),
+    ("policy", "rush_budget_ma", [1]),
+    ("policy", "settle_fraction", None),
+], ids=repr)
+def test_bad_request_payload_is_400(client, kind, field, value):
+    with pytest.raises(ServiceError) as excinfo:
+        client.submit(kind, "c17", config=CONFIG,
+                      request={"schema": f"{kind}_request",
+                               "schema_version": 1, field: value})
+    assert excinfo.value.status == 400
+    assert f"invalid {field}: must be " in str(excinfo.value)
+
+
 @pytest.mark.parametrize("body", [
     # Only an absent or null config means the default FlowConfig.
     {"config": 0}, {"config": False}, {"config": ""}, {"config": []},

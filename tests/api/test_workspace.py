@@ -153,6 +153,17 @@ def test_keyword_path_builds_the_typed_request(design):
         design.optimize(technique="nope")
 
 
+def test_flow_result_rejects_an_unknown_technique(design):
+    from repro.errors import ConfigError
+
+    with pytest.raises(ConfigError, match="unknown technique 'nope'") \
+            as excinfo:
+        design.flow_result("nope")
+    assert excinfo.value.field == "technique"
+    assert design.flow_result("dual_vth") \
+        is design.flow_result(Technique.DUAL_VTH)
+
+
 # --- corner libraries: one lookup, the process derivation memo -------------
 
 CORNERS = ("tt_nom", "ff_1.32v_125c", "ss_1.08v_125c")
@@ -215,15 +226,17 @@ def _flow_fields(result, library):
 
 
 def test_optimize_matches_direct_flow(library):
-    """Every technique forked from a design's shared prefix equals a
-    standalone ``SelectiveMtFlow`` run field for field, whatever order
-    the techniques come in; interleaving designs A, B, A evicts A's
-    prefix from the workspace's one slot and builds it again."""
+    """Every technique forked from a design's shared prefix equals the
+    linear reference, all of the technique's stage steps run on one
+    un-forked context, field for field, whatever order the techniques
+    come in; interleaving designs A, B, A evicts A's prefix from the
+    workspace's one slot and builds it again."""
     from repro.benchcircuits.generator import (
         GeneratorConfig,
         generate_circuit,
     )
-    from repro.core.flow import SelectiveMtFlow
+    from repro.core.flow import FlowResult
+    from repro.core.stages import PIPELINES, FlowContext, run_stages
     from repro.netlist.bench_io import parse_bench
 
     sources = {
@@ -233,9 +246,13 @@ def test_optimize_matches_direct_flow(library):
             n_gates=30, n_inputs=4, n_outputs=3, depth=6, seed=7)),
         "wide": lambda: parse_bench(WIDE_BENCH, name="wide"),
     }
+    def linear(source, technique):
+        ctx = FlowContext.create(source(), library, technique, CONFIG)
+        return FlowResult.from_context(
+            run_stages(ctx, PIPELINES[technique]))
+
     expected = {
-        (name, technique): _flow_fields(SelectiveMtFlow(
-            source(), library, technique, CONFIG).run(), library)
+        (name, technique): _flow_fields(linear(source, technique), library)
         for name, source in sources.items() for technique in Technique}
 
     def check(workspace, plan):

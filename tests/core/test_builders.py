@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import FlowConfig
 from repro.core.improved_smt import ImprovedSmtBuilder
 from repro.core.selective_mt import ConventionalSmtBuilder
 from repro.liberty.library import CellKind
@@ -13,7 +14,6 @@ from repro.sim.equivalence import check_equivalence
 from repro.timing.constraints import Constraints
 from repro.timing.session import TimingSession
 from repro.timing.sta import TimingAnalyzer
-from repro.vgnd.cluster import ClusterConfig
 
 
 def _prepared(library, name="c880", margin=1.12):
@@ -43,7 +43,7 @@ def improved(library):
     netlist, placement, cons = _prepared(library)
     golden = netlist.clone("golden")
     builder = ImprovedSmtBuilder(TimingSession(netlist, library, cons),
-                                 placement, cluster_config=ClusterConfig())
+                                 placement)
     result = builder.run()
     return golden, netlist, result
 
@@ -97,6 +97,14 @@ class TestImproved:
     def test_bounce_within_limit(self, library, improved):
         _golden, _netlist, result = improved
         assert result.network.bounce_ok()
+
+    def test_default_config_is_the_flows_bounce_limit(self, library,
+                                                      improved):
+        """Without a config the builder clusters under FlowConfig's
+        limit (4 % of Vdd), as the flow does."""
+        _golden, _netlist, result = improved
+        assert result.network.bounce_limit_v == \
+            FlowConfig().bounce_limit_v(library.tech.vdd)
 
     def test_holders_only_on_boundaries(self, library, improved):
         from repro.core.output_holder import nets_needing_holders

@@ -13,8 +13,10 @@ from repro.config import FlowConfig, Technique
 from repro.core.stages import (
     PIPELINES,
     FlowContext,
-    StageRunner,
     make_fast_swap,
+    run_stages,
+    stage_eco_and_sta,
+    stage_finalize,
 )
 from repro.liberty.library import (
     VARIANT_CMT,
@@ -30,8 +32,8 @@ def _eco_session(library, technique):
     already timed once."""
     ctx = FlowContext.create(load_circuit("s344"), library, technique,
                              FlowConfig(timing_margin=0.12))
-    assert PIPELINES[technique][-2:] == ("eco_and_sta", "finalize")
-    StageRunner(PIPELINES[technique][:-2]).run(ctx)
+    assert PIPELINES[technique][-2:] == (stage_eco_and_sta, stage_finalize)
+    run_stages(ctx, PIPELINES[technique][:-2])
     derates = ctx.network.derates(ctx.netlist, library) \
         if ctx.network is not None else None
     session = ctx._make_session(

@@ -1,119 +1,85 @@
-"""Stage registry, pipelines and custom pipeline assembly."""
-
-import pytest
+"""The technique stage tables and the one stage loop."""
 
 from repro.benchcircuits.suite import load_circuit
 from repro.config import FlowConfig, Technique
+from repro.core.compare import count_cell_kinds
 from repro.core.flow import FlowResult, SelectiveMtFlow
 from repro.core.stages import (
     FlowContext,
     PIPELINES,
-    STAGES,
-    Stage,
-    StageRunner,
-    build_pipeline,
-    resolve_stage,
+    SHARED_STAGES,
+    run_stages,
+    stage_key,
 )
-from repro.errors import FlowError
+
+#: The span of every step is ``stage.<key>``; perfbench and the CI
+#: trace smokes read these names.
+STAGE_KEYS = {
+    Technique.DUAL_VTH: [
+        "physical_synthesis", "pre_route_estimation", "derive_constraints",
+        "dual_vth_assignment", "eco_placement", "routing_cts_mte",
+        "eco_and_sta", "finalize"],
+    Technique.CONVENTIONAL_SMT: [
+        "physical_synthesis", "pre_route_estimation", "derive_constraints",
+        "conventional_smt_assignment", "eco_placement", "routing_cts_mte",
+        "eco_and_sta", "finalize"],
+    Technique.IMPROVED_SMT: [
+        "physical_synthesis", "pre_route_estimation", "derive_constraints",
+        "improved_smt_assignment", "initial_switch_teardown",
+        "eco_placement", "switch_structure", "routing_cts_mte",
+        "spef_reoptimization", "eco_and_sta", "finalize"],
+}
 
 
 class TestRegistry:
+    """:data:`PIPELINES`, each technique's stage steps in order."""
+
     def test_all_techniques_are_stage_lists(self):
         assert set(PIPELINES) == set(Technique)
-        for technique, keys in PIPELINES.items():
-            for key in keys:
-                assert key in STAGES, (technique, key)
+        for technique, steps in PIPELINES.items():
+            assert steps[:len(SHARED_STAGES)] == SHARED_STAGES, technique
+            assert all(callable(step) for step in steps), technique
 
-    def test_build_pipeline_resolves_in_order(self):
-        for technique in Technique:
-            stages = build_pipeline(technique)
-            assert [s.key for s in stages] == list(PIPELINES[technique])
+    def test_stage_keys_name_the_spans(self):
+        for technique, steps in PIPELINES.items():
+            assert [stage_key(step) for step in steps] == \
+                STAGE_KEYS[technique], technique
 
-    def test_assignment_stages_share_the_fig4_label(self):
-        for key in ("dual_vth_assignment", "conventional_smt_assignment",
-                    "improved_smt_assignment"):
-            assert STAGES[key].label == "vth_assignment"
-
-    def test_unknown_stage_is_rejected(self):
-        with pytest.raises(FlowError, match="unknown stage"):
-            resolve_stage("no_such_stage")
-
-    def test_duplicate_registration_is_rejected(self):
-        stage = STAGES["physical_synthesis"]
-        from repro.core.stages import register_stage
-
-        with pytest.raises(FlowError, match="duplicate"):
-            register_stage(Stage(key=stage.key, fn=stage.fn,
-                                 label=stage.label))
+    def test_assignment_stages_share_the_fig4_label(self, library):
+        netlist = load_circuit("c17")
+        for technique, steps in PIPELINES.items():
+            ctx = FlowContext.create(netlist, library, technique,
+                                     FlowConfig(timing_margin=0.2))
+            run_stages(ctx, steps[:len(SHARED_STAGES) + 1])
+            assert ctx.stages[-1].name == "vth_assignment", technique
 
 
 class TestCustomPipelines:
-    def test_partial_pipeline_via_run_context(self, library):
-        netlist = load_circuit("c17")
-        flow = SelectiveMtFlow(
-            netlist, library, Technique.DUAL_VTH,
-            FlowConfig(timing_margin=0.2),
-            stages=["physical_synthesis", "pre_route_estimation",
-                    "derive_constraints"])
-        ctx = flow.run_context()
-        assert ctx.netlist is not None
-        assert ctx.placement is not None
-        assert ctx.constraints is not None
-        assert ctx.timing is None
-        assert [s.name for s in ctx.stages] == ["physical_synthesis"]
-
-    def test_partial_pipeline_cannot_build_flow_result(self, library):
-        netlist = load_circuit("c17")
-        flow = SelectiveMtFlow(netlist, library, Technique.DUAL_VTH,
-                               FlowConfig(timing_margin=0.2),
-                               stages=["physical_synthesis"])
-        with pytest.raises(FlowError, match="run_context"):
-            flow.run()
-
-    def test_out_of_order_stage_fails_fast(self, library):
-        netlist = load_circuit("c17")
-        flow = SelectiveMtFlow(netlist, library, Technique.DUAL_VTH,
-                               FlowConfig(timing_margin=0.2),
-                               stages=["eco_and_sta"])
-        with pytest.raises(FlowError, match="prerequisite"):
-            flow.run_context()
-
-    def test_custom_stage_object_in_pipeline(self, library):
-        seen = {}
-
-        def probe(ctx):
-            seen["instances"] = len(ctx.netlist.instances)
-            return {"probed": True}
-
-        netlist = load_circuit("c17")
-        flow = SelectiveMtFlow(
-            netlist, library, Technique.DUAL_VTH,
-            FlowConfig(timing_margin=0.2),
-            stages=["physical_synthesis",
-                    Stage(key="probe", fn=probe, label="probe")])
-        ctx = flow.run_context()
-        assert seen["instances"] == len(ctx.netlist.instances)
-        assert ctx.stages[-1].name == "probe"
-        assert ctx.stages[-1].details == {"probed": True}
+    """A technique's steps run linearly through :func:`run_stages`."""
 
     def test_explicit_default_pipeline_matches_run(self, library):
-        """Spelling out the registered stage list reproduces run()."""
+        """Running a technique's steps linearly on one context
+        reproduces a standalone :meth:`SelectiveMtFlow.run`, which
+        forks a prefix it builds itself."""
         netlist = load_circuit("c17")
         config = FlowConfig(timing_margin=0.2)
-        implicit = SelectiveMtFlow(netlist, library, Technique.DUAL_VTH,
-                                   config).run()
-        explicit = SelectiveMtFlow(
-            netlist, library, Technique.DUAL_VTH, config,
-            stages=list(PIPELINES[Technique.DUAL_VTH])).run()
-        assert implicit.total_area == explicit.total_area
-        assert implicit.leakage_nw == explicit.leakage_nw
-        assert implicit.timing.wns == explicit.timing.wns
+        for technique in Technique:
+            forked = SelectiveMtFlow(netlist, library, technique,
+                                     config).run()
+            ctx = FlowContext.create(netlist, library, technique, config)
+            linear = FlowResult.from_context(
+                run_stages(ctx, PIPELINES[technique]))
+            assert forked.total_area == linear.total_area, technique
+            assert forked.leakage_nw == linear.leakage_nw, technique
+            assert forked.timing.wns == linear.timing.wns, technique
+            assert [(s.name, s.details) for s in forked.stages] == \
+                [(s.name, s.details) for s in linear.stages], technique
 
     def test_runner_over_raw_context(self, library):
         netlist = load_circuit("c17")
         ctx = FlowContext.create(netlist, library, Technique.DUAL_VTH,
                                  FlowConfig(timing_margin=0.2))
-        StageRunner(build_pipeline(Technique.DUAL_VTH)).run(ctx)
+        run_stages(ctx, PIPELINES[Technique.DUAL_VTH])
         result = FlowResult.from_context(ctx)
         assert result.timing is not None
         assert result.total_area > 0
@@ -123,9 +89,9 @@ class TestContextTyping:
     def test_improved_context_fields_replace_tuple(self, library):
         """The improved intermediates ride on typed context fields."""
         netlist = load_circuit("c432")
-        flow = SelectiveMtFlow(netlist, library, Technique.IMPROVED_SMT,
-                               FlowConfig(timing_margin=0.15))
-        ctx = flow.run_context()
+        ctx = FlowContext.create(netlist, library, Technique.IMPROVED_SMT,
+                                 FlowConfig(timing_margin=0.15))
+        run_stages(ctx, PIPELINES[Technique.IMPROVED_SMT])
         assert ctx.improved_builder is not None
         assert ctx.mt_names
         assert ctx.initial_switch is None      # torn down before ECO place
@@ -141,3 +107,18 @@ class TestContextTyping:
         assignment = result.stage("vth_assignment")
         assert "sta_full" in assignment.details
 
+
+def test_improved_flow_without_mt_cells_builds_an_empty_network(library):
+    """A margin loose enough that every cell goes high-Vth still runs
+    every improved stage: the switch structure has no cluster."""
+    result = SelectiveMtFlow(load_circuit("c17"), library,
+                             Technique.IMPROVED_SMT,
+                             FlowConfig(timing_margin=1.0)).run()
+    assert count_cell_kinds(result.netlist, library) == (0, 0, 0)
+    assert result.network is not None
+    assert result.network.clusters == []
+    assert [stage.name for stage in result.stages] == [
+        "physical_synthesis", "vth_assignment", "eco_placement",
+        "switch_structure", "routing_cts_mte", "spef_reoptimization",
+        "eco_and_sta"]
+    assert result.stage("switch_structure").details["clusters"] == 0

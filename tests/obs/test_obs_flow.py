@@ -8,7 +8,7 @@ from repro.api import Workspace, schemas
 from repro.api.requests import OptimizeRequest
 from repro.api.shards import FacadeJob, run_facade_job
 from repro.config import FlowConfig, Technique
-from repro.core.stages import PIPELINES, SHARED_STAGES
+from repro.core.stages import PIPELINES, SHARED_STAGES, stage_key
 from repro.obs import TraceResult, enable, span, take_records
 from repro.runner import ExperimentRunner
 
@@ -33,7 +33,7 @@ def test_flow_trace_covers_every_pipeline_stage(library):
     names = trace.span_names()
     assert "api.flow" in names
     assert "flow.run" in names
-    for key in PIPELINES[technique]:
+    for key in map(stage_key, PIPELINES[technique]):
         assert f"stage.{key}" in names, f"stage {key} left untraced"
     # Nesting: the stages sit under flow.run, not as stray roots.
     roots = [node.name for node in trace.spans]
@@ -53,10 +53,10 @@ def test_flow_trace_covers_every_pipeline_stage(library):
         [technique.value for technique in Technique]
     expected = [PIPELINES[technique][len(SHARED_STAGES) if index else 0:]
                 for index, technique in enumerate(Technique)]
-    for flow, keys in zip(flows, expected):
+    for flow, steps in zip(flows, expected):
         assert [child.name for child in flow.children
                 if child.name.startswith("stage.")] == \
-            [f"stage.{key}" for key in keys]
+            [f"stage.{stage_key(step)}" for step in steps]
     assert sum(record.name.startswith("stage.") for record in records) \
         == sum(map(len, expected))
 
