@@ -1,25 +1,20 @@
-"""Compute-backend benchmarks: scalar vs numpy kernel throughput.
+"""Compute benchmarks: scalar full STA and numpy Monte-Carlo throughput.
 
 Records ``BENCH_compute.json`` (see ``recorder.json_path``):
 
-* ``sta_<n>`` — one full STA propagation on generated layered circuits
-  of 1k / 10k / 50k instances, three ways: scalar, numpy cold (first
-  run, includes lowering the netlist into the array view) and numpy
-  warm (view built — the steady state of any STA-in-the-loop use),
-  plus ``numpy_lower_s``, one lowering pass alone; at 10k and 50k
-  each time is the median of 3 repeats with alternating arm order,
-  and ``repeats`` keeps the per-repeat lists;
+* ``sta_<n>`` — one scalar STA session on generated layered circuits
+  of 1k / 10k / 50k instances: its cold report (structure build
+  included) and one forced full propagation;
 * ``mc_10k`` — Monte-Carlo samples/sec on the 10k-instance circuit
   with per-sample timing, scalar vs one batched array pass.
 
-Asserted floors: the numpy backend sustains **>= 5x** the scalar
-Monte-Carlo throughput on the 10k circuit; at 10k and 50k instances
-numpy keeps pace with scalar both warm and cold (lowering included).
+Asserted floor: the numpy backend sustains **>= 5x** the scalar
+Monte-Carlo throughput on the 10k circuit.  Design STA has no numpy
+arm: it runs on the scalar session on every backend.
 """
 
 from __future__ import annotations
 
-import statistics
 import time
 
 import pytest
@@ -37,9 +32,6 @@ from repro.variation.montecarlo import McConfig, MonteCarloEngine
 
 SIZES = (1_000, 10_000, 50_000)
 CLOCK_PERIOD_NS = 6.0
-#: Repeats behind the wall-clock floors at n >= 10k (median, the arm
-#: that runs first alternating).
-LARGE_REPEATS = 3
 
 
 def _generated(n_gates: int, library):
@@ -51,90 +43,33 @@ def _generated(n_gates: int, library):
     return netlist
 
 
-def _full_sta_seconds(session: TimingSession) -> float:
-    """One full propagation, forced by dirtying every derate."""
-    session.set_derates({name: 1.0 + 1e-9 for name in
-                         session.netlist.instances})
-    started = time.perf_counter()
-    session.report()
-    return time.perf_counter() - started
-
-
 @pytest.fixture(scope="module")
 def circuits(library):
     return {n: _generated(n, library) for n in SIZES}
 
 
-def _scalar_arm(netlist, library, constraints):
-    session = TimingSession(netlist, library, constraints,
-                            compute_backend="python")
-    started = time.perf_counter()
-    report = session.report()
-    cold_s = time.perf_counter() - started
-    return report, {"scalar_cold_s": cold_s,
-                    "scalar_full_s": _full_sta_seconds(session)}
-
-
-def _numpy_arm(netlist, library, constraints):
-    vector = TimingSession(netlist.clone(), library, constraints,
-                           compute_backend="numpy")
-    started = time.perf_counter()
-    report = vector.report()
-    cold_s = time.perf_counter() - started
-    warm_s = _full_sta_seconds(vector)
-    # Lowering alone: one more pass over the session's built view.
-    started = time.perf_counter()
-    vector._view._rebuild_arrays()
-    lower_s = time.perf_counter() - started
-    return report, {"numpy_cold_s": cold_s,
-                    "numpy_lower_s": lower_s,
-                    "numpy_full_s": warm_s}
-
-
 @pytest.mark.parametrize("n_gates", SIZES)
 def test_bench_full_sta(circuits, library, n_gates):
     netlist = circuits[n_gates]
-    constraints = Constraints(clock_period=CLOCK_PERIOD_NS)
-    # At scale the floors below compare wall-clocks, so they read the
-    # median of LARGE_REPEATS repeats with alternating arm order.
-    repeats = LARGE_REPEATS if n_gates >= 10_000 else 1
-    runs: dict[str, list[float]] = {}
-    for repeat in range(repeats):
-        arms = [
-            ("scalar", lambda: _scalar_arm(netlist, library, constraints)),
-            ("numpy", lambda: _numpy_arm(netlist, library, constraints)),
-        ]
-        if repeat % 2:
-            arms.reverse()
-        reports = {}
-        for name, arm in arms:
-            reports[name], seconds = arm()
-            for key, value in seconds.items():
-                runs.setdefault(key, []).append(value)
-        assert reports["numpy"].wns \
-            == pytest.approx(reports["scalar"].wns, rel=1e-9)
-    median = {key: statistics.median(values)
-              for key, values in runs.items()}
+    session = TimingSession(netlist, library,
+                            Constraints(clock_period=CLOCK_PERIOD_NS))
+    started = time.perf_counter()
+    session.report()
+    cold_s = time.perf_counter() - started
+    # One full propagation, forced by dirtying every derate.
+    session.set_derates({name: 1.0 + 1e-9 for name in netlist.instances})
+    started = time.perf_counter()
+    session.report()
+    full_s = time.perf_counter() - started
+    assert session.stats.full_runs == 2
 
     instances = len(netlist.instances)
     record(f"sta_{n_gates}", {
         "instances": instances,
-        **{key: round(value, 4) for key, value in median.items()},
-        "scalar_inst_per_s": round(instances / median["scalar_full_s"]),
-        "numpy_inst_per_s": round(instances / median["numpy_full_s"]),
-        "warm_speedup": round(
-            median["scalar_full_s"] / median["numpy_full_s"], 2),
-        "repeats": {key: [round(value, 4) for value in values]
-                    for key, values in runs.items()},
+        "scalar_cold_s": round(cold_s, 4),
+        "scalar_full_s": round(full_s, 4),
+        "scalar_inst_per_s": round(instances / full_s),
     }, path=json_path("compute"))
-    # At scale, warm numpy full runs must at least keep pace with
-    # scalar ones (the real bar is the batched Monte-Carlo case
-    # below), and so must the numpy COLD start, lowering included.
-    if n_gates >= 10_000:
-        assert median["numpy_full_s"] < median["scalar_full_s"], runs
-        assert median["numpy_cold_s"] <= median["scalar_cold_s"], \
-            f"numpy cold {median['numpy_cold_s']:.2f}s > " \
-            f"scalar cold {median['scalar_cold_s']:.2f}s ({runs})"
 
 
 def test_bench_montecarlo_10k(circuits, library):
@@ -153,7 +88,7 @@ def test_bench_montecarlo_10k(circuits, library):
     vector = MonteCarloEngine(netlist.clone(), library, mc,
                               constraints=constraints,
                               compute_backend="numpy")
-    vector.run(start=0, count=1)   # build the view once (steady state)
+    vector.run(start=0, count=1)   # warm-up chunk (steady state)
     started = time.perf_counter()
     vector_samples = vector.run()
     vector_s = time.perf_counter() - started

@@ -50,8 +50,7 @@ class FreshAnalyzerSession(TimingSession):
         return TimingAnalyzer(
             self.netlist, self.library, self.constraints,
             parasitics=self.net_model.parasitics, derates=self.derates,
-            clock_arrivals=self.clock_arrivals,
-            compute_backend=self.compute_backend).run()
+            clock_arrivals=self.clock_arrivals).run()
 
     def wns(self):
         return self.report().wns

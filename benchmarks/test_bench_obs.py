@@ -25,7 +25,6 @@ import pytest
 from recorder import json_path, record
 
 from repro.benchcircuits.generator import GeneratorConfig, generate_circuit
-from repro.compute import resolve_backend
 from repro.liberty.library import VARIANT_LVT
 from repro.netlist.techmap import technology_map
 from repro.obs import spans
@@ -81,11 +80,9 @@ def _disabled_site_ns() -> float:
 
 
 def test_bench_disabled_overhead_under_two_percent(netlist, library):
-    backend = resolve_backend(None)
     session = TimingSession(netlist, library,
-                            Constraints(clock_period=CLOCK_PERIOD_NS),
-                            compute_backend=backend)
-    session.report()   # build (and, on numpy, lower) once: steady state
+                            Constraints(clock_period=CLOCK_PERIOD_NS))
+    session.report()   # build once: steady state
 
     disabled_s = min(_full_sta_seconds(session, index)
                      for index in range(ROUNDS))
@@ -105,7 +102,6 @@ def test_bench_disabled_overhead_under_two_percent(netlist, library):
         "iters": SITE_ITERS,
     }, path=json_path("obs"))
     record("sta_10k", {
-        "backend": backend,
         "instances": len(netlist.instances),
         "disabled_full_s": round(disabled_s, 4),
         "enabled_full_s": round(enabled_s, 4),

@@ -24,7 +24,10 @@ import math
 from repro.api import schemas
 from repro.config import Technique, _integer, _number, _optional, check_fields
 from repro.errors import ConfigError
+from repro.policy.optimize import DEFAULT_CANDIDATES, DEFAULT_MAX_DOMAINS
 from repro.standby.scenario import PowerModeScenario
+from repro.standby.transient import DEFAULT_SETTLE_FRACTION
+from repro.variation.montecarlo import McConfig
 
 
 def _check_scenario_payloads(payloads, names) -> None:
@@ -163,11 +166,11 @@ class MonteCarloRequest:
     """
 
     technique: Technique = Technique.IMPROVED_SMT
-    samples: int = 64
-    seed: int = 1
-    sigma_global_v: float = 0.03
-    sigma_local_v: float = 0.015
-    timing: bool = True
+    samples: int = McConfig.samples
+    seed: int = McConfig.seed
+    sigma_global_v: float = McConfig.sigma_global_v
+    sigma_local_v: float = McConfig.sigma_local_v
+    timing: bool = McConfig.timing
     corner: str | None = None
     leakage_budget_nw: float | None = None
 
@@ -196,7 +199,7 @@ class StandbyRequest:
     scenario_payloads: tuple[PowerModeScenario, ...] = ()
     corners: tuple[str, ...] = ()
     rush_budget_ma: float | None = None
-    settle_fraction: float = 0.05
+    settle_fraction: float = DEFAULT_SETTLE_FRACTION
 
     def __post_init__(self):
         _own_types(self)
@@ -220,10 +223,10 @@ class PolicyRequest:
     scenarios: tuple[str, ...] = ()
     scenario_payloads: tuple[PowerModeScenario, ...] = ()
     corners: tuple[str, ...] = ()
-    candidates: int = 1024
-    max_domains: int = 4
+    candidates: int = DEFAULT_CANDIDATES
+    max_domains: int = DEFAULT_MAX_DOMAINS
     rush_budget_ma: float | None = None
-    settle_fraction: float = 0.05
+    settle_fraction: float = DEFAULT_SETTLE_FRACTION
 
     def __post_init__(self):
         _own_types(self)

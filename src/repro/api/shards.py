@@ -24,7 +24,7 @@ content fingerprint**
 (:func:`repro.netlist.fingerprint.netlist_fingerprint`).  Every job
 for a given design lands on the same shard process, so each shard
 keeps its own warm workspace (compiled library, flow results, timing
-sessions and their array views) and same-design jobs stay cache-local,
+sessions) and same-design jobs stay cache-local,
 while jobs for *different* designs run truly in parallel on different
 processes.  Each shard is a single-worker :class:`ProcessPoolExecutor`
 (spawned lazily); its payloads are the same durable-serializable

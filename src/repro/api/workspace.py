@@ -62,6 +62,7 @@ from repro.api.shards import FacadeJob, execute_kind, run_facade_job
 from repro.policy.optimize import PolicyOptimizer, PolicyResult
 from repro.standby.engine import StandbyResult
 from repro.benchcircuits.suite import load_circuit
+from repro.compute import resolve_backend
 from repro.config import FlowConfig, Technique
 from repro.core.compare import (
     ComparisonRow,
@@ -506,9 +507,7 @@ class Design:
         # any physical flow exists.
         constraints = derive_clock_constraints(netlist, library,
                                                self.config)
-        session = TimingSession(
-            netlist, library, constraints,
-            compute_backend=self.config.compute_backend)
+        session = TimingSession(netlist, library, constraints)
         breakdown = LeakageAnalyzer(
             netlist, library,
             compute_backend=self.config.compute_backend).standby_leakage()
@@ -555,7 +554,7 @@ class Design:
             hold_wns=report.hold_wns,
             leakage_nw=baseline.leakage_nw,
             leakage_by_category=dict(baseline.leakage_by_category),
-            compute_backend=baseline.session.compute_backend)
+            compute_backend=resolve_backend(self.config.compute_backend))
         self._analyses[request] = result
         return result
 

@@ -67,9 +67,11 @@ def _add_config_options(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, help="placement seed")
     parser.add_argument(
         "--backend", choices=["python", "numpy"],
-        help="numeric compute backend for STA / leakage / Monte-Carlo "
-             "(default: $REPRO_COMPUTE_BACKEND or python; numpy falls "
-             "back to python when the optional dependency is missing)")
+        help="numeric compute backend for Monte-Carlo, corner, standby "
+             "and policy batches and leakage sums; design STA is scalar "
+             "either way (default: $REPRO_COMPUTE_BACKEND or python; "
+             "numpy falls back to python when the optional dependency "
+             "is missing)")
 
 
 def _add_flow_options(parser: argparse.ArgumentParser):

@@ -1,32 +1,36 @@
-"""Vectorized array-compute backend for STA and leakage hot paths.
+"""Vectorized array-compute backend for the batch axes and leakage sums.
 
-The repro system keeps **two numerically equivalent implementations**
-of every numeric hot path:
+Design STA has one engine on every backend: the scalar, incremental
+:class:`~repro.timing.session.TimingSession`.  The computations that
+carry a batch axis — Monte-Carlo samples, PVT corners, standby
+scenarios, policy candidates — and the leakage sums keep **two
+numerically equivalent implementations**:
 
-* ``python`` — the reference scalar implementation: per-instance dict
-  loops in :mod:`repro.timing.session`, :mod:`repro.power.leakage` and
-  :mod:`repro.variation.montecarlo`.  Always available, easy to audit,
-  the ground truth the property suite compares against.
-* ``numpy`` — a compiled array view of the same computation
+* ``python`` — the reference scalar implementation: per-instance
+  loops in :mod:`repro.power.leakage`, :mod:`repro.variation.montecarlo`
+  (one incremental session across the samples) and the standby/policy
+  savings kernel.  Always available, easy to audit, the ground truth
+  the property suite compares against.
+* ``numpy`` — a compiled array view of one finished design
   (:mod:`repro.compute.view` + :mod:`repro.compute.kernels`): the
   netlist is lowered once into stable index maps, CSR-style adjacency
-  and gathered Liberty coefficient tables, and full-design propagation
-  becomes a handful of levelized array passes.  A Monte-Carlo chunk
-  evaluates as one ``(samples x instances)`` pass instead of ``k``
-  sequential re-propagations.
+  and gathered Liberty coefficient tables, and a batch of full-design
+  propagations becomes a handful of levelized array passes.  A
+  Monte-Carlo chunk evaluates as one ``(samples x instances)`` pass
+  instead of ``k`` sequential re-propagations.
 
 Backend selection is a plain string carried by
 :class:`repro.config.FlowConfig` (``compute_backend``), the CLI
-(``--backend``) and the analyzer constructors.  ``numpy`` degrades
-gracefully: when the optional dependency is missing (install with
-``pip install .[fast]``), :func:`resolve_backend` silently falls back
-to the scalar path, so the same scripts run everywhere.
+(``--backend``) and the batch engines' constructors.  ``numpy``
+degrades gracefully: when the optional dependency is missing (install
+with ``pip install .[fast]``), :func:`resolve_backend` silently falls
+back to the scalar path, so the same scripts run everywhere.
 
 Equivalence contract (enforced by
-``tests/compute/test_backend_equivalence.py``): for any netlist and
-any tracked edit sequence, the two backends agree on every per-net
-slack, WNS/TNS and total leakage to within 1e-9 relative, and produce
-reports with bit-identical endpoint ordering.
+``tests/compute/test_backend_equivalence.py``): one forward-kernel
+sample equals a scalar STA report node for node and endpoint slack for
+slack (``==``); batched Monte-Carlo samples and total leakage agree
+with the scalar loops to within 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ def default_backend() -> str:
     """The session-wide default backend.
 
     Reads ``REPRO_COMPUTE_BACKEND`` (so a CI matrix job can flip every
-    flow, session and analyzer at once) and falls back to ``python``.
+    flow and batch engine at once) and falls back to ``python``.
     The value is resolved, so an unavailable numpy degrades to the
     scalar path here too.
     """

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compute.view import NetlistArrayView
-from repro.liberty.library import SENSE_NEGATIVE, SENSE_POSITIVE
 from repro.obs.spans import span
 
 NEG_INF = -np.inf
@@ -83,7 +82,7 @@ class ForwardState:
     """Arrival-side node arrays, shape (samples, nets)."""
 
     __slots__ = ("arr_rise", "arr_fall", "min_rise", "min_fall",
-                 "slew_rise", "slew_fall", "win_rise", "win_fall")
+                 "slew_rise", "slew_fall")
 
     def __init__(self, samples: int, nets: int):
         shape = (samples, nets)
@@ -93,13 +92,9 @@ class ForwardState:
         self.min_fall = np.full(shape, np.inf)
         self.slew_rise = np.zeros(shape)
         self.slew_fall = np.zeros(shape)
-        #: Winning contribution row per net (sample 0 only; -1 = none).
-        self.win_rise = None
-        self.win_fall = None
 
 
 def forward(view: NetlistArrayView, derates: np.ndarray,
-            track_winners: bool = False,
             lut_arrays=None) -> ForwardState:
     """Levelized arrival/slew/min-arrival propagation.
 
@@ -111,9 +106,7 @@ def forward(view: NetlistArrayView, derates: np.ndarray,
     :meth:`~repro.compute.view.NetlistArrayView.corner_stack`) swaps
     in per-batch table stacks.
     """
-    samples = derates.shape[0]
-    nets = len(view.node_names)
-    state = ForwardState(samples, nets)
+    state = ForwardState(derates.shape[0], len(view.node_names))
     if lut_arrays is None:
         lut_arrays = view.luts.arrays()
     constraints = view.constraints
@@ -145,20 +138,16 @@ def forward(view: NetlistArrayView, derates: np.ndarray,
         state.slew_fall[:, idx] = lut_lookup(
             lut_arrays, view.ff_ft, clk_slew, load)
 
-    if track_winners:
-        state.win_rise = np.full(nets, -1, dtype=np.int64)
-        state.win_fall = np.full(nets, -1, dtype=np.int64)
-
     rise_by = {info[0]: info for info in view.rise.levels}
     fall_by = {info[0]: info for info in view.fall.levels}
     passes = (
         (view.rise, rise_by, state.arr_rise, state.min_rise,
-         state.slew_rise, "win_rise"),
+         state.slew_rise),
         (view.fall, fall_by, state.arr_fall, state.min_fall,
-         state.slew_fall, "win_fall"),
+         state.slew_fall),
     )
     for level in sorted(set(rise_by) | set(fall_by)):
-        for stream, by_level, arr_x, min_x, slw_x, win_attr in passes:
+        for stream, by_level, arr_x, min_x, slw_x in passes:
             info = by_level.get(level)
             if info is None:
                 continue
@@ -199,71 +188,7 @@ def forward(view: NetlistArrayView, derates: np.ndarray,
             arr_x[:, seg_out] = seg_max
             min_x[:, seg_out] = seg_min
             slw_x[:, seg_out] = np.where(updated, win_slew, 0.0)
-            winners = getattr(state, win_attr)
-            if winners is not None:
-                winners[seg_out] = np.where(
-                    updated[0], start + first[0], -1)
     return state
-
-
-def backward(view: NetlistArrayView, fwd: ForwardState,
-             derates: np.ndarray, lut_arrays=None):
-    """Required-time propagation; returns (req_rise, req_fall).
-
-    Seeds endpoint required times (the scalar engine's
-    ``_endpoint_pass`` min-updates), then sweeps levels descending.
-    Accepts the same per-batch ``lut_arrays`` override as
-    :func:`forward`.
-    """
-    samples = derates.shape[0]
-    nets = len(view.node_names)
-    req_rise = np.full((samples, nets), np.inf)
-    req_fall = np.full((samples, nets), np.inf)
-    period = view.constraints.clock_period
-    if lut_arrays is None:
-        lut_arrays = view.luts.arrays()
-
-    for k in range(len(view.out_ep_node)):
-        idx = view.out_ep_node[k]
-        required = period - view.out_ep_delay[k] - view.out_ep_wire[k]
-        req_rise[:, idx] = np.minimum(req_rise[:, idx], required)
-        req_fall[:, idx] = np.minimum(req_fall[:, idx], required)
-    for k in range(len(view.ff_ep_node)):
-        idx = view.ff_ep_node[k]
-        capture = period + view.ff_ep_clk[k]
-        required = capture - view.ff_ep_setup[k] - view.ff_ep_wire[k]
-        req_rise[:, idx] = np.minimum(req_rise[:, idx], required)
-        req_fall[:, idx] = np.minimum(req_fall[:, idx], required)
-
-    for _level, start, stop, seg_starts, seg_src in view.bwd.levels:
-        src = view.bwd.src[start:stop]
-        out = view.bwd.out[start:stop]
-        slew = np.maximum(fwd.slew_rise[:, src], fwd.slew_fall[:, src])
-        load = view.loads[out]
-        der = derates[:, view.bwd.inst[start:stop]]
-        wire = view.bwd.wire[start:stop]
-        rise_d = lut_lookup(lut_arrays, view.bwd.rlut[start:stop],
-                            slew, load) * der + wire
-        fall_d = lut_lookup(lut_arrays, view.bwd.flut[start:stop],
-                            slew, load) * der + wire
-        req_out_rise = req_rise[:, out]
-        req_out_fall = req_fall[:, out]
-        sense = view.bwd.sense[start:stop]
-        worst = np.minimum(req_out_rise, req_out_fall) \
-            - np.maximum(rise_d, fall_d)
-        cand_rise = np.where(
-            sense == SENSE_POSITIVE, req_out_rise - rise_d,
-            np.where(sense == SENSE_NEGATIVE,
-                     req_out_fall - fall_d, worst))
-        cand_fall = np.where(
-            sense == SENSE_POSITIVE, req_out_fall - fall_d,
-            np.where(sense == SENSE_NEGATIVE,
-                     req_out_rise - rise_d, worst))
-        seg_rise = np.minimum.reduceat(cand_rise, seg_starts, axis=-1)
-        seg_fall = np.minimum.reduceat(cand_fall, seg_starts, axis=-1)
-        req_rise[:, seg_src] = np.minimum(req_rise[:, seg_src], seg_rise)
-        req_fall[:, seg_src] = np.minimum(req_fall[:, seg_src], seg_fall)
-    return req_rise, req_fall
 
 
 def setup_slacks(view: NetlistArrayView, fwd: ForwardState,
@@ -321,9 +246,7 @@ def hold_slacks(view: NetlistArrayView, fwd: ForwardState,
 def setup_wns(view: NetlistArrayView, derates: np.ndarray) -> np.ndarray:
     """Per-sample worst setup slack from one batched forward pass."""
     with span("compute.setup_wns",
-              batch=int(derates.shape[0])) as sp:
-        view.ensure()
-        sp.set(nodes=len(view.node_names))
+              batch=int(derates.shape[0]), nodes=len(view.node_names)):
         fwd = forward(view, derates)
         slacks = setup_slacks(view, fwd)
         if slacks.shape[-1] == 0:
@@ -342,9 +265,8 @@ def batched_wns(view: NetlistArrayView, derates: np.ndarray,
     scalar check list, +inf when a kind has no checks).
     """
     with span("compute.batched_wns", batch=int(derates.shape[0]),
-              corner_luts=lut_arrays is not None) as sp:
-        view.ensure()
-        sp.set(nodes=len(view.node_names))
+              corner_luts=lut_arrays is not None,
+              nodes=len(view.node_names)):
         fwd = forward(view, derates, lut_arrays=lut_arrays)
         samples = derates.shape[0]
         slacks = setup_slacks(view, fwd, setup=setup)

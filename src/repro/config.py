@@ -43,10 +43,12 @@ class FlowConfig:
     placement_seed: int = 1
     placer_iterations: int = 24
 
-    # Numeric compute backend for every STA / leakage / Monte-Carlo
-    # hot path: "python" (scalar reference) or "numpy" (vectorized
-    # array kernels; equivalent to 1e-9 rel, falls back to scalar when
-    # numpy is not installed).  Default honors REPRO_COMPUTE_BACKEND.
+    # Numeric compute backend for the batch engines (Monte-Carlo
+    # samples, signoff corners, standby scenarios, policy candidates)
+    # and leakage sums: "python" (scalar reference) or "numpy"
+    # (vectorized array kernels; equivalent to 1e-9 rel, falls back to
+    # scalar when numpy is not installed).  Design STA is the scalar
+    # timing session on both.  Default honors REPRO_COMPUTE_BACKEND.
     compute_backend: str = dataclasses.field(default_factory=default_backend)
 
     # Vth assignment: it runs against a slightly tightened period so that

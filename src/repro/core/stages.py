@@ -143,8 +143,7 @@ class FlowContext:
         return TimingSession(
             self.netlist, self.library, constraints,
             parasitics=self.parasitics, derates=derates,
-            clock_arrivals=clock_arrivals,
-            compute_backend=self.config.compute_backend)
+            clock_arrivals=clock_arrivals)
 
     def _note_session(self, label: str, session: TimingSession,
                       details: dict[str, Any]) -> dict[str, Any]:
@@ -201,8 +200,8 @@ def derive_clock_constraints(
     if config.clock_period_ns is not None:
         return Constraints(clock_period=config.clock_period_ns)
     probe = Constraints(clock_period=1000.0)
-    report = TimingAnalyzer(netlist, library, probe, parasitics=parasitics,
-                            compute_backend=config.compute_backend).run()
+    report = TimingAnalyzer(netlist, library, probe,
+                            parasitics=parasitics).run()
     min_period = 1000.0 - report.wns
     if min_period <= 0:
         raise FlowError("could not derive a positive minimum period")

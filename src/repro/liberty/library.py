@@ -517,9 +517,6 @@ class Library:
         bufs.sort(key=lambda c: c.area)
         return bufs
 
-    def base_names(self) -> set[str]:
-        return {c.base_name for c in self._cells.values()}
-
     # --- content identity ---------------------------------------------------
 
     def content_digest(self) -> str:

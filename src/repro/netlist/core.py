@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 from repro.errors import NetlistError, ValidationError
 
@@ -384,10 +384,6 @@ class Netlist:
             "inputs": len(self.input_ports()),
             "outputs": len(self.output_ports()),
         }
-
-    def iter_pins(self) -> Iterator[Pin]:
-        for inst in self.instances.values():
-            yield from inst.pins.values()
 
     def clone(self, name: str | None = None) -> "Netlist":
         """Deep-copy the netlist (attributes are shallow-copied)."""

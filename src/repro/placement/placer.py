@@ -44,13 +44,6 @@ class Placement:
     def set_location(self, inst_name: str, x: float, y: float):
         self.locations[inst_name] = self.floorplan.snap(x, y)
 
-    def pin_location(self, owner: str, port: str | None = None
-                     ) -> tuple[float, float]:
-        """Position of an instance pin (== cell origin) or a port."""
-        if owner == "__port__":
-            return self.port_locations[port]
-        return self.location(owner)
-
     def ensure_port_location(self, port_name: str) -> tuple[float, float]:
         """Location of a port, pinning late-added ports (MTE) to a corner.
 

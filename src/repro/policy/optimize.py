@@ -40,7 +40,15 @@ from repro.policy.domains import DomainPlan, characterize_plan, plan_partitions
 from repro.policy.model import SleepPolicy, threshold_factors
 from repro.standby.engine import NOMINAL_CORNER, StandbyEngine, savings
 from repro.standby.scenario import PowerModeScenario
+from repro.standby.transient import DEFAULT_SETTLE_FRACTION
 from repro.vgnd.network import VgndNetwork
+
+#: Default sweep budget: the fewest (plan, thresholds) candidates a
+#: sweep evaluates.
+DEFAULT_CANDIDATES = 1024
+
+#: Default bound on the domain count of the hierarchical plans.
+DEFAULT_MAX_DOMAINS = 4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,9 +128,9 @@ class PolicyOptimizer(StandbyEngine):
                  network: VgndNetwork,
                  scenarios: Sequence[PowerModeScenario],
                  corners: Sequence[str] = (NOMINAL_CORNER,),
-                 candidates: int = 1024,
-                 max_domains: int = 4,
-                 settle_fraction: float = 0.05,
+                 candidates: int = DEFAULT_CANDIDATES,
+                 max_domains: int = DEFAULT_MAX_DOMAINS,
+                 settle_fraction: float = DEFAULT_SETTLE_FRACTION,
                  rush_budget_ma: float | None = None,
                  parasitics: Mapping[str, Any] | None = None,
                  compute_backend: str | None = None,

@@ -44,9 +44,6 @@ class NetParasitics:
         """Wire delay (ns) to a sink pin (``inst/pin`` or ``__port__/p``)."""
         return self.sink_delays.get(sink_name, 0.0)
 
-    def worst_sink_delay(self) -> float:
-        return max(self.sink_delays.values(), default=0.0)
-
 
 def _name_error_factor(net_name: str, spread: float = 0.2) -> float:
     """Deterministic per-net estimation error in [1-spread, 1+spread]."""

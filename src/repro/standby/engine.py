@@ -52,7 +52,11 @@ from repro.standby.schedule import (
     WakeupSchedule,
     default_rush_budget_ma,
 )
-from repro.standby.transient import ClusterTransient, TransientSolver
+from repro.standby.transient import (
+    DEFAULT_SETTLE_FRACTION,
+    ClusterTransient,
+    TransientSolver,
+)
 from repro.vgnd.network import VgndNetwork
 
 #: nW x ns -> pJ.
@@ -246,7 +250,7 @@ class StandbyEngine:
                  network: VgndNetwork,
                  scenarios: Sequence[PowerModeScenario],
                  corners: Sequence[str] = (NOMINAL_CORNER,),
-                 settle_fraction: float = 0.05,
+                 settle_fraction: float = DEFAULT_SETTLE_FRACTION,
                  rush_budget_ma: float | None = None,
                  parasitics: Mapping[str, Any] | None = None,
                  compute_backend: str | None = None,

@@ -65,12 +65,6 @@ class WakeupSchedule:
     serial_latency_ns: float           # daisy-chain reference
     peak_aggregate_ma: float           # worst instantaneous rush
 
-    def event_for(self, cluster_index: int) -> WakeupEvent:
-        for event in self.events:
-            if event.cluster_index == cluster_index:
-                return event
-        raise KeyError(f"no wake-up event for cluster {cluster_index}")
-
 
 def default_rush_budget_ma(
         transients: Sequence[ClusterTransient],

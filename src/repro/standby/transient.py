@@ -113,6 +113,11 @@ def sleep_waveform(transient: ClusterTransient, points: int = 64,
     return Waveform(times_ns=tuple(times), volts=tuple(volts))
 
 
+#: Default settle threshold, as a fraction of Vdd (see
+#: :class:`TransientSolver`).
+DEFAULT_SETTLE_FRACTION = 0.05
+
+
 class TransientSolver:
     """Solves the sleep/wake transients of a sized VGND network.
 
@@ -125,7 +130,8 @@ class TransientSolver:
     """
 
     def __init__(self, network: VgndNetwork, netlist: Netlist,
-                 library: Library, settle_fraction: float = 0.05,
+                 library: Library,
+                 settle_fraction: float = DEFAULT_SETTLE_FRACTION,
                  parasitics: Mapping[str, Any] | None = None):
         if not 0.0 < settle_fraction < 1.0:
             raise StandbyError(

@@ -30,11 +30,10 @@ A full propagation runs only on a cold (or invalidated) session, or
 when the dirt alone exceeds ``full_threshold`` of the combinational
 instances — an O(1) check that fires for whole-design re-derates and
 for a bisection's all-candidates probe (arrivals only for
-:meth:`wns`).  With ``compute_backend="numpy"`` that full propagation
-runs on the vectorized array kernels of :mod:`repro.compute`; the
-cutoff pass is scalar on both backends and reads the node store the
-kernels materialize.  See ARCHITECTURE.md "Compute backends" for the
-equivalence and invalidation contracts.
+:meth:`wns`).  Both passes are scalar on every compute backend: the
+session is the one engine for design STA, and the array kernels of
+:mod:`repro.compute` serve only batch axes (Monte-Carlo samples,
+corners).
 
 **Exactness contract**: the report produced after any tracked edit
 sequence is bit-identical (not approximately equal) to the report a
@@ -113,10 +112,7 @@ class TimingSession:
                  derates: Mapping[str, float] | None = None,
                  clock_arrivals: Mapping[str, float] | None = None,
                  net_model: NetModel | None = None,
-                 full_threshold: float = 0.5,
-                 compute_backend: str | None = None):
-        from repro.compute import resolve_backend
-
+                 full_threshold: float = 0.5):
         self.netlist = netlist
         self.library = library
         self.constraints = constraints
@@ -129,12 +125,6 @@ class TimingSession:
         self._arcs = library.delay_arcs()
         #: Flip-flop cell name -> (setup, hold) at the input slew.
         self._ff_checks: dict[str, tuple[float, float]] = {}
-        #: Which engine runs full propagations ("python" | "numpy").
-        #: The exact-cutoff pass is always scalar; the numpy backend
-        #: accelerates the full-run path (the expensive case: fresh
-        #: analyses and whole-design derate updates).
-        self.compute_backend = resolve_backend(compute_backend)
-        self._view = None
         self.stats = SessionStats()
         self._order: list[Instance] | None = None
         self._pos: dict[str, int] = {}        # instance -> topo position
@@ -183,8 +173,6 @@ class TimingSession:
             if pin.net is not None:
                 self.touch_net(pin.net)
         self._mark_instance(inst)
-        if self._view is not None:
-            self._view.touch_instance(inst.name)
         return inst
 
     def insert_buffer(self, net: Net, buffer_cell: str,
@@ -231,8 +219,6 @@ class TimingSession:
                 return
             inst = found
         self._mark_instance(inst)
-        if self._view is not None:
-            self._view.touch_instance(inst.name)
 
     def touch_net(self, net: Net | str):
         """Mark a net's load as changed (sinks / keepers / pin caps)."""
@@ -242,8 +228,6 @@ class TimingSession:
                 return
             net = found
         self.net_model.invalidate(net)
-        if self._view is not None:
-            self._view.touch_net(net.name)
         if net.driver is not None:
             self._mark_instance(net.driver.instance)
 
@@ -304,8 +288,6 @@ class TimingSession:
         return wns
 
     def _refresh_structure(self):
-        if self._structural and self._view is not None:
-            self._view.touch_structural()
         if self._structural or self._order is None:
             self._build_structure()
 
@@ -346,8 +328,6 @@ class TimingSession:
         """(Re)build the topological order and the node-domain set."""
         self.stats.structure_builds += 1
         self._order = self.netlist.topological_order(self._is_seq)
-        if self._view is not None:
-            self._view.use_order(self._order)
         self._pos = {inst.name: index
                      for index, inst in enumerate(self._order)}
         membership: set[str] = set()
@@ -412,25 +392,6 @@ class TimingSession:
 
     # --- full propagation -------------------------------------------------
 
-    def _ensure_view(self):
-        """The numpy array view for this session (built lazily).
-
-        Returns None — permanently downgrading to the scalar backend —
-        if numpy turns out to be unusable at runtime.
-        """
-        if self._view is not None:
-            return self._view
-        try:
-            from repro.compute.view import NetlistArrayView
-        except ImportError:
-            self.compute_backend = "python"
-            return None
-        self._view = NetlistArrayView(
-            self.netlist, self.library, self.constraints, self.net_model,
-            clock_arrivals=self.clock_arrivals)
-        self._view.use_order(self._order)
-        return self._view
-
     def _full_run(self, arrivals_only: bool,
                   escalated: bool) -> TimingReport | None:
         """Propagate the whole design (``escalated``: because the dirt
@@ -443,18 +404,7 @@ class TimingSession:
         with span("sta.full_run", instances=self._comb_count,
                   arrivals_only=arrivals_only, escalated=escalated,
                   dirty_comb=len(self._dirty_comb),
-                  dirty_seq=len(self._dirty_seq)) as sp:
-            view = (self._ensure_view() if self.compute_backend == "numpy"
-                    else None)
-            sp.set(backend="python" if view is None else "numpy")
-            if view is not None:
-                from repro.compute.sta import run_arrivals, run_full
-
-                if arrivals_only:
-                    self._nodes = run_arrivals(view, self.derates)
-                    return None
-                self._nodes, checks = run_full(view, self.derates)
-                return self._summarize(checks, self._nodes)
+                  dirty_seq=len(self._dirty_seq)):
             nodes: dict[str, NodeTiming] = {}
             self._nodes = nodes
             self._startpoint_ports(nodes)

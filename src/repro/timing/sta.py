@@ -130,10 +130,6 @@ class TimingReport:
         node = self.node_timing.get(net_name)
         return node.slack if node is not None else INF
 
-    def arrival_of_net(self, net_name: str) -> float:
-        node = self.node_timing.get(net_name)
-        return node.arrival if node is not None else -INF
-
     def summary(self) -> str:
         return (f"period={self.clock_period:.3f}ns WNS={self.wns:+.4f} "
                 f"TNS={self.tns:+.3f} holdWNS={self.hold_wns:+.4f}")
@@ -153,15 +149,13 @@ class TimingAnalyzer:
                  constraints: Constraints,
                  parasitics: Mapping[str, object] | None = None,
                  derates: Mapping[str, float] | None = None,
-                 clock_arrivals: Mapping[str, float] | None = None,
-                 compute_backend: str | None = None):
+                 clock_arrivals: Mapping[str, float] | None = None):
         self.netlist = netlist
         self.library = library
         self.constraints = constraints
         self.net_model = NetModel(netlist, library, constraints, parasitics)
         self.derates = dict(derates or {})
         self.clock_arrivals = dict(clock_arrivals or {})
-        self.compute_backend = compute_backend
 
     def run(self) -> TimingReport:
         from repro.timing.session import TimingSession
@@ -169,6 +163,5 @@ class TimingAnalyzer:
         session = TimingSession(
             self.netlist, self.library, self.constraints,
             derates=self.derates, clock_arrivals=self.clock_arrivals,
-            net_model=self.net_model,
-            compute_backend=self.compute_backend)
+            net_model=self.net_model)
         return session.report()

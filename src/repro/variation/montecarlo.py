@@ -201,8 +201,7 @@ class MonteCarloEngine:
         if self.config.timing and self.compute_backend == "python":
             self._session = TimingSession(
                 netlist, library, constraints, parasitics=parasitics,
-                derates=self.base_derates, clock_arrivals=clock_arrivals,
-                compute_backend=self.compute_backend)
+                derates=self.base_derates, clock_arrivals=clock_arrivals)
         self.nominal_wns: float | None = None
         if self._session is not None:
             self.nominal_wns = self._session.wns()

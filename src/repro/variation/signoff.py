@@ -55,8 +55,8 @@ def evaluate_corner(netlist: Netlist, library: Library, corner: PvtCorner,
     Mirrors the flow's final STA setup (VGND-bounce derates, CTS clock
     arrivals), so the ``tt_nom`` corner reproduces the single-point
     result bit-identically.  ``compute_backend`` selects the numeric
-    engine for both the STA and the leakage summation.  The corner
-    library comes from the process-wide
+    engine for the leakage summation; STA is the scalar session on
+    every backend.  The corner library comes from the process-wide
     :func:`~repro.variation.corners.derive_corner_library_cached` memo.
     """
     with span("signoff.corner", corner=corner.name,
@@ -67,8 +67,7 @@ def evaluate_corner(netlist: Netlist, library: Library, corner: PvtCorner,
             derates = network.derates(netlist, corner_library)
         report = TimingAnalyzer(netlist, corner_library, constraints,
                                 parasitics=parasitics, derates=derates,
-                                clock_arrivals=clock_arrivals,
-                                compute_backend=compute_backend).run()
+                                clock_arrivals=clock_arrivals).run()
         breakdown = LeakageAnalyzer(
             netlist, corner_library,
             compute_backend=compute_backend).standby_leakage()
@@ -159,7 +158,7 @@ def evaluate_corners_batched(netlist: Netlist, library: Library,
         net_model = NetModel(netlist, library, constraints,
                              parasitics=parasitics)
         view = NetlistArrayView(netlist, library, constraints, net_model,
-                                clock_arrivals=clock_arrivals).ensure()
+                                clock_arrivals=clock_arrivals)
 
         if network is not None:
             derates = np.vstack([

@@ -46,12 +46,6 @@ class VgndNetwork:
     clusters: list[VgndCluster] = dataclasses.field(default_factory=list)
     bounce_limit_v: float = 0.0
 
-    def cluster_of(self, inst_name: str) -> VgndCluster | None:
-        for cluster in self.clusters:
-            if inst_name in cluster.members:
-                return cluster
-        return None
-
     @property
     def mt_cell_count(self) -> int:
         return sum(c.size for c in self.clusters)
@@ -65,13 +59,6 @@ class VgndNetwork:
         for cluster in self.clusters:
             if cluster.switch_cell:
                 total += library.cell(cluster.switch_cell).switch_width_um
-        return total
-
-    def total_switch_area(self, library: Library) -> float:
-        total = 0.0
-        for cluster in self.clusters:
-            if cluster.switch_cell:
-                total += library.cell(cluster.switch_cell).area
         return total
 
     def total_switch_leakage_nw(self, library: Library) -> float:

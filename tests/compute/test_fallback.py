@@ -14,7 +14,6 @@ from repro.config import FlowConfig
 from repro.errors import FlowError
 from repro.power.leakage import LeakageAnalyzer
 from repro.timing.constraints import Constraints
-from repro.timing.session import TimingSession
 from repro.variation.montecarlo import McConfig, MonteCarloEngine
 
 
@@ -55,19 +54,6 @@ def test_flow_config_validates_backend():
         FlowConfig(compute_backend="cuda")
 
 
-def test_session_falls_back_to_scalar(no_numpy, half_adder, library):
-    session = TimingSession(half_adder, library,
-                            Constraints(clock_period=1.0),
-                            compute_backend="numpy")
-    assert session.compute_backend == "python"
-    report = session.report()
-    reference = TimingSession(half_adder, library,
-                              Constraints(clock_period=1.0),
-                              compute_backend="python").report()
-    assert report.wns == reference.wns
-    assert session._view is None  # never built an array view
-
-
 def test_leakage_falls_back_to_scalar(no_numpy, c17, library):
     analyzer = LeakageAnalyzer(c17, library, compute_backend="numpy")
     assert analyzer.compute_backend == "python"
@@ -87,6 +73,15 @@ def test_montecarlo_falls_back_to_scalar(no_numpy, c17, library):
                                  compute_backend="python")
     for a, b in zip(engine.run(), reference.run()):
         assert a.leakage_nw == b.leakage_nw and a.wns == b.wns
+
+
+def test_analyze_reports_the_resolved_backend(no_numpy, library):
+    from repro.api import Workspace
+
+    design = Workspace(library=library,
+                       config=FlowConfig(compute_backend="numpy")
+                       ).design("c17")
+    assert design.analyze().compute_backend == "python"
 
 
 def test_cli_backend_flag(capsys):

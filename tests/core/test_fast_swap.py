@@ -57,8 +57,7 @@ def _assert_matches_fresh_analyzer(session):
     fresh = TimingAnalyzer(
         session.netlist, session.library, session.constraints,
         parasitics=session.net_model.parasitics, derates=session.derates,
-        clock_arrivals=session.clock_arrivals,
-        compute_backend=session.compute_backend).run()
+        clock_arrivals=session.clock_arrivals).run()
     assert _summary(report) == _summary(fresh)
 
 

@@ -5,9 +5,9 @@ incremental :class:`~repro.timing.session.TimingSession`.  Here the
 stages build an audited subclass instead: every ``report()`` and every
 arrivals-only ``wns()`` (the bisection probes) is checked against a
 fresh :class:`~repro.timing.sta.TimingAnalyzer` run on the same
-netlist with the session's parasitics, derates, clock arrivals and
-backend.  A loop that edits the netlist without reporting the edit to
-its session shows up as a mismatch at the next probe.
+netlist with the session's parasitics, derates and clock arrivals.  A
+loop that edits the netlist without reporting the edit to its session
+shows up as a mismatch at the next probe.
 
 s344 at margin 0.12 with no assignment guardband makes the ECO setup
 fixer swap cells in all three techniques, so the audit covers the
@@ -45,8 +45,7 @@ def test_every_session_probe_matches_a_fresh_analyzer(library, monkeypatch,
             return TimingAnalyzer(
                 self.netlist, self.library, self.constraints,
                 parasitics=self.net_model.parasitics, derates=self.derates,
-                clock_arrivals=self.clock_arrivals,
-                compute_backend=self.compute_backend).run()
+                clock_arrivals=self.clock_arrivals).run()
 
         def report(self):
             probes["report"] += 1
