@@ -18,7 +18,9 @@ Schema::
     }
 
 The file is read-modify-written per call, so sections recorded by
-different test files in one run all land in the same JSON.
+different test files in one run all land in the same JSON.  A call
+replaces its whole section, so a metric a bench stops writing leaves
+the file with its next run.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ def json_path(name: str) -> Path:
 
 
 def record(section: str, metrics: dict, path: Path | None = None) -> Path:
-    """Merge one section's metrics into the bench JSON; returns the path."""
+    """Write one section's metrics into the bench JSON, replacing that
+    section and keeping the others; returns the path."""
     path = path or json_path("variation")
     payload = {"schema": SCHEMA_VERSION, "sections": {}}
     if path.exists():
@@ -45,7 +48,7 @@ def record(section: str, metrics: dict, path: Path | None = None) -> Path:
                 payload["sections"] = existing["sections"]
         except (json.JSONDecodeError, OSError):
             pass  # corrupt/unreadable trajectory: start fresh
-    payload["sections"].setdefault(section, {}).update(metrics)
+    payload["sections"][section] = dict(metrics)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     return path

@@ -9,12 +9,15 @@ Records ``BENCH_compute.json`` (see ``recorder.json_path``):
   with per-sample timing, scalar vs one batched array pass.
 
 Asserted floor: the numpy backend sustains **>= 5x** the scalar
-Monte-Carlo throughput on the 10k circuit.  Design STA has no numpy
-arm: it runs on the scalar session on every backend.
+Monte-Carlo throughput on the 10k circuit, in the median of
+:data:`MC_REPEATS` pairs run in alternating arm order; the section
+records every repeat.  Design STA has no numpy arm: it runs on the
+scalar session on every backend.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -32,6 +35,9 @@ from repro.variation.montecarlo import McConfig, MonteCarloEngine
 
 SIZES = (1_000, 10_000, 50_000)
 CLOCK_PERIOD_NS = 6.0
+#: Scalar/numpy Monte-Carlo pairs; the arm that runs first alternates,
+#: and the floor reads the median ratio.
+MC_REPEATS = 3
 
 
 def _generated(n_gates: int, library):
@@ -78,35 +84,48 @@ def test_bench_montecarlo_10k(circuits, library):
     samples = 8
     mc = McConfig(samples=samples, seed=1, timing=True)
 
-    scalar = MonteCarloEngine(netlist, library, mc,
-                              constraints=constraints,
-                              compute_backend="python")
-    started = time.perf_counter()
-    scalar_samples = scalar.run()
-    scalar_s = time.perf_counter() - started
+    engines = {
+        "python": MonteCarloEngine(netlist, library, mc,
+                                   constraints=constraints,
+                                   compute_backend="python"),
+        "numpy": MonteCarloEngine(netlist.clone(), library, mc,
+                                  constraints=constraints,
+                                  compute_backend="numpy"),
+    }
+    engines["numpy"].run(start=0, count=1)   # warm-up chunk (steady state)
+    seconds: dict[str, list[float]] = {backend: [] for backend in engines}
+    for repeat in range(MC_REPEATS):
+        order = ("python", "numpy") if repeat % 2 == 0 \
+            else ("numpy", "python")
+        runs = {}
+        for backend in order:
+            started = time.perf_counter()
+            runs[backend] = engines[backend].run()
+            seconds[backend].append(time.perf_counter() - started)
+        for a, b in zip(runs["python"], runs["numpy"]):
+            assert b.leakage_nw == pytest.approx(a.leakage_nw, rel=1e-9)
+            assert b.wns == pytest.approx(a.wns, rel=1e-9)
 
-    vector = MonteCarloEngine(netlist.clone(), library, mc,
-                              constraints=constraints,
-                              compute_backend="numpy")
-    vector.run(start=0, count=1)   # warm-up chunk (steady state)
-    started = time.perf_counter()
-    vector_samples = vector.run()
-    vector_s = time.perf_counter() - started
-
-    for a, b in zip(scalar_samples, vector_samples):
-        assert b.leakage_nw == pytest.approx(a.leakage_nw, rel=1e-9)
-        assert b.wns == pytest.approx(a.wns, rel=1e-9)
-
-    speedup = scalar_s / vector_s
+    speedups = [scalar / vector for scalar, vector
+                in zip(seconds["python"], seconds["numpy"])]
+    speedup = statistics.median(speedups)
+    scalar_s = statistics.median(seconds["python"])
+    vector_s = statistics.median(seconds["numpy"])
     record("mc_10k", {
         "instances": len(netlist.instances),
         "samples": samples,
         "scalar_s": round(scalar_s, 3),
         "numpy_s": round(vector_s, 3),
+        "scalar_s_repeats": [round(each, 3) for each in seconds["python"]],
+        "numpy_s_repeats": [round(each, 3) for each in seconds["numpy"]],
         "scalar_samples_per_s": round(samples / scalar_s, 2),
         "numpy_samples_per_s": round(samples / vector_s, 2),
         "speedup": round(speedup, 2),
+        "speedups": [round(each, 2) for each in speedups],
     }, path=json_path("compute"))
     # Acceptance bar: one batched (samples x instances) pass beats k
-    # sequential scalar re-propagations by at least 5x.
-    assert speedup >= 5.0, f"numpy MC speedup {speedup:.1f}x < 5x"
+    # sequential scalar re-propagations by at least 5x.  One pair read
+    # 4.5x on a loaded host (7.7-12.9x on quiet ones), so the floor
+    # reads the median of MC_REPEATS pairs with alternating arm order.
+    assert speedup >= 5.0, \
+        f"numpy MC speedup {speedup:.1f}x < 5x (pairs: {speedups})"

@@ -23,7 +23,6 @@ from repro.placement.legalize import legalize
 from repro.placement.placer import GlobalPlacer
 from repro.sim.equivalence import check_equivalence
 from repro.timing.constraints import Constraints
-from repro.timing.session import TimingSession
 from repro.timing.sta import TimingAnalyzer
 from conftest import run_once
 
@@ -47,19 +46,18 @@ def _prepare(library):
 @pytest.fixture(scope="module")
 def both(library):
     conventional_nl, _p, cons = _prepare(library)
-    conventional = ConventionalSmtBuilder(
-        TimingSession(conventional_nl, library, cons)).run()
+    conventional = ConventionalSmtBuilder(conventional_nl,
+                                          library).run(cons)
     improved_nl, placement, cons2 = _prepare(library)
-    improved = ImprovedSmtBuilder(
-        TimingSession(improved_nl, library, cons2), placement).run()
+    improved = ImprovedSmtBuilder(improved_nl, library,
+                                  placement).run(cons2)
     return (conventional_nl, conventional), (improved_nl, improved)
 
 
 def test_bench_fig2_conventional_construction(benchmark, library):
     def build():
         netlist, _placement, cons = _prepare(library)
-        return ConventionalSmtBuilder(
-            TimingSession(netlist, library, cons)).run()
+        return ConventionalSmtBuilder(netlist, library).run(cons)
 
     result = run_once(benchmark, build)
     print(f"\nFig.2 conventional: {result.mt_count} MT-cells, each with "
@@ -70,8 +68,7 @@ def test_bench_fig2_conventional_construction(benchmark, library):
 def test_bench_fig3_improved_construction(benchmark, library):
     def build():
         netlist, placement, cons = _prepare(library)
-        return ImprovedSmtBuilder(
-            TimingSession(netlist, library, cons), placement).run()
+        return ImprovedSmtBuilder(netlist, library, placement).run(cons)
 
     result = run_once(benchmark, build)
     print(f"\nFig.3 improved: {result.mt_count} MT-cells, "

@@ -15,9 +15,10 @@ Quickstart (the :mod:`repro.api` facade caches all compiled state)::
     design = ws.design("c880")
     print(design.optimize(technique="improved_smt").leakage_nw)
 
-or, driving the flow engine directly (every run builds the shared
-low-Vth prefix, forks it and runs the technique's remaining stage
-steps; :mod:`repro.core.stages`)::
+or, driving the flow engine directly (every run builds the steps its
+technique shares with another — the low-Vth prefix, and for the SMT
+techniques the MT assignment — forks the context and runs the
+technique's remaining stage steps; :mod:`repro.core.stages`)::
 
     from repro import (build_default_library, load_circuit,
                        SelectiveMtFlow, Technique)

@@ -70,7 +70,14 @@ from repro.core.compare import (
     count_cell_kinds,
 )
 from repro.core.flow import FlowResult, SelectiveMtFlow, shared_prefix
-from repro.core.stages import FlowContext, derive_clock_constraints
+from repro.core.stages import (
+    SHARED_STAGES,
+    FlowContext,
+    StageStep,
+    derive_clock_constraints,
+    run_stages,
+    stage_mt_assignment,
+)
 from repro.errors import ConfigError, FlowError
 from repro.liberty.library import (
     Library,
@@ -86,6 +93,14 @@ from repro.power.leakage import LeakageAnalyzer
 from repro.runner import ExperimentRunner
 from repro.timing.constraints import Constraints
 from repro.timing.session import TimingSession
+
+
+#: The shared step prefixes (:func:`~repro.core.stages.shared_steps`)
+#: :meth:`Workspace._flow_prefix` keeps a slot for, by cache name.
+_PREFIX_SLOTS = {
+    SHARED_STAGES: "prefix",
+    SHARED_STAGES + (stage_mt_assignment,): "mt_prefix",
+}
 
 
 def config_key(config: FlowConfig) -> str:
@@ -180,20 +195,28 @@ class Workspace:
         #: name (lets :meth:`adopt` recognize registry-identical
         #: content and keep the cheap by-name worker loading).
         self._registry_fingerprints: dict[str, str] = {}
-        #: ``(design, context)``: the most recent design's shared flow
-        #: prefix (see :meth:`_flow_prefix`).
-        self._prefix: tuple[Design, FlowContext] | None = None
+        #: Per shared step prefix, ``(design, context)``: the most
+        #: recent design's context after those steps (see
+        #: :meth:`_flow_prefix`).
+        self._prefixes: dict[tuple[StageStep, ...],
+                             tuple[Design, FlowContext]] = {}
 
     # --- compiled-library state --------------------------------------------
 
     @property
     def library(self) -> Library:
         with self._lock:
+            if self._library is not None:
+                self.stats.hit("library")
+            return self._built_library()
+
+    def _built_library(self) -> Library:
+        """The library, built (one ``library`` miss) on first use; a read
+        of the built library is no lookup, so it counts nothing."""
+        with self._lock:
             if self._library is None:
                 self.stats.miss("library")
                 self._library = build_default_library()
-            else:
-                self.stats.hit("library")
             return self._library
 
     def peek_library(self) -> Library | None:
@@ -272,24 +295,37 @@ class Workspace:
             self._designs[key] = design
             return design
 
-    def _flow_prefix(self, design: "Design") -> FlowContext:
-        """The :func:`~repro.core.flow.shared_prefix` of ``design``.
+    def _flow_prefix(self, design: "Design",
+                     steps: tuple[StageStep, ...]) -> FlowContext:
+        """The :func:`~repro.core.flow.shared_prefix` of ``design``
+        after the shared ``steps``.
 
-        One slot, holding the most recent design's prefix: every serial
-        caller runs a design's techniques back to back, while a prefix
-        kept per design would hold every placed netlist alive for
-        nothing where no design runs a second technique (the service
-        mix).  Built outside the lock; designs serialize their own
-        flows.
+        One slot per shared step prefix (:data:`_PREFIX_SLOTS`), each
+        counted under its own cache name and holding the most recent
+        design's context: every serial caller runs a design's
+        techniques back to back, while a prefix kept per design would
+        hold every placed netlist alive for nothing where no design
+        runs a second technique (the service mix).  The deeper slot is
+        built on a fork of the :data:`SHARED_STAGES` one, so a design
+        runs each shared step once.  Built outside the lock; designs
+        serialize their own flows.
         """
+        cache = _PREFIX_SLOTS[steps]
         with self._lock:
-            if self._prefix is not None and self._prefix[0] is design:
-                self.stats.hit("prefix")
-                return self._prefix[1]
-        self.stats.miss("prefix")
-        prefix = shared_prefix(design.netlist, self.library, design.config)
+            slot = self._prefixes.get(steps)
+            if slot is not None and slot[0] is design:
+                self.stats.hit(cache)
+                return slot[1]
+        self.stats.miss(cache)
+        if steps == SHARED_STAGES:
+            prefix = shared_prefix(design.netlist, design.library,
+                                   design.config, steps)
+        else:
+            base = self._flow_prefix(design, SHARED_STAGES)
+            prefix = run_stages(base.fork(base.technique),
+                                steps[len(SHARED_STAGES):])
         with self._lock:
-            self._prefix = (design, prefix)
+            self._prefixes[steps] = (design, prefix)
         return prefix
 
     # --- workspace-level studies -------------------------------------------
@@ -465,17 +501,20 @@ class Design:
         workspace = workspace or Workspace()
         return workspace.design(circuit, config)
 
+    # A design exists only for a loaded netlist, so these read the
+    # workspace's state without counting a cache lookup.
+
     @property
     def library(self) -> Library:
-        return self.workspace.library
+        return self.workspace._built_library()
 
     @property
     def netlist(self) -> Netlist:
-        return self.workspace.netlist(self.circuit)
+        return self.workspace._netlists[self.circuit]
 
     @property
     def fingerprint(self) -> str:
-        return self.workspace.fingerprint(self.circuit)
+        return self.workspace._fingerprints[self.circuit]
 
     def _stats(self) -> CacheStats:
         return self.workspace.stats
@@ -570,8 +609,8 @@ class Design:
         the heavyweight artifacts (stage reports, VGND network, design
         export); the typed surface is :meth:`optimize`.  The
         :class:`~repro.core.flow.SelectiveMtFlow` run forks the
-        design's cached shared-stage prefix (see
-        :meth:`Workspace._flow_prefix`).
+        design's cached context after the technique's shared steps
+        (see :meth:`Workspace._flow_prefix`).
         """
         technique = _technique("technique", technique)
         if technique in self._flows:
@@ -583,7 +622,7 @@ class Design:
             flow = SelectiveMtFlow(self.netlist, self.library, technique,
                                    self.config)
             result = flow.run(
-                prefix=lambda: self.workspace._flow_prefix(self))
+                prefix=lambda steps: self.workspace._flow_prefix(self, steps))
         self._flows[technique] = result
         return result
 

@@ -4,8 +4,9 @@
   Dual-Vth baseline [Wei, CICC'00] and the shared engine of both SMT
   techniques, which the paper says replace cells "by the method which
   is similar to the way of generating the Dual-Vth circuit").
-* :mod:`repro.core.selective_mt` — conventional Selective-MT
-  construction (Fig. 2): per-cell embedded switches.
+* :mod:`repro.core.selective_mt` — the MT assignment both SMT
+  techniques share, and the conventional Selective-MT construction
+  (Fig. 2): per-cell embedded switches.
 * :mod:`repro.core.improved_smt` — improved Selective-MT construction
   (Fig. 3): VGND-port MT-cells, shared switch transistors, selective
   output holders.

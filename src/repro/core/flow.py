@@ -10,10 +10,12 @@ generic-gate netlist ("the RTL"), recording a :class:`StageReport` per
 box so Fig. 4 itself is reproducible as an executable artifact.
 
 Every run goes prefix -> fork -> tail: all three techniques open with
-the same :data:`~repro.core.stages.SHARED_STAGES`, which
-:func:`shared_prefix` runs once per design;
-:meth:`SelectiveMtFlow.run` forks that context and runs the rest of
-the technique's :data:`~repro.core.stages.PIPELINES` steps on the fork.
+the same :data:`~repro.core.stages.SHARED_STAGES`, and the two
+Selective-MT techniques go on to share their MT assignment.
+:meth:`SelectiveMtFlow.run` forks the context after the technique's
+shared steps (:func:`~repro.core.stages.shared_steps`, run once per
+design by :func:`shared_prefix`) and runs the rest of the technique's
+:data:`~repro.core.stages.PIPELINES` steps on the fork.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ from repro.core.mte import MteTreeResult
 from repro.core.selective_mt import ConventionalSmtResult
 from repro.core.stages import (
     PIPELINES,
-    SHARED_STAGES,
     FlowContext,
     StageReport,
+    StageStep,
     run_stages,
+    shared_steps,
 )
 from repro.cts.tree import CtsResult
 from repro.liberty.library import Library
@@ -121,28 +124,31 @@ class SelectiveMtFlow:
         self.technique = technique
         self.config = config or FlowConfig()
 
-    def run(self, prefix: Callable[[], FlowContext] | None = None
-            ) -> FlowResult:
-        """Fork the shared prefix and run the technique's other stages.
+    def run(self, prefix: Callable[[tuple[StageStep, ...]], FlowContext]
+            | None = None) -> FlowResult:
+        """Fork the technique's shared prefix and run its other stages.
 
-        ``prefix()`` returns the :func:`shared_prefix` context of this
-        flow's netlist, library and config (by default, one built for
-        this run); a prefix it builds runs inside this flow's
-        ``flow.run`` span.  The fork leaves the prefix as it was, so
-        one prefix serves every technique.
+        ``prefix(steps)`` returns the :func:`shared_prefix` context of
+        this flow's netlist, library and config after ``steps``, the
+        technique's :func:`~repro.core.stages.shared_steps` (by default,
+        one built for this run); shared steps it runs sit inside this
+        flow's ``flow.run`` span.  The fork leaves the prefix as it
+        was, so one prefix serves every technique that shares it.
         """
+        steps = shared_steps(self.technique)
         with span("flow.run", circuit=self.source_netlist.name,
                   technique=self.technique.value):
-            base = prefix() if prefix is not None else shared_prefix(
-                self.source_netlist, self.library, self.config)
+            base = prefix(steps) if prefix is not None else shared_prefix(
+                self.source_netlist, self.library, self.config, steps)
             ctx = base.fork(self.technique)
-            run_stages(ctx, PIPELINES[self.technique][len(SHARED_STAGES):])
+            run_stages(ctx, PIPELINES[self.technique][len(steps):])
         return FlowResult.from_context(ctx)
 
 
 def shared_prefix(netlist: Netlist, library: Library,
-                  config: FlowConfig | None = None) -> FlowContext:
-    """Run :data:`~repro.core.stages.SHARED_STAGES` on ``netlist``: the
-    context :meth:`SelectiveMtFlow.run` forks."""
+                  config: FlowConfig | None,
+                  steps: tuple[StageStep, ...]) -> FlowContext:
+    """Run the shared ``steps`` on ``netlist``: a context
+    :meth:`SelectiveMtFlow.run` forks."""
     return run_stages(FlowContext.create(netlist, library, config=config),
-                      SHARED_STAGES)
+                      steps)

@@ -3,7 +3,9 @@
 The stages mirror Fig. 4's middle boxes:
 
 1. Vth assignment with MT-cells (without VGND ports) as the fast class
-   — identical machinery to the conventional technique;
+   — literally the conventional technique's step
+   (:func:`~repro.core.selective_mt.assign_mt`; in the flow, the
+   ``mt_assignment`` step both Selective-MT techniques share);
 2. every remaining MT-cell is swapped to its VGND-port variant
    ("replacing MT-cells(without VGND ports) by the ones(with VGND
    ports)");
@@ -16,6 +18,9 @@ The stages mirror Fig. 4's middle boxes:
 5. the back-end optimizer (our CoolPower substitute,
    :mod:`repro.vgnd`) replaces the single initial switch with sized
    per-cluster switches honouring bounce / wire length / EM limits.
+
+Stages 2-5 edit the netlist directly: they run after the assignment's
+last timing probe.
 """
 
 from __future__ import annotations
@@ -24,13 +29,15 @@ import dataclasses
 import statistics
 
 from repro.config import FlowConfig
-from repro.core.dual_vth import AssignmentResult, DualVthAssigner
+from repro.core.dual_vth import AssignmentResult
 from repro.core.output_holder import insert_output_holders
+from repro.core.selective_mt import assign_mt
 from repro.errors import FlowError
-from repro.liberty.library import VARIANT_HVT, VARIANT_MT, VARIANT_MTV
-from repro.netlist.core import PinDirection
+from repro.liberty.library import Library, VARIANT_MTV
+from repro.netlist.core import Netlist, PinDirection
 from repro.netlist.transform import swap_variant
 from repro.placement.placer import Placement, place_incremental
+from repro.timing.constraints import Constraints
 from repro.timing.session import TimingSession
 from repro.vgnd.cluster import ClusterConfig, MtClusterer
 from repro.vgnd.network import VgndNetwork
@@ -56,21 +63,18 @@ class ImprovedSmtResult:
 
 
 class ImprovedSmtBuilder:
-    """Builds an improved Selective-MT circuit in place (the session's
-    netlist).
+    """Builds an improved Selective-MT circuit in place on ``netlist``.
 
-    Only :meth:`assign` uses the session.  The structural stages (VGND
-    ports, switches, holders) run after the last timing probe and edit
-    the netlist directly.  The switch structure honours ``config``'s
-    §3 limits: bounce, rail length, cells per switch and the
-    simultaneity model.
+    Its stages are the structural ones (VGND ports, switches, holders)
+    on an MT assignment; a standalone :meth:`run` runs that assignment
+    first.  The switch structure honours ``config``'s §3 limits:
+    bounce, rail length, cells per switch and the simultaneity model.
     """
 
-    def __init__(self, session: TimingSession, placement: Placement,
-                 config: FlowConfig | None = None):
-        self.session = session
-        self.netlist = session.netlist
-        self.library = session.library
+    def __init__(self, netlist: Netlist, library: Library,
+                 placement: Placement, config: FlowConfig | None = None):
+        self.netlist = netlist
+        self.library = library
         self.placement = placement
         config = config or FlowConfig()
         self.cluster_config = ClusterConfig(
@@ -82,10 +86,14 @@ class ImprovedSmtBuilder:
 
     # --- stages ---------------------------------------------------------------
 
-    def assign(self) -> AssignmentResult:
-        """Stage 1: Vth assignment with MT (no VGND port) as fast class."""
-        return DualVthAssigner(self.session, fast_variant=VARIANT_MT,
-                               slow_variant=VARIANT_HVT).run()
+    def convert(self, assignment: AssignmentResult
+                ) -> tuple[list[str], str | None, list[str]]:
+        """Stages 2-4 on the MT assignment; returns the MT-cell names,
+        the initial switch (``None`` without MT-cells) and the
+        holders."""
+        mt_names = self.add_vgnd_ports(assignment)
+        initial_switch = self.insert_initial_switch(mt_names)
+        return mt_names, initial_switch, self.insert_holders()
 
     def add_vgnd_ports(self, assignment: AssignmentResult) -> list[str]:
         """Stage 2: swap MT -> MTV (adds the VGND pin)."""
@@ -196,11 +204,11 @@ class ImprovedSmtBuilder:
 
     # --- orchestration -----------------------------------------------------------
 
-    def run(self) -> ImprovedSmtResult:
-        assignment = self.assign()
-        mt_names = self.add_vgnd_ports(assignment)
-        initial_switch = self.insert_initial_switch(mt_names)
-        holders = self.insert_holders()
+    def run(self, constraints: Constraints) -> ImprovedSmtResult:
+        """Stage 1 under ``constraints``, then stages 2-5."""
+        assignment = assign_mt(
+            TimingSession(self.netlist, self.library, constraints))
+        mt_names, initial_switch, holders = self.convert(assignment)
         network = self.build_switch_structure(mt_names,
                                               initial_switch=initial_switch)
         return ImprovedSmtResult(

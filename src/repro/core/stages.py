@@ -3,18 +3,20 @@
 Every Fig. 4 box is a stage function over one typed
 :class:`FlowContext`; a technique is the tuple of its steps
 (:data:`PIPELINES`), and :func:`run_stages` runs steps in order.  All
-three techniques open with :data:`SHARED_STAGES`, which do not read
-the technique: :class:`~repro.core.flow.SelectiveMtFlow` runs them
-once, forks the context (:meth:`FlowContext.fork`) and runs the rest
-of the technique's steps on the fork.
+three techniques open with :data:`SHARED_STAGES`, and the two
+Selective-MT techniques also share their MT assignment; no shared step
+reads the technique.  :class:`~repro.core.flow.SelectiveMtFlow` forks
+the context after a technique's shared steps (:func:`shared_steps`,
+:meth:`FlowContext.fork`) and runs the rest of its steps on the fork.
 
 A step's key is its function's name without the ``stage_`` prefix
 (:func:`stage_key`); it runs in a ``stage.<key>`` span.  It returns a
 details dict (recorded as a :class:`StageReport` with its wall-clock)
-or ``None`` for hidden plumbing steps (estimation, teardown, finalize)
-that Fig. 4 does not draw as boxes.  Timing-heavy stages share one
-incremental :class:`~repro.timing.session.TimingSession` per
-(constraints, parasitics) regime — see ``ARCHITECTURE.md``.
+or ``None`` for hidden plumbing steps (estimation, conversion,
+teardown, finalize) that Fig. 4 does not draw as boxes.  Timing-heavy
+stages share one incremental
+:class:`~repro.timing.session.TimingSession` per (constraints,
+parasitics) regime — see ``ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,11 @@ from repro.core.eco import EcoResult, HoldFixer, SetupFixer
 from repro.core.improved_smt import ImprovedSmtBuilder, ImprovedSmtResult
 from repro.core.mte import MteBufferTree, MteTreeResult
 from repro.core.output_holder import insert_output_holders
-from repro.core.selective_mt import ConventionalSmtBuilder, ConventionalSmtResult
+from repro.core.selective_mt import (
+    ConventionalSmtBuilder,
+    ConventionalSmtResult,
+    assign_mt,
+)
 from repro.cts.tree import ClockTreeSynthesizer, CtsResult
 from repro.errors import FlowError
 from repro.liberty.library import Library, VARIANT_HVT, VARIANT_LVT
@@ -99,8 +105,8 @@ class FlowContext:
     leakage: LeakageBreakdown | None = None
     total_area: float = 0.0
 
-    # Improved-SMT intermediates (between replacement and the switch
-    # structure construction).
+    # Improved-SMT intermediates (between the VGND conversion and the
+    # switch structure construction).
     improved_builder: ImprovedSmtBuilder | None = None
     mt_names: list[str] = dataclasses.field(default_factory=list)
     initial_switch: str | None = None
@@ -123,12 +129,13 @@ class FlowContext:
     def fork(self, technique: Technique) -> "FlowContext":
         """A context for ``technique`` resuming after this one.
 
-        Meant for a context that ran :data:`SHARED_STAGES`, which do
-        not read the technique.  The fork gets its own copy of the
-        netlist and of the placement dicts, which the remaining stages
-        edit; the pre-route parasitics, the constraints and the stage
-        reports so far are shared and must stay read-only, so one
-        prefix serves every technique.
+        Meant for a context that ran shared steps (:func:`shared_steps`),
+        which do not read the technique.  The fork gets its own copy of
+        the netlist and of the placement dicts, which the remaining
+        stages edit; the pre-route parasitics, the constraints, the
+        assignment, the stage reports so far and their STA statistics
+        are shared and must stay read-only, so one prefix serves every
+        technique that opens with its steps.
         """
         placement = dataclasses.replace(
             self.placement, locations=dict(self.placement.locations),
@@ -235,41 +242,44 @@ def stage_dual_vth_assignment(ctx: FlowContext) -> dict[str, Any]:
     })
 
 
-def stage_conventional_smt_assignment(ctx: FlowContext) -> dict[str, Any]:
-    """Fig. 4 box 2, fast class = conventional MT-cells (Fig. 2)."""
-    constraints = _guardbanded(ctx)
-    session = ctx._make_session(constraints)
-    smt_result = ConventionalSmtBuilder(session).run()
-    ctx.smt_result = smt_result
-    ctx.assignment = smt_result.assignment
-    return ctx._note_session("vth_assignment", session, {
-        "mt_cells": smt_result.mt_count,
-        "high_vth": smt_result.assignment.slow_count,
-        "sta_runs": smt_result.assignment.sta_runs,
-    })
+def stage_mt_assignment(ctx: FlowContext) -> dict[str, Any]:
+    """Fig. 4 box 2 for both Selective-MT techniques: MT replacement,
+    fast class = MT-cells without VGND ports.
 
-
-def stage_improved_smt_assignment(ctx: FlowContext) -> dict[str, Any]:
-    """Fig. 4 boxes 2+3: MT replacement, VGND ports, initial switch."""
-    constraints = _guardbanded(ctx)
-    session = ctx._make_session(constraints)
-    builder = ImprovedSmtBuilder(session, ctx.placement, ctx.config)
-    assignment = builder.assign()
-    mt_names = builder.add_vgnd_ports(assignment)
-    initial_switch = builder.insert_initial_switch(mt_names)
-    holders = builder.insert_holders()
-    # The switch structure is built after ECO placement (the replaced
-    # cells changed footprint); keep the intermediates on the context.
+    Its session is finished after the assignment's last probe: the
+    conversion step that follows edits the netlist directly.
+    """
+    session = ctx._make_session(_guardbanded(ctx))
+    assignment = assign_mt(session)
     ctx.assignment = assignment
-    ctx.improved_builder = builder
-    ctx.mt_names = mt_names
-    ctx.initial_switch = initial_switch
-    ctx.holders = holders
     return ctx._note_session("vth_assignment", session, {
-        "mt_cells": len(mt_names),
+        "mt_cells": assignment.fast_count,
         "high_vth": assignment.slow_count,
         "sta_runs": assignment.sta_runs,
     })
+
+
+def stage_cmt_conversion(ctx: FlowContext) -> None:
+    """Hidden plumbing: the MT-cells become conventional MT-cells, each
+    with its embedded switch and its MTE pin on the sleep net
+    (Fig. 2)."""
+    ctx.smt_result = ConventionalSmtBuilder(
+        ctx.netlist, ctx.library).convert(ctx.assignment)
+    return None
+
+
+def stage_vgnd_conversion(ctx: FlowContext) -> None:
+    """Hidden plumbing: the MT-cells get VGND ports on one initial
+    switch, and output holders go where they feed powered logic
+    (Fig. 3)."""
+    builder = ImprovedSmtBuilder(ctx.netlist, ctx.library, ctx.placement,
+                                 ctx.config)
+    # The switch structure is built after ECO placement (the replaced
+    # cells changed footprint); keep the intermediates on the context.
+    ctx.mt_names, ctx.initial_switch, ctx.holders = \
+        builder.convert(ctx.assignment)
+    ctx.improved_builder = builder
+    return None
 
 
 def stage_initial_switch_teardown(ctx: FlowContext) -> None:
@@ -529,7 +539,7 @@ StageStep = Callable[[FlowContext], dict[str, Any] | None]
 #: The stages every technique opens with: low-Vth physical synthesis
 #: and placement, pre-route estimation and the clock period.  None
 #: reads the technique, so one run serves all three
-#: (:meth:`FlowContext.fork`).
+#: (:func:`shared_steps`).
 SHARED_STAGES: tuple[StageStep, ...] = (
     stage_physical_synthesis,
     stage_pre_route_estimation,
@@ -546,14 +556,16 @@ PIPELINES: dict[Technique, tuple[StageStep, ...]] = {
         stage_finalize,
     ),
     Technique.CONVENTIONAL_SMT: SHARED_STAGES + (
-        stage_conventional_smt_assignment,
+        stage_mt_assignment,
+        stage_cmt_conversion,
         stage_eco_placement,
         stage_routing_cts_mte,
         stage_eco_and_sta,
         stage_finalize,
     ),
     Technique.IMPROVED_SMT: SHARED_STAGES + (
-        stage_improved_smt_assignment,
+        stage_mt_assignment,
+        stage_vgnd_conversion,
         stage_initial_switch_teardown,
         stage_eco_placement,
         stage_switch_structure,
@@ -564,11 +576,32 @@ PIPELINES: dict[Technique, tuple[StageStep, ...]] = {
     ),
 }
 
-#: Fig. 4 draws one replacement box: each technique's assignment
-#: step reports under its name.
+#: Fig. 4 draws one replacement box: each assignment step reports
+#: under its name.
 _REPORT_NAMES = dict.fromkeys(
-    ("dual_vth_assignment", "conventional_smt_assignment",
-     "improved_smt_assignment"), "vth_assignment")
+    ("dual_vth_assignment", "mt_assignment"), "vth_assignment")
+
+
+def shared_steps(technique: Technique) -> tuple[StageStep, ...]:
+    """The longest step prefix ``technique`` shares with another
+    technique: Dual-Vth shares :data:`SHARED_STAGES`, the two
+    Selective-MT techniques also their MT assignment.
+
+    No shared step reads the technique, so one run of them serves every
+    technique that opens with them.
+    """
+    steps = PIPELINES[technique]
+
+    def common(other: tuple[StageStep, ...]) -> int:
+        depth = 0
+        for step, twin in zip(steps, other):
+            if step is not twin:
+                break
+            depth += 1
+        return depth
+
+    return steps[:max(common(other) for key, other in PIPELINES.items()
+                      if key != technique)]
 
 
 def stage_key(step: StageStep) -> str:

@@ -229,8 +229,9 @@ def test_optimize_matches_direct_flow(library):
     """Every technique forked from a design's shared prefix equals the
     linear reference, all of the technique's stage steps run on one
     un-forked context, field for field, whatever order the techniques
-    come in; interleaving designs A, B, A evicts A's prefix from the
-    workspace's one slot and builds it again."""
+    come in; interleaving designs A, B, A evicts A's prefixes from the
+    workspace's two slots (after the shared stages, and after the MT
+    assignment as well) and builds them again."""
     from repro.benchcircuits.generator import (
         GeneratorConfig,
         generate_circuit,
@@ -268,22 +269,29 @@ def test_optimize_matches_direct_flow(library):
                  fields["hold_wns"])
             assert (optimized.mt_cells, optimized.switches,
                     optimized.holders) == fields["cells"]
-        return workspace.stats.as_dict()["prefix"]
+        stats = workspace.stats.as_dict()
+        return stats["prefix"], stats["mt_prefix"]
 
     forward = tuple(Technique)
     backward = forward[::-1]
-    # Design-major, both technique orders: one prefix per design.
-    prefix = check(Workspace(library=library, config=CONFIG),
-                   [(name, technique) for name, order in
-                    (("c17", forward), ("s344", backward),
-                     ("adhoc", forward), ("wide", backward))
-                    for technique in order])
-    assert prefix == {"hits": 8, "misses": 4}
-    # A, B, A: each switch of design evicts the other's prefix.
-    prefix = check(Workspace(library=library, config=CONFIG),
-                   [(name, technique) for technique in backward
-                    for name in ("c17", "s344")])
+    # Design-major, both technique orders: one prefix and one MT
+    # assignment per design.  The first Selective-MT flow builds the MT
+    # slot on the prefix, which Dual-Vth built or reads.
+    prefix, mt_prefix = check(
+        Workspace(library=library, config=CONFIG),
+        [(name, technique) for name, order in
+         (("c17", forward), ("s344", backward),
+          ("adhoc", forward), ("wide", backward))
+         for technique in order])
+    assert prefix == {"hits": 4, "misses": 4}
+    assert mt_prefix == {"hits": 4, "misses": 4}
+    # A, B, A: each switch of design evicts the other's prefixes.
+    prefix, mt_prefix = check(
+        Workspace(library=library, config=CONFIG),
+        [(name, technique) for technique in backward
+         for name in ("c17", "s344")])
     assert prefix == {"hits": 0, "misses": 6}
+    assert mt_prefix == {"hits": 0, "misses": 4}
 
 
 def test_signoff_matches_legacy_corner_job(library, design):
@@ -459,6 +467,17 @@ def test_workspace_sweep_spans_circuits(workspace):
                              techniques=(Technique.DUAL_VTH,))
     assert result.circuits() == ("c17", "s27")
     assert len(result.rows) == 2
+
+
+def test_design_properties_count_no_lookup(workspace, design):
+    """Reading a design's library, netlist or fingerprint is no cache
+    lookup: any number of reads leaves every counter as it was."""
+    before = workspace.stats.as_dict()
+    for _ in range(5):
+        assert design.library is workspace._library
+        assert design.netlist is workspace._netlists["c17"]
+        assert design.fingerprint == workspace._fingerprints["c17"]
+    assert workspace.stats.as_dict() == before
 
 
 def test_cache_stats_shape(workspace):

@@ -12,7 +12,6 @@ from repro.placement.legalize import legalize
 from repro.placement.placer import GlobalPlacer
 from repro.sim.equivalence import check_equivalence
 from repro.timing.constraints import Constraints
-from repro.timing.session import TimingSession
 from repro.timing.sta import TimingAnalyzer
 
 
@@ -33,8 +32,8 @@ def _prepared(library, name="c880", margin=1.12):
 def conventional(library):
     netlist, _placement, cons = _prepared(library)
     golden = netlist.clone("golden")
-    builder = ConventionalSmtBuilder(TimingSession(netlist, library, cons))
-    result = builder.run()
+    builder = ConventionalSmtBuilder(netlist, library)
+    result = builder.run(cons)
     return golden, netlist, result
 
 
@@ -42,9 +41,8 @@ def conventional(library):
 def improved(library):
     netlist, placement, cons = _prepared(library)
     golden = netlist.clone("golden")
-    builder = ImprovedSmtBuilder(TimingSession(netlist, library, cons),
-                                 placement)
-    result = builder.run()
+    builder = ImprovedSmtBuilder(netlist, library, placement)
+    result = builder.run(cons)
     return golden, netlist, result
 
 

@@ -9,7 +9,9 @@ from repro.core.stages import (
     PIPELINES,
     SHARED_STAGES,
     run_stages,
+    shared_steps,
     stage_key,
+    stage_mt_assignment,
 )
 
 #: The span of every step is ``stage.<key>``; perfbench and the CI
@@ -21,11 +23,11 @@ STAGE_KEYS = {
         "eco_and_sta", "finalize"],
     Technique.CONVENTIONAL_SMT: [
         "physical_synthesis", "pre_route_estimation", "derive_constraints",
-        "conventional_smt_assignment", "eco_placement", "routing_cts_mte",
-        "eco_and_sta", "finalize"],
+        "mt_assignment", "cmt_conversion", "eco_placement",
+        "routing_cts_mte", "eco_and_sta", "finalize"],
     Technique.IMPROVED_SMT: [
         "physical_synthesis", "pre_route_estimation", "derive_constraints",
-        "improved_smt_assignment", "initial_switch_teardown",
+        "mt_assignment", "vgnd_conversion", "initial_switch_teardown",
         "eco_placement", "switch_structure", "routing_cts_mte",
         "spef_reoptimization", "eco_and_sta", "finalize"],
 }
@@ -44,6 +46,20 @@ class TestRegistry:
         for technique, steps in PIPELINES.items():
             assert [stage_key(step) for step in steps] == \
                 STAGE_KEYS[technique], technique
+
+    def test_fork_depth_is_the_longest_shared_step_prefix(self):
+        """Dual-Vth shares the three prefix stages; the two Selective-MT
+        techniques also share their MT assignment, and nothing after
+        it."""
+        assert shared_steps(Technique.DUAL_VTH) == SHARED_STAGES
+        for technique in (Technique.CONVENTIONAL_SMT,
+                          Technique.IMPROVED_SMT):
+            assert shared_steps(technique) == \
+                SHARED_STAGES + (stage_mt_assignment,), technique
+        conventional, improved = (PIPELINES[Technique.CONVENTIONAL_SMT],
+                                  PIPELINES[Technique.IMPROVED_SMT])
+        depth = len(SHARED_STAGES) + 1
+        assert conventional[depth] is not improved[depth]
 
     def test_assignment_stages_share_the_fig4_label(self, library):
         netlist = load_circuit("c17")

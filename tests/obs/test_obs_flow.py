@@ -8,7 +8,12 @@ from repro.api import Workspace, schemas
 from repro.api.requests import OptimizeRequest
 from repro.api.shards import FacadeJob, run_facade_job
 from repro.config import FlowConfig, Technique
-from repro.core.stages import PIPELINES, SHARED_STAGES, stage_key
+from repro.core.stages import (
+    PIPELINES,
+    SHARED_STAGES,
+    stage_key,
+    stage_mt_assignment,
+)
 from repro.obs import TraceResult, enable, span, take_records
 from repro.runner import ExperimentRunner
 
@@ -42,8 +47,11 @@ def test_flow_trace_covers_every_pipeline_stage(library):
     assert "sta.full_run" in names
 
     # Three techniques on one design fork one shared prefix: its stages
-    # run once, inside the first flow's span; every other stage sits in
-    # the flow.run span of its own technique, and nowhere else.
+    # run once, inside the first flow's span.  The two Selective-MT
+    # techniques also share their MT assignment: it runs once, inside
+    # the conventional flow's span, so the improved flow's span holds
+    # no assignment.  Every other stage sits in the flow.run span of
+    # its own technique, and nowhere else.
     design = Workspace(library=library, config=CONFIG).design("c17")
     for technique in Technique:
         design.flow_result(technique)
@@ -51,14 +59,42 @@ def test_flow_trace_covers_every_pipeline_stage(library):
     flows = [record for record in records if record.name == "flow.run"]
     assert [flow.attributes["technique"] for flow in flows] == \
         [technique.value for technique in Technique]
-    expected = [PIPELINES[technique][len(SHARED_STAGES) if index else 0:]
-                for index, technique in enumerate(Technique)]
+    dual, conventional, improved = (PIPELINES[technique]
+                                    for technique in Technique)
+    expected = [dual, conventional[len(SHARED_STAGES):],
+                improved[len(SHARED_STAGES) + 1:]]
+    assert improved[len(SHARED_STAGES)] is stage_mt_assignment
     for flow, steps in zip(flows, expected):
         assert [child.name for child in flow.children
                 if child.name.startswith("stage.")] == \
             [f"stage.{stage_key(step)}" for step in steps]
     assert sum(record.name.startswith("stage.") for record in records) \
         == sum(map(len, expected))
+
+
+def test_selective_mt_techniques_share_one_mt_assignment(library):
+    """On one design, the conventional and improved flows run one MT
+    assignment between them, in either order, and both read its
+    result: the same fast set, STA statistics and report details."""
+    for order in ((Technique.CONVENTIONAL_SMT, Technique.IMPROVED_SMT),
+                  (Technique.IMPROVED_SMT, Technique.CONVENTIONAL_SMT)):
+        enable()
+        design = Workspace(library=library, config=CONFIG).design("c432")
+        first, second = (design.flow_result(technique)
+                         for technique in order)
+        records = [record for root in take_records()
+                   for record in root.walk()]
+        assignments = [record for record in records
+                       if record.name == "stage.mt_assignment"]
+        assert len(assignments) == 1, order
+        assert first.assignment.fast_instances
+        assert first.assignment.fast_instances == \
+            second.assignment.fast_instances
+        assert first.sta_stats["vth_assignment"] == \
+            second.sta_stats["vth_assignment"]
+        assert first.stage("vth_assignment").details == \
+            second.stage("vth_assignment").details
+        assert first.netlist is not second.netlist
 
 
 def test_stage_report_timings_unchanged_by_tracing(library):
