@@ -18,6 +18,10 @@ The distance itself is asserted too: ``Table1Result.fidelity()``, the
 mean gap to the paper over the four SMT cells, may only shrink.
 """
 
+import json
+import math
+from pathlib import Path
+
 import pytest
 
 from repro.api import Workspace
@@ -25,6 +29,12 @@ from repro.api.studies import table1_study
 from repro.config import Technique
 from repro.experiments import table1_config
 from conftest import run_once
+
+
+#: The benchmark's Table 1 reference rows and their relative tolerance.
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" \
+    / "reference.json"
+REFERENCE_REL_TOL = 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +97,29 @@ class TestTable1Shape:
               f"leakage {fidelity['leak_gap_pp']:.3f} pp")
         assert fidelity["area_gap_pp"] <= 23.51
         assert fidelity["leak_gap_pp"] <= 1.70
+
+    def test_rows_match_the_benchmark_reference(self, table1):
+        """The six rows equal ``perfbench/reference.json``, the rows the
+        benchmark checks every run against: cell counts exactly, area
+        and leakage within perfbench's relative tolerance (1e-9; the
+        numpy leakage sums may differ from the scalar ones in the last
+        bits).  Read only."""
+        reference = json.loads(REFERENCE.read_text())["rows"]
+        rows = {(f"circuit{circuit}", row.technique.value): row
+                for circuit, comparison in table1.comparisons.items()
+                for row in comparison.rows}
+        assert set(rows) == {(expected["circuit"], expected["technique"])
+                             for expected in reference}
+        for expected in reference:
+            row = rows[expected["circuit"], expected["technique"]]
+            assert (row.mt_cells, row.switches, row.holders) == (
+                expected["mt_cells"], expected["switches"],
+                expected["holders"])
+            for field in ("area_um2", "leakage_nw", "area_pct",
+                          "leakage_pct"):
+                assert math.isclose(getattr(row, field), expected[field],
+                                    rel_tol=REFERENCE_REL_TOL,
+                                    abs_tol=0.0), (expected, field)
 
     def test_circuit_a_tighter_than_b(self):
         assert table1_config("A").timing_margin \

@@ -8,9 +8,8 @@ One :class:`Workspace` owns every piece of expensive compiled state:
   **content fingerprint** (a SHA-256 over ports, instances and
   connectivity) — every per-design cache below is keyed by that
   fingerprint plus the request, never by the circuit's display name;
-* per-design state: baseline :class:`~repro.timing.session.TimingSession`
-  substrates, finished :class:`~repro.core.flow.FlowResult` objects and
-  the typed results derived from them.
+* per-design state: finished :class:`~repro.core.flow.FlowResult`
+  objects and the typed results derived from them.
 
 :meth:`Workspace.design` hands out :class:`Design` facades exposing
 the whole capability surface — :meth:`Design.analyze`,
@@ -32,7 +31,6 @@ their numbers are the facade's.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import threading
@@ -91,7 +89,6 @@ from repro.netlist.techmap import technology_map
 from repro.obs.spans import span
 from repro.power.leakage import LeakageAnalyzer
 from repro.runner import ExperimentRunner
-from repro.timing.constraints import Constraints
 from repro.timing.session import TimingSession
 
 
@@ -152,17 +149,6 @@ class CacheStats:
                 "hit_rate": counts["hits"] / total if total else 0.0,
             }
         return tree
-
-
-@dataclasses.dataclass
-class _Baseline:
-    """Compiled analyze substrate for one (design, variant)."""
-
-    netlist: Netlist
-    constraints: Constraints
-    session: TimingSession
-    leakage_nw: float
-    leakage_by_category: dict[str, float]
 
 
 class Workspace:
@@ -468,9 +454,9 @@ class Design:
 
     Obtained from :meth:`Workspace.design`; every method is cached on
     its typed request, so repeated calls are warm.  Methods are
-    serialized by a per-design lock (the baseline timing session and
-    the flow cache are shared mutable state); jobs against different
-    designs run concurrently.
+    serialized by a per-design lock (the flow and result caches are
+    shared mutable state); jobs against different designs run
+    concurrently.
     """
 
     def __init__(self, workspace: Workspace, circuit: str,
@@ -479,7 +465,6 @@ class Design:
         self.circuit = circuit
         self.config = config
         self._lock = threading.RLock()
-        self._baselines: dict[AnalyzeRequest, _Baseline] = {}
         self._analyses: dict[AnalyzeRequest, AnalyzeResult] = {}
         self._flows: dict[Technique, FlowResult] = {}
         self._optimizations: dict[Technique, OptimizeResult] = {}
@@ -531,32 +516,6 @@ class Design:
 
     # --- analyze ------------------------------------------------------------
 
-    @_locked
-    def _baseline(self, request: AnalyzeRequest) -> _Baseline:
-        if request in self._baselines:
-            self._stats().hit("baseline")
-            return self._baselines[request]
-        self._stats().miss("baseline")
-        library = self.library
-        netlist = self.netlist.clone()
-        variant = VARIANT_LVT if request.variant == "lvt" else VARIANT_HVT
-        technology_map(netlist, library, variant)
-        # The derive_constraints stage's rule, on the unplaced mapped
-        # netlist (no parasitics): analyze() probes the design before
-        # any physical flow exists.
-        constraints = derive_clock_constraints(netlist, library,
-                                               self.config)
-        session = TimingSession(netlist, library, constraints)
-        breakdown = LeakageAnalyzer(
-            netlist, library,
-            compute_backend=self.config.compute_backend).standby_leakage()
-        baseline = _Baseline(
-            netlist=netlist, constraints=constraints, session=session,
-            leakage_nw=breakdown.total_nw,
-            leakage_by_category=breakdown.category_values())
-        self._baselines[request] = baseline
-        return baseline
-
     @staticmethod
     def _request(request, cls, **fields):
         """The request object, or a ``cls`` built from the non-``None``
@@ -581,18 +540,29 @@ class Design:
             self._stats().hit("analyze")
             return self._analyses[request]
         self._stats().miss("analyze")
-        baseline = self._baseline(request)
-        report = baseline.session.report()
+        library = self.library
+        netlist = self.netlist.clone()
+        variant = VARIANT_LVT if request.variant == "lvt" else VARIANT_HVT
+        technology_map(netlist, library, variant)
+        # The derive_constraints stage's rule, on the unplaced mapped
+        # netlist (no parasitics): analyze() probes the design before
+        # any physical flow exists.
+        constraints = derive_clock_constraints(netlist, library,
+                                               self.config)
+        report = TimingSession(netlist, library, constraints).report()
+        breakdown = LeakageAnalyzer(
+            netlist, library,
+            compute_backend=self.config.compute_backend).standby_leakage()
         result = AnalyzeResult(
             circuit=self.circuit,
             fingerprint=self.fingerprint,
             variant=request.variant,
-            instances=len(baseline.netlist.instances),
-            clock_period_ns=baseline.constraints.clock_period,
+            instances=len(netlist.instances),
+            clock_period_ns=constraints.clock_period,
             wns=report.wns,
             hold_wns=report.hold_wns,
-            leakage_nw=baseline.leakage_nw,
-            leakage_by_category=dict(baseline.leakage_by_category),
+            leakage_nw=breakdown.total_nw,
+            leakage_by_category=breakdown.category_values(),
             compute_backend=resolve_backend(self.config.compute_backend))
         self._analyses[request] = result
         return result

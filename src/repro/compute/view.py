@@ -205,7 +205,7 @@ class _ArcTemplates:
         if compiled is not None:
             register, klass = self.luts.register, cell.klass
             per_stream: tuple[list, ...] = ([], [])
-            for target, edge, delay_lut, slew_lut in compiled.forward:
+            for target, edge, delay_lut, slew_lut, _, _ in compiled.forward:
                 per_stream[target].extend(
                     (edge, register(delay_lut, klass),
                      register(slew_lut, klass)))

@@ -12,7 +12,9 @@ Algorithm (deterministic, STA-in-the-loop):
 3. a bisection finds the largest slack-ordered prefix that can be
    swapped to the *slow* variant while the worst slack stays >= 0
    (each probe is a real STA run, so path reconvergence is handled
-   exactly, not estimated);
+   exactly, not estimated); a probe swaps only the difference between
+   the previous probe's prefix and its own, so a failed probe is not
+   reverted whole before the next one;
 4. the prefix is committed, slacks are refreshed, and the process
    repeats for a few rounds to pick up cells whose slack grew.
 
@@ -203,23 +205,32 @@ class DualVthAssigner:
     def _bisect_prefix(self, candidates: list[Instance]) -> int:
         """Largest slack-ordered prefix swappable without violation.
 
-        Invariant: candidates[:low] are known-safe as slow.  The probe
-        swaps candidates[low:mid] (the already-safe prefix stays slow),
-        reverting on failure.
+        Invariant: candidates[:low] are known-safe as slow.  Each probe
+        sees exactly candidates[:mid] slow; it gets there from the
+        previous probe's candidates[:slow] by swapping only the
+        difference, and the loop ends with candidates[:low] slow.
         """
         low = 0
         high = len(candidates)
+        slow = 0
         first_probe = True
         while low < high:
             # First probe is optimistic (all candidates at once); later
             # probes bisect the remaining range.
             mid = high if first_probe else (low + high + 1) // 2
             first_probe = False
-            trial = candidates[low:mid]
-            self._swap(trial, self.slow_variant)
+            self._move_to(candidates, slow, mid)
+            slow = mid
             if self._wns() >= 0.0:
                 low = mid
             else:
-                self._swap(trial, self.fast_variant)
                 high = mid - 1
+        self._move_to(candidates, slow, low)
         return low
+
+    def _move_to(self, candidates: list[Instance], slow: int, target: int):
+        """From candidates[:slow] slow to candidates[:target] slow."""
+        if target > slow:
+            self._swap(candidates[slow:target], self.slow_variant)
+        else:
+            self._swap(candidates[target:slow], self.fast_variant)

@@ -67,9 +67,15 @@ class Lut:
     capacitance (pF).  Either axis may be singleton.  Lookup performs
     bilinear interpolation, extending the boundary gradients linearly
     outside the characterized window (matching commercial STA behavior).
+
+    Lookups read the table's *located form* (:meth:`located`), built on
+    first use: each axis with its segment spans precomputed, and per
+    segment ``(i, j)`` the row ``(v[i][j], v[i][j+1] - v[i][j],
+    v[i+1][j], v[i+1][j+1] - v[i+1][j])`` — the subtractions the
+    bilinear step would otherwise repeat on every lookup.
     """
 
-    __slots__ = ("index_1", "index_2", "values")
+    __slots__ = ("index_1", "index_2", "values", "_located")
 
     def __init__(self, index_1: Sequence[float], index_2: Sequence[float],
                  values: Sequence[Sequence[float]]):
@@ -89,34 +95,68 @@ class Lut:
         self.index_1 = tuple(float(v) for v in index_1)
         self.index_2 = tuple(float(v) for v in index_2)
         self.values = tuple(tuple(float(v) for v in row) for row in values)
+        self._located: LocatedLut | None = None
 
     @classmethod
     def constant(cls, value: float) -> "Lut":
         """A degenerate 1x1 table returning ``value`` everywhere."""
         return cls((0.0,), (0.0,), ((value,),))
 
+    def located(self, axes: dict | None = None) -> "LocatedLut":
+        """``(axis_1, axis_2, rows)``: the table in located form.
+
+        Each axis is ``(points, spans, last)`` with ``spans[i] =
+        points[i + 1] - points[i]``; ``rows[i][j]`` is segment ``(i,
+        j)``'s row (see the class docstring), or ``rows`` is None when
+        an axis is singleton.  Built once; ``axes`` interns the axes
+        (equal points, one axis object) across the tables that share
+        them.
+        """
+        form = self._located
+        if form is None:
+            values = self.values
+            rows = None
+            if len(self.index_1) > 1 and len(self.index_2) > 1:
+                rows = tuple(
+                    tuple((top[j], top[j + 1] - top[j],
+                           below[j], below[j + 1] - below[j])
+                          for j in range(len(top) - 1))
+                    for top, below in zip(values, values[1:]))
+            form = self._located = (_located_axis(self.index_1, axes),
+                                    _located_axis(self.index_2, axes),
+                                    rows)
+        return form
+
     def lookup(self, slew: float, load: float) -> float:
         """Interpolated table value at (slew, load)."""
-        i, fi = _locate(self.index_1, slew)
-        j, fj = _locate(self.index_2, load)
-        return _interpolate(self.values, i, fi, j, fj)
+        axis_1, axis_2, rows = self._located or self.located()
+        i, fi = locate(axis_1, slew)
+        j, fj = locate(axis_2, load)
+        if rows is None:
+            return _interpolate_singleton(self.values, i, fi, j, fj)
+        return segment_value(rows[i][j], fi, fj)
 
     def lookup_pair(self, other: "Lut | None", slew: float,
                     load: float) -> tuple[float, float]:
         """``(self.lookup(slew, load), other.lookup(slew, load))``.
 
         Tables with the same axes (a delay table and its transition
-        table, a rise and a fall delay) share one axis search; a
-        missing ``other`` reads 0.0.
+        table, a rise and a fall delay) share one location; a missing
+        ``other`` reads 0.0.
         """
         if other is None:
             return self.lookup(slew, load), 0.0
         if other.index_1 != self.index_1 or other.index_2 != self.index_2:
             return self.lookup(slew, load), other.lookup(slew, load)
-        i, fi = _locate(self.index_1, slew)
-        j, fj = _locate(self.index_2, load)
-        return (_interpolate(self.values, i, fi, j, fj),
-                _interpolate(other.values, i, fi, j, fj))
+        axis_1, axis_2, rows = self._located or self.located()
+        i, fi = locate(axis_1, slew)
+        j, fj = locate(axis_2, load)
+        if rows is None:
+            return (_interpolate_singleton(self.values, i, fi, j, fj),
+                    _interpolate_singleton(other.values, i, fi, j, fj))
+        other_rows = (other._located or other.located())[2]
+        return (segment_value(rows[i][j], fi, fj),
+                segment_value(other_rows[i][j], fi, fj))
 
     def scaled(self, factor: float) -> "Lut":
         """A copy with every value multiplied by ``factor``."""
@@ -131,40 +171,65 @@ class Lut:
                 f"max={self.max_value():.4g})")
 
 
-def _locate(axis: tuple[float, ...], x: float) -> tuple[int, float]:
+#: An axis in located form: ``(points, spans, last)``.
+LocatedAxis = tuple[tuple[float, ...], tuple[float, ...], int]
+#: A table in located form: ``(axis_1, axis_2, rows)`` (:meth:`Lut.located`).
+LocatedLut = tuple[LocatedAxis, LocatedAxis, tuple | None]
+
+
+def _located_axis(points: tuple[float, ...],
+                  axes: dict | None) -> LocatedAxis:
+    axis = axes.get(points) if axes is not None else None
+    if axis is None:
+        axis = (points,
+                tuple(points[i + 1] - points[i]
+                      for i in range(len(points) - 1)),
+                len(points) - 1)
+        if axes is not None:
+            axes[points] = axis
+    return axis
+
+
+def locate(axis: LocatedAxis, x: float) -> tuple[int, float]:
     """Segment index and interpolation fraction of ``x`` on ``axis``.
 
-    The segment ``[axis[i], axis[i + 1]]`` is the first whose upper end
-    is at least ``x``, clamped to the two end segments, so the fraction
-    may fall outside [0, 1] to extrapolate linearly.  A singleton axis
-    is segment 0 at fraction 0.0.
+    The segment ``[points[i], points[i + 1]]`` is the first whose upper
+    end is at least ``x``, clamped to the two end segments, so the
+    fraction may fall outside [0, 1] to extrapolate linearly.  A
+    singleton axis is segment 0 at fraction 0.0.
     """
-    hi = len(axis) - 1
-    if hi == 0:
+    points, spans, last = axis
+    if last == 0:
         return 0, 0.0
-    i = bisect_left(axis, x, 1, hi) - 1
-    lo = axis[i]
-    span = axis[i + 1] - lo
+    i = bisect_left(points, x, 1, last) - 1
+    span = spans[i]
     if span <= 0.0:
         return i, 0.0
-    return i, (x - lo) / span
+    return i, (x - points[i]) / span
 
 
-def _interpolate(values: tuple[tuple[float, ...], ...], i: int, fi: float,
-                 j: int, fj: float) -> float:
-    """Bilinear interpolation at a located position (linear along a
-    singleton axis)."""
+def segment_value(row: tuple[float, float, float, float], fi: float,
+                  fj: float) -> float:
+    """Bilinear interpolation inside one located segment row.
+
+    The one home of the bilinear step; the STA session inlines these
+    three lines in its arc fold.
+    """
+    top, dtop, bottom, dbottom = row
+    top = top + fj * dtop
+    return top + fi * (bottom + fj * dbottom - top)
+
+
+def _interpolate_singleton(values: tuple[tuple[float, ...], ...], i: int,
+                           fi: float, j: int, fj: float) -> float:
+    """Linear interpolation along the non-singleton axis of a table
+    with a singleton axis (at a located position)."""
     row = values[i]
     if len(values) == 1:
         if len(row) == 1:
             return row[0]
         return row[j] + fj * (row[j + 1] - row[j])
-    below = values[i + 1]
-    if len(row) == 1:
-        return row[0] + fi * (below[0] - row[0])
-    top = row[j] + fj * (row[j + 1] - row[j])
-    bottom = below[j] + fj * (below[j + 1] - below[j])
-    return top + fi * (bottom - top)
+    return row[0] + fi * (values[i + 1][0] - row[0])
 
 
 @dataclasses.dataclass
@@ -231,20 +296,42 @@ class DelayArc(NamedTuple):
 
     arc: TimingArc
     sense: int
-    #: ``(target edge, source edge, delay table, slew table)`` per
-    #: forward contribution, in fold order; a target edge without a
-    #: delay table contributes nothing and is left out.
-    forward: tuple[tuple[int, int, Lut, Lut | None], ...]
+    #: ``(target edge, source edge, delay table, slew table, delay
+    #: rows, slew rows)`` per forward contribution, in fold order; a
+    #: target edge without a delay table contributes nothing and is
+    #: left out.  The rows are the tables' located rows
+    #: (:meth:`Lut.located`; slew rows None without a slew table), or
+    #: both None when :attr:`axes` is None.
+    forward: tuple[tuple[int, int, Lut, Lut | None,
+                         tuple | None, tuple | None], ...]
+    #: ``(axis_1, axis_2)``, the located axes every table of
+    #: :attr:`forward` shares, so one location per input slew and one
+    #: per output load serves them all; None when an axis is singleton
+    #: or the tables' axes differ (each contribution then looks its
+    #: pair up with :meth:`Lut.lookup_pair`).
+    axes: tuple[LocatedAxis, LocatedAxis] | None
 
     @classmethod
-    def compile(cls, arc: TimingArc) -> "DelayArc":
+    def compile(cls, arc: TimingArc, axes: dict | None = None) -> "DelayArc":
         sense = _SENSE_CODE.get(arc.timing_sense, SENSE_NON_UNATE)
         tables = ((arc.cell_rise, arc.rise_transition),
                   (arc.cell_fall, arc.fall_transition))
+        pairs = [(target, edge) + tables[target]
+                 for target, edge in _FORWARD_EDGES[sense]
+                 if tables[target][0] is not None]
+        forms = [lut.located(axes) for pair in pairs for lut in pair[2:]
+                 if lut is not None]
+        shared = None
+        if forms and all(form[2] is not None and form[:2] == forms[0][:2]
+                         for form in forms):
+            shared = forms[0][:2]
+
+        def rows(lut: Lut | None):
+            return None if shared is None or lut is None else lut.located()[2]
+
         return cls(arc, sense, tuple(
-            (target, edge) + tables[target]
-            for target, edge in _FORWARD_EDGES[sense]
-            if tables[target][0] is not None))
+            (target, edge, delay, slew, rows(delay), rows(slew))
+            for target, edge, delay, slew in pairs), shared)
 
 
 def _lookup_both(rise: Lut | None, fall: Lut | None, slew: float,
@@ -477,11 +564,13 @@ class Library:
         pin's arcs at every instance visit.  Every pin of every cell has
         an entry, empty when no delay arc ends there.  Built once per
         library (every session and array view shares it); ``add_cell``
-        invalidates it.
+        invalidates it.  Compiling builds the delay and slew tables'
+        located forms, with one axis object per distinct axis.
         """
         if self._delay_arcs is None:
+            axes: dict = {}
             self._delay_arcs = {
-                name: {pin_name: _compile_delay_arcs(pin)
+                name: {pin_name: _compile_delay_arcs(pin, axes)
                        for pin_name, pin in cell.pins.items()}
                 for name, cell in self._cells.items()}
         return self._delay_arcs
@@ -583,13 +672,13 @@ class Library:
         return digest.hexdigest()
 
 
-def _compile_delay_arcs(pin: PinDef) -> dict[str, DelayArc]:
+def _compile_delay_arcs(pin: PinDef, axes: dict) -> dict[str, DelayArc]:
     """Related pin -> compiled delay arc ending at ``pin``: the first
     one per related pin, as :meth:`PinDef.arc_from` picks it."""
     arcs: dict[str, DelayArc] = {}
     for arc in pin.timing_arcs:
         if not arc.is_constraint() and arc.related_pin not in arcs:
-            arcs[arc.related_pin] = DelayArc.compile(arc)
+            arcs[arc.related_pin] = DelayArc.compile(arc, axes)
     return arcs
 
 

@@ -35,13 +35,27 @@ session is the one engine for design STA, and the array kernels of
 :mod:`repro.compute` serve only batch axes (Monte-Carlo samples,
 corners).
 
+Each instance evaluation reads a **plan** compiled once per
+(instance, cell): per output net, the input nets in pin order with
+their wire delays, backrefs and compiled arcs (:meth:`_plan`).  A
+variant swap selects another cell's plan; :meth:`touch_instance` drops
+the instance's plans and every structure rebuild drops them all.  The
+forward fold evaluates the arcs' located tables
+(:meth:`~repro.liberty.library.Lut.located`) at one load location per
+output net and one slew location per input edge; the backward fold
+reuses an arc's last ``(slew, load)`` lookup when both match exactly.
+The endpoint rows (net and wire delay per output port and flip-flop D
+pin) are resolved once per structure build.
+
 **Exactness contract**: the report produced after any tracked edit
 sequence is bit-identical (not approximately equal) to the report a
 fresh :class:`~repro.timing.sta.TimingAnalyzer` would produce on the
 same netlist (and :meth:`wns` its ``wns``), because per-node values
 are pure functions of their fan-in evaluated by the same code in the
 same arc order — so a node whose fan-in and instance did not change
-cannot change, which is also why the cutoff is exact.
+cannot change, which is also why the cutoff is exact.  Plans, located
+tables and the backward memo only reuse values computed from equal
+operands by the same operations.
 ``tests/timing/test_session.py`` enforces this on randomized edit
 sequences and interleaved queries.
 
@@ -56,6 +70,7 @@ re-propagation).
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left
 from heapq import heappop, heappush
 from typing import Mapping
 
@@ -123,12 +138,19 @@ class TimingSession:
         self.full_threshold = full_threshold
         self._roles = timing_roles(library)
         self._arcs = library.delay_arcs()
+        #: Instance name -> cell name -> evaluation plan (:meth:`_plan`).
+        self._plans: dict[str, dict[str, tuple]] = {}
         #: Flip-flop cell name -> (setup, hold) at the input slew.
         self._ff_checks: dict[str, tuple[float, float]] = {}
         self.stats = SessionStats()
         self._order: list[Instance] | None = None
         self._pos: dict[str, int] = {}        # instance -> topo position
         self._seq: list[Instance] = []        # flip-flops, netlist order
+        #: Endpoint rows, resolved per structure build: (port name, net
+        #: name, wire delay) per output port, (flip-flop, D net name,
+        #: wire delay) per flip-flop.
+        self._port_endpoints: list[tuple[str, str, float]] = []
+        self._ff_endpoints: list[tuple[Instance, str, float]] = []
         self._membership: set[str] = set()
         self._comb_count = 0
         self._nodes: dict[str, NodeTiming] = {}
@@ -212,12 +234,14 @@ class TimingSession:
             self._mark_instance(inst)
 
     def touch_instance(self, inst: Instance | str):
-        """Mark an instance's timing arcs / derate as changed."""
+        """Mark an instance's timing arcs / derate as changed (its
+        evaluation plans are rebuilt)."""
         if isinstance(inst, str):
             found = self.netlist.instances.get(inst)
             if found is None:
                 return
             inst = found
+        self._plans.pop(inst.name, None)
         self._mark_instance(inst)
 
     def touch_net(self, net: Net | str):
@@ -325,8 +349,10 @@ class TimingSession:
     # --- structure --------------------------------------------------------
 
     def _build_structure(self):
-        """(Re)build the topological order and the node-domain set."""
+        """(Re)build the topological order, the node-domain set and
+        the endpoint rows; drop every evaluation plan."""
         self.stats.structure_builds += 1
+        self._plans.clear()
         self._order = self.netlist.topological_order(self._is_seq)
         self._pos = {inst.name: index
                      for index, inst in enumerate(self._order)}
@@ -353,6 +379,18 @@ class TimingSession:
         self._seq = seq
         self._comb_count = comb
         self._structural = False
+        net_model = self.net_model
+        self._port_endpoints = [
+            (port.name, port.net.name,
+             net_model.wire_delay_to_port(port.net, port.name))
+            for port in self.netlist.output_ports() if port.net is not None]
+        self._ff_endpoints = []
+        for inst in seq:
+            d_pin = inst.pins.get("D")
+            if d_pin is not None and d_pin.net is not None:
+                self._ff_endpoints.append(
+                    (inst, d_pin.net.name,
+                     net_model.wire_delay(d_pin.net, d_pin)))
         # Nets that left the domain must not shadow a fresh run's absence,
         # and their readers lost a source; nets that joined it need their
         # state (re)computed.
@@ -598,6 +636,43 @@ class TimingSession:
         entry.slew_rise = srise
         entry.slew_fall = sfall
 
+    def _plan(self, inst: Instance) -> tuple:
+        """The evaluation plan of ``inst`` bound to its current cell.
+
+        Per output net with delay arcs, ``(net name, net, rows)``; per
+        input pin with an arc into that output, in pin order, a row
+        ``[input net name, wire delay, backref, compiled arc, backward
+        memo]``.  The memo is the last ``(slew, load, rise, fall)`` the
+        arc's delays were looked up at.  Built on first use and kept
+        until the instance is touched or the structure is rebuilt; a
+        variant swap selects another cell's plan.
+        """
+        by_cell = self._plans.get(inst.name)
+        if by_cell is None:
+            by_cell = self._plans[inst.name] = {}
+        plan = by_cell.get(inst.cell_name)
+        if plan is not None:
+            return plan
+        arcs = self._arcs[inst.cell_name]
+        wire_delay = self.net_model.wire_delay
+        inputs = [(pin.name, pin.net.name, wire_delay(pin.net, pin),
+                   (pin.net.name, inst.name))
+                  for pin in inst.input_pins()
+                  if pin.net is not None and pin.name != "MTE"]
+        plan = []
+        for out_pin in inst.output_pins():
+            per_input = arcs.get(out_pin.name)
+            if out_pin.net is None or per_input is None:
+                continue
+            rows = []
+            for pin_name, net_name, wire, backref in inputs:
+                compiled = per_input.get(pin_name)
+                if compiled is not None:
+                    rows.append([net_name, wire, backref, compiled, _NO_MEMO])
+            plan.append((out_pin.net.name, out_pin.net, tuple(rows)))
+        plan = by_cell[inst.cell_name] = tuple(plan)
+        return plan
+
     def _forward_instance(self, inst: Instance, nodes: dict[str, NodeTiming]):
         """Fold every delay arc of ``inst`` into its output nodes in
         ``nodes``, reading source timing from the session's nodes.
@@ -605,44 +680,71 @@ class TimingSession:
         The fold is inline — per forward contribution of each compiled
         arc (:meth:`~repro.liberty.library.Library.delay_arcs`), in
         fold order — so the arithmetic, its operand order and the
-        strict-greater winner rule are the array kernels' too.
+        strict-greater winner rule are the array kernels' too.  An arc
+        with located tables (``axes``) locates the output load once per
+        output net and each input slew once per edge, then runs
+        :func:`~repro.liberty.library.segment_value`'s step on the
+        delay and slew rows: the operations ``Lut.lookup`` runs.
         """
-        arcs = self._arcs[inst.cell_name]
+        plan = self._plan(inst)
         derate = self.derates.get(inst.name, 1.0)
-        sources, net_model = self._nodes, self.net_model
-        for out_pin in inst.output_pins():
-            out_net = out_pin.net
-            if out_net is None:
-                continue
-            per_input = arcs.get(out_pin.name)
-            if per_input is None:
-                continue
-            load = net_model.total_load(out_net)
-            entry = nodes.get(out_net.name)
+        sources, total_load = self._nodes, self.net_model.total_load
+        for out_name, out_net, rows in plan:
+            load = total_load(out_net)
+            entry = nodes.get(out_name)
             if entry is None:
-                entry = nodes[out_net.name] = NodeTiming()
-            for in_pin in inst.input_pins():
-                in_net = in_pin.net
-                if in_net is None or in_pin.name == "MTE":
-                    continue
-                compiled = per_input.get(in_pin.name)
-                if compiled is None:
-                    continue
-                src = sources.get(in_net.name)
+                entry = nodes[out_name] = NodeTiming()
+            load_axis = None
+            for in_name, wire, backref, compiled, _ in rows:
+                src = sources.get(in_name)
                 if src is None or (src.arr_rise == -INF
                                    and src.arr_fall == -INF):
                     continue
-                wire = net_model.wire_delay(in_net, in_pin)
-                backref = (in_net.name, inst.name)
-                for target, edge, delay_lut, slew_lut in compiled.forward:
+                axes = compiled.axes
+                if axes is None:
+                    i_rise = f_rise = i_fall = f_fall = 0
+                else:
+                    slew_axis, axis = axes
+                    if axis is not load_axis:
+                        load_axis = axis
+                        points, spans, last = axis
+                        j = bisect_left(points, load, 1, last) - 1
+                        span = spans[j]
+                        fj = 0.0 if span <= 0.0 \
+                            else (load - points[j]) / span
+                    points, spans, last = slew_axis
+                    x = src.slew_rise
+                    i_rise = bisect_left(points, x, 1, last) - 1
+                    span = spans[i_rise]
+                    f_rise = 0.0 if span <= 0.0 \
+                        else (x - points[i_rise]) / span
+                    x = src.slew_fall
+                    i_fall = bisect_left(points, x, 1, last) - 1
+                    span = spans[i_fall]
+                    f_fall = 0.0 if span <= 0.0 \
+                        else (x - points[i_fall]) / span
+                for target, edge, delay_lut, slew_lut, delay_rows, \
+                        slew_rows in compiled.forward:
                     if edge:
-                        in_arr, in_min, in_slew = \
-                            src.arr_fall, src.min_fall, src.slew_fall
+                        in_arr, in_min, i, fi = \
+                            src.arr_fall, src.min_fall, i_fall, f_fall
                     else:
-                        in_arr, in_min, in_slew = \
-                            src.arr_rise, src.min_rise, src.slew_rise
-                    delay, slew = delay_lut.lookup_pair(slew_lut, in_slew,
-                                                        load)
+                        in_arr, in_min, i, fi = \
+                            src.arr_rise, src.min_rise, i_rise, f_rise
+                    if delay_rows is None:
+                        delay, slew = delay_lut.lookup_pair(
+                            slew_lut, src.slew_fall if edge
+                            else src.slew_rise, load)
+                    else:
+                        top, dtop, bottom, dbottom = delay_rows[i][j]
+                        top = top + fj * dtop
+                        delay = top + fi * (bottom + fj * dbottom - top)
+                        if slew_rows is None:
+                            slew = 0.0
+                        else:
+                            top, dtop, bottom, dbottom = slew_rows[i][j]
+                            top = top + fj * dtop
+                            slew = top + fi * (bottom + fj * dbottom - top)
                     delay = delay * derate
                     arrival = in_arr + wire + delay
                     minimum = in_min + wire + delay
@@ -668,27 +770,23 @@ class TimingSession:
         period = constraints.clock_period
         checks: list[EndpointCheck] = []
 
-        for port in self.netlist.output_ports():
-            if port.net is None or port.net.name not in nodes:
+        for port_name, net_name, wire in self._port_endpoints:
+            entry = nodes.get(net_name)
+            if entry is None:
                 continue
-            entry = nodes[port.net.name]
-            wire = self.net_model.wire_delay_to_port(port.net, port.name)
-            required = period - constraints.output_delay_for(port.name) - wire
+            required = period - constraints.output_delay_for(port_name) - wire
             entry.req_rise = min(entry.req_rise, required)
             entry.req_fall = min(entry.req_fall, required)
             arrival = entry.arrival + wire
             checks.append(EndpointCheck(
-                endpoint=port.name, kind="output",
+                endpoint=port_name, kind="output",
                 slack=required + wire - arrival,
                 arrival=arrival, required=required + wire))
 
-        for inst in self._seq:
-            d_pin = inst.pins.get("D")
-            if d_pin is None or d_pin.net is None \
-                    or d_pin.net.name not in nodes:
+        for inst, net_name, wire in self._ff_endpoints:
+            entry = nodes.get(net_name)
+            if entry is None:
                 continue
-            entry = nodes[d_pin.net.name]
-            wire = self.net_model.wire_delay(d_pin.net, d_pin)
             capture = period + self._clock_arrival(inst)
             setup, hold = self._ff_constraints(inst.cell_name)
             required = capture - setup - wire
@@ -710,31 +808,26 @@ class TimingSession:
     def _backward_instance(self, inst: Instance,
                            nodes: dict[str, NodeTiming],
                            restrict: set[str] | None):
-        arcs = self._arcs[inst.cell_name]
+        plan = self._plan(inst)
         derate = self.derates.get(inst.name, 1.0)
-        net_model = self.net_model
-        for out_pin in inst.output_pins():
-            out_net = out_pin.net
-            if out_net is None or out_net.name not in nodes:
+        total_load = self.net_model.total_load
+        for out_name, out_net, rows in plan:
+            out_entry = nodes.get(out_name)
+            if out_entry is None:
                 continue
-            per_input = arcs.get(out_pin.name)
-            if per_input is None:
-                continue
-            out_entry = nodes[out_net.name]
-            load = net_model.total_load(out_net)
-            for in_pin in inst.input_pins():
-                in_net = in_pin.net
-                if in_net is None or in_pin.name == "MTE":
+            load = total_load(out_net)
+            for row in rows:
+                in_name, wire, _, compiled, memo = row
+                src = nodes.get(in_name)
+                if src is None \
+                        or (restrict is not None and in_name not in restrict):
                     continue
-                compiled = per_input.get(in_pin.name)
-                if compiled is None or in_net.name not in nodes:
-                    continue
-                if restrict is not None and in_net.name not in restrict:
-                    continue
-                src = nodes[in_net.name]
-                wire = net_model.wire_delay(in_net, in_pin)
                 slew = max(src.slew_rise, src.slew_fall)
-                rise_d, fall_d = compiled.arc.delay(slew, load)
+                if memo[0] == slew and memo[1] == load:
+                    rise_d, fall_d = memo[2], memo[3]
+                else:
+                    rise_d, fall_d = compiled.arc.delay(slew, load)
+                    row[4] = (slew, load, rise_d, fall_d)
                 rise_d = rise_d * derate + wire
                 fall_d = fall_d * derate + wire
                 if compiled.sense == SENSE_POSITIVE:
@@ -781,6 +874,10 @@ class TimingSession:
                 cell_constraint_value(cell, "setup", slew),
                 cell_constraint_value(cell, "hold", slew))
         return found
+
+
+#: A backward memo that matches no lookup (NaN equals nothing).
+_NO_MEMO = (float("nan"), float("nan"), 0.0, 0.0)
 
 
 def _same_arrivals(a: NodeTiming, b: NodeTiming) -> bool:

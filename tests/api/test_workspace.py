@@ -61,6 +61,35 @@ def test_analyze_is_cached(workspace, design):
     schemas.check_round_trip(first)
 
 
+def test_analyze_keeps_only_its_result(library, monkeypatch):
+    """``analyze()`` caches its result, not its substrate: the timing
+    session it ran dies with the call, no ``baseline`` cache exists,
+    and a repeat call is one ``analyze`` hit."""
+    import gc
+    import weakref
+
+    from repro.api import workspace as workspace_module
+
+    sessions = []
+
+    class Recorded(workspace_module.TimingSession):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sessions.append(weakref.ref(self))
+
+    monkeypatch.setattr(workspace_module, "TimingSession", Recorded)
+    workspace = Workspace(library=library, config=CONFIG)
+    design = workspace.design("c17")
+    first = design.analyze()
+    gc.collect()
+    assert len(sessions) == 1
+    assert sessions[0]() is None
+    assert "baseline" not in workspace.cache_stats()
+    assert design.analyze() is first
+    assert workspace.stats.hits.get("analyze") == 1
+    assert workspace.stats.misses.get("analyze") == 1
+
+
 def test_analyze_variants_are_distinct(design):
     lvt = design.analyze()
     hvt = design.analyze(variant="hvt")

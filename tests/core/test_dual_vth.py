@@ -117,3 +117,88 @@ def test_prepare_forces_fast(library, c880):
                 for i in c880.instances.values()
                 if not library.cell(i.cell_name).is_sequential}
     assert variants == {VARIANT_LVT}
+
+
+class _RevertWholeTrial(DualVthAssigner):
+    """The bisection before delta probes: a failed probe reverts its
+    whole trial, and the next probe swaps a sub-range of it again."""
+
+    def _bisect_prefix(self, candidates):
+        low, high, first_probe = 0, len(candidates), True
+        while low < high:
+            mid = high if first_probe else (low + high + 1) // 2
+            first_probe = False
+            trial = candidates[low:mid]
+            self._swap(trial, self.slow_variant)
+            if self._wns() >= 0.0:
+                low = mid
+            else:
+                self._swap(trial, self.fast_variant)
+                high = mid - 1
+        return low
+
+
+def _recorded_run(assigner_cls, netlist, library, constraints):
+    """Run ``assigner_cls`` and record, at every ``wns()`` probe, the
+    slow instances of the netlist and the slow prefix length of the
+    round's candidates; also count the session's variant swaps."""
+    session = TimingSession(netlist, library, constraints)
+    probes, rounds, swaps = [], [], [0]
+    swap = session.swap_variant
+
+    def counted(inst, variant):
+        swaps[0] += 1
+        return swap(inst, variant)
+
+    session.swap_variant = counted
+
+    class Recording(assigner_cls):
+        def _bisect_prefix(self, candidates):
+            rounds.append((candidates, []))
+            return super()._bisect_prefix(candidates)
+
+        def _wns(self):
+            candidates, answers = rounds[-1]
+            slow = [library.cell(inst.cell_name).variant == VARIANT_HVT
+                    for inst in candidates]
+            prefix = slow.index(False) if False in slow else len(slow)
+            assert not any(slow[prefix:]), "slow set is not a prefix"
+            wns = super()._wns()
+            answers.append((prefix, wns))
+            probes.append(sorted(
+                name for name, inst in netlist.instances.items()
+                if library.cell(inst.cell_name).variant == VARIANT_HVT))
+            return wns
+
+    result = Recording(session).run()
+    return result, probes, rounds, swaps[0]
+
+
+def test_delta_probes_see_the_bisection_prefix(library, c880):
+    """Each probe swaps only the difference from the previous probe's
+    state, yet sees exactly the prefix the bisection asks for; the run
+    ends where swapping whole trials ends, with fewer swaps."""
+    constraints = Constraints(clock_period=min_period(c880, library) * 1.10)
+    reference = _recorded_run(_RevertWholeTrial, c880.clone(), library,
+                              constraints)
+    result, probes, rounds, swaps = _recorded_run(
+        DualVthAssigner, c880, library, constraints)
+
+    for candidates, answers in rounds:
+        low, high, first_probe = 0, len(candidates), True
+        for prefix, wns in answers:
+            mid = high if first_probe else (low + high + 1) // 2
+            first_probe = False
+            assert prefix == mid
+            low, high = (mid, high) if wns >= 0.0 else (low, mid - 1)
+        assert low == high
+    ref_result, ref_probes, ref_rounds, ref_swaps = reference
+    assert probes == ref_probes
+    assert [answers for _, answers in rounds] \
+        == [answers for _, answers in ref_rounds]
+    assert any(wns < 0.0 for _, answers in rounds for _, wns in answers)
+    assert result.fast_instances == ref_result.fast_instances
+    assert result.slow_instances == ref_result.slow_instances
+    assert result.final_report.wns == ref_result.final_report.wns
+    assert result.sta_runs == ref_result.sta_runs
+    assert swaps < ref_swaps

@@ -1,5 +1,8 @@
 """Typed library model: LUTs, cells, variants, leakage states."""
 
+import random
+from bisect import bisect_left
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,16 +10,20 @@ from repro.errors import LibertyError
 from repro.liberty.library import (
     CellDef,
     CellKind,
+    DelayArc,
     LeakageState,
     Library,
     Lut,
     PinDef,
     PinDirection,
+    TimingArc,
     VARIANT_CMT,
     VARIANT_HVT,
     VARIANT_LVT,
     VARIANT_MT,
     VARIANT_MTV,
+    locate,
+    segment_value,
 )
 
 
@@ -73,6 +80,150 @@ class TestLut:
         base = lut.lookup(slew, load)
         assert lut.lookup(slew + 0.01, load) >= base - 1e-12
         assert lut.lookup(slew, load + 0.001) >= base - 1e-12
+
+
+def _reference_lookup(lut: Lut, slew: float, load: float) -> float:
+    """Bilinear lookup in plain arithmetic on the raw table, as written
+    before tables had a located form: the reference every located
+    evaluation must equal exactly."""
+    def position(axis, x):
+        last = len(axis) - 1
+        if last == 0:
+            return 0, 0.0
+        i = bisect_left(axis, x, 1, last) - 1
+        span = axis[i + 1] - axis[i]
+        return (i, 0.0) if span <= 0.0 else (i, (x - axis[i]) / span)
+
+    i, fi = position(lut.index_1, slew)
+    j, fj = position(lut.index_2, load)
+    values = lut.values
+    row = values[i]
+    if len(values) == 1:
+        return row[0] if len(row) == 1 \
+            else row[j] + fj * (row[j + 1] - row[j])
+    below = values[i + 1]
+    if len(row) == 1:
+        return row[0] + fi * (below[0] - row[0])
+    top = row[j] + fj * (row[j + 1] - row[j])
+    bottom = below[j] + fj * (below[j + 1] - below[j])
+    return top + fi * (bottom - top)
+
+
+def _random_table(rng, shape, axis_1=None, axis_2=None) -> Lut:
+    rows, cols = shape
+    axis_1 = axis_1 or sorted(rng.uniform(0.001, 0.5) for _ in range(rows))
+    axis_2 = axis_2 or sorted(rng.uniform(0.0001, 0.05) for _ in range(cols))
+    return Lut(axis_1, axis_2, [[rng.uniform(0.01, 2.0) for _ in range(cols)]
+                                for _ in range(rows)])
+
+
+def _probes(rng, lut: Lut) -> list[tuple[float, float]]:
+    """On-grid, interior and extrapolated points (both sides, both
+    axes) of ``lut``."""
+    def points(axis):
+        lo, hi = axis[0], axis[-1]
+        return [*axis, rng.uniform(lo, hi), rng.uniform(lo, hi),
+                lo - 0.3 * (hi - lo) - 0.01, hi + 0.7 * (hi - lo) + 0.01]
+
+    return [(slew, load) for slew in points(lut.index_1)
+            for load in points(lut.index_2)]
+
+
+class TestLocatedForm:
+    SHAPES = [(1, 1), (1, 4), (4, 1), (4, 4), (2, 5)]
+
+    @pytest.mark.parametrize("shape", SHAPES,
+                             ids=[f"{r}x{c}" for r, c in SHAPES])
+    def test_lookups_equal_the_plain_arithmetic(self, shape):
+        rng = random.Random(shape[0] * 10 + shape[1])
+        for _ in range(10):
+            lut = _random_table(rng, shape)
+            twin = _random_table(rng, shape, lut.index_1, lut.index_2)
+            for slew, load in _probes(rng, lut):
+                expected = _reference_lookup(lut, slew, load)
+                assert lut.lookup(slew, load) == expected
+                assert lut.lookup_pair(twin, slew, load) == (
+                    expected, _reference_lookup(twin, slew, load))
+
+    @pytest.mark.parametrize("shape", SHAPES,
+                             ids=[f"{r}x{c}" for r, c in SHAPES])
+    def test_located_rows_equal_lookup(self, shape):
+        """The session's step — locate each axis once, then
+        ``segment_value`` on the segment row — is ``Lut.lookup``;
+        a singleton axis has no rows (``lookup`` keeps its linear
+        path)."""
+        rng = random.Random(7 + shape[0] * 10 + shape[1])
+        for _ in range(10):
+            lut = _random_table(rng, shape)
+            axis_1, axis_2, rows = lut.located()
+            assert (rows is None) == (1 in shape)
+            if rows is None:
+                continue
+            for slew, load in _probes(rng, lut):
+                i, fi = locate(axis_1, slew)
+                j, fj = locate(axis_2, load)
+                assert segment_value(rows[i][j], fi, fj) \
+                    == lut.lookup(slew, load)
+
+    def test_compiled_arc_shares_one_location(self):
+        """A delay table and the slew table on its axes compile to one
+        ``axes`` pair (interned: equal axes are one object), and every
+        forward contribution's rows evaluate to ``Lut.lookup``."""
+        rng = random.Random(5)
+        axis_1 = sorted(rng.uniform(0.001, 0.5) for _ in range(4))
+        axis_2 = sorted(rng.uniform(0.0001, 0.05) for _ in range(4))
+        tables = [_random_table(rng, (4, 4), axis_1, axis_2)
+                  for _ in range(4)]
+        arc = TimingArc("A", "negative_unate", cell_rise=tables[0],
+                        cell_fall=tables[1], rise_transition=tables[2],
+                        fall_transition=tables[3])
+        axes: dict = {}
+        compiled = DelayArc.compile(arc, axes)
+        assert compiled.axes is not None
+        assert len(axes) == 2
+        slew_axis, load_axis = compiled.axes
+        assert all(table.located()[0] is slew_axis
+                   and table.located()[1] is load_axis for table in tables)
+        for slew, load in _probes(rng, tables[0]):
+            i, fi = locate(slew_axis, slew)
+            j, fj = locate(load_axis, load)
+            for _, _, delay_lut, slew_lut, delay_rows, slew_rows \
+                    in compiled.forward:
+                assert segment_value(delay_rows[i][j], fi, fj) \
+                    == delay_lut.lookup(slew, load)
+                assert segment_value(slew_rows[i][j], fi, fj) \
+                    == slew_lut.lookup(slew, load)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 4)])
+    def test_mismatched_or_singleton_tables_take_the_pair_lookup(self, shape):
+        """A slew table on other axes than its delay table, or a
+        singleton axis, leaves the arc without ``axes`` or rows: each
+        contribution looks its pair up with ``Lut.lookup_pair``, which
+        still equals the plain arithmetic."""
+        rng = random.Random(11)
+        delay = _random_table(rng, shape)
+        slew_table = _random_table(rng, shape, axis_1=delay.index_1)
+        assert slew_table.index_2 != delay.index_2
+        compiled = DelayArc.compile(
+            TimingArc("A", cell_rise=delay, rise_transition=slew_table,
+                      cell_fall=delay, fall_transition=delay), {})
+        assert compiled.axes is None
+        assert all(contribution[4:] == (None, None)
+                   for contribution in compiled.forward)
+        for slew, load in _probes(rng, delay):
+            assert delay.lookup_pair(slew_table, slew, load) == (
+                _reference_lookup(delay, slew, load),
+                _reference_lookup(slew_table, slew, load))
+
+    def test_default_library_arcs_are_all_located(self, library):
+        """Every delay arc of the synthesized library shares one axis
+        pair, so the session never takes the pair-lookup path there."""
+        arcs = [compiled for pins in library.delay_arcs().values()
+                for per_input in pins.values()
+                for compiled in per_input.values()]
+        assert arcs
+        assert {id(axis) for compiled in arcs for axis in compiled.axes} \
+            == {id(axis) for axis in arcs[0].axes}
 
 
 class TestLeakageState:

@@ -14,7 +14,14 @@ import random
 import pytest
 
 from repro.benchcircuits.suite import load_circuit
-from repro.liberty.library import VARIANT_HVT, VARIANT_LVT, VARIANT_MT
+from repro.liberty.library import (
+    VARIANT_CMT,
+    VARIANT_HVT,
+    VARIANT_LVT,
+    VARIANT_MT,
+    VARIANT_MTV,
+)
+from repro.netlist.core import PinDirection
 from repro.netlist.techmap import technology_map
 from repro.timing.constraints import Constraints
 from repro.timing.session import TimingSession
@@ -284,3 +291,88 @@ def test_readers_of_a_net_leaving_the_timing_domain_reevaluate(library):
     assert_reports_identical(
         session.report(),
         TimingAnalyzer(netlist, library, constraints).run())
+
+
+@pytest.mark.parametrize("edit", [
+    "cmt_swap", "mtv_swap", "insert_buffer", "untracked_rewire",
+    "pin_swap", "holder"])
+def test_evaluation_plans_follow_every_edit(library, edit):
+    """Each instance's evaluation plan (its input nets, wire delays and
+    arcs per cell, and each arc's last backward lookup) is built once
+    and reused, so it must never outlive what it read.  After each edit
+    the report equals a fresh analyzer's: a CMT swap (adds and connects
+    MTE) and back, an MTV swap (adds and connects VGND) and back, a
+    buffer insertion, an untracked rewiring followed by
+    ``invalidate()``, two input pins trading nets followed by
+    ``touch_instance()``, and an output holder keeping the gate's output
+    (more load at unchanged input slews, so a backward memo that
+    ignored the load would go stale).  The gate is the most critical
+    two-input gate and the moved pin its latest input, so a stale plan
+    shows in the arrivals and required times; the parasitics make a
+    stale wire delay show too."""
+    from repro.placement.legalize import legalize
+    from repro.placement.placer import GlobalPlacer
+    from repro.routing.extract import PreRouteEstimator
+
+    netlist = _mapped("s298", library)
+    placement = GlobalPlacer(netlist, library, seed=3).run()
+    legalize(placement, netlist, library)
+    parasitics = PreRouteEstimator(netlist, placement, library).extract()
+    constraints = Constraints(clock_period=3.5)
+    session = TimingSession(netlist, library, constraints,
+                            parasitics=parasitics)
+
+    def check():
+        fresh = TimingAnalyzer(netlist, library, constraints,
+                               parasitics=parasitics).run()
+        assert_reports_identical(session.report(), fresh)
+
+    check()
+    report = session.report()
+    gate = min((inst for inst in netlist.instances.values()
+                if not library.cell(inst.cell_name).is_sequential
+                and len(inst.input_pins()) == 2),
+               key=lambda inst: report.slack_of_net(
+                   inst.single_output().net.name))
+    late_net = report.node_timing[gate.single_output().net.name].prev_rise[0]
+    pin = next(p for p in gate.input_pins() if p.net.name == late_net)
+    if edit in ("cmt_swap", "mtv_swap"):
+        variant = VARIANT_CMT if edit == "cmt_swap" else VARIANT_MTV
+        session.swap_variant(gate, variant)
+        if variant == VARIANT_CMT:
+            rail = netlist.get_or_create_net("MTE")
+            netlist.connect(gate, "MTE", rail, PinDirection.INPUT)
+            session.touch_net(rail)
+        else:
+            netlist.connect(gate, "VGND", netlist.get_or_create_net("VGND_0"),
+                            PinDirection.INOUT, keeper=True)
+        check()
+        session.swap_variant(gate, VARIANT_LVT)
+    elif edit == "insert_buffer":
+        session.insert_buffer(pin.net, "BUF_X1_HVT", sinks=[pin])
+    elif edit == "untracked_rewire":
+        early = next(port.net for port in netlist.input_ports()
+                     if port.net is not None
+                     and all(p.net is not port.net
+                             for p in gate.input_pins()))
+        netlist.disconnect(pin)
+        netlist.connect(gate, pin.name, early, PinDirection.INPUT)
+        session.invalidate()
+    elif edit == "holder":
+        kept = gate.single_output().net
+        holder = netlist.add_instance("hold_test", "HOLDER_X1")
+        netlist.connect(holder, "Z", kept, PinDirection.INOUT, keeper=True)
+        netlist.connect(holder, "MTE", netlist.get_or_create_net("MTE"),
+                        PinDirection.INPUT)
+        session.touch_net(kept)
+    else:
+        first, second = gate.input_pins()
+        nets = first.net, second.net
+        netlist.disconnect(first)
+        netlist.disconnect(second)
+        netlist.connect(gate, first.name, nets[1], PinDirection.INPUT)
+        netlist.connect(gate, second.name, nets[0], PinDirection.INPUT)
+        session.touch_instance(gate)
+        for net in nets:
+            session.touch_net(net)
+    check()
