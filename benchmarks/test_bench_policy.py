@@ -5,7 +5,8 @@ Records ``BENCH_policy.json`` (see ``recorder.json_path``):
 * ``candidate_sweep`` — >= 1000 candidate (domain plan, threshold)
   policies against the all-MTV c432 network at three PVT corners,
   evaluated as one batched pass, scalar vs numpy, plus the asserted
-  speedup (``policies_per_s`` per backend).
+  speedup (``policies_per_s`` per backend) and ``distinct_rows``, the
+  (plan, threshold-rank) rows the kernel swept for them.
 
 Asserted floor: the numpy backend sustains **>= 2x** the scalar sweep
 throughput.  The sweep is the ISSUE acceptance configuration — at
@@ -29,6 +30,7 @@ from repro.benchcircuits.suite import load_circuit
 from repro.liberty.library import VARIANT_MTV
 from repro.netlist.techmap import technology_map
 from repro.netlist.transform import swap_variant
+from repro.obs import disable, enable, reset, take_records
 from repro.placement.legalize import legalize
 from repro.placement.placer import GlobalPlacer
 from repro.policy.optimize import PolicyOptimizer
@@ -75,6 +77,22 @@ def _run(netlist, network, library, candidates, backend):
     return result, time.perf_counter() - started
 
 
+def _distinct_rows(netlist, network, library, candidates):
+    """The rows the kernel swept, read off one traced sweep's
+    ``policy.optimize`` span."""
+    reset()
+    enable()
+    try:
+        _run(netlist, network, library, candidates, "numpy")
+        (record,) = [record for root in take_records()
+                     for record in root.walk()
+                     if record.name == "policy.optimize"]
+    finally:
+        disable()
+        reset()
+    return record.attributes["distinct"]
+
+
 def test_bench_candidate_sweep(policy_network, library):
     netlist, network = policy_network
 
@@ -97,6 +115,8 @@ def test_bench_candidate_sweep(policy_network, library):
     speedup = scalar_s / numpy_s
     metrics = {
         "candidates": swept,
+        "distinct_rows": _distinct_rows(netlist, network, library,
+                                        CANDIDATES),
         "corners": len(CORNERS),
         "clusters": len(network.clusters),
         "pareto_points": len(scalar_result.pareto),

@@ -14,10 +14,11 @@ of the standby-transition engine (:mod:`repro.standby`):
   grouped under a shared enable, wake latency and peak rush derived by
   the rush scheduler rather than summed;
 * :mod:`repro.policy.optimize` — the batched optimizer: thousands of
-  candidate (domain plan, thresholds) policies evaluated as one
-  ``policies x clusters x corners`` array pass with a bit-identical
-  scalar fallback, reduced to the Pareto front of (net savings, worst
-  wake latency, peak rush).
+  candidate (domain plan, thresholds) policies, evaluated as one
+  ``rows x clusters x corners`` array pass over their distinct
+  (plan, threshold-rank) rows with a bit-identical scalar fallback,
+  reduced to the Pareto front of (net savings, worst wake latency,
+  peak rush).
 """
 
 from repro.policy.domains import DomainPlan, PowerDomain, plan_partitions

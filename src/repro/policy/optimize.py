@@ -2,8 +2,18 @@
 
 Sweeps thousands of candidate (domain plan, per-domain threshold)
 policies against every workload scenario and PVT corner in **one**
-``policies x clusters x corners`` array pass, then reduces the sweep
-to the Pareto front of (net savings, worst wake latency, peak rush).
+``rows x clusters x corners`` array pass, then reduces the sweep to
+the Pareto front of (net savings, worst wake latency, peak rush).
+
+**Distinct rows.**  A domain threshold's rank among the sorted
+scenario durations (``bisect_left``) decides every ``duration >=
+threshold`` gate of the domain's members, so two candidates with
+equal ``(plan, per-domain ranks)`` keys have ``==`` per-point savings
+on both backends.  The kernel sweeps one row per distinct key, for
+the key's first candidate in sweep order, and each row's per-corner
+nets go back to every candidate with that key: candidate ids and
+results are those of the full sweep.  The ~1024 default candidates
+reduce to tens of rows.
 
 **Candidate space.**  For each domain plan (deterministic balanced
 partitions from :func:`repro.policy.domains.plan_partitions`) the
@@ -28,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_left
 from typing import Any, Mapping, Sequence
 
 from repro.config import Technique
@@ -154,14 +165,14 @@ class PolicyOptimizer(StandbyEngine):
         with span("policy.optimize", corners=len(self.corners),
                   scenarios=len(self.scenarios),
                   clusters=len(self.network.clusters),
-                  candidates=self.candidates):
-            result = self._run_impl()
+                  candidates=self.candidates) as sweep:
+            result = self._run_impl(sweep)
         REGISTRY.inc("policy.sweeps")
         REGISTRY.inc("policy.candidates", result.candidates)
         REGISTRY.observe("policy.pareto_points", len(result.pareto))
         return result
 
-    def _run_impl(self) -> PolicyResult:
+    def _run_impl(self, sweep) -> PolicyResult:
         points, spans = self._scenario_grid()
         durations = [duration for duration, _w in points]
         corner_transients, budgets = self._corner_prologue()
@@ -182,18 +193,35 @@ class PolicyOptimizer(StandbyEngine):
         dp_nw, energy_pj = self._cluster_tables(corner_transients)
 
         policies = self._candidates(plans_by_corner[0])
+        # A domain threshold's rank among the sorted durations decides
+        # every ``duration >= threshold`` gate of its members, so
+        # candidates with equal (plan, ranks) keys have equal rows: the
+        # kernel sweeps each key once, for its first candidate.
+        ranked = sorted(durations)
+        rows: dict[tuple[int, tuple[int, ...]], int] = {}
+        distinct: list[SleepPolicy] = []
+        row_of: list[int] = []            # candidate -> swept row
+        for policy in policies:
+            key = (policy.plan, tuple(bisect_left(ranked, threshold)
+                                      for threshold in policy.thresholds_ns))
+            if key not in rows:
+                rows[key] = len(distinct)
+                distinct.append(policy)
+            row_of.append(rows[key])
+        sweep.set(distinct=len(distinct))
         order = [tr.cluster_index for tr in corner_transients[0]]
         thresholds = [
             self._cluster_thresholds(policy, partitions, order)
-            for policy in policies]
+            for policy in distinct]
         accs = savings(durations, dp_nw, energy_pj, oh_plan,
-                       plan_of=[policy.plan for policy in policies],
+                       plan_of=[policy.plan for policy in distinct],
                        thresholds=thresholds,
                        backend=self.compute_backend)
 
-        nets = [[self._horizon_net(acc, points, spans) for acc in rows]
-                for rows in accs]
-        pareto = self._pareto(policies, nets, plans_by_corner)
+        nets = [[self._horizon_net(acc, points, spans) for acc in row]
+                for row in accs]
+        pareto = self._pareto(policies, [nets[row] for row in row_of],
+                              plans_by_corner)
         # The clairvoyant oracle: every cluster its own domain (entry
         # is its own sleep latency, settle its own wake latency), and
         # it sleeps exactly when an interval pays — no candidate under

@@ -30,6 +30,7 @@ import dataclasses
 import enum
 import math
 
+from repro.config import _integer, _number, check_fields
 from repro.errors import ConfigError, StandbyError
 
 #: Recognized idle-interval distributions.
@@ -38,6 +39,33 @@ DISTRIBUTIONS = ("fixed", "exponential", "empirical")
 #: Relative slack allowed when empirical point weights are checked to
 #: sum to one (they come from ``count / total`` divisions).
 _WEIGHT_TOL = 1e-9
+
+
+_positive = _number(lambda v: 0.0 < v < math.inf)
+
+
+def _pairs(points) -> bool:
+    """A sequence of (duration, weight) pairs of finite numbers > 0."""
+    return isinstance(points, (tuple, list)) and all(
+        isinstance(point, (tuple, list)) and len(point) == 2
+        and _positive(point[0]) and _positive(point[1])
+        for point in points)
+
+
+#: field -> (predicate, what a valid value is) for every
+#: PowerModeScenario field.  Finite durations keep the savings kernel's
+#: two bodies alike and the policy sweep's threshold ranks exact.
+_CHECKS = {
+    "name": (lambda value: isinstance(value, str) and bool(value),
+             "a non-empty str"),
+    "active_ns": (_positive, "a finite number > 0"),
+    "idle_ns": (_positive, "a finite number > 0"),
+    "distribution": (lambda value: value in DISTRIBUTIONS,
+                     f"one of {DISTRIBUTIONS}"),
+    "quantile_points": (_integer(lambda v: v >= 1), "an int >= 1"),
+    "horizon_ns": (_positive, "a finite number > 0"),
+    "points": (_pairs, "(duration, weight) pairs of finite numbers > 0"),
+}
 
 
 class PowerMode(enum.Enum):
@@ -70,27 +98,7 @@ class PowerModeScenario:
     points: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        if not self.name:
-            raise ConfigError("name", "scenario needs a non-empty name")
-        if self.active_ns <= 0.0:
-            raise ConfigError(
-                "active_ns", f"must be positive, got {self.active_ns!r}")
-        if self.idle_ns <= 0.0:
-            raise ConfigError(
-                "idle_ns", f"must be positive, got {self.idle_ns!r}")
-        if self.distribution not in DISTRIBUTIONS:
-            raise ConfigError(
-                "distribution",
-                f"must be one of {DISTRIBUTIONS}, got "
-                f"{self.distribution!r}")
-        if self.quantile_points < 1:
-            raise ConfigError(
-                "quantile_points",
-                f"needs at least one, got {self.quantile_points!r}")
-        if self.horizon_ns <= 0.0:
-            raise ConfigError(
-                "horizon_ns",
-                f"must be positive, got {self.horizon_ns!r}")
+        check_fields(self, _CHECKS)
         if self.distribution == "empirical":
             self._check_points()
         elif self.points:
@@ -106,19 +114,7 @@ class PowerModeScenario:
                 "points", "the 'empirical' distribution needs at "
                           "least one (duration, weight) point")
         total = 0.0
-        for point in self.points:
-            if len(point) != 2:
-                raise ConfigError(
-                    "points",
-                    f"points are (duration, weight) pairs, got {point!r}")
-            duration, weight = point
-            if duration <= 0.0:
-                raise ConfigError(
-                    "points",
-                    f"durations must be positive, got {duration!r}")
-            if weight <= 0.0:
-                raise ConfigError(
-                    "points", f"weights must be positive, got {weight!r}")
+        for _duration, weight in self.points:
             total += weight
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ConfigError(

@@ -184,16 +184,20 @@ class TimingSession:
         transform.swap_variant(self.netlist, inst, self.library, variant)
         if inst.cell_name == before_cell:
             return inst
+        # Every net connected before or after the swap, each once.
+        nets: dict[str, Net] = {}
         for pin_name, net in before.items():
             if net is None:
                 continue
             if pin_name not in inst.pins:
                 # A connected pin vanished: the dependency graph changed.
                 self._structural = True
-            self.touch_net(net)
+            nets[net.name] = net
         for pin in inst.pins.values():
             if pin.net is not None:
-                self.touch_net(pin.net)
+                nets[pin.net.name] = pin.net
+        for net in nets.values():
+            self.touch_net(net)
         self._mark_instance(inst)
         return inst
 

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+from bisect import bisect_left
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import StandbyError
+from repro.obs import disable, enable, reset, take_records
+from repro.policy.domains import characterize_plan, plan_partitions
 from repro.policy.optimize import PolicyOptimizer
+from repro.standby.engine import savings
 from repro.standby.scenario import resolve_scenario
 
 CORNERS = ("tt_nom", "ss_1.08v_125c")
@@ -112,3 +118,114 @@ def test_rejects_bad_inputs(policy_design, library):
         PolicyOptimizer(netlist, library, network, [])
     with pytest.raises(StandbyError):
         _optimizer(policy_design, library, "python", candidates=0)
+
+
+# --- the rank-keyed sweep ----------------------------------------------------
+
+
+def _unkeyed_pareto(optimizer):
+    """The sweep without rank keys: every candidate through
+    ``savings()``, then ``_horizon_net``, then ``_pareto``."""
+    points, spans = optimizer._scenario_grid()
+    durations = [duration for duration, _w in points]
+    corner_transients, budgets = optimizer._corner_prologue()
+    partitions = plan_partitions(corner_transients[0],
+                                 optimizer.max_domains)
+    plans_by_corner = []
+    oh_plan = [[] for _ in partitions]
+    for transients, budget in zip(corner_transients, budgets):
+        row = []
+        for j, partition in enumerate(partitions):
+            plan, overheads = characterize_plan(partition, transients,
+                                                budget)
+            row.append(plan)
+            oh_plan[j].append(overheads)
+        plans_by_corner.append(row)
+    dp_nw, energy_pj = optimizer._cluster_tables(corner_transients)
+    policies = optimizer._candidates(plans_by_corner[0])
+    order = [tr.cluster_index for tr in corner_transients[0]]
+    accs = savings(durations, dp_nw, energy_pj, oh_plan,
+                   plan_of=[policy.plan for policy in policies],
+                   thresholds=[optimizer._cluster_thresholds(
+                       policy, partitions, order) for policy in policies],
+                   backend=optimizer.compute_backend)
+    nets = [[optimizer._horizon_net(acc, points, spans) for acc in rows]
+            for rows in accs]
+    return len(policies), optimizer._pareto(policies, nets,
+                                            plans_by_corner)
+
+
+def _backend(name):
+    if name == "numpy":
+        pytest.importorskip("numpy")
+    return name
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+def test_keyed_sweep_equals_the_unkeyed_sweep(policy_design, library,
+                                              backend):
+    optimizer = _optimizer(policy_design, library, _backend(backend))
+    result = optimizer.run()
+    assert (result.candidates, result.pareto) == _unkeyed_pareto(optimizer)
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+def test_keyed_sweep_equals_the_unkeyed_sweep_on_many_clusters(
+        many_cluster_design, library, backend):
+    netlist, network = many_cluster_design
+    assert len(network.clusters) >= 20
+    optimizer = PolicyOptimizer(
+        netlist, library, network,
+        [resolve_scenario(name)
+         for name in ("mostly_idle", "bursty", "interactive")],
+        corners=("tt_nom", "ff_1.32v_125c", "ss_1.08v_125c"),
+        candidates=1_000, compute_backend=_backend(backend))
+    result = optimizer.run()
+    assert (result.candidates, result.pareto) == _unkeyed_pareto(optimizer)
+
+
+def test_sweep_runs_fewer_rows_than_candidates(policy_design, library):
+    reset()
+    enable()
+    try:
+        result = _optimizer(policy_design, library, "python").run()
+        (record,) = [record for root in take_records()
+                     for record in root.walk()
+                     if record.name == "policy.optimize"]
+    finally:
+        disable()
+        reset()
+    assert record.attributes["candidates"] == 120
+    assert 0 < record.attributes["distinct"] < result.candidates
+
+
+_POOL = st.lists(st.floats(1.0, 1e6), min_size=1, max_size=5, unique=True)
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_equal_rank_keys_give_equal_rows(backend, data):
+    """Thresholds with one rank among the sorted durations gate every
+    point alike, ties and exact duration values included."""
+    backend = _backend(backend)
+    pool = data.draw(_POOL)
+    durations = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                   max_size=8))
+    clusters = data.draw(st.integers(1, 3))
+    threshold = st.one_of(st.sampled_from(pool + [math.inf]),
+                          st.floats(0.5, 2e6))
+    grid = data.draw(st.lists(
+        st.lists(threshold, min_size=clusters, max_size=clusters),
+        min_size=2, max_size=12))
+    table = st.lists(st.lists(st.floats(1e-3, 1e3), min_size=clusters,
+                              max_size=clusters), min_size=2, max_size=2)
+    dp_nw, energy_pj, overheads = (data.draw(table) for _ in range(3))
+    rows = savings(durations, dp_nw, energy_pj, [overheads],
+                   plan_of=[0] * len(grid), thresholds=grid,
+                   backend=backend)
+    ranked = sorted(durations)
+    keys = [tuple(bisect_left(ranked, t) for t in row) for row in grid]
+    for i, j in itertools.combinations(range(len(grid)), 2):
+        if keys[i] == keys[j]:
+            assert rows[i] == rows[j]

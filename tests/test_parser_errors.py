@@ -13,6 +13,7 @@ job submission bodies, any :class:`~repro.errors.ReproError` for
 
 import functools
 import json
+import math
 import os
 import tempfile
 
@@ -177,6 +178,49 @@ def test_malformed_input_raises_parse_error(parser, text, line):
     with pytest.raises(ParseError) as caught:
         parser(text)
     assert caught.value.line == line
+
+
+#: (field, value) pairs a scenario must reject by field name: non-finite
+#: numbers, a fractional or boolean point count, an empty name.
+BAD_SCENARIO_FIELDS = [
+    ("name", ""),
+    ("active_ns", math.nan),
+    ("idle_ns", math.inf),
+    ("horizon_ns", math.nan),
+    ("quantile_points", 2.5),
+    ("quantile_points", True),
+    ("points", [[1000.0, math.nan], [9000.0, 0.5]]),
+    ("points", [[math.inf, 0.5], [9000.0, 0.5]]),
+]
+BAD_SCENARIO_IDS = ["empty-name", "nan-active", "inf-idle", "nan-horizon",
+                    "fractional-points", "bool-points", "nan-weight",
+                    "inf-duration"]
+
+
+def bad_scenario(field, value):
+    """The valid ``SCENARIO`` fields with one of them replaced."""
+    return dict(json.loads(SCENARIO), **{field: value})
+
+
+@pytest.mark.parametrize("field, value", BAD_SCENARIO_FIELDS,
+                         ids=BAD_SCENARIO_IDS)
+def test_scenario_file_rejects_bad_field(field, value):
+    with pytest.raises(ConfigError) as caught:
+        load_scenario_file(json.dumps(bad_scenario(field, value)))
+    assert caught.value.field == field
+
+
+@pytest.mark.parametrize("kind", ["standby", "policy"])
+@pytest.mark.parametrize("field, value", BAD_SCENARIO_FIELDS,
+                         ids=BAD_SCENARIO_IDS)
+def test_submission_rejects_bad_scenario_field(kind, field, value):
+    scenario = dict(bad_scenario(field, value), schema="standby_scenario",
+                    schema_version=1)
+    body = {"kind": kind, "circuit": "c17",
+            "request": {"schema": f"{kind}_request", "schema_version": 1,
+                        "scenario_payloads": [scenario]}}
+    with pytest.raises(ServiceError, match=f"invalid {field}: "):
+        parse_submission_body(json.dumps(body))
 
 
 @pytest.mark.parametrize("text", [

@@ -275,6 +275,29 @@ def test_undone_swap_reevaluates_only_the_dirty_instances(library):
     assert_reports_identical(session.report(), fresh)
 
 
+def test_swap_touches_each_connected_net_once(library, monkeypatch):
+    """A net connected both before and after a swap has its cached load
+    dropped once, not once per side of the swap."""
+    netlist = _mapped("c880", library)
+    session = TimingSession(netlist, library, Constraints(clock_period=4.0))
+    session.report()
+    gate = netlist.instances["g15"]
+    nets = {pin.net.name for pin in gate.pins.values()
+            if pin.net is not None}
+    dropped = []
+    invalidate = session.net_model.invalidate
+    monkeypatch.setattr(session.net_model, "invalidate",
+                        lambda net=None: (dropped.append(net.name),
+                                          invalidate(net)))
+    session.swap_variant(gate, VARIANT_HVT)
+    assert sorted(dropped) == sorted(nets)
+    assert len(nets) == 3
+    assert_reports_identical(
+        session.report(),
+        TimingAnalyzer(netlist, library,
+                       Constraints(clock_period=4.0)).run())
+
+
 def test_readers_of_a_net_leaving_the_timing_domain_reevaluate(library):
     """A gate whose output pin is disconnected stops driving its net,
     which leaves the node domain; the net's readers lost a source and
