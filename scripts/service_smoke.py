@@ -23,7 +23,11 @@ match the frozen golden fixtures in ``tests/golden/``:
 6. a ``--shards 2`` leg whose optimize runs in a shard worker process;
 7. malformed requests against the first and the sharded server: a
    non-numeric ``Content-Length`` and a non-JSON body must each get a
-   400 JSON error, and ``/v1/health`` must stay ok afterwards.
+   400 JSON error, and ``/v1/health`` must stay ok afterwards;
+8. held status requests against both servers: ``?wait=5`` on a
+   finished job answers ``done`` at once, ``?wait=nan`` is a 400 and
+   ``/v1/health`` stays ok afterwards; ``/v1/metrics`` carries the
+   ``service.queue_wait_s`` histogram.
 
 Every server is stopped with SIGTERM and must exit 0 without leaving a
 child process (a shard worker) behind.
@@ -169,6 +173,25 @@ def check_malformed_requests(client: ServiceClient, port: int):
           client.health()["status"] == "ok")
 
 
+def check_held_wait(client: ServiceClient):
+    """A held status request on the latest (finished) job answers at
+    once; a wait that is not a finite number >= 0 is a 400 JSON error,
+    and the server stays healthy."""
+    job_id = client.jobs()[-1]["job_id"]
+    began = time.monotonic()
+    status = client._call("GET", f"/v1/jobs/{job_id}?wait=5")
+    check("?wait=5 on a finished job answers done at once",
+          status["status"] == "done" and time.monotonic() - began < 1.0)
+    try:
+        client._call("GET", f"/v1/jobs/{job_id}?wait=nan")
+        code = 200
+    except ServiceError as exc:
+        code = exc.status
+    check("?wait=nan gets a 400", code == 400)
+    check("server healthy after a bad wait",
+          client.health()["status"] == "ok")
+
+
 def kill_server(server: subprocess.Popen):
     if server.poll() is None:
         server.kill()
@@ -202,6 +225,7 @@ def main() -> int:
               (result.mt_cells, result.switches, result.holders)
               == (improved["mt_cells"], improved["switches"],
                   improved["holders"]))
+        check_held_wait(client)
 
         logger.info("sweep job: all three techniques on c432")
         sweep = client.run("sweep", CIRCUIT, request=SweepRequest(),
@@ -296,6 +320,9 @@ def main() -> int:
         check("job latency histogram saw every job",
               metrics["histograms"].get("service.job_latency_s",
                                         {}).get("count", 0) >= 5)
+        check("queue wait histogram saw every job",
+              metrics["histograms"].get("service.queue_wait_s",
+                                        {}).get("count", 0) >= 5)
         caches = metrics.get("caches", {})
         check("metrics unify the workspace cache tree",
               caches.get("workspace", {}).get("flow", {})
@@ -375,6 +402,7 @@ def main() -> int:
               .get("result_store", {}).get("hits", 0) == 0)
         check("shard leg ran its job in a worker process",
               bool(child_pids(server.pid)))
+        check_held_wait(client)
         stop_server(server)
         logger.info("service smoke: all checks passed")
         return 0

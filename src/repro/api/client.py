@@ -13,8 +13,9 @@ Back-pressure aware: when the service rejects a call with HTTP 429
 ``retries`` retries — honoring the server's ``Retry-After`` hint as a
 lower bound (still capped, so tests can keep backoff tight).
 
-:meth:`ServiceClient.run` is the convenience loop: submit, poll until
-terminal, decode the result payload back into the typed result object
+:meth:`ServiceClient.run` is the convenience loop: submit, wait until
+terminal (each status request held by the service until the job
+finishes), decode the result payload back into the typed result object
 via the schema registry.
 """
 
@@ -138,22 +139,33 @@ class ServiceClient:
 
     def wait(self, job_id: str, timeout: float = 300.0,
              poll_s: float = 0.05) -> dict:
-        """Poll until the job reaches a terminal state.
+        """Wait until the job reaches a terminal state.
 
-        A job that disappears mid-poll (the service's retention cap
+        Each status request asks the service to hold it until the job
+        is terminal (``GET /v1/jobs/<id>?wait=S``), ``S`` being the time
+        left before ``timeout`` kept below half this client's socket
+        timeout, so a finished job is seen the moment it finishes.
+        ``poll_s`` is the pause before asking again after an answer that
+        is not terminal: a hold that hit its cap, or a service that does
+        not hold.
+
+        A job that disappears mid-wait (the service's retention cap
         evicted it between submissions) raises a :class:`ServiceError`
         that says so, instead of surfacing as a bare 404.
         """
         deadline = time.monotonic() + timeout
         while True:
+            hold = max(0.0, min(deadline - time.monotonic(),
+                                self.timeout / 2))
             try:
-                status = self.status(job_id)
+                status = self._call("GET",
+                                    f"/v1/jobs/{job_id}?wait={hold:.3f}")
             except ServiceError as exc:
                 if exc.status == 404:
                     raise ServiceError(
                         f"job {job_id} was evicted or is unknown — the "
                         f"service's retention cap may have dropped it "
-                        f"mid-poll (raise `serve --retain`, or fetch "
+                        f"mid-wait (raise `serve --retain`, or fetch "
                         f"results sooner)", status=404) from None
                 raise
             if status["status"] not in ("queued", "running"):

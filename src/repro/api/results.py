@@ -29,7 +29,7 @@ from repro.standby.engine import (
     StandbyCornerRow,
     StandbyResult,
 )
-from repro.standby.scenario import PowerModeScenario
+from repro.standby.scenario import PowerModeScenario, points_from_json
 from repro.standby.schedule import WakeupEvent, WakeupSchedule
 from repro.standby.transient import ClusterTransient
 from repro.variation.montecarlo import McSample, McStatistics
@@ -187,8 +187,7 @@ schemas.dataclass_schema("wakeup_schedule", 1, WakeupSchedule,
                          events=schemas.seq(schemas.NESTED))
 # (duration, weight) / member-group grids: tuples of tuples <-> lists
 # of lists.
-_POINT_GRID = (lambda pts: [list(p) for p in pts],
-               lambda pts: tuple((float(d), float(w)) for d, w in pts))
+_POINT_GRID = (lambda pts: [list(p) for p in pts], points_from_json)
 _CLUSTER_GROUPS = (lambda gs: [list(g) for g in gs],
                    lambda gs: tuple(tuple(int(i) for i in g) for g in gs))
 

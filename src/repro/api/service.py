@@ -45,6 +45,9 @@ Endpoints (all payloads JSON)::
     POST /v1/jobs                -> {"job_id": "..."}   (submit)
     GET  /v1/jobs                -> {"jobs": [status...]}
     GET  /v1/jobs/<id>           -> job status
+    GET  /v1/jobs/<id>?wait=S    -> job status once the job is terminal,
+                                    or after S seconds (capped at
+                                    MAX_WAIT_S), whichever is first
     GET  /v1/jobs/<id>/result    -> the typed result payload
     POST /v1/jobs/<id>/cancel    -> job status
 
@@ -67,9 +70,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import queue
 import threading
 import time
+import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.api import schemas
@@ -95,6 +100,11 @@ RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
+
+#: Cap (seconds) on how long one status request may be held waiting for
+#: its job to finish; each held request keeps one handler thread.
+MAX_WAIT_S = 60.0
+
 
 @dataclasses.dataclass(frozen=True)
 class JobStatus:
@@ -133,6 +143,11 @@ class _Job:
         self.subscribers: list[str] = []
         #: Set on subscriber jobs: the primary job id they ride on.
         self.coalesced_into: str | None = None
+        #: Set once the job is terminal; held status requests wait on it.
+        self.finished = threading.Event()
+        #: Submission time (``perf_counter``), for the queue-wait
+        #: histogram.
+        self.submitted = time.perf_counter()
 
     def snapshot(self) -> JobStatus:
         return JobStatus(job_id=self.job_id, kind=self.kind,
@@ -188,6 +203,33 @@ def parse_submission(payload) -> tuple[str, str, object, FlowConfig]:
     except ReproError as exc:
         raise ServiceError(f"bad config override: {exc}") from exc
     return kind, circuit, request, config
+
+
+def parse_wait(query: str) -> float | None:
+    """Validate a status query -> seconds to hold, or None for none.
+
+    ``wait`` is the only parameter, given at most once, and must be a
+    finite number >= 0; anything else raises :class:`ServiceError`
+    (400) naming it.
+    """
+    fields = urllib.parse.parse_qs(query, keep_blank_values=True)
+    unknown = sorted(set(fields) - {"wait"})
+    if unknown:
+        raise ServiceError(f"unknown query parameter(s) {unknown}; the "
+                           f"status route takes only 'wait'")
+    values = fields.get("wait")
+    if values is None:
+        return None
+    if len(values) > 1:
+        raise ServiceError("'wait' is given more than once")
+    try:
+        seconds = float(values[0])
+    except ValueError:
+        seconds = math.nan
+    if not 0.0 <= seconds < math.inf:
+        raise ServiceError(f"'wait' must be a finite number of seconds "
+                           f">= 0, got {values[0]!r}")
+    return seconds
 
 
 class JobService:
@@ -283,6 +325,7 @@ class JobService:
                 if job.status == QUEUED:
                     job.status = CANCELLED
                     job.error = "service closed before the job ran"
+                    job.finished.set()
             self._queued = 0
             self._inflight.clear()
         self._set_queue_gauge()
@@ -369,6 +412,19 @@ class JobService:
         with self._lock:
             return self._get(job_id).snapshot()
 
+    def wait(self, job_id: str, timeout: float) -> JobStatus:
+        """The job's status once it is terminal, or after ``timeout``
+        seconds (capped at :data:`MAX_WAIT_S`), whichever comes first.
+
+        The job cannot be evicted while it waits: eviction takes
+        terminal jobs only.
+        """
+        with self._lock:
+            job = self._get(job_id)
+        job.finished.wait(min(timeout, MAX_WAIT_S))
+        with self._lock:
+            return job.snapshot()
+
     def jobs(self) -> list[JobStatus]:
         with self._lock:
             return [self._jobs[job_id].snapshot()
@@ -426,6 +482,7 @@ class JobService:
                     f"job {job_id} is {job.status}; only queued jobs "
                     f"can be cancelled", status=409)
             job.status = CANCELLED
+            job.finished.set()
             if job.coalesced_into is not None:
                 primary = self._jobs.get(job.coalesced_into)
                 if primary is not None \
@@ -473,6 +530,8 @@ class JobService:
                     continue
                 job.status = RUNNING
                 self._queued -= 1
+            REGISTRY.observe("service.queue_wait_s",
+                             time.perf_counter() - job.submitted)
             self._set_queue_gauge()
             logger.info("job %s start: %s %s", job.job_id, job.kind,
                         job.circuit)
@@ -517,10 +576,12 @@ class JobService:
                         elapsed)
 
     def _finish_locked(self, job: _Job):
-        """Resolve a finished primary: release the in-flight slot and
-        propagate the outcome to every coalesced subscriber."""
+        """Resolve a finished primary: release the in-flight slot,
+        propagate the outcome to every coalesced subscriber and wake
+        the requests held on any of them."""
         if self._inflight.get(job.work_key) == job.job_id:
             del self._inflight[job.work_key]
+        job.finished.set()
         for sub_id in job.subscribers:
             sub = self._jobs.get(sub_id)
             if sub is None or sub.status != QUEUED:
@@ -531,6 +592,7 @@ class JobService:
             else:
                 sub.error = job.error
                 sub.status = FAILED
+            sub.finished.set()
         job.subscribers = []
 
     def _execute(self, job: _Job):
@@ -584,7 +646,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _dispatch(self, method: str):
         service = self.server.service
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
+        path, _, query = self.path.partition("?")
+        parts = [p for p in path.split("/") if p]
         headers = {}
         try:
             # Always drain the body up front: a route that ignores it
@@ -626,7 +689,10 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(200, {"jobs": [schemas.to_dict(s)
                                           for s in service.jobs()]})
             elif method == "GET" and len(rest) == 2 and rest[0] == "jobs":
-                self._send(200, schemas.to_dict(service.status(rest[1])))
+                hold = parse_wait(query)
+                status = service.status(rest[1]) if hold is None \
+                    else service.wait(rest[1], hold)
+                self._send(200, schemas.to_dict(status))
             elif method == "GET" and len(rest) == 3 \
                     and rest[0] == "jobs" and rest[2] == "result":
                 self._send(200, service.result(rest[1]))

@@ -276,7 +276,7 @@ def _load_scenario_payload(path: str):
     (``schemas.to_dict`` output) or a plain constructor-kwargs object
     (``{"name": ..., "active_ns": ..., ...}``).
     """
-    from repro.standby.scenario import PowerModeScenario
+    from repro.standby.scenario import PowerModeScenario, points_from_json
 
     try:
         with open(path, encoding="utf-8") as handle:
@@ -302,10 +302,22 @@ def _load_scenario_payload(path: str):
         return scenario
     try:
         if "points" in payload:
-            payload = dict(payload, points=tuple(
-                (float(d), float(w)) for d, w in payload["points"]))
+            payload = dict(payload,
+                           points=points_from_json(payload["points"]))
         return PowerModeScenario(**payload)
     except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            "scenario_file", f"bad scenario in {path!r}: {exc}") from exc
+
+
+def _read_scenario_file(path: str):
+    """:func:`_load_scenario_payload`, with a scenario field's error
+    also naming the file it came from."""
+    try:
+        return _load_scenario_payload(path)
+    except ConfigError as exc:
+        if exc.field == "scenario_file":
+            raise
         raise ConfigError(
             "scenario_file", f"bad scenario in {path!r}: {exc}") from exc
 
@@ -322,7 +334,7 @@ def cmd_standby(args) -> int:
     _check_names("scenario", scenarios, standard_scenarios())
     corners = _split_names(args.corners)
     _check_names("corner", corners, standard_corners(library.tech))
-    payloads = tuple(_load_scenario_payload(path)
+    payloads = tuple(_read_scenario_file(path)
                      for path in (args.scenario_file or ()))
     result = workspace.design(args.circuit).standby(
         technique=args.technique,

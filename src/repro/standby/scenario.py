@@ -52,6 +52,28 @@ def _pairs(points) -> bool:
         for point in points)
 
 
+def _json_number(value):
+    """A JSON number as a float (an int too large for one reads as
+    inf); anything else, a bool included, unconverted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def points_from_json(points):
+    """``points`` as JSON carries them: lists of pairs become tuples
+    and numbers floats, while a string, a bool or a malformed pair
+    passes through unconverted for the ``points`` check to reject."""
+    if not isinstance(points, (list, tuple)):
+        return points
+    return tuple(tuple(map(_json_number, point))
+                 if isinstance(point, (list, tuple)) else point
+                 for point in points)
+
+
 #: field -> (predicate, what a valid value is) for every
 #: PowerModeScenario field.  Finite durations keep the savings kernel's
 #: two bodies alike and the policy sweep's threshold ranks exact.

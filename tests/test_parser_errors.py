@@ -7,8 +7,8 @@ asserts that nothing but each parser's one typed error escapes:
 :class:`~repro.errors.ParseError` for SPEF, SDC, Liberty, Verilog,
 ``.bench`` and DEF, :class:`~repro.errors.ConfigError` for idle
 traces, :class:`~repro.errors.ServiceError` (the service's 400) for
-job submission bodies, any :class:`~repro.errors.ReproError` for
-``--scenario-file`` files.
+job submission bodies and status-route queries, any
+:class:`~repro.errors.ReproError` for ``--scenario-file`` files.
 """
 
 import functools
@@ -20,7 +20,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api.service import parse_submission
+from repro.api.service import parse_submission, parse_wait
 from repro.cli import _load_scenario_payload
 from repro.errors import ConfigError, ParseError, ReproError, ServiceError
 from repro.liberty.parser import parse_liberty
@@ -191,10 +191,16 @@ BAD_SCENARIO_FIELDS = [
     ("quantile_points", True),
     ("points", [[1000.0, math.nan], [9000.0, 0.5]]),
     ("points", [[math.inf, 0.5], [9000.0, 0.5]]),
+    # These used to be coerced with float() before the check saw them
+    # (the huge int raised a raw OverflowError).
+    ("points", [["1000", 0.5], [9000.0, 0.5]]),
+    ("points", [[1000.0, True]]),
+    ("points", [[10 ** 400, 1.0]]),
 ]
 BAD_SCENARIO_IDS = ["empty-name", "nan-active", "inf-idle", "nan-horizon",
                     "fractional-points", "bool-points", "nan-weight",
-                    "inf-duration"]
+                    "inf-duration", "string-duration", "bool-weight",
+                    "huge-int-duration"]
 
 
 def bad_scenario(field, value):
@@ -221,6 +227,25 @@ def test_submission_rejects_bad_scenario_field(kind, field, value):
                         "scenario_payloads": [scenario]}}
     with pytest.raises(ServiceError, match=f"invalid {field}: "):
         parse_submission_body(json.dumps(body))
+
+
+@pytest.mark.parametrize("query", [
+    "wait=abc", "wait=nan", "wait=inf", "wait=-1", "wait=1e400", "wait=",
+    "wait", "wait=1&wait=2", "wiat=1"],
+    ids=["non-numeric", "nan", "inf", "negative", "overflow", "empty",
+         "bare", "repeated", "unknown-key"])
+def test_bad_wait_query_is_400_naming_wait(query):
+    # Unchecked, inf raised a raw OverflowError in Event.wait (HTTP 500).
+    with pytest.raises(ServiceError, match="'wait'") as caught:
+        parse_wait(query)
+    assert caught.value.status == 400
+
+
+@pytest.mark.parametrize("query, seconds", [
+    ("", None), ("wait=0", 0.0), ("wait=0.5", 0.5), ("wait=1e9", 1e9)])
+def test_wait_query_is_a_finite_number_of_seconds(query, seconds):
+    # The hold cap applies in JobService.wait, not here.
+    assert parse_wait(query) == seconds
 
 
 @pytest.mark.parametrize("text", [
@@ -261,6 +286,7 @@ TARGETS = [
     (parse_trace, TRACE_JSON, ConfigError),
     (parse_submission_body, SUBMISSION, ServiceError),
     (load_scenario_file, SCENARIO, ReproError),
+    (parse_wait, "wait=0.5", ServiceError),
 ]
 
 
