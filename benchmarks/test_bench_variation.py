@@ -10,10 +10,12 @@ performance trajectory is machine-readable across PRs:
   incremental STA.
 
 Assertions pin qualitative shape (monotone corner orderings, sampling
-determinism), never wall-clock — CI runners are too noisy for timing
-gates.
+determinism).  The one wall-clock gate is the batched signoff's 4x
+floor, a same-process ratio read as the median of alternating pairs —
+CI runners are too noisy for absolute timing gates.
 """
 
+import statistics
 import time
 
 from repro.benchcircuits.suite import load_circuit
@@ -31,6 +33,8 @@ from recorder import record
 CIRCUIT = "c432"
 MC_SAMPLES = 200
 MC_TIMING_SAMPLES = 12
+#: Timed loop/batched signoff pairs; the floor reads their median ratio.
+SIGNOFF_REPEATS = 3
 
 
 def _mapped(library):
@@ -81,8 +85,10 @@ def test_bench_corner_grid(benchmark, library):
 def test_bench_batched_signoff(benchmark, library):
     """Corner-batched signoff vs the sequential loop on the full grid.
 
-    The batched floor IS asserted (a wall-clock *ratio* of two
-    same-process runs, so shared-runner noise largely cancels).
+    The batched floor IS asserted: the median wall-clock *ratio* of
+    :data:`SIGNOFF_REPEATS` loop/batched pairs timed in alternating arm
+    order, in one process, so shared-runner noise largely cancels.
+    Every batched run is cold (it builds its own array view).
     """
     import pytest
 
@@ -116,23 +122,27 @@ def test_bench_batched_signoff(benchmark, library):
             clock_arrivals=(result.cts.clock_arrivals
                             if result.cts else None),
             compute_backend="numpy")
+        # The loop pays one nominal lowering PER corner, a batched
+        # signoff one in all.
+        arms = {
+            "loop": lambda: evaluate_corners(
+                result.netlist, library, names, result.constraints,
+                **kwargs),
+            "batched": lambda: evaluate_corners_batched(
+                result.netlist, library, names, result.constraints,
+                **kwargs),
+        }
+        outcomes, seconds = {}, {"loop": [], "batched": []}
+        for repeat in range(SIGNOFF_REPEATS):
+            order = ("loop", "batched") if repeat % 2 == 0 \
+                else ("batched", "loop")
+            for arm in order:
+                started = time.perf_counter()
+                outcomes[arm] = arms[arm]()
+                seconds[arm].append(time.perf_counter() - started)
+        return outcomes["loop"], outcomes["batched"], derive_s, seconds
 
-        started = time.perf_counter()
-        loop = evaluate_corners(result.netlist, library, names,
-                                result.constraints, **kwargs)
-        loop_s = time.perf_counter() - started
-
-        # Cold batched signoff: pays one nominal lowering (the loop
-        # above paid one PER corner).
-        started = time.perf_counter()
-        batched = evaluate_corners_batched(
-            result.netlist, library, names, result.constraints,
-            **kwargs)
-        cold_s = time.perf_counter() - started
-        return loop, batched, derive_s, loop_s, cold_s
-
-    loop, batched, derive_s, loop_s, cold_s = \
-        run_once(benchmark, signoff_both)
+    loop, batched, derive_s, seconds = run_once(benchmark, signoff_both)
 
     # Per-corner bit-identity: the batched pass is an evaluation
     # strategy, not an approximation.
@@ -141,26 +151,35 @@ def test_bench_batched_signoff(benchmark, library):
         assert batched[name].hold_wns == loop[name].hold_wns
         assert batched[name].leakage_nw == loop[name].leakage_nw
 
-    speedup = loop_s / max(cold_s, 1e-9)
+    speedups = [loop_s / max(cold_s, 1e-9) for loop_s, cold_s
+                in zip(seconds["loop"], seconds["batched"])]
+    speedup = statistics.median(speedups)
+    loop_s = statistics.median(seconds["loop"])
+    cold_s = statistics.median(seconds["batched"])
     metrics = {
         "circuit": CIRCUIT,
         "corners": len(names),
         "derive_s": round(derive_s, 4),
         "loop_s": round(loop_s, 4),
+        "loop_s_repeats": [round(each, 4) for each in seconds["loop"]],
         "loop_corners_per_s": round(len(names) / max(loop_s, 1e-9), 2),
         "batched_cold_s": round(cold_s, 4),
+        "batched_cold_s_repeats": [round(each, 4)
+                                   for each in seconds["batched"]],
         "batched_corners_per_s": round(
             len(names) / max(cold_s, 1e-9), 2),
         "batched_speedup": round(speedup, 2),
+        "batched_speedups": [round(each, 2) for each in speedups],
     }
     benchmark.extra_info.update(metrics)
     record("batched_signoff", metrics)
     print(f"\n{len(names)} corners: loop {loop_s:.3f}s vs batched "
-          f"{cold_s:.3f}s ({speedup:.1f}x)")
+          f"{cold_s:.3f}s ({speedup:.1f}x, pairs {speedups})")
 
     # Floor: one stacked array pass must beat K sequential STAs by 4x
     # (the trajectory target is 10x over the PR-5 loop baseline).
-    assert speedup >= 4.0, f"batched signoff {speedup:.1f}x < 4x"
+    assert speedup >= 4.0, \
+        f"batched signoff {speedup:.1f}x < 4x (pairs: {speedups})"
 
 
 def test_bench_montecarlo_throughput(benchmark, library):

@@ -4,7 +4,9 @@ margins; not part of the library).
 
 Runs through the :mod:`repro.api` Workspace facade, so the library,
 netlist and every per-(margin, technique) flow result are compiled
-once and cached — rerunning a margin is free.
+once and cached — rerunning a margin is free — and every margin forks
+one placed prefix: the circuit is placed and its critical delay probed
+once for the whole scan.
 
 Usage::
 

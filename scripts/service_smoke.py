@@ -27,7 +27,12 @@ match the frozen golden fixtures in ``tests/golden/``:
 8. held status requests against both servers: ``?wait=5`` on a
    finished job answers ``done`` at once, ``?wait=nan`` is a 400 and
    ``/v1/health`` stays ok afterwards; ``/v1/metrics`` carries the
-   ``service.queue_wait_s`` histogram.
+   ``service.queue_wait_s`` histogram;
+9. a second timing margin against the first and the sharded server:
+   ``analyze`` and ``optimize`` on c432 at margin 0.15 as well as 0.12
+   must answer what a fresh in-process ``Workspace`` computes, and on
+   the first server the 0.15 optimize must hit the placed ``prefix``
+   entry the 0.12 one built (``/v1/metrics`` workspace tree).
 
 Every server is stopped with SIGTERM and must exit 0 without leaving a
 child process (a shard worker) behind.
@@ -52,15 +57,16 @@ import time
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.api import ServiceClient  # noqa: E402
+from repro.api import ServiceClient, Workspace, schemas  # noqa: E402
 from repro.api.requests import (  # noqa: E402
+    AnalyzeRequest,
     OptimizeRequest,
     PolicyRequest,
     SignoffRequest,
     StandbyRequest,
     SweepRequest,
 )
-from repro.config import Technique  # noqa: E402
+from repro.config import FlowConfig, Technique  # noqa: E402
 from repro.errors import ServiceError  # noqa: E402
 from repro.obs import configure_logging, get_logger  # noqa: E402
 
@@ -69,6 +75,8 @@ logger = get_logger("scripts.service_smoke")
 #: The golden Table 1 knobs (tests/golden + scripts/make_golden.py).
 CIRCUIT = "c432"
 CONFIG = {"timing_margin": 0.12, "placement_seed": 1}
+#: The second timing margin: its flows fork the 0.12 design's placement.
+SECOND_CONFIG = dict(CONFIG, timing_margin=0.15)
 CORNERS = ("tt_nom", "ff_1.32v_125c", "ss_1.08v_125c")
 REL_TOL = 1e-9
 
@@ -192,6 +200,52 @@ def check_held_wait(client: ServiceClient):
           client.health()["status"] == "ok")
 
 
+def fresh_answers() -> dict:
+    """``analyze`` at both margins and ``optimize`` at the second, by a
+    fresh in-process workspace: what every server must answer."""
+    workspace = Workspace()
+    answers = {}
+    for config in (CONFIG, SECOND_CONFIG):
+        design = workspace.design(CIRCUIT, FlowConfig(**config))
+        answers["analyze", config["timing_margin"]] = design.analyze()
+    answers["optimize", SECOND_CONFIG["timing_margin"]] = \
+        workspace.design(CIRCUIT, FlowConfig(**SECOND_CONFIG)).optimize(
+            technique=Technique.IMPROVED_SMT)
+    return answers
+
+
+def prefix_counts(client: ServiceClient) -> dict:
+    return client.metrics()["caches"]["workspace"].get("prefix", {})
+
+
+def check_second_margin(client: ServiceClient, answers: dict,
+                        in_process: bool):
+    """Both margins' ``analyze`` and the second margin's ``optimize``
+    equal the fresh workspace's answers; in process, the second
+    margin's flow hits the placed prefix the first margin's built."""
+    for config in (CONFIG, SECOND_CONFIG):
+        margin = config["timing_margin"]
+        analyzed = client.run("analyze", CIRCUIT, request=AnalyzeRequest(),
+                              config=config, timeout=300.0)
+        check(f"analyze at margin {margin} matches a fresh workspace",
+              schemas.to_dict(analyzed)
+              == schemas.to_dict(answers["analyze", margin]))
+    margin = SECOND_CONFIG["timing_margin"]
+    before = prefix_counts(client)
+    optimized = client.run(
+        "optimize", CIRCUIT,
+        request=OptimizeRequest(technique=Technique.IMPROVED_SMT),
+        config=SECOND_CONFIG, timeout=300.0)
+    check(f"optimize at margin {margin} matches a fresh workspace",
+          schemas.to_dict(optimized)
+          == schemas.to_dict(answers["optimize", margin]))
+    if in_process:
+        after = prefix_counts(client)
+        check(f"optimize at margin {margin} reused the placed prefix",
+              after.get("hits", 0) == before.get("hits", 0) + 1
+              and after.get("misses", 0) == before.get("misses", 0))
+
+
 def kill_server(server: subprocess.Popen):
     if server.poll() is None:
         server.kill()
@@ -202,6 +256,7 @@ def main() -> int:
     golden = json.loads(
         (REPO / "tests" / "golden" / "table1_c432_s298.json")
         .read_text(encoding="utf-8"))[CIRCUIT]
+    answers = fresh_answers()
     store_dir = tempfile.mkdtemp(prefix="repro-result-store-")
     port = free_port()
     server = start_server(port, store_dir)
@@ -226,6 +281,8 @@ def main() -> int:
               == (improved["mt_cells"], improved["switches"],
                   improved["holders"]))
         check_held_wait(client)
+        logger.info("second margin: analyze + optimize at 0.12 and 0.15")
+        check_second_margin(client, answers, in_process=True)
 
         logger.info("sweep job: all three techniques on c432")
         sweep = client.run("sweep", CIRCUIT, request=SweepRequest(),
@@ -403,6 +460,7 @@ def main() -> int:
         check("shard leg ran its job in a worker process",
               bool(child_pids(server.pid)))
         check_held_wait(client)
+        check_second_margin(client, answers, in_process=False)
         stop_server(server)
         logger.info("service smoke: all checks passed")
         return 0

@@ -6,10 +6,16 @@ One :class:`Workspace` owns every piece of expensive compiled state:
   (built at most once per workspace);
 * loaded netlists keyed by circuit name, each stamped with a
   **content fingerprint** (a SHA-256 over ports, instances and
-  connectivity) — every per-design cache below is keyed by that
-  fingerprint plus the request, never by the circuit's display name;
+  connectivity) — every cache below is keyed by that fingerprint,
+  never by the circuit's display name;
+* per-netlist state that no timing margin enters: the placed all-LVT
+  prefix every flow forks, one per (fingerprint, placement fields),
+  and :meth:`Design.analyze`'s mapped netlist, one per (fingerprint,
+  variant, compute backend), each with its critical delay — so a
+  netlist at several margins is placed, mapped and probed once;
 * per-design state: finished :class:`~repro.core.flow.FlowResult`
-  objects and the typed results derived from them.
+  objects and the typed results derived from them, keyed by the
+  request.
 
 :meth:`Workspace.design` hands out :class:`Design` facades exposing
 the whole capability surface — :meth:`Design.analyze`,
@@ -31,6 +37,7 @@ their numbers are the facade's.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import threading
@@ -74,7 +81,6 @@ from repro.core.stages import (
     StageStep,
     derive_clock_constraints,
     run_stages,
-    stage_mt_assignment,
 )
 from repro.errors import ConfigError, FlowError
 from repro.liberty.library import (
@@ -90,14 +96,6 @@ from repro.obs.spans import span
 from repro.power.leakage import LeakageAnalyzer
 from repro.runner import ExperimentRunner
 from repro.timing.session import TimingSession
-
-
-#: The shared step prefixes (:func:`~repro.core.stages.shared_steps`)
-#: :meth:`Workspace._flow_prefix` keeps a slot for, by cache name.
-_PREFIX_SLOTS = {
-    SHARED_STAGES: "prefix",
-    SHARED_STAGES + (stage_mt_assignment,): "mt_prefix",
-}
 
 
 def config_key(config: FlowConfig) -> str:
@@ -173,19 +171,22 @@ class Workspace:
         self._netlists: dict[str, Netlist] = {}
         self._fingerprints: dict[str, str] = {}
         self._designs: dict[tuple[str, str], Design] = {}
-        #: Names registered via :meth:`adopt` whose content workers
-        #: cannot reproduce with ``load_circuit(name)`` — grid jobs
-        #: must ship the object for these.
-        self._adopted: set[str] = set()
         #: Fingerprints of netlists as loaded from the registry, per
-        #: name (lets :meth:`adopt` recognize registry-identical
-        #: content and keep the cheap by-name worker loading).
+        #: name: a design whose content matches its name's registry
+        #: content lets grid workers load it by name
+        #: (:meth:`Design._shipped`).
         self._registry_fingerprints: dict[str, str] = {}
-        #: Per shared step prefix, ``(design, context)``: the most
-        #: recent design's context after those steps (see
-        #: :meth:`_flow_prefix`).
-        self._prefixes: dict[tuple[StageStep, ...],
-                             tuple[Design, FlowContext]] = {}
+        #: Per placed netlist, its context after
+        #: :data:`~repro.core.stages.SHARED_STAGES` (see
+        #: :meth:`_placed_prefix`).
+        self._placed: dict[tuple, FlowContext] = {}
+        #: ``(design, context)``: the most recent Selective-MT design's
+        #: context after its MT assignment (see :meth:`_flow_prefix`).
+        self._mt_prefix: tuple[Design, FlowContext] | None = None
+        #: Per (fingerprint, variant, resolved compute backend),
+        #: :meth:`Design.analyze`'s mapped unplaced netlist (see
+        #: :meth:`_mapped`).
+        self._mapped_netlists: dict[tuple[str, str, str], FlowContext] = {}
 
     # --- compiled-library state --------------------------------------------
 
@@ -252,13 +253,6 @@ class Workspace:
             fingerprint = netlist_fingerprint(netlist)
             self._netlists[name] = netlist
             self._fingerprints[name] = fingerprint
-            # Only content that workers cannot reproduce by loading
-            # the registry name needs shipping; a registry-identical
-            # adoption keeps the cheap by-name grid path.
-            if fingerprint != self._registry_fingerprints.get(name):
-                self._adopted.add(name)
-            else:
-                self._adopted.discard(name)
             return self.design(name, config)
 
     # --- designs ------------------------------------------------------------
@@ -268,16 +262,20 @@ class Workspace:
         """The :class:`Design` facade for one circuit + configuration.
 
         Designs are cached by (netlist fingerprint, config), so two
-        handles to the same content share all compiled state.
+        handles to the same content share all compiled state.  A design
+        keeps the netlist it was created for, whatever is registered
+        under ``circuit`` later.
         """
         with self._lock:
             config = config or self.config
-            key = (self.fingerprint(circuit), config_key(config))
+            fingerprint = self.fingerprint(circuit)
+            key = (fingerprint, config_key(config))
             if key in self._designs:
                 self.stats.hit("design")
                 return self._designs[key]
             self.stats.miss("design")
-            design = Design(self, circuit, config)
+            design = Design(self, circuit, config,
+                            self._netlists[circuit], fingerprint)
             self._designs[key] = design
             return design
 
@@ -286,33 +284,95 @@ class Workspace:
         """The :func:`~repro.core.flow.shared_prefix` of ``design``
         after the shared ``steps``.
 
-        One slot per shared step prefix (:data:`_PREFIX_SLOTS`), each
-        counted under its own cache name and holding the most recent
-        design's context: every serial caller runs a design's
-        techniques back to back, while a prefix kept per design would
-        hold every placed netlist alive for nothing where no design
-        runs a second technique (the service mix).  The deeper slot is
-        built on a fork of the :data:`SHARED_STAGES` one, so a design
-        runs each shared step once.  Built outside the lock; designs
-        serialize their own flows.
+        After :data:`SHARED_STAGES` it is the design's placed entry
+        (:meth:`_placed_prefix`, counted as ``prefix``).  After the MT
+        assignment it is one slot (``mt_prefix``) holding the most
+        recent design's context: every serial caller runs a design's
+        techniques back to back, while an assignment kept per design
+        would hold every MT netlist alive for nothing where no design
+        runs a second technique (the service mix).  The slot is built
+        on a fork of the placed entry, so a design runs each shared
+        step once.  Built outside the lock; designs serialize their
+        own flows.
         """
-        cache = _PREFIX_SLOTS[steps]
-        with self._lock:
-            slot = self._prefixes.get(steps)
-            if slot is not None and slot[0] is design:
-                self.stats.hit(cache)
-                return slot[1]
-        self.stats.miss(cache)
         if steps == SHARED_STAGES:
-            prefix = shared_prefix(design.netlist, design.library,
-                                   design.config, steps)
-        else:
-            base = self._flow_prefix(design, SHARED_STAGES)
-            prefix = run_stages(base.fork(base.technique),
-                                steps[len(SHARED_STAGES):])
+            return self._placed_prefix(design)
         with self._lock:
-            self._prefixes[steps] = (design, prefix)
+            slot = self._mt_prefix
+            if slot is not None and slot[0] is design:
+                self.stats.hit("mt_prefix")
+                return slot[1]
+        self.stats.miss("mt_prefix")
+        base = self._placed_prefix(design)
+        prefix = run_stages(base.fork(base.technique),
+                            steps[len(SHARED_STAGES):])
+        with self._lock:
+            self._mt_prefix = (design, prefix)
         return prefix
+
+    def _placed_prefix(self, design: "Design") -> FlowContext:
+        """``design``'s context after :data:`SHARED_STAGES`.
+
+        One entry per placed netlist: physical synthesis and pre-route
+        estimation read only the netlist and the four placement fields
+        of the config, and the critical delay no margin, so every
+        design of a netlist that places alike gets the same entry with
+        its own config and
+        :class:`~repro.timing.constraints.Constraints` swapped in, and
+        on a hit no stage step runs.  The entry keeps its critical
+        delay, probed for the first design that derives its period.
+        Entries are built outside the lock (a concurrent duplicate
+        build gives the same answer) and never evicted: the workspace
+        keeps every loaded netlist and every design's flows anyway.
+        """
+        config = design.config
+        key = (design.fingerprint, config.utilization, config.aspect_ratio,
+               config.placer_iterations, config.placement_seed)
+        with self._lock:
+            placed = self._placed.get(key)
+        if placed is None:
+            self.stats.miss("prefix")
+            placed = shared_prefix(design.netlist, design.library, config,
+                                   SHARED_STAGES)
+            with self._lock:
+                self._placed.setdefault(key, placed)
+            return placed
+        self.stats.hit("prefix")
+        return dataclasses.replace(
+            placed, config=config,
+            constraints=derive_clock_constraints(config,
+                                                 placed.critical_delay))
+
+    def _mapped(self, design: "Design", variant: str) -> FlowContext:
+        """:meth:`Design.analyze`'s entry for ``design``'s netlist
+        mapped to ``variant``: the unplaced mapped netlist, its standby
+        leakage and its critical delay (probed on first need).
+
+        One entry per (fingerprint, variant, resolved compute backend),
+        counted as ``mapped``, so a further margin runs only its own
+        report.  Built outside the lock and never evicted, like
+        :meth:`_placed_prefix`'s entries.
+        """
+        backend = resolve_backend(design.config.compute_backend)
+        key = (design.fingerprint, variant, backend)
+        with self._lock:
+            entry = self._mapped_netlists.get(key)
+        if entry is not None:
+            self.stats.hit("mapped")
+            return entry
+        self.stats.miss("mapped")
+        library = design.library
+        entry = FlowContext.create(design.netlist, library,
+                                   config=design.config)
+        entry.netlist = design.netlist.clone()
+        technology_map(entry.netlist, library,
+                       VARIANT_LVT if variant == "lvt" else VARIANT_HVT)
+        entry.leakage = LeakageAnalyzer(
+            entry.netlist, library,
+            compute_backend=backend).standby_leakage()
+        with self._lock:
+            self._mapped_netlists.setdefault(key, entry)
+        return entry
 
     # --- workspace-level studies -------------------------------------------
 
@@ -460,10 +520,15 @@ class Design:
     """
 
     def __init__(self, workspace: Workspace, circuit: str,
-                 config: FlowConfig):
+                 config: FlowConfig, netlist: Netlist, fingerprint: str):
         self.workspace = workspace
         self.circuit = circuit
         self.config = config
+        #: The netlist this design was created for (treat as
+        #: immutable) and its content fingerprint, the key of every
+        #: per-design cache.
+        self.netlist = netlist
+        self.fingerprint = fingerprint
         self._lock = threading.RLock()
         self._analyses: dict[AnalyzeRequest, AnalyzeResult] = {}
         self._flows: dict[Technique, FlowResult] = {}
@@ -486,20 +551,12 @@ class Design:
         workspace = workspace or Workspace()
         return workspace.design(circuit, config)
 
-    # A design exists only for a loaded netlist, so these read the
-    # workspace's state without counting a cache lookup.
+    # A design exists only within its workspace, so this reads the
+    # workspace's library without counting a cache lookup.
 
     @property
     def library(self) -> Library:
         return self.workspace._built_library()
-
-    @property
-    def netlist(self) -> Netlist:
-        return self.workspace._netlists[self.circuit]
-
-    @property
-    def fingerprint(self) -> str:
-        return self.workspace._fingerprints[self.circuit]
 
     def _stats(self) -> CacheStats:
         return self.workspace.stats
@@ -508,11 +565,12 @@ class Design:
         """The netlist a grid job must carry to a worker.
 
         Registry circuits load by name inside each worker (cheap, and
-        no deep netlist graph to pickle); only an adopted ad-hoc
-        netlist ships the object itself.
+        no deep netlist graph to pickle); a netlist whose content its
+        name's registry circuit does not have (an adopted ad-hoc one)
+        ships the object itself.
         """
-        return self.netlist if self.circuit in self.workspace._adopted \
-            else None
+        registry = self.workspace._registry_fingerprints.get(self.circuit)
+        return None if self.fingerprint == registry else self.netlist
 
     # --- analyze ------------------------------------------------------------
 
@@ -540,24 +598,20 @@ class Design:
             self._stats().hit("analyze")
             return self._analyses[request]
         self._stats().miss("analyze")
-        library = self.library
-        netlist = self.netlist.clone()
-        variant = VARIANT_LVT if request.variant == "lvt" else VARIANT_HVT
-        technology_map(netlist, library, variant)
         # The derive_constraints stage's rule, on the unplaced mapped
         # netlist (no parasitics): analyze() probes the design before
         # any physical flow exists.
-        constraints = derive_clock_constraints(netlist, library,
-                                               self.config)
-        report = TimingSession(netlist, library, constraints).report()
-        breakdown = LeakageAnalyzer(
-            netlist, library,
-            compute_backend=self.config.compute_backend).standby_leakage()
+        mapped = self.workspace._mapped(self, request.variant)
+        constraints = derive_clock_constraints(self.config,
+                                               mapped.critical_delay)
+        report = TimingSession(mapped.netlist, self.library,
+                               constraints).report()
+        breakdown = mapped.leakage
         result = AnalyzeResult(
             circuit=self.circuit,
             fingerprint=self.fingerprint,
             variant=request.variant,
-            instances=len(netlist.instances),
+            instances=len(mapped.netlist.instances),
             clock_period_ns=constraints.clock_period,
             wns=report.wns,
             hold_wns=report.hold_wns,

@@ -24,6 +24,10 @@ technology mapping gave them.
 Every swap goes through the session.  A bisection probe asks only
 :meth:`~repro.timing.session.TimingSession.wns` (arrivals alone); the
 per-round slack sort and the final result read a full ``report()``.
+Each round runs in an ``assign.round`` span (``candidates``,
+``committed``) and each probe in an ``assign.probe`` span inside it
+(``trial``: the prefix size probed, ``passed``, and ``evaluated``: the
+instances the session forward-evaluated for it).
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import dataclasses
 from repro.errors import FlowError
 from repro.liberty.library import VARIANT_HVT, VARIANT_LVT
 from repro.netlist.core import Instance
+from repro.obs.spans import span
 from repro.timing.session import TimingSession
 from repro.timing.sta import TimingReport
 
@@ -173,12 +178,15 @@ class DualVthAssigner:
             candidates = self._candidates()
             if not candidates:
                 break
-            # Most slack first; depth breaks ties so conversions form
-            # contiguous runs along paths (fewer holder boundaries).
-            candidates.sort(key=lambda inst: (
-                -round(self._slack_of(inst, report) / slack_bucket),
-                self._depth_of(inst)))
-            committed = self._bisect_prefix(candidates)
+            with span("assign.round", candidates=len(candidates)) as sp:
+                # Most slack first; depth breaks ties so conversions
+                # form contiguous runs along paths (fewer holder
+                # boundaries).
+                candidates.sort(key=lambda inst: (
+                    -round(self._slack_of(inst, report) / slack_bucket),
+                    self._depth_of(inst)))
+                committed = self._bisect_prefix(candidates)
+                sp.set(committed=committed)
             if committed == 0:
                 break
             report = self._sta()
@@ -219,9 +227,14 @@ class DualVthAssigner:
             # probes bisect the remaining range.
             mid = high if first_probe else (low + high + 1) // 2
             first_probe = False
-            self._move_to(candidates, slow, mid)
-            slow = mid
-            if self._wns() >= 0.0:
+            with span("assign.probe", trial=mid) as sp:
+                evaluated = self.session.stats.forward_instances
+                self._move_to(candidates, slow, mid)
+                slow = mid
+                passed = self._wns() >= 0.0
+                sp.set(passed=passed, evaluated=self.session.stats
+                       .forward_instances - evaluated)
+            if passed:
                 low = mid
             else:
                 high = mid - 1

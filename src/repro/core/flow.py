@@ -13,9 +13,10 @@ Every run goes prefix -> fork -> tail: all three techniques open with
 the same :data:`~repro.core.stages.SHARED_STAGES`, and the two
 Selective-MT techniques go on to share their MT assignment.
 :meth:`SelectiveMtFlow.run` forks the context after the technique's
-shared steps (:func:`~repro.core.stages.shared_steps`, run once per
-design by :func:`shared_prefix`) and runs the rest of the technique's
-:data:`~repro.core.stages.PIPELINES` steps on the fork.
+shared steps (:func:`~repro.core.stages.shared_steps`, run by
+:func:`shared_prefix`; a workspace runs the shared stages once per
+placed netlist, whatever the timing margin) and runs the rest of the
+technique's :data:`~repro.core.stages.PIPELINES` steps on the fork.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ from repro.routing.extract import (
 from repro.routing.steiner import build_mst
 from repro.timing.constraints import Constraints
 from repro.timing.session import TimingSession
-from repro.timing.sta import TimingAnalyzer, TimingReport
+from repro.timing.sta import TimingReport
 from repro.vgnd.em import check_em
 from repro.vgnd.network import VgndNetwork
 from repro.vgnd.refine import repair_unsizeable
@@ -104,6 +104,9 @@ class FlowContext:
     timing: TimingReport | None = None
     leakage: LeakageBreakdown | None = None
     total_area: float = 0.0
+    #: The critical delay :meth:`critical_delay` probed (``None`` until
+    #: a step needs it); forks carry it.
+    critical_delay_ns: float | None = None
 
     # Improved-SMT intermediates (between the VGND conversion and the
     # switch structure construction).
@@ -144,6 +147,14 @@ class FlowContext:
             self, technique=technique, netlist=self.netlist.copy(),
             placement=placement, stages=list(self.stages),
             sta_stats=dict(self.sta_stats))
+
+    def critical_delay(self) -> float:
+        """The critical delay of this context's netlist and parasitics
+        (:func:`probe_critical_delay`), probed once, on first need."""
+        if self.critical_delay_ns is None:
+            self.critical_delay_ns = probe_critical_delay(
+                self.netlist, self.library, self.parasitics)
+        return self.critical_delay_ns
 
     def _make_session(self, constraints: Constraints,
                       derates=None, clock_arrivals=None) -> TimingSession:
@@ -195,21 +206,38 @@ def stage_pre_route_estimation(ctx: FlowContext) -> None:
     return None
 
 
+#: The critical-delay probe's clock period: long enough for every
+#: endpoint to meet it, so the period minus the WNS is the critical
+#: delay.
+_PROBE_PERIOD_NS = 1000.0
+
+
+def probe_critical_delay(
+        netlist: Netlist, library: Library,
+        parasitics: dict[str, NetParasitics] | None = None) -> float:
+    """The critical delay of ``netlist``, from one STA probe at a
+    1000 ns period (with ``parasitics`` when a placement exists).
+
+    The probe reads arrivals only (:meth:`TimingSession.wns`, which
+    equals a full report's WNS bit for bit) and no timing margin, so
+    one probe serves every margin.
+    """
+    probe = Constraints(clock_period=_PROBE_PERIOD_NS)
+    session = TimingSession(netlist, library, probe, parasitics=parasitics)
+    return _PROBE_PERIOD_NS - session.wns()
+
+
 def derive_clock_constraints(
-        netlist: Netlist, library: Library, config: FlowConfig,
-        parasitics: dict[str, NetParasitics] | None = None) -> Constraints:
+        config: FlowConfig,
+        critical_delay: Callable[[], float]) -> Constraints:
     """Clock period = critical delay x (1 + ``config.timing_margin``).
 
-    The critical delay is read off one STA probe at a 1000 ns period
-    (with ``parasitics`` when a placement exists); a configured
-    ``clock_period_ns`` overrides the derivation.
+    A configured ``clock_period_ns`` overrides the derivation and never
+    calls ``critical_delay``.
     """
     if config.clock_period_ns is not None:
         return Constraints(clock_period=config.clock_period_ns)
-    probe = Constraints(clock_period=1000.0)
-    report = TimingAnalyzer(netlist, library, probe,
-                            parasitics=parasitics).run()
-    min_period = 1000.0 - report.wns
+    min_period = critical_delay()
     if min_period <= 0:
         raise FlowError("could not derive a positive minimum period")
     return Constraints(clock_period=min_period * (1.0 + config.timing_margin))
@@ -217,8 +245,8 @@ def derive_clock_constraints(
 
 def stage_derive_constraints(ctx: FlowContext) -> None:
     """Clock period = all-LVT critical delay x (1 + margin)."""
-    ctx.constraints = derive_clock_constraints(
-        ctx.netlist, ctx.library, ctx.config, ctx.parasitics)
+    ctx.constraints = derive_clock_constraints(ctx.config,
+                                               ctx.critical_delay)
     return None
 
 

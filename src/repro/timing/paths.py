@@ -87,34 +87,3 @@ def extract_path(netlist: Netlist, report: TimingReport,
             break
     return Path(steps=steps, endpoint=endpoint, slack=endpoint_slack)
 
-
-def worst_paths(netlist: Netlist, report: TimingReport,
-                count: int = 5) -> list[Path]:
-    """The worst path for each of the ``count`` worst setup endpoints."""
-    setup_checks = [c for c in report.endpoint_checks
-                    if c.kind in ("output", "setup")]
-    setup_checks.sort(key=lambda c: c.slack)
-    paths = []
-    for check in setup_checks[:count]:
-        path = extract_path(netlist, report, check.endpoint)
-        if path is not None:
-            paths.append(path)
-    return paths
-
-
-def critical_instances(netlist: Netlist, report: TimingReport,
-                       slack_margin: float = 0.0) -> set[str]:
-    """Instances whose output net slack is at or below ``slack_margin``.
-
-    This is the "critical path" cell set the Selective-MT assignment
-    keeps fast (MT-cells); everything else can become high-Vth.
-    """
-    critical: set[str] = set()
-    for inst in netlist.instances.values():
-        for pin in inst.output_pins():
-            if pin.net is None:
-                continue
-            if report.slack_of_net(pin.net.name) <= slack_margin:
-                critical.add(inst.name)
-                break
-    return critical

@@ -62,13 +62,16 @@ def test_analyze_is_cached(workspace, design):
 
 
 def test_analyze_keeps_only_its_result(library, monkeypatch):
-    """``analyze()`` caches its result, not its substrate: the timing
-    session it ran dies with the call, no ``baseline`` cache exists,
-    and a repeat call is one ``analyze`` hit."""
+    """``analyze()`` caches its result and, per netlist and variant,
+    the mapped netlist it times, not its sessions: the report's timing
+    session dies with the call, and so does the critical-delay probe's.
+    A second margin of the same netlist is one ``analyze`` miss and one
+    ``mapped`` hit; a repeat call is one ``analyze`` hit."""
     import gc
     import weakref
 
     from repro.api import workspace as workspace_module
+    from repro.core import stages
 
     sessions = []
 
@@ -78,16 +81,28 @@ def test_analyze_keeps_only_its_result(library, monkeypatch):
             sessions.append(weakref.ref(self))
 
     monkeypatch.setattr(workspace_module, "TimingSession", Recorded)
+    monkeypatch.setattr(stages, "TimingSession", Recorded)
     workspace = Workspace(library=library, config=CONFIG)
-    design = workspace.design("c17")
-    first = design.analyze()
+    first = workspace.design("c17").analyze()
     gc.collect()
-    assert len(sessions) == 1
-    assert sessions[0]() is None
-    assert "baseline" not in workspace.cache_stats()
-    assert design.analyze() is first
-    assert workspace.stats.hits.get("analyze") == 1
+    assert len(sessions) == 2   # the probe and the report
+    assert all(session() is None for session in sessions)
     assert workspace.stats.misses.get("analyze") == 1
+    assert workspace.stats.misses.get("mapped") == 1
+
+    other = workspace.design("c17", FlowConfig(timing_margin=0.3))
+    second = other.analyze()
+    gc.collect()
+    assert len(sessions) == 3   # one more report, no second probe
+    assert all(session() is None for session in sessions)
+    assert workspace.stats.misses.get("analyze") == 2
+    assert workspace.stats.misses.get("mapped") == 1
+    assert workspace.stats.hits.get("mapped") == 1
+    assert second.clock_period_ns > first.clock_period_ns
+
+    assert other.analyze() is second
+    assert workspace.stats.hits.get("analyze") == 1
+    assert workspace.stats.hits.get("mapped") == 1
 
 
 def test_analyze_variants_are_distinct(design):
@@ -124,18 +139,34 @@ def test_adopting_registry_identical_content_keeps_by_name_loading(
         library):
     ws = Workspace(library=library, config=CONFIG)
     original = ws.netlist("c17")
-    ws.adopt(original.clone(), name="c17")
-    assert "c17" not in ws._adopted
+    assert ws.adopt(original.clone(), name="c17")._shipped() is None
     # Different content under the same name must ship.
     from repro.benchcircuits.generator import (
         GeneratorConfig,
         generate_circuit,
     )
 
-    ws.adopt(generate_circuit("c17", GeneratorConfig(
-        n_gates=10, n_inputs=2, n_outputs=1, n_ffs=0, depth=3, seed=9)),
-        name="c17")
-    assert "c17" in ws._adopted
+    adhoc = generate_circuit("c17", GeneratorConfig(
+        n_gates=10, n_inputs=2, n_outputs=1, n_ffs=0, depth=3, seed=9))
+    assert ws.adopt(adhoc, name="c17")._shipped() is adhoc
+
+
+def test_design_keeps_the_netlist_it_was_created_for(library):
+    """Re-adopting a name leaves older handles on their own content: a
+    handle's flows run on the netlist its fingerprint keys, so the
+    cached result equals a fresh workspace's."""
+    ws = Workspace(library=library, config=CONFIG)
+    first = ws.adopt(load_circuit("c17"), name="foo")
+    ws.adopt(load_circuit("s27"), name="foo")
+    area = first.optimize(technique="dual_vth").area_um2
+    again = ws.adopt(load_circuit("c17"), name="foo")
+    assert again is first
+    assert first.netlist.name == "c17"
+    fresh = Workspace(library=library, config=CONFIG).design("c17")
+    assert area == again.optimize(technique="dual_vth").area_um2 \
+        == fresh.optimize(technique="dual_vth").area_um2
+    # Content no registry circuit named "foo" has ships to workers.
+    assert first._shipped() is first.netlist
 
 
 # --- requests own their field types ----------------------------------------
@@ -258,9 +289,9 @@ def test_optimize_matches_direct_flow(library):
     """Every technique forked from a design's shared prefix equals the
     linear reference, all of the technique's stage steps run on one
     un-forked context, field for field, whatever order the techniques
-    come in; interleaving designs A, B, A evicts A's prefixes from the
-    workspace's two slots (after the shared stages, and after the MT
-    assignment as well) and builds them again."""
+    come in; interleaving designs A, B, A evicts A's MT assignment from
+    the workspace's ``mt_prefix`` slot and builds it again, while each
+    netlist's placed ``prefix`` entry stays."""
     from repro.benchcircuits.generator import (
         GeneratorConfig,
         generate_circuit,
@@ -314,13 +345,209 @@ def test_optimize_matches_direct_flow(library):
          for technique in order])
     assert prefix == {"hits": 4, "misses": 4}
     assert mt_prefix == {"hits": 4, "misses": 4}
-    # A, B, A: each switch of design evicts the other's prefixes.
+    # A, B, A: each switch of design evicts the other's MT assignment;
+    # each placed prefix is built once and read by every later flow.
     prefix, mt_prefix = check(
         Workspace(library=library, config=CONFIG),
         [(name, technique) for technique in backward
          for name in ("c17", "s344")])
-    assert prefix == {"hits": 0, "misses": 6}
+    assert prefix == {"hits": 4, "misses": 2}
     assert mt_prefix == {"hits": 0, "misses": 4}
+
+
+def _linear(circuit, library, config, technique):
+    """The un-forked reference: every step of the technique run through
+    ``run_stages`` on one fresh context."""
+    from repro.core.flow import FlowResult
+    from repro.core.stages import PIPELINES, FlowContext, run_stages
+
+    ctx = FlowContext.create(load_circuit(circuit), library, technique,
+                             config)
+    return FlowResult.from_context(run_stages(ctx, PIPELINES[technique]))
+
+
+def _traced(run):
+    """Run ``run()`` with tracing on; every span record it made."""
+    from repro.obs import spans
+
+    spans.reset()
+    spans.enable()
+    try:
+        run()
+        return [record for root in spans.take_records()
+                for record in root.walk()]
+    finally:
+        spans.disable()
+        spans.reset()
+
+
+@pytest.fixture()
+def probes(monkeypatch):
+    """Counts critical-delay probes: one entry per call."""
+    from repro.core import stages
+
+    calls = []
+    probe = stages.probe_critical_delay
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(stages, "probe_critical_delay", counted)
+    return calls
+
+
+#: Three timing margins, then a clock-period override, on one netlist.
+MARGIN_CONFIGS = tuple(FlowConfig(timing_margin=margin)
+                       for margin in (0.10, 0.15, 0.20)) \
+    + (FlowConfig(clock_period_ns=1.5),)
+
+
+def test_margins_fork_one_placed_prefix(library, probes):
+    """Every design of one netlist that places alike forks one placed
+    prefix: c432 at three margins and a clock-period override gives
+    flows equal to the linear reference field for field, while physical
+    synthesis and pre-route estimation run once, and the critical delay
+    is probed once, as one arrivals-only ``sta.full_run`` with no
+    ``sta.required``."""
+    expected = {(index, technique): _flow_fields(
+                    _linear("c432", library, config, technique), library)
+                for index, config in enumerate(MARGIN_CONFIGS)
+                for technique in Technique}
+    probes.clear()
+    workspace = Workspace(library=library)
+    records = _traced(lambda: [
+        workspace.design("c432", config).flow_result(technique)
+        for config in MARGIN_CONFIGS for technique in Technique])
+    for index, config in enumerate(MARGIN_CONFIGS):
+        design = workspace.design("c432", config)
+        for technique in Technique:
+            assert _flow_fields(design.flow_result(technique), library) \
+                == expected[index, technique], (config, technique)
+    names = [record.name for record in records]
+    assert names.count("stage.physical_synthesis") == 1
+    assert names.count("stage.pre_route_estimation") == 1
+    (derive,) = [record for record in records
+                 if record.name == "stage.derive_constraints"]
+    assert [(record.name, record.attributes["arrivals_only"])
+            for record in derive.walk()
+            if record.name.startswith("sta.")] == [("sta.full_run", True)]
+    assert probes == ["c432"]
+    stats = workspace.stats.as_dict()
+    assert stats["prefix"] == {"hits": 7, "misses": 1}
+    assert stats["mt_prefix"] == {"hits": 4, "misses": 4}
+
+
+def test_another_placement_builds_its_own_prefix(library):
+    """A config that places differently (here ``utilization``) builds
+    its own placed entry next to the first: run interleaved, both
+    entries stay, physical synthesis runs once per placement, and each
+    config's flows equal their own reference."""
+    configs = (FlowConfig(timing_margin=0.15),
+               FlowConfig(timing_margin=0.15, utilization=0.5))
+    workspace = Workspace(library=library)
+    records = _traced(lambda: [
+        workspace.design("c432", config).flow_result(technique)
+        for technique in Technique for config in configs])
+    dies = set()
+    for config in configs:
+        design = workspace.design("c432", config)
+        for technique in Technique:
+            result = design.flow_result(technique)
+            assert _flow_fields(result, library) == _flow_fields(
+                _linear("c432", library, config, technique), library)
+        dies.add(result.stages[0].details["die"])
+    assert len(dies) == 2
+    assert [record.name for record in records] \
+        .count("stage.physical_synthesis") == 2
+    assert workspace.stats.as_dict()["prefix"] == {"hits": 4, "misses": 2}
+
+
+def test_prefix_probes_for_the_first_design_that_derives(library,
+                                                         probes):
+    """An entry built for a clock-period override carries no critical
+    delay; the first design of it that derives its period probes it,
+    and later ones read it."""
+    override, *margins = (FlowConfig(clock_period_ns=1.5),
+                          FlowConfig(timing_margin=0.15),
+                          FlowConfig(timing_margin=0.20))
+    workspace = Workspace(library=library)
+    workspace.design("c432", override).flow_result(Technique.DUAL_VTH)
+    assert probes == []
+    for config in margins:
+        result = workspace.design("c432", config) \
+            .flow_result(Technique.DUAL_VTH)
+        assert probes == ["c432"]
+        assert _flow_fields(result, library) == _flow_fields(
+            _linear("c432", library, config, Technique.DUAL_VTH), library)
+        del probes[1:]   # the reference flow's own probe
+    assert workspace.stats.as_dict()["prefix"] == {"hits": 2, "misses": 1}
+
+
+def test_analyze_maps_and_probes_once_per_netlist(library, probes,
+                                                  monkeypatch):
+    """``analyze`` at three margins answers what fresh workspaces do,
+    with one mapping and one critical-delay probe in all."""
+    from repro.api import workspace as workspace_module
+
+    configs = MARGIN_CONFIGS[:3]
+    fresh = [Workspace(library=library).design("c432", config).analyze()
+             for config in configs]
+    probes.clear()
+    maps = []
+    technology_map = workspace_module.technology_map
+
+    def counted(netlist, *args):
+        maps.append(netlist.name)
+        return technology_map(netlist, *args)
+
+    monkeypatch.setattr(workspace_module, "technology_map", counted)
+    workspace = Workspace(library=library)
+    assert [workspace.design("c432", config).analyze()
+            for config in configs] == fresh
+    assert maps == ["c432"]
+    assert probes == ["c432"]
+    assert workspace.stats.as_dict()["mapped"] == {"hits": 2, "misses": 1}
+
+
+def test_margins_on_threads_match_serial(library):
+    """Three margins of one netlist, run at once on more threads than
+    cores over one workspace, give the serial answers, and every cache
+    lookup is counted once."""
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    configs = MARGIN_CONFIGS[:3]
+
+    def answers(workspace, config):
+        design = workspace.design("c432", config)
+        return (_flow_fields(design.flow_result(Technique.IMPROVED_SMT),
+                             library),
+                design.analyze())
+
+    serial = [answers(Workspace(library=library), config)
+              for config in configs]
+    workspace = Workspace(library=library)
+    start = threading.Barrier(len(configs))
+
+    def run(config):
+        start.wait(timeout=60)
+        return answers(workspace, config)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+            futures = [pool.submit(run, config) for config in configs]
+            assert [future.result(timeout=300) for future in futures] \
+                == serial
+    finally:
+        sys.setswitchinterval(interval)
+    stats = workspace.stats.as_dict()
+    for cache in ("prefix", "mapped"):
+        assert sum(stats[cache].values()) == len(configs), cache
+        assert stats[cache]["misses"] >= 1, cache
 
 
 def test_signoff_matches_legacy_corner_job(library, design):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.netlist.builder import NetlistBuilder
 from repro.timing.constraints import Constraints
-from repro.timing.paths import critical_instances, extract_path, worst_paths
+from repro.timing.paths import extract_path
 from repro.timing.sta import TimingAnalyzer
 
 
@@ -26,14 +26,6 @@ def test_path_render(library, nand_chain):
     assert "n11" in text and "slack" in text
 
 
-def test_worst_paths_sorted(library, s27):
-    report = TimingAnalyzer(s27, library, Constraints(clock_period=5.0)).run()
-    paths = worst_paths(s27, report, count=3)
-    assert len(paths) >= 1
-    slacks = [p.slack for p in paths]
-    assert slacks == sorted(slacks)
-
-
 def test_ff_endpoint_resolution(library, s27):
     report = TimingAnalyzer(s27, library, Constraints(clock_period=5.0)).run()
     setup_checks = [c for c in report.endpoint_checks if c.kind == "setup"]
@@ -45,18 +37,6 @@ def test_ff_endpoint_resolution(library, s27):
 def test_unknown_endpoint_returns_none(library, c17):
     report = TimingAnalyzer(c17, library, Constraints(clock_period=2.0)).run()
     assert extract_path(c17, report, "no_such_port") is None
-
-
-def test_critical_instances_threshold(library, nand_chain):
-    # Tight period: the whole chain is critical.
-    tight = TimingAnalyzer(nand_chain, library,
-                           Constraints(clock_period=0.1)).run()
-    critical = critical_instances(nand_chain, tight, slack_margin=0.0)
-    assert len(critical) == 12
-    # Loose period: nothing is critical at zero margin.
-    loose = TimingAnalyzer(nand_chain, library,
-                           Constraints(clock_period=100.0)).run()
-    assert not critical_instances(nand_chain, loose, slack_margin=0.0)
 
 
 def test_diamond_worst_branch_chosen(library):
