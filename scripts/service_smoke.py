@@ -32,7 +32,11 @@ match the frozen golden fixtures in ``tests/golden/``:
    ``analyze`` and ``optimize`` on c432 at margin 0.15 as well as 0.12
    must answer what a fresh in-process ``Workspace`` computes, and on
    the first server the 0.15 optimize must hit the placed ``prefix``
-   entry the 0.12 one built (``/v1/metrics`` workspace tree).
+   entry the 0.12 one built (``/v1/metrics`` workspace tree);
+10. one connection per client thread: on the first server, two
+    ``client.run`` calls and the ``/v1/metrics`` reads around them, on
+    a client that has already talked to it, add nothing to the
+    ``service.connections`` counter.
 
 Every server is stopped with SIGTERM and must exit 0 without leaving a
 child process (a shard worker) behind.
@@ -246,6 +250,23 @@ def check_second_margin(client: ServiceClient, answers: dict,
               and after.get("misses", 0) == before.get("misses", 0))
 
 
+def connections(client: ServiceClient) -> int:
+    return client.metrics()["counters"].get("service.connections", 0)
+
+
+def check_kept_connection(client: ServiceClient):
+    """Two ``run`` calls on a client that has already talked to the
+    server reuse its connection: the server accepts no new one."""
+    before = connections(client)
+    check("/v1/metrics counts the connections it accepted", before > 0)
+    for config in (CONFIG, SECOND_CONFIG):
+        client.run("analyze", CIRCUIT, request=AnalyzeRequest(),
+                   config=config, timeout=300.0)
+    after = connections(client)
+    check(f"two runs on a used client opened no connection "
+          f"({after - before} opened)", after == before)
+
+
 def kill_server(server: subprocess.Popen):
     if server.poll() is None:
         server.kill()
@@ -283,6 +304,7 @@ def main() -> int:
         check_held_wait(client)
         logger.info("second margin: analyze + optimize at 0.12 and 0.15")
         check_second_margin(client, answers, in_process=True)
+        check_kept_connection(client)
 
         logger.info("sweep job: all three techniques on c432")
         sweep = client.run("sweep", CIRCUIT, request=SweepRequest(),

@@ -1,11 +1,21 @@
 """Minimal stdlib client for the job service.
 
-Speaks the :mod:`repro.api.service` JSON protocol over
-``urllib.request`` — used by the test suite, the CI smoke script and
-any script that wants typed results back from a remote service.  The
-client itself does no computation: the only heavy work it triggers is
-the one-time import of the :mod:`repro.api` package (for the schema
-registry that decodes result payloads).
+Speaks the :mod:`repro.api.service` JSON protocol over ``http.client``
+— used by the test suite, the CI smoke script and any script that
+wants typed results back from a remote service.  The client itself does
+no computation: the only heavy work it triggers is the one-time import
+of the :mod:`repro.api` package (for the schema registry that decodes
+result payloads).
+
+One connection per thread: each calling thread keeps one persistent
+HTTP/1.1 connection (held in a ``threading.local``, ``TCP_NODELAY`` on
+its socket), so a thread's exchanges after its first open no new
+connection and no new server handler thread.  A thread's connection is
+dropped after an answer that says ``Connection: close`` and after any
+error; the next call opens a fresh one.  A call that fails on a reused
+connection before any of the answer arrives is sent once more on a
+fresh connection: the service closed that connection while it sat idle,
+so it never read the request.
 
 Back-pressure aware: when the service rejects a call with HTTP 429
 (queue full), the client retries with bounded exponential backoff —
@@ -21,13 +31,20 @@ via the schema registry.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 
 from repro.api import schemas
 from repro.errors import ServiceError
+
+#: What a reused connection raises when the service closed it while it
+#: sat idle; the request was never read, so sending it again is safe.
+_CLOSED_WHILE_IDLE = (http.client.RemoteDisconnected, ConnectionResetError,
+                      BrokenPipeError)
 
 
 class ServiceClient:
@@ -37,10 +54,19 @@ class ServiceClient:
                  retries: int = 5, backoff_s: float = 0.05,
                  max_backoff_s: float = 2.0):
         self.base_url = base_url.rstrip("/")
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme not in ("http", "https"):
+            raise ValueError(f"unsupported URL scheme in {base_url!r}; "
+                             f"the service speaks http or https")
+        self._connection_class = http.client.HTTPSConnection \
+            if url.scheme == "https" else http.client.HTTPConnection
+        self._netloc = url.netloc
+        self._prefix = url.path
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.backoff_s = backoff_s
         self.max_backoff_s = max_backoff_s
+        self._local = threading.local()
 
     # --- HTTP plumbing ------------------------------------------------------
 
@@ -61,30 +87,68 @@ class ServiceClient:
 
     def _call_once(self, method: str, path: str, body: dict | None):
         data = json.dumps(body).encode() if body is not None else None
-        request = urllib.request.Request(
-            f"{self.base_url}{path}", data=data, method=method,
-            headers={"Content-Type": "application/json"})
+        response, raw = self._exchange(method, self._prefix + path, data)
+        if 200 <= response.status < 300:
+            return json.loads(raw)
+        retry_after = None
         try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                return json.loads(response.read())
-        except urllib.error.HTTPError as exc:
-            retry_after = None
+            payload = json.loads(raw)
+            message = payload["error"]["message"]
+            retry_after = payload["error"].get("retry_after")
+        except Exception:  # noqa: BLE001 — non-JSON error body
+            message = f"HTTP Error {response.status}: {response.reason}"
+        if retry_after is None:
+            header = response.getheader("Retry-After")
             try:
-                payload = json.loads(exc.read())
-                message = payload["error"]["message"]
-                retry_after = payload["error"].get("retry_after")
-            except Exception:  # noqa: BLE001 — non-JSON error body
-                message = str(exc)
-            if retry_after is None:
-                header = exc.headers.get("Retry-After") \
-                    if exc.headers is not None else None
-                try:
-                    retry_after = float(header) if header else None
-                except ValueError:
-                    retry_after = None
-            raise ServiceError(message, status=exc.code,
-                               retry_after=retry_after) from None
+                retry_after = float(header) if header else None
+            except ValueError:
+                retry_after = None
+        raise ServiceError(message, status=response.status,
+                           retry_after=retry_after)
+
+    def _exchange(self, method: str, target: str, data: bytes | None):
+        """One request and its whole answer on this thread's connection
+        -> (response, body bytes)."""
+        for _ in range(2):
+            conn = getattr(self._local, "conn", None)
+            reused = conn is not None
+            if not reused:
+                conn = self._local.conn = self._connect()
+            response = None
+            try:
+                conn.request(method, target, body=data,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                raw = response.read()
+            except BaseException as exc:
+                self._drop()
+                # A resend runs on a fresh connection, so at most once.
+                if reused and response is None \
+                        and isinstance(exc, _CLOSED_WHILE_IDLE):
+                    continue
+                raise
+            if response.will_close:
+                self._drop()
+            return response, raw
+        raise AssertionError("unreachable")  # pragma: no cover
+
+    def _connect(self) -> http.client.HTTPConnection:
+        conn = self._connection_class(self._netloc, timeout=self.timeout)
+        conn.connect()
+        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return conn
+
+    def _drop(self):
+        """Close and forget this thread's connection."""
+        conn = getattr(self._local, "conn", None)
+        self._local.conn = None
+        if conn is not None:
+            conn.close()
+
+    def close(self):
+        """Close the calling thread's connection; its next call opens a
+        new one.  Other threads' connections close when they end."""
+        self._drop()
 
     # --- protocol -----------------------------------------------------------
 

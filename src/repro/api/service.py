@@ -61,8 +61,13 @@ request payload plus flow-config overrides::
      "config": {"timing_margin": 0.12}}
 
 Errors come back as ``{"error": {"message": ..., "status": ...}}``
-with the matching HTTP status (400 malformed, 404 unknown job, 409
-conflicting state, 429 queue full, 500 unexpected server error).
+with the matching HTTP status (400 malformed, 404 unknown job, 408
+request body stalled, 409 conflicting state, 413 request body over
+:data:`MAX_BODY_BYTES`, 429 queue full, 500 unexpected server error).
+
+Connections are HTTP/1.1 keep-alive with ``TCP_NODELAY``; one idle
+longer than :data:`IDLE_TIMEOUT_S` is closed.  A 400 for a malformed
+``Content-Length``, a 408 and a 413 close the connection.
 """
 
 from __future__ import annotations
@@ -104,6 +109,15 @@ CANCELLED = "cancelled"
 #: Cap (seconds) on how long one status request may be held waiting for
 #: its job to finish; each held request keeps one handler thread.
 MAX_WAIT_S = 60.0
+
+#: Seconds a kept-alive connection may sit idle, or a request body may
+#: stall, before the handler closes the connection: each open
+#: connection keeps one handler thread.
+IDLE_TIMEOUT_S = 30.0
+
+#: Largest request body (bytes) the service reads; a longer declared
+#: ``Content-Length`` is refused with a 413 before any of it is read.
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 @dataclasses.dataclass(frozen=True)
@@ -612,8 +626,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ServiceServer"
     protocol_version = "HTTP/1.1"
+    #: Headers and body go out in two sends; with Nagle's algorithm on,
+    #: the body waits for the client's delayed ACK of the headers.
+    disable_nagle_algorithm = True
 
     # --- plumbing -----------------------------------------------------------
+
+    def setup(self):
+        # The socket timeout: an idle connection's next request line,
+        # or a stalled body, raises TimeoutError after it.
+        self.timeout = IDLE_TIMEOUT_S
+        super().setup()
+        REGISTRY.inc("service.connections")
 
     def log_message(self, fmt, *args):  # quiet by default
         if self.server.verbose:
@@ -664,7 +688,21 @@ class _Handler(BaseHTTPRequestHandler):
                 headers["Connection"] = "close"
                 raise ServiceError(
                     f"malformed Content-Length header {declared!r}")
-            self._body = self.rfile.read(length) if length else b""
+            if length > MAX_BODY_BYTES:
+                # Refused unread, so the connection cannot carry
+                # another request either.
+                headers["Connection"] = "close"
+                raise ServiceError(
+                    f"Content-Length header {declared!r} exceeds the "
+                    f"{MAX_BODY_BYTES}-byte body limit", status=413)
+            try:
+                self._body = self.rfile.read(length) if length else b""
+            except TimeoutError:
+                headers["Connection"] = "close"
+                raise ServiceError(
+                    f"request body stalled: {length} bytes declared, "
+                    f"nothing more arrived for {self.timeout:g} s",
+                    status=408) from None
             if parts[:1] != ["v1"]:
                 raise ServiceError(f"unknown path {self.path!r}",
                                    status=404)
@@ -718,7 +756,7 @@ class _Handler(BaseHTTPRequestHandler):
                                f"{type(exc).__name__}: {exc}",
                     "status": 500}})
             except Exception:  # the socket itself is gone
-                pass
+                self.close_connection = True
 
     def do_GET(self):
         self._dispatch("GET")

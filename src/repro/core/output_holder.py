@@ -82,22 +82,3 @@ def _is_holder(netlist: Netlist, library: Library, inst_name: str) -> bool:
     if inst is None or inst.cell_name not in library:
         return False
     return library.cell(inst.cell_name).kind == CellKind.HOLDER
-
-
-def holder_statistics(netlist: Netlist, library: Library) -> dict[str, int]:
-    """Counts for reporting: MT cells, holders, boundary nets."""
-    mt_count = 0
-    holder_count = 0
-    for inst in netlist.instances.values():
-        if inst.cell_name not in library:
-            continue
-        cell = library.cell(inst.cell_name)
-        if cell.is_improved_mt:
-            mt_count += 1
-        elif cell.kind == CellKind.HOLDER:
-            holder_count += 1
-    return {
-        "mt_cells": mt_count,
-        "holders": holder_count,
-        "boundary_nets": len(nets_needing_holders(netlist, library)),
-    }

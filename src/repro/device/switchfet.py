@@ -16,12 +16,10 @@ is derived from the same physics as the improved one.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Iterator, Sequence
 
 from repro.device.mosfet import MosfetModel
 from repro.device.process import Technology
-from repro.errors import SizingError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,52 +89,6 @@ class SwitchFamily:
 
     def __len__(self) -> int:
         return len(self._specs)
-
-    @property
-    def specs(self) -> Sequence[SwitchCellSpec]:
-        """All switch specs, ascending by width."""
-        return tuple(self._specs)
-
-    def smallest(self) -> SwitchCellSpec:
-        """The minimum-width switch cell."""
-        return self._specs[0]
-
-    def largest(self) -> SwitchCellSpec:
-        """The maximum-width switch cell."""
-        return self._specs[-1]
-
-    def by_name(self, name: str) -> SwitchCellSpec:
-        """Look up a switch spec by cell name."""
-        for spec in self._specs:
-            if spec.name == name:
-                return spec
-        raise KeyError(f"no switch cell named {name!r}")
-
-    def smallest_for_resistance(self, max_ron_kohm: float) -> SwitchCellSpec:
-        """Smallest switch whose on-resistance is at most ``max_ron_kohm``.
-
-        Raises :class:`~repro.errors.SizingError` when even the largest
-        switch is too resistive.
-        """
-        if max_ron_kohm <= 0.0 or math.isnan(max_ron_kohm):
-            raise SizingError(
-                f"required on-resistance {max_ron_kohm} kOhm is not achievable")
-        for spec in self._specs:
-            if spec.on_resistance_kohm <= max_ron_kohm:
-                return spec
-        raise SizingError(
-            f"largest switch {self._specs[-1].name} has Ron "
-            f"{self._specs[-1].on_resistance_kohm:.4f} kOhm, above the "
-            f"required {max_ron_kohm:.4f} kOhm")
-
-    def smallest_for_current(self, current_ma: float) -> SwitchCellSpec:
-        """Smallest switch whose EM limit covers ``current_ma``."""
-        for spec in self._specs:
-            if spec.em_limit_ma >= current_ma:
-                return spec
-        raise SizingError(
-            f"current {current_ma:.3f} mA exceeds the EM limit of the "
-            f"largest switch ({self._specs[-1].em_limit_ma:.3f} mA)")
 
 
 def embedded_switch_width(tech: Technology, switching_current_ma: float,

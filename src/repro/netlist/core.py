@@ -93,9 +93,6 @@ class Net:
     def fanout(self) -> int:
         return len(self.sinks) + len(self.sink_ports)
 
-    def sink_instances(self) -> list["Instance"]:
-        return [pin.instance for pin in self.sinks]
-
     def __repr__(self):
         return f"Net({self.name}, fanout={self.fanout()})"
 
@@ -134,20 +131,6 @@ class Instance:
             raise NetlistError(
                 f"instance {self.name} has {len(outputs)} output pins")
         return outputs[0]
-
-    def fanin_instances(self) -> list["Instance"]:
-        result = []
-        for pin in self.input_pins():
-            if pin.net is not None and pin.net.driver is not None:
-                result.append(pin.net.driver.instance)
-        return result
-
-    def fanout_instances(self) -> list["Instance"]:
-        result = []
-        for pin in self.output_pins():
-            if pin.net is not None:
-                result.extend(pin.net.sink_instances())
-        return result
 
     def __repr__(self):
         return f"Instance({self.name}, {self.cell_name})"

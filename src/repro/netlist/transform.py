@@ -66,32 +66,3 @@ def insert_buffer(netlist: Netlist, net: Net, buffer_cell: str,
         netlist.disconnect(pin)
         netlist.connect(pin.instance, pin.name, new_net, pin.direction)
     return buffer_inst
-
-
-def remove_buffer(netlist: Netlist, inst: Instance):
-    """Remove a buffer, reconnecting its sinks to its input net."""
-    in_pin = inst.pin("A")
-    out_pin = inst.pin("Z")
-    if in_pin.net is None or out_pin.net is None:
-        raise NetlistError(f"buffer {inst.name} is not fully connected")
-    source_net = in_pin.net
-    moved = list(out_pin.net.sinks) + list(out_pin.net.sink_ports)
-    old_net = out_pin.net
-    for sink in list(old_net.sinks):
-        netlist.disconnect(sink)
-        netlist.connect(sink.instance, sink.name, source_net, sink.direction)
-    for port in list(old_net.sink_ports):
-        old_net.sink_ports.remove(port)
-        port.net = source_net
-        source_net.sink_ports.append(port)
-    netlist.remove_instance(inst)
-    netlist.remove_net_if_dangling(old_net)
-    return moved
-
-
-def count_by_cell(netlist: Netlist) -> dict[str, int]:
-    """Histogram of instance counts per cell name."""
-    histogram: dict[str, int] = {}
-    for inst in netlist.instances.values():
-        histogram[inst.cell_name] = histogram.get(inst.cell_name, 0) + 1
-    return histogram

@@ -11,9 +11,6 @@ MTE is low, clocks are gated, and the design holds state.  In that mode:
 * conventional MT-cells leak through their embedded per-cell switch
   (plus embedded holder), which is the conventional technique's floor;
 * output holders and MTE buffers are always powered and leak normally.
-
-:class:`LeakageAnalyzer` also reports *active* leakage (everything
-powered, MT logic leaking like LVT) for completeness.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Mapping
 
-from repro.liberty.library import CellKind, Library, VARIANT_LVT
+from repro.liberty.library import CellKind, Library
 from repro.netlist.core import Netlist
 from repro.sim.logic import FLOATING, Simulator
 
@@ -64,7 +61,7 @@ class LeakageBreakdown:
 
 
 class LeakageAnalyzer:
-    """Computes standby / active leakage for one netlist.
+    """Computes standby leakage for one netlist.
 
     Totals are accumulated in **stable index-sorted order** (instances
     sorted by name) on both compute backends, so the floating-point
@@ -167,30 +164,6 @@ class LeakageAnalyzer:
             else:
                 return cell.default_leakage_nw
         return cell.leakage_nw(env)
-
-    # --- active --------------------------------------------------------------
-
-    def active_leakage(self) -> float:
-        """Total leakage with the design awake (MTE high), in nW.
-
-        MT variants leak like their LVT siblings because the switch
-        connects their virtual ground; switches themselves are on
-        (negligible subthreshold); holders are inert but still powered.
-        Accumulated in the same stable index-sorted order as the
-        standby breakdown.
-        """
-        total = 0.0
-        for name in sorted(self.netlist.instances):
-            inst = self.netlist.instances[name]
-            cell = self.library.cell(inst.cell_name)
-            if cell.kind == CellKind.SWITCH:
-                continue  # conducting, no subthreshold contribution
-            if cell.is_mt:
-                lvt = self.library.variant_of(cell, VARIANT_LVT)
-                total += lvt.default_leakage_nw
-            else:
-                total += cell.default_leakage_nw
-        return total
 
     # --- convenience -----------------------------------------------------------
 

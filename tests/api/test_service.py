@@ -10,6 +10,7 @@ import urllib.request
 import pytest
 
 from repro.api import ServiceClient, Workspace, schemas
+from repro.api import service as service_module
 from repro.api.results import AnalyzeResult, OptimizeResult, SignoffResult
 from repro.api.requests import SignoffRequest
 from repro.api.service import JobService, ServiceServer, parse_submission
@@ -239,27 +240,38 @@ def test_malformed_json_body_is_400(server):
     assert "not valid JSON" in payload["error"]["message"]
 
 
-@pytest.mark.parametrize("length", ["abc", "-5"],
-                         ids=["non-numeric", "negative"])
+@pytest.mark.parametrize("length, body, status, message", [
+    ("abc", b"", 400, "malformed Content-Length header 'abc'"),
+    ("-5", b"", 400, "malformed Content-Length header '-5'"),
+    # Refused before any of it is read (this used to allocate the
+    # declared length and answer a 500 MemoryError).
+    ("1000000000000", b"", 413,
+     "Content-Length header '1000000000000' exceeds"),
+    # A body that stops short of its declared length.
+    ("64", b'{"kind": "an', 408, "request body stalled: 64 bytes"),
+], ids=["non-numeric", "negative", "huge", "stalled"])
 def test_malformed_content_length_is_400_and_closes(server, client,
-                                                    length):
-    """The body length is unknown, so the server answers a JSON 400 and
-    closes the connection (regression: the handler thread raised and
-    the client got no response at all)."""
+                                                    monkeypatch, length,
+                                                    body, status,
+                                                    message):
+    """A body the server cannot drain gets a JSON error and a closed
+    connection (regression: the handler thread raised and the client
+    got no response at all)."""
+    monkeypatch.setattr(service_module, "IDLE_TIMEOUT_S", 0.5)
     host, port = server.server_address[:2]
     with socket.create_connection((host, port), timeout=10) as sock:
         sock.sendall(f"POST /v1/jobs HTTP/1.1\r\nHost: {host}\r\n"
                      f"Content-Type: application/json\r\n"
-                     f"Content-Length: {length}\r\n\r\n".encode())
+                     f"Content-Length: {length}\r\n\r\n".encode() + body)
         response = b""
         while chunk := sock.recv(65536):  # until the server closes
             response += chunk
-    head, _, body = response.partition(b"\r\n\r\n")
-    assert head.startswith(b"HTTP/1.1 400 ")
+    head, _, reply = response.partition(b"\r\n\r\n")
+    assert head.startswith(f"HTTP/1.1 {status} ".encode())
     assert b"\r\nconnection: close" in head.lower()
-    error = json.loads(body)["error"]
-    assert error["status"] == 400
-    assert f"Content-Length header {length!r}" in error["message"]
+    error = json.loads(reply)["error"]
+    assert error["status"] == status
+    assert message in error["message"]
     assert client.health()["status"] == "ok"
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.output_holder import (
-    holder_statistics,
     insert_output_holders,
     nets_needing_holders,
 )
@@ -73,16 +72,6 @@ def test_ff_sink_counts_as_powered(library):
     nl = builder.build()
     needing = {n.name for n in nets_needing_holders(nl, library)}
     assert "n1" in needing
-
-
-def test_statistics(library):
-    nl = _three_stage(library, ("MTV", "HVT", "MTV"))
-    nl.add_input("MTE")
-    insert_output_holders(nl, library)
-    stats = holder_statistics(nl, library)
-    assert stats["mt_cells"] == 2
-    assert stats["holders"] == 2
-    assert stats["boundary_nets"] == 2
 
 
 def test_paper_rule_quote(library):

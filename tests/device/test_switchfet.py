@@ -8,7 +8,6 @@ from repro.device.switchfet import (
     SwitchFamily,
     embedded_switch_width,
 )
-from repro.errors import SizingError
 
 
 @pytest.fixture(scope="module")
@@ -43,32 +42,6 @@ def test_em_limit_proportional_to_width(family, tech):
     for spec in family:
         assert spec.em_limit_ma == pytest.approx(
             tech.em_current_per_um * spec.width_um)
-
-
-def test_by_name(family):
-    spec = family.by_name("SWITCH_X8")
-    assert spec.width_um == pytest.approx(8 * SwitchFamily.BASE_WIDTH_UM)
-    with pytest.raises(KeyError):
-        family.by_name("SWITCH_X9999")
-
-
-def test_smallest_for_resistance_picks_minimal(family):
-    target = family.specs[2].on_resistance_kohm
-    chosen = family.smallest_for_resistance(target * 1.0001)
-    assert chosen.name == family.specs[2].name
-
-
-def test_smallest_for_resistance_unachievable(family):
-    tight = family.largest().on_resistance_kohm / 10.0
-    with pytest.raises(SizingError):
-        family.smallest_for_resistance(tight)
-
-
-def test_smallest_for_current(family):
-    spec = family.smallest_for_current(family.specs[1].em_limit_ma)
-    assert spec.name == family.specs[1].name
-    with pytest.raises(SizingError):
-        family.smallest_for_current(family.largest().em_limit_ma * 2)
 
 
 def test_custom_multipliers_must_ascend(tech):

@@ -73,15 +73,6 @@ class TestConstruction:
 
 
 class TestQueries:
-    def test_fanin_fanout(self):
-        nl = build_simple()
-        g2 = nl.add_instance("g2", "INV_X1_LVT")
-        nl.connect(g2, "A", "y", PinDirection.INPUT)
-        nl.connect(g2, "Z", "w", PinDirection.OUTPUT)
-        g1 = nl.instance("g1")
-        assert g2 in g1.fanout_instances()
-        assert g1 in g2.fanin_instances()
-
     def test_stats(self):
         stats = build_simple().stats()
         assert stats == {"instances": 1, "nets": 3, "inputs": 2,

@@ -10,12 +10,7 @@ from repro.liberty.library import (
     VARIANT_MTV,
 )
 from repro.netlist.core import PinDirection
-from repro.netlist.transform import (
-    count_by_cell,
-    insert_buffer,
-    remove_buffer,
-    swap_variant,
-)
+from repro.netlist.transform import insert_buffer, swap_variant
 from repro.netlist.validate import check_netlist
 from repro.sim.equivalence import check_equivalence
 
@@ -89,15 +84,3 @@ class TestInsertBuffer:
         net_b = c17.net("N16")
         with pytest.raises(NetlistError):
             insert_buffer(c17, net_a, "BUF_X1_LVT", sinks=[net_b.sinks[0]])
-
-    def test_remove_buffer_restores(self, library, c17):
-        golden = c17.clone("golden")
-        buf = insert_buffer(c17, c17.net("N11"), "BUF_X1_LVT")
-        remove_buffer(c17, buf)
-        assert check_netlist(c17, library) == []
-        assert check_equivalence(golden, c17, library).equivalent
-        assert c17.stats() == golden.stats()
-
-
-def test_count_by_cell(c17):
-    assert count_by_cell(c17) == {"NAND2_X1_LVT": 6}

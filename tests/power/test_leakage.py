@@ -81,15 +81,6 @@ def test_state_dependent_analysis(library, c17):
     assert max(values) > averaged / 3.0
 
 
-def test_active_leakage_restores_mt_to_lvt_level(library, c17):
-    analyzer = LeakageAnalyzer(c17, library)
-    lvt_total = analyzer.active_leakage()
-    for inst in c17.instances.values():
-        swap_variant(c17, inst, library, VARIANT_MTV)
-    mt_active = LeakageAnalyzer(c17, library).active_leakage()
-    assert mt_active == pytest.approx(lvt_total, rel=1e-6)
-
-
 def test_total_area(library, c17):
     area = LeakageAnalyzer(c17, library).total_area()
     expected = 6 * library.cell("NAND2_X1_LVT").area
