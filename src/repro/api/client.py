@@ -12,10 +12,12 @@ HTTP/1.1 connection (held in a ``threading.local``, ``TCP_NODELAY`` on
 its socket), so a thread's exchanges after its first open no new
 connection and no new server handler thread.  A thread's connection is
 dropped after an answer that says ``Connection: close`` and after any
-error; the next call opens a fresh one.  A call that fails on a reused
-connection before any of the answer arrives is sent once more on a
-fresh connection: the service closed that connection while it sat idle,
-so it never read the request.
+error; the next call opens a fresh one.  A call whose connection breaks
+before any of the answer arrives first reads what the service already
+sent (a 413 refuses a body over its limit unread); with nothing to
+read on a reused connection, it is sent once more on a fresh one: the
+service closed that connection while it sat idle, so it never read the
+request.
 
 Back-pressure aware: when the service rejects a call with HTTP 429
 (queue full), the client retries with bounded exponential backoff —
@@ -41,10 +43,9 @@ import urllib.parse
 from repro.api import schemas
 from repro.errors import ServiceError
 
-#: What a reused connection raises when the service closed it while it
-#: sat idle; the request was never read, so sending it again is safe.
-_CLOSED_WHILE_IDLE = (http.client.RemoteDisconnected, ConnectionResetError,
-                      BrokenPipeError)
+#: What a connection raises when the service stopped reading it: after
+#: answering, or by closing it while it sat idle.
+_BROKEN = (ConnectionResetError, BrokenPipeError)
 
 
 class ServiceClient:
@@ -121,10 +122,20 @@ class ServiceClient:
                 response = conn.getresponse()
                 raw = response.read()
             except BaseException as exc:
+                broken = response is None and isinstance(exc, _BROKEN)
+                if broken:
+                    try:  # the answer sent before the break, if any
+                        response = conn.getresponse()
+                        raw = response.read()
+                    except (http.client.HTTPException, OSError):
+                        response = None
                 self._drop()
-                # A resend runs on a fresh connection, so at most once.
-                if reused and response is None \
-                        and isinstance(exc, _CLOSED_WHILE_IDLE):
+                if broken and response is not None:
+                    return response, raw
+                # No answer: the service closed the connection while it
+                # sat idle, unread.  A resend runs on a fresh connection,
+                # so at most once.
+                if reused and broken:
                     continue
                 raise
             if response.will_close:

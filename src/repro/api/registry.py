@@ -17,12 +17,11 @@ imports :mod:`repro.api.schemas` lazily, at call time.
 from __future__ import annotations
 
 from repro.api import schemas
-from repro.api.results import SignoffCornerRow, SignoffResult
+from repro.api.results import MonteCarloResult, SignoffCornerRow, SignoffResult
 from repro.config import FlowConfig, Technique
 from repro.core.artifacts import ExportManifest
 from repro.experiments import (
     CornerSignoffResult,
-    McTechniqueResult,
     MonteCarloStudy,
     _resolve_circuit,
 )
@@ -177,7 +176,7 @@ def _encode_mc_study(study: MonteCarloStudy) -> dict:
                                 else _ENC_F(res.nominal_wns)),
                 "area_um2": res.area_um2,
                 "statistics": schemas.to_dict(res.statistics),
-                # Per-die samples stay in-process (McTechniqueResult
+                # Per-die samples stay in-process (MonteCarloResult
                 # excludes them from equality): a 10k-sample study
                 # would bloat the report for data the statistics
                 # already summarize.
@@ -190,17 +189,19 @@ def _encode_mc_study(study: MonteCarloStudy) -> dict:
 def _decode_mc_study(payload: dict) -> MonteCarloStudy:
     results = {}
     for name, entry in payload["results"].items():
+        technique = Technique(name)
         nominal_wns = entry["nominal_wns"]
-        results[Technique(name)] = McTechniqueResult(
+        results[technique] = MonteCarloResult(
+            circuit=payload["circuit"],
+            technique=technique,
+            corner=payload["corner"],
+            samples=payload["samples"],
+            seed=payload["seed"],
+            area_um2=entry["area_um2"],
             nominal_leakage_nw=entry["nominal_leakage_nw"],
             nominal_wns=(None if nominal_wns is None
                          else _DEC_F(nominal_wns)),
-            area_um2=entry["area_um2"],
-            statistics=schemas.from_dict(entry["statistics"]),
-            samples=[schemas.from_dict(s)
-                     for s in entry.get("sample_values", [])])
-        # (sample_values is accepted for forward compatibility but no
-        # longer emitted.)
+            statistics=schemas.from_dict(entry["statistics"]))
     return MonteCarloStudy(circuit=payload["circuit"],
                            samples=payload["samples"],
                            seed=payload["seed"],

@@ -5,17 +5,17 @@ schema payload dicts for the request and the flow configuration —
 and the only work besides Monte-Carlo chunks that crosses a process
 boundary.  A worker decodes the payloads, gets the
 :class:`~repro.api.Design` from a :class:`~repro.api.Workspace`
-(``adopt()`` when the job ships an ad-hoc netlist), runs
-:func:`execute_kind` and returns the round-trip-checked result
-payload.  Two callers submit it, both through the runner's
-:func:`~repro.runner._map_call`, so the worker's spans come home in
-the same envelope as its result:
+(``adopt()`` of the job's netlist when it carries one, else the
+registry circuit by name), runs :func:`execute_kind` and returns the
+round-trip-checked result payload.  Two callers submit it, both
+through the runner's :func:`~repro.runner._map_call`, so the worker's
+spans come home in the same envelope as its result:
 
 * pooled grids (:func:`repro.api.workspace.facade_grid`) run
-  :func:`run_facade_job`, which builds a fresh workspace per job, so a
-  cell depends only on its job;
-* :class:`ShardPool` runs each service job on the warm workspace of
-  its design's shard process.
+  :func:`run_facade_job`, which adopts the cell's netlist in a fresh
+  workspace per job, so a cell depends only on its job;
+* :class:`ShardPool` runs each service job, which carries no netlist,
+  on the warm workspace of its design's shard process.
 
 One warm in-process workspace caps the service's throughput at one
 GIL.  The shard tier runs jobs in worker *processes* instead — but
@@ -67,8 +67,9 @@ class FacadeJob:
     #: Schema payload of the typed request; None means facade defaults.
     request_payload: dict | None
     config_payload: dict
-    #: Ad-hoc netlist the worker cannot load by name (pickled along);
-    #: ``circuit`` then only names the design.
+    #: The design's netlist, pickled along by a pooled grid cell;
+    #: ``circuit`` then only names the design.  ``None`` (a shard job)
+    #: loads the registry circuit ``circuit``.
     netlist: Netlist | None = None
 
 

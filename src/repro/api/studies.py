@@ -106,24 +106,20 @@ def montecarlo_study(workspace: Workspace,
     ``jobs``.
     """
     from repro.experiments import (
-        McTechniqueResult,
         MonteCarloStudy,
         _circuit_config,
         _resolve_circuit,
     )
 
-    resolved = _resolve_circuit(circuit)
-    design = workspace.design(resolved, _circuit_config(circuit, config))
-    results: dict[Technique, McTechniqueResult] = {}
-    for technique in tuple(techniques or DEFAULT_TECHNIQUES):
-        result = design.montecarlo(technique=technique, jobs=jobs,
-                                   **fields)
-        results[technique] = McTechniqueResult(
-            nominal_leakage_nw=result.nominal_leakage_nw,
-            nominal_wns=result.nominal_wns,
-            area_um2=result.area_um2,
-            statistics=result.statistics,
-            samples=list(result.sample_values))
-    return MonteCarloStudy(circuit=resolved, samples=result.samples,
+    design = workspace.design(_resolve_circuit(circuit),
+                              _circuit_config(circuit, config))
+    results = {technique: design.montecarlo(technique=technique, jobs=jobs,
+                                            **fields)
+               for technique in tuple(techniques or DEFAULT_TECHNIQUES)}
+    # Named as its results are: after the design, whose name is the
+    # first one its content was registered under, so the payload (one
+    # circuit name for all) decodes to this very study.
+    result = next(iter(results.values()))
+    return MonteCarloStudy(circuit=result.circuit, samples=result.samples,
                            seed=result.seed, corner=result.corner,
                            results=results)

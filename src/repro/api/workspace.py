@@ -171,11 +171,6 @@ class Workspace:
         self._netlists: dict[str, Netlist] = {}
         self._fingerprints: dict[str, str] = {}
         self._designs: dict[tuple[str, str], Design] = {}
-        #: Fingerprints of netlists as loaded from the registry, per
-        #: name: a design whose content matches its name's registry
-        #: content lets grid workers load it by name
-        #: (:meth:`Design._shipped`).
-        self._registry_fingerprints: dict[str, str] = {}
         #: Per placed netlist, its context after
         #: :data:`~repro.core.stages.SHARED_STAGES` (see
         #: :meth:`_placed_prefix`).
@@ -229,9 +224,7 @@ class Workspace:
             self.stats.miss("netlist")
             netlist = load_circuit(circuit)
             self._netlists[circuit] = netlist
-            fingerprint = netlist_fingerprint(netlist)
-            self._fingerprints[circuit] = fingerprint
-            self._registry_fingerprints[circuit] = fingerprint
+            self._fingerprints[circuit] = netlist_fingerprint(netlist)
             return netlist
 
     def fingerprint(self, circuit: str) -> str:
@@ -437,10 +430,11 @@ def facade_grid(cells: Sequence[tuple["Design", str, object]],
     The one grid over the facade.  Serially each cell is one
     :func:`~repro.api.shards.execute_kind` call on its design, so it
     reads and fills the design's caches.  With ``jobs > 1`` every cell
-    becomes a :class:`~repro.api.shards.FacadeJob` on the
-    :class:`ExperimentRunner` pool, whose workers build a fresh
-    workspace per job; the payloads decode to the very results the
-    serial path returns, so a grid is bit-identical for any ``jobs``.
+    becomes a :class:`~repro.api.shards.FacadeJob` carrying its
+    design's netlist on the :class:`ExperimentRunner` pool, whose
+    workers adopt it in a fresh workspace per job; the payloads decode
+    to the very results the serial path returns, so a grid is
+    bit-identical for any ``jobs``.
     A failing cell raises its own exception either way.
     """
     cells = list(cells)
@@ -452,7 +446,7 @@ def facade_grid(cells: Sequence[tuple["Design", str, object]],
             FacadeJob(kind=kind, circuit=design.circuit,
                       request_payload=schemas.to_dict(request),
                       config_payload=schemas.to_dict(design.config),
-                      netlist=design._shipped())
+                      netlist=design.netlist)
             for design, kind, request in cells])
     return [schemas.from_dict(payload) for payload in payloads]
 
@@ -560,17 +554,6 @@ class Design:
 
     def _stats(self) -> CacheStats:
         return self.workspace.stats
-
-    def _shipped(self) -> Netlist | None:
-        """The netlist a grid job must carry to a worker.
-
-        Registry circuits load by name inside each worker (cheap, and
-        no deep netlist graph to pickle); a netlist whose content its
-        name's registry circuit does not have (an adopted ad-hoc one)
-        ships the object itself.
-        """
-        registry = self.workspace._registry_fingerprints.get(self.circuit)
-        return None if self.fingerprint == registry else self.netlist
 
     # --- analyze ------------------------------------------------------------
 
@@ -851,10 +834,12 @@ class Design:
                    **kwargs) -> MonteCarloResult:
         """Monte-Carlo Vth-variation study of one technique's design.
 
-        ``jobs > 1`` chunks the sample grid over the process-pool
-        runner; sample ``k`` is a pure function of ``(seed, k)``, so
-        the statistics are identical for any fan-out.  The serial path
-        reuses the cached flow result and evaluates in-process.
+        The cached flow result is chunked into ``min(jobs, samples)``
+        sample chunks (:class:`~repro.variation.jobs.McJob`) on the
+        process-pool runner, which runs a single chunk in process; a
+        pooled chunk ships the finished design, so no worker runs a
+        flow.  Sample ``k`` is a pure function of ``(seed, k)``, so the
+        statistics are identical for any fan-out.
         """
         request = self._request(request, MonteCarloRequest, **kwargs)
         jobs = self.workspace.jobs if jobs is None else max(1, int(jobs))
@@ -862,7 +847,7 @@ class Design:
             self._stats().hit("montecarlo")
             return self._montecarlos[request]
         self._stats().miss("montecarlo")
-        from repro.variation.jobs import build_engine
+        from repro.variation.jobs import McJob, run_mc_job
         from repro.variation.montecarlo import (
             BUDGET_FACTOR,
             McConfig,
@@ -874,37 +859,16 @@ class Design:
                       sigma_local_v=request.sigma_local_v,
                       timing=request.timing,
                       leakage_budget_nw=request.leakage_budget_nw)
-        if jobs == 1:
-            flow = self.flow_result(request.technique)
-            area_um2 = flow.total_area
-            engine = build_engine(
-                flow, self.library, mc, request.corner,
-                compute_backend=self.config.compute_backend)
-            samples = engine.run(start=0, count=request.samples)
-            nominal_leakage = engine.nominal_leakage_nw
-            nominal_wns = engine.nominal_wns
-        else:
-            from repro.variation.jobs import McJob, run_mc_job
-
-            chunks = min(jobs, request.samples)
-            bounds = [(i * request.samples // chunks,
-                       (i + 1) * request.samples // chunks)
-                      for i in range(chunks)]
-            grid = [McJob(circuit=self.circuit,
-                          technique=request.technique,
-                          config=self.config, mc=mc, corner=request.corner,
-                          start=start, count=stop - start,
-                          netlist=self._shipped())
-                    for (start, stop) in bounds]
-            outcomes = ExperimentRunner(
-                jobs=jobs, library=self.library).map(run_mc_job, grid)
-            # The chunk outcomes already carry the flow-level numbers;
-            # re-running the flow here just to read them would cost one
-            # full serial flow before any worker output is used.
-            samples = [s for outcome in outcomes for s in outcome.samples]
-            nominal_leakage = outcomes[0].nominal_leakage_nw
-            nominal_wns = outcomes[0].nominal_wns
-            area_um2 = outcomes[0].area_um2
+        flow = self.flow_result(request.technique)
+        chunks = min(jobs, request.samples)
+        bounds = [i * request.samples // chunks for i in range(chunks + 1)]
+        outcomes = ExperimentRunner(jobs=jobs, library=self.library).map(
+            run_mc_job,
+            [McJob(flow, mc, request.corner, self.config.compute_backend,
+                   start=start, count=stop - start)
+             for start, stop in zip(bounds, bounds[1:])])
+        samples = [s for outcome in outcomes for s in outcome.samples]
+        nominal_leakage = outcomes[0].nominal_leakage_nw
         budget = mc.leakage_budget_nw
         if budget is None:
             budget = BUDGET_FACTOR * nominal_leakage
@@ -914,9 +878,9 @@ class Design:
             corner=request.corner,
             samples=request.samples,
             seed=request.seed,
-            area_um2=area_um2,
+            area_um2=flow.total_area,
             nominal_leakage_nw=nominal_leakage,
-            nominal_wns=nominal_wns,
+            nominal_wns=outcomes[0].nominal_wns,
             statistics=summarize(samples, leakage_budget_nw=budget),
             sample_values=tuple(samples))
         self._montecarlos[request] = result

@@ -131,10 +131,11 @@ class MonteCarloStudy:
     samples: int
     seed: int
     corner: str | None
-    #: technique -> (nominal leakage nW, nominal WNS | None, stats)
-    results: dict["Technique", "McTechniqueResult"]
+    #: technique -> the design's ``MonteCarloResult``, in submission
+    #: order.
+    results: dict["Technique", "MonteCarloResult"]
 
-    def result(self, technique: Technique) -> "McTechniqueResult":
+    def result(self, technique: Technique) -> "MonteCarloResult":
         return self.results[technique]
 
     def render(self) -> str:
@@ -156,18 +157,3 @@ class MonteCarloStudy:
                 f"{stats.mean_nw:10.2f} {stats.std_nw:10.2f} "
                 f"{stats.p95_nw:10.2f} {leak_yield} {timing_yield}")
         return "\n".join(lines)
-
-
-@dataclasses.dataclass
-class McTechniqueResult:
-    """One technique's Monte-Carlo outcome."""
-
-    nominal_leakage_nw: float
-    nominal_wns: float | None
-    area_um2: float
-    statistics: "McStatistics"
-    #: Per-die samples, for in-process consumers; excluded from
-    #: equality (and from serialized payloads) — the statistics are
-    #: the result's identity, and sample ``k`` is reproducible from
-    #: ``(seed, k)`` anyway.
-    samples: list = dataclasses.field(default_factory=list, compare=False)

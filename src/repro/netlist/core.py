@@ -429,7 +429,58 @@ class Netlist:
         copy._name_counter = self._name_counter
         return copy
 
+    def __reduce__(self):
+        """Pickle as flat name tables, rebuilt in :meth:`copy`'s order:
+        the default pickle recurses through the pin/net graph, past the
+        interpreter's recursion limit from a few hundred gates up."""
+        def pin(p: Pin) -> tuple[str, str]:
+            return p.instance.name, p.name
+
+        def name(item: Net | Port | None) -> str | None:
+            return None if item is None else item.name
+
+        return _unpickle_netlist, (
+            self.name, self._name_counter,
+            [(p.name, p.direction, name(p.net)) for p in self.ports.values()],
+            [(i.name, i.cell_name, i.attributes,
+              [(p.name, p.direction, name(p.net)) for p in i.pins.values()])
+             for i in self.instances.values()],
+            [(n.name, n.driver and pin(n.driver), name(n.driver_port),
+              [pin(p) for p in n.sinks], [p.name for p in n.sink_ports],
+              [pin(p) for p in n.keepers])
+             for n in self.nets.values()])
+
     def __repr__(self):
         s = self.stats()
         return (f"Netlist({self.name}, {s['instances']} instances, "
                 f"{s['nets']} nets)")
+
+
+def _unpickle_netlist(name: str, name_counter: int, ports: list,
+                      instances: list, nets: list) -> Netlist:
+    """Rebuild a :meth:`Netlist.__reduce__` pickle (a ``None`` net or
+    port name stands for no net or port)."""
+    netlist = Netlist(name)
+    netlist._name_counter = name_counter
+    by_name = netlist.nets = {entry[0]: Net(entry[0]) for entry in nets}
+    for port_name, direction, net in ports:
+        port = netlist.ports[port_name] = Port(port_name, direction)
+        port.net = by_name.get(net)
+    for inst_name, cell_name, attributes, pins in instances:
+        inst = netlist.instances[inst_name] = Instance(inst_name, cell_name)
+        inst.attributes = attributes
+        for pin_name, direction, net in pins:
+            pin = inst.pins[pin_name] = Pin(inst, pin_name, direction)
+            pin.net = by_name.get(net)
+
+    def pin_at(key: tuple[str, str]) -> Pin:
+        return netlist.instances[key[0]].pins[key[1]]
+
+    for net_name, driver, driver_port, sinks, sink_ports, keepers in nets:
+        net = by_name[net_name]
+        net.driver = driver and pin_at(driver)
+        net.driver_port = netlist.ports.get(driver_port)
+        net.sinks = [pin_at(key) for key in sinks]
+        net.sink_ports = [netlist.ports[port] for port in sink_ports]
+        net.keepers = [pin_at(key) for key in keepers]
+    return netlist

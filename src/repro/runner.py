@@ -5,9 +5,10 @@ in — is a grid of independent, CPU-bound runs.
 :meth:`ExperimentRunner.map` fans ``fn(item, library)`` out over a
 process pool while guaranteeing:
 
-* **deterministic results** — every item carries its own config, and
-  with it the placement seed (the flow's only randomness), so a
-  result is a pure function of the item, independent of scheduling or
+* **deterministic results** — every item carries what it depends on
+  (a facade job its config with the placement seed, the flow's only
+  randomness; a Monte-Carlo chunk its finished design), so a result
+  is a pure function of the item, independent of scheduling or
   worker count;
 * **deterministic ordering** — results are returned in submission
   order regardless of completion order;
@@ -20,8 +21,9 @@ Every pooled submission — here and in the service's shard workers
 (:mod:`repro.api.shards`) — is :func:`_map_call`, whose envelope
 carries the worker's finished spans home with its result.  The work
 itself is one facade call (:class:`repro.api.shards.FacadeJob`, fanned
-out by :func:`repro.api.workspace.facade_grid`) or one Monte-Carlo
-chunk (:class:`repro.variation.jobs.McJob`).
+out by :func:`repro.api.workspace.facade_grid` with its design's
+netlist) or one Monte-Carlo chunk (:class:`repro.variation.jobs.McJob`,
+with the finished flow result it samples).
 
 A library passed to the runner is installed in every worker via the
 pool initializer (fork or spawn alike); otherwise workers build the

@@ -151,6 +151,32 @@ def test_error_answers_raise_and_keep_the_connection(library):
         client.close()
 
 
+def test_body_over_the_limit_raises_the_services_413(library):
+    """The service refuses a body over its limit unread with a 413 and
+    closes, which breaks the sending of the rest of the body; the
+    client reads that answer, on a used connection too, instead of
+    sending the body again on a fresh one."""
+    service = JobService(workspace=Workspace(library=library))
+    with live_server(service) as server:
+        client = ServiceClient(server.address, retries=0)
+        before = connections()
+        client.health()
+        padding = "x" * (service_module.MAX_BODY_BYTES + 1024 * 1024)
+        for _ in range(3):
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit("analyze", "c17", request={"pad": padding},
+                              config=CONFIG)
+            assert excinfo.value.status == 413
+            assert "body limit" in str(excinfo.value)
+        assert client.health()["status"] == "ok"
+        assert service.jobs() == []
+        # The first 413 comes on the health call's connection; a 413
+        # closes its connection, so each later call opens one: no body
+        # went out twice.
+        assert connections() - before == 4
+        client.close()
+
+
 def test_both_ends_set_tcp_nodelay(library):
     server_nodelay = []
 

@@ -135,22 +135,6 @@ def test_request_plus_kwargs_is_rejected(design):
         design.montecarlo(MonteCarloRequest(samples=4), samples=8)
 
 
-def test_adopting_registry_identical_content_keeps_by_name_loading(
-        library):
-    ws = Workspace(library=library, config=CONFIG)
-    original = ws.netlist("c17")
-    assert ws.adopt(original.clone(), name="c17")._shipped() is None
-    # Different content under the same name must ship.
-    from repro.benchcircuits.generator import (
-        GeneratorConfig,
-        generate_circuit,
-    )
-
-    adhoc = generate_circuit("c17", GeneratorConfig(
-        n_gates=10, n_inputs=2, n_outputs=1, n_ffs=0, depth=3, seed=9))
-    assert ws.adopt(adhoc, name="c17")._shipped() is adhoc
-
-
 def test_design_keeps_the_netlist_it_was_created_for(library):
     """Re-adopting a name leaves older handles on their own content: a
     handle's flows run on the netlist its fingerprint keys, so the
@@ -165,8 +149,11 @@ def test_design_keeps_the_netlist_it_was_created_for(library):
     fresh = Workspace(library=library, config=CONFIG).design("c17")
     assert area == again.optimize(technique="dual_vth").area_um2 \
         == fresh.optimize(technique="dual_vth").area_um2
-    # Content no registry circuit named "foo" has ships to workers.
-    assert first._shipped() is first.netlist
+    # Pooled cells carry the handle's own content, not whatever the
+    # name "foo" (or a registry circuit of that name) holds.
+    techniques = (Technique.DUAL_VTH, Technique.IMPROVED_SMT)
+    assert first.sweep(techniques=techniques, jobs=2).rows \
+        == first.sweep(techniques=techniques, jobs=1).rows
 
 
 # --- requests own their field types ----------------------------------------
@@ -589,7 +576,7 @@ def test_montecarlo_matches_legacy_study(workspace, design):
     result = design.montecarlo(technique=Technique.DUAL_VTH, samples=6,
                                seed=11, timing=True)
     assert result.statistics == legacy.statistics
-    assert list(result.sample_values) == list(legacy.samples)
+    assert list(result.sample_values) == list(legacy.sample_values)
     assert result.nominal_leakage_nw == legacy.nominal_leakage_nw
     assert result.nominal_wns == legacy.nominal_wns
     payload = schemas.check_round_trip(result)
@@ -597,6 +584,22 @@ def test_montecarlo_matches_legacy_study(workspace, design):
     assert "sample_values" not in payload
     assert "sample_values" not in \
         schemas.to_dict(study)["results"]["dual_vth"]
+
+
+def test_montecarlo_study_round_trips_under_an_alias(library):
+    """A study of content first registered under another name holds
+    results named after that design, and so must the study: its
+    payload carries one circuit name for all of them."""
+    from repro.api.studies import montecarlo_study
+
+    ws = Workspace(library=library, config=CONFIG)
+    ws.adopt(load_circuit("c17"), name="alias17")
+    study = montecarlo_study(ws, circuit="c17",
+                             techniques=(Technique.DUAL_VTH,), samples=2,
+                             config=CONFIG)
+    assert study.circuit == study.result(Technique.DUAL_VTH).circuit \
+        == "alias17"
+    schemas.check_round_trip(study)
 
 
 def test_montecarlo_parallel_matches_serial(workspace, design):
@@ -633,9 +636,8 @@ def test_sweep_matches_compare_techniques(library, workspace, design):
 
 
 def test_sweep_parallel_matches_serial_on_registry_circuit(workspace):
-    """Parallel sweep loads registry circuits by name in the workers
-    (regression: shipping the netlist graph blew the pickle recursion
-    limit on non-trivial circuits like c432)."""
+    """Parallel sweep on a registry circuit of real size: the workers
+    get the design's netlist pickled along."""
     design = workspace.design("c432")
     serial = design.sweep(techniques=(Technique.DUAL_VTH,
                                       Technique.IMPROVED_SMT))
@@ -644,27 +646,10 @@ def test_sweep_parallel_matches_serial_on_registry_circuit(workspace):
     assert parallel.rows == serial.rows
 
 
-def test_sweep_parallel_ships_adopted_netlists(workspace):
-    """Adopted ad-hoc netlists are not worker-loadable by name, so the
-    grid jobs carry the object itself."""
-    from repro.benchcircuits.generator import (
-        GeneratorConfig,
-        generate_circuit,
-    )
-
-    adhoc = generate_circuit("adhoc", GeneratorConfig(
-        n_gates=30, n_inputs=4, n_outputs=3, n_ffs=0, depth=6, seed=42))
-    design = workspace.adopt(adhoc, name="adhoc")
-    serial = design.sweep(techniques=(Technique.DUAL_VTH,
-                                      Technique.IMPROVED_SMT))
-    parallel = design.sweep(techniques=(Technique.DUAL_VTH,
-                                        Technique.IMPROVED_SMT), jobs=2)
-    assert parallel.rows == serial.rows
-
-
-def test_montecarlo_parallel_on_adopted_design(library):
-    """MC grid jobs ship adopted netlists to the workers (regression:
-    workers tried load_circuit() on a non-registry name)."""
+def _adopted_netlists():
+    """(name, netlist factory) pairs no worker could load by name: a
+    small generated netlist, and c432's content, whose pin/net graph
+    is deeper than the default pickle recursion allows."""
     from repro.benchcircuits.generator import (
         GeneratorConfig,
         generate_circuit,
@@ -672,16 +657,36 @@ def test_montecarlo_parallel_on_adopted_design(library):
 
     spec = GeneratorConfig(n_gates=30, n_inputs=4, n_outputs=3,
                            n_ffs=0, depth=6, seed=42)
-    serial = Workspace(library=library, config=CONFIG) \
-        .adopt(generate_circuit("adhoc", spec), name="adhoc") \
-        .montecarlo(technique=Technique.DUAL_VTH, samples=4, seed=2,
-                    timing=False, jobs=1)
-    parallel = Workspace(library=library, config=CONFIG) \
-        .adopt(generate_circuit("adhoc", spec), name="adhoc") \
-        .montecarlo(technique=Technique.DUAL_VTH, samples=4, seed=2,
-                    timing=False, jobs=2)
-    assert parallel.statistics == serial.statistics
-    assert parallel.sample_values == serial.sample_values
+    return (("adhoc", lambda: generate_circuit("adhoc", spec)),
+            ("my_c432", lambda: load_circuit("c432")))
+
+
+def test_sweep_parallel_ships_adopted_netlists(library):
+    """Adopted ad-hoc netlists are not worker-loadable by name; the
+    grid jobs carry the object itself."""
+    for name, netlist in _adopted_netlists():
+        design = Workspace(library=library, config=CONFIG) \
+            .adopt(netlist(), name=name)
+        serial = design.sweep(techniques=(Technique.DUAL_VTH,
+                                          Technique.IMPROVED_SMT))
+        parallel = design.sweep(techniques=(Technique.DUAL_VTH,
+                                            Technique.IMPROVED_SMT), jobs=2)
+        assert parallel.rows == serial.rows, name
+
+
+def test_montecarlo_parallel_on_adopted_design(library):
+    """MC chunks of an adopted design sample its finished flow, shipped
+    to the workers (regression: workers tried load_circuit() on a
+    non-registry name)."""
+    for name, netlist in _adopted_netlists():
+        serial, parallel = (
+            Workspace(library=library, config=CONFIG)
+            .adopt(netlist(), name=name)
+            .montecarlo(technique=Technique.DUAL_VTH, samples=4, seed=2,
+                        timing=False, jobs=jobs)
+            for jobs in (1, 2))
+        assert parallel == serial, name
+        assert parallel.sample_values == serial.sample_values, name
 
 
 def test_workspace_sweep_grid_is_one_pool(library):

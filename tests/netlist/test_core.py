@@ -160,6 +160,84 @@ class TestClone:
         assert copy.net("y").driver.instance.name == "g1"
 
 
+def _tables(netlist: Netlist):
+    """Every name table of ``netlist``, in dict and pin-list order, and
+    a check that each pin and port a net lists is the very object its
+    instance (or the port table) holds."""
+    def pin_key(pin):
+        assert pin.instance is netlist.instances[pin.instance.name]
+        assert pin is pin.instance.pins[pin.name]
+        return pin.instance.name, pin.name
+
+    def port_key(port):
+        assert port is netlist.ports[port.name]
+        return port.name
+
+    def net_name(net):
+        if net is None:
+            return None
+        assert net is netlist.nets[net.name]
+        return net.name
+
+    return {
+        "name": netlist.name,
+        "ports": [(port.name, port.direction, net_name(port.net))
+                  for port in netlist.ports.values()],
+        "instances": [(inst.name, inst.cell_name, inst.attributes)
+                      for inst in netlist.instances.values()],
+        "pins": [[(pin.name, pin.direction, net_name(pin.net))
+                  for pin in inst.pins.values()]
+                 for inst in netlist.instances.values()],
+        "nets": [(net.name,
+                  None if net.driver is None else pin_key(net.driver),
+                  None if net.driver_port is None
+                  else port_key(net.driver_port))
+                 for net in netlist.nets.values()],
+        "sinks": [[pin_key(pin) for pin in net.sinks]
+                  for net in netlist.nets.values()],
+        "sink_ports": [[port_key(port) for port in net.sink_ports]
+                       for net in netlist.nets.values()],
+        "keepers": [[pin_key(pin) for pin in net.keepers]
+                    for net in netlist.nets.values()],
+        "name_counter": netlist._name_counter,
+    }
+
+
+class TestPickle:
+    """A netlist pickles as flat name tables, whatever its depth, and
+    unpickles to exactly what :meth:`Netlist.copy` makes."""
+
+    @staticmethod
+    def assert_round_trip(netlist: Netlist):
+        import pickle
+
+        from repro.netlist.fingerprint import netlist_fingerprint
+
+        back = pickle.loads(pickle.dumps(netlist))
+        assert netlist_fingerprint(back) == netlist_fingerprint(netlist)
+        assert _tables(back) == _tables(netlist.copy())
+
+    def test_circuit_a_round_trips(self):
+        """circuitA's pin/net graph is deeper than the interpreter's
+        recursion limit, which the default pickle walks."""
+        from repro.benchcircuits.suite import load_circuit
+
+        self.assert_round_trip(load_circuit("circuitA"))
+
+    def test_finished_flow_netlist_round_trips(self, library):
+        """A finished improved-SMT netlist: placement attributes,
+        output-holder keepers and a used name counter."""
+        from repro.api import Workspace
+        from repro.config import FlowConfig, Technique
+
+        netlist = Workspace(library=library,
+                            config=FlowConfig(timing_margin=0.2)) \
+            .design("c432").flow_result(Technique.IMPROVED_SMT).netlist
+        assert any(net.keepers for net in netlist.nets.values())
+        assert netlist._name_counter > 0
+        self.assert_round_trip(netlist)
+
+
 @given(st.integers(min_value=1, max_value=40))
 def test_property_chain_topo_order_length(n):
     nl = Netlist("chain")

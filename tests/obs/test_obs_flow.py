@@ -136,6 +136,33 @@ def test_pool_ships_worker_spans_back_to_the_parent(library):
                for child in record.children)
 
 
+def test_pooled_montecarlo_runs_no_flow_in_a_worker(library):
+    """A pooled Monte-Carlo study ships each finished design to its
+    sample chunks: the three flows (one shared prefix, one shared MT
+    assignment) run once, in this process, and the workers only
+    sample."""
+    from repro.api.studies import montecarlo_study
+
+    enable()
+    montecarlo_study(Workspace(library=library), circuit="s344",
+                     samples=8, config=FlowConfig(timing_margin=0.12),
+                     jobs=2)
+    records = [record for root in take_records() for record in root.walk()]
+
+    def spans_named(name):
+        return [record for record in records if record.name == name]
+
+    flows = spans_named("flow.run")
+    assert len(flows) == 3
+    assert all(flow.pid == os.getpid() for flow in flows)
+    for key in map(stage_key, SHARED_STAGES):
+        assert len(spans_named(f"stage.{key}")) == 1, key
+    assert len(spans_named("stage.mt_assignment")) == 1
+    chunks = spans_named("mc.chunk")
+    assert len(chunks) == 6
+    assert all(chunk.pid != os.getpid() for chunk in chunks)
+
+
 def test_serial_runner_traces_identically_shaped_jobs(library):
     enable()
     runner = ExperimentRunner(jobs=1, library=library)
