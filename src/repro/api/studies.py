@@ -87,8 +87,13 @@ def corner_signoff_study(workspace: Workspace,
         [(designs[short], "signoff",
           SignoffRequest(technique=technique, corners=corners))
          for short, technique in keys], jobs)
-    return CornerSignoffResult(corners=corners,
-                               outcomes=dict(zip(keys, results)))
+    # A design is named after the first name its content was registered
+    # under; each outcome is named after the circuit the caller's name
+    # resolves to, as the payload decodes it.
+    return CornerSignoffResult(corners=corners, outcomes={
+        (short, technique): dataclasses.replace(
+            result, circuit=_resolve_circuit(short))
+        for (short, technique), result in zip(keys, results)})
 
 
 def montecarlo_study(workspace: Workspace,

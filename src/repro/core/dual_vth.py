@@ -14,7 +14,11 @@ Algorithm (deterministic, STA-in-the-loop):
    (each probe is a real STA run, so path reconvergence is handled
    exactly, not estimated); a probe swaps only the difference between
    the previous probe's prefix and its own, so a failed probe is not
-   reverted whole before the next one;
+   reverted whole before the next one.  Only the first round opens
+   with the optimistic all-candidates probe: a later round exists only
+   because that probe failed, and its own all-candidates state makes
+   exactly the first round's candidates slow again — the netlist that
+   probe failed on — so a later round bisects below it;
 4. the prefix is committed, slacks are refreshed, and the process
    repeats for a few rounds to pick up cells whose slack grew.
 
@@ -117,13 +121,14 @@ class DualVthAssigner:
         Converting cells in depth order groups the slow cells into
         contiguous runs along each path, which minimizes MT-to-powered
         boundaries (and therefore output holders) in the SMT flows —
-        mirroring the runs of MT-cells Fig. 3 depicts.
+        mirroring the runs of MT-cells Fig. 3 depicts.  Depths are a
+        max over fan-in, so the session's order serves as any other.
         """
         if self._depth_cache is None:
             is_seq = lambda i: (i.cell_name in self.library
                                 and self.library.cell(i.cell_name).is_sequential)
             depth: dict[str, int] = {}
-            for node in self.netlist.topological_order(is_seq):
+            for node in self.session.topological_order():
                 if is_seq(node):
                     depth[node.name] = 0
                     continue
@@ -174,7 +179,7 @@ class DualVthAssigner:
                 f"{self.constraints.clock_period:.3f} ns")
 
         slack_bucket = max(self.constraints.clock_period * 0.01, 1e-6)
-        for _ in range(self.rounds):
+        for index in range(self.rounds):
             candidates = self._candidates()
             if not candidates:
                 break
@@ -185,7 +190,8 @@ class DualVthAssigner:
                 candidates.sort(key=lambda inst: (
                     -round(self._slack_of(inst, report) / slack_bucket),
                     self._depth_of(inst)))
-                committed = self._bisect_prefix(candidates)
+                committed = self._bisect_prefix(candidates,
+                                                optimistic=index == 0)
                 sp.set(committed=committed)
             if committed == 0:
                 break
@@ -210,23 +216,26 @@ class DualVthAssigner:
             final_report=final_report,
             sta_runs=self._sta_runs)
 
-    def _bisect_prefix(self, candidates: list[Instance]) -> int:
+    def _bisect_prefix(self, candidates: list[Instance],
+                       optimistic: bool) -> int:
         """Largest slack-ordered prefix swappable without violation.
 
-        Invariant: candidates[:low] are known-safe as slow.  Each probe
-        sees exactly candidates[:mid] slow; it gets there from the
-        previous probe's candidates[:slow] by swapping only the
-        difference, and the loop ends with candidates[:low] slow.
+        Invariant: candidates[:low] are known-safe as slow, and no
+        prefix longer than candidates[:high] is.  Each probe sees
+        exactly candidates[:mid] slow; it gets there from the previous
+        probe's candidates[:slow] by swapping only the difference, and
+        the loop ends with candidates[:low] slow.  ``optimistic`` opens
+        with the all-candidates probe; otherwise that prefix is known
+        to fail (see the module docstring, step 3).
         """
         low = 0
-        high = len(candidates)
+        high = len(candidates) if optimistic else len(candidates) - 1
         slow = 0
-        first_probe = True
         while low < high:
-            # First probe is optimistic (all candidates at once); later
-            # probes bisect the remaining range.
-            mid = high if first_probe else (low + high + 1) // 2
-            first_probe = False
+            # An optimistic first probe tries all candidates at once;
+            # every other probe bisects the remaining range.
+            mid = high if optimistic else (low + high + 1) // 2
+            optimistic = False
             with span("assign.probe", trial=mid) as sp:
                 evaluated = self.session.stats.forward_instances
                 self._move_to(candidates, slow, mid)

@@ -330,20 +330,26 @@ def stage_eco_placement(ctx: FlowContext) -> dict[str, Any]:
     embedded-switch variants are larger, so the initial rows no longer
     fit; an ECO placement restores a legal, congestion-aware layout
     before the switch structure and routing are built.
+
+    When the netlist gives the placer the key the fork's placement was
+    made with (:meth:`GlobalPlacer.key`: same instances, areas, ports
+    and connectivity, as after a Dual-Vth assignment's swaps), placing
+    again would reproduce that placement exactly, so it is kept:
+    ``replaced`` says whether the placer ran.
     """
     placer = GlobalPlacer(ctx.netlist, ctx.library,
                           utilization=ctx.config.utilization,
                           aspect_ratio=ctx.config.aspect_ratio,
                           iterations=ctx.config.placer_iterations,
                           seed=ctx.config.placement_seed)
-    placement = placer.run()
-    legalize(placement, ctx.netlist, ctx.library)
-    for port_name in ctx.netlist.ports:
-        placement.ensure_port_location(port_name)
-    ctx.placement = placement
+    replaced = placer.key() != ctx.placement.key
+    if replaced:
+        ctx.placement = placer.run()
+        legalize(ctx.placement, ctx.netlist, ctx.library)
+    floorplan = ctx.placement.floorplan
     return {
-        "die": f"{placement.floorplan.width:.0f}x"
-               f"{placement.floorplan.height:.0f}um",
+        "die": f"{floorplan.width:.0f}x{floorplan.height:.0f}um",
+        "replaced": replaced,
     }
 
 

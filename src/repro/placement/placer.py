@@ -18,6 +18,7 @@ The result is deterministic for a given seed.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 
 from repro.errors import PlacementError
@@ -33,6 +34,11 @@ class Placement:
     locations: dict[str, tuple[float, float]]
     port_locations: dict[str, tuple[float, float]]
     floorplan: Floorplan
+    #: :meth:`GlobalPlacer.key` of the placer that made this placement
+    #: (``None`` when no placer did): a placer with the same key, with
+    #: a :func:`~repro.placement.legalize.legalize` after it, places
+    #: the design exactly as this placement and its legalization did.
+    key: str | None = None
 
     def location(self, inst_name: str) -> tuple[float, float]:
         try:
@@ -78,6 +84,36 @@ class GlobalPlacer:
             if tech is not None and cell.area > 0:
                 return max(cell.area / tech.row_height, tech.site_width)
         return tech.site_width if tech is not None else 0.4
+
+    def key(self) -> str:
+        """Content key of everything :meth:`run`, and a
+        :func:`~repro.placement.legalize.legalize` after it, read: the
+        technology, the four placement fields, the ports, every
+        instance in netlist order with its cell area and its pins'
+        nets, and every net's driver and sinks in order.
+
+        A SHA-256 digest, like the netlist fingerprint (names hold no
+        whitespace): equal keys mean equal inputs, so equal placements.
+        """
+        areas = {name: repr(cell.area)
+                 for name, cell in self.library.cells.items()}
+        lines = [repr((self.library.tech, self.utilization,
+                       self.aspect_ratio, self.iterations, self.seed,
+                       len(self.netlist.instances))),
+                 " ".join(self.netlist.ports)]
+        for inst in self.netlist.instances.values():
+            lines.append(" ".join([
+                inst.name, areas.get(inst.cell_name, ""),
+                *[pin.net.name for pin in inst.pins.values()
+                  if pin.net is not None]]))
+        for net in self.netlist.nets.values():
+            lines.append(" ".join([
+                net.name, net.driver.instance.name if net.driver else "",
+                net.driver_port.name if net.driver_port else "",
+                str(len(net.sinks)),
+                *[pin.instance.name for pin in net.sinks],
+                *[port.name for port in net.sink_ports]]))
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
     def run(self) -> Placement:
         instances = list(self.netlist.instances.values())
@@ -129,7 +165,8 @@ class GlobalPlacer:
 
         # Spread into row bands.
         locations = self._spread(instances, positions, floorplan)
-        placement = Placement(locations, port_locations, floorplan)
+        placement = Placement(locations, port_locations, floorplan,
+                              key=self.key())
         self._annotate(placement)
         return placement
 

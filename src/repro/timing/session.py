@@ -315,6 +315,13 @@ class TimingSession:
         self._settle(wns, None)
         return wns
 
+    def topological_order(self) -> list[Instance]:
+        """The instances in the order the session evaluates them
+        (flip-flops as sources), rebuilt first if the structure
+        changed; the session owns the list."""
+        self._refresh_structure()
+        return self._order
+
     def _refresh_structure(self):
         if self._structural or self._order is None:
             self._build_structure()

@@ -602,6 +602,21 @@ def test_montecarlo_study_round_trips_under_an_alias(library):
     schemas.check_round_trip(study)
 
 
+def test_corner_signoff_study_round_trips_under_an_alias(library):
+    """A corner study of content first registered under another name
+    names each outcome after the circuit the caller asked for, as its
+    payload decodes it."""
+    from repro.api.studies import corner_signoff_study
+
+    ws = Workspace(library=library, config=CONFIG)
+    ws.adopt(load_circuit("c17"), name="foo")
+    study = corner_signoff_study(ws, circuits=("c17",),
+                                 techniques=(Technique.DUAL_VTH,),
+                                 corners=("tt_nom",), config=CONFIG)
+    assert study.outcome("c17", Technique.DUAL_VTH).circuit == "c17"
+    schemas.check_round_trip(study)
+
+
 def test_montecarlo_parallel_matches_serial(workspace, design):
     serial = design.montecarlo(technique=Technique.DUAL_VTH, samples=6,
                                seed=4, timing=False)

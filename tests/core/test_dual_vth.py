@@ -121,9 +121,11 @@ def test_prepare_forces_fast(library, c880):
 
 class _RevertWholeTrial(DualVthAssigner):
     """The bisection before delta probes: a failed probe reverts its
-    whole trial, and the next probe swaps a sub-range of it again."""
+    whole trial, and the next probe swaps a sub-range of it again; and
+    every round, not only the first, opens with the all-candidates
+    probe."""
 
-    def _bisect_prefix(self, candidates):
+    def _bisect_prefix(self, candidates, optimistic):
         low, high, first_probe = 0, len(candidates), True
         while low < high:
             mid = high if first_probe else (low + high + 1) // 2
@@ -153,9 +155,9 @@ def _recorded_run(assigner_cls, netlist, library, constraints):
     session.swap_variant = counted
 
     class Recording(assigner_cls):
-        def _bisect_prefix(self, candidates):
+        def _bisect_prefix(self, candidates, optimistic):
             rounds.append((candidates, []))
-            return super()._bisect_prefix(candidates)
+            return super()._bisect_prefix(candidates, optimistic)
 
         def _wns(self):
             candidates, answers = rounds[-1]
@@ -176,16 +178,22 @@ def _recorded_run(assigner_cls, netlist, library, constraints):
 
 def test_delta_probes_see_the_bisection_prefix(library, c880):
     """Each probe swaps only the difference from the previous probe's
-    state, yet sees exactly the prefix the bisection asks for; the run
-    ends where swapping whole trials ends, with fewer swaps."""
+    state, yet sees exactly the prefix the bisection asks for.  Only the
+    first round opens with the all-candidates probe: a later round's
+    all-candidates state is the first round's failed one again, so the
+    probes are the reference's without its repeats.  The run ends where
+    swapping whole trials in every round ends, with fewer swaps and one
+    STA probe fewer per later round."""
     constraints = Constraints(clock_period=min_period(c880, library) * 1.10)
     reference = _recorded_run(_RevertWholeTrial, c880.clone(), library,
                               constraints)
     result, probes, rounds, swaps = _recorded_run(
         DualVthAssigner, c880, library, constraints)
 
-    for candidates, answers in rounds:
-        low, high, first_probe = 0, len(candidates), True
+    for index, (candidates, answers) in enumerate(rounds):
+        first_probe = index == 0
+        low = 0
+        high = len(candidates) if first_probe else len(candidates) - 1
         for prefix, wns in answers:
             mid = high if first_probe else (low + high + 1) // 2
             first_probe = False
@@ -193,12 +201,70 @@ def test_delta_probes_see_the_bisection_prefix(library, c880):
             low, high = (mid, high) if wns >= 0.0 else (low, mid - 1)
         assert low == high
     ref_result, ref_probes, ref_rounds, ref_swaps = reference
-    assert probes == ref_probes
+    assert len(rounds) == len(ref_rounds) > 1
+    unique = []
+    for slow in ref_probes:
+        if slow not in unique:
+            unique.append(slow)
+    assert len(unique) < len(ref_probes)
+    assert probes == unique
+    # What the reference repeats is each later round's opening probe,
+    # the first round's failed all-candidates state.
     assert [answers for _, answers in rounds] \
-        == [answers for _, answers in ref_rounds]
-    assert any(wns < 0.0 for _, answers in rounds for _, wns in answers)
+        == [ref_rounds[0][1]] + [answers[1:] for _, answers in ref_rounds[1:]]
+    for candidates, answers in ref_rounds[1:]:
+        assert answers[0] == (len(candidates), ref_rounds[0][1][0][1])
+    assert ref_rounds[0][1][0][1] < 0.0
     assert result.fast_instances == ref_result.fast_instances
     assert result.slow_instances == ref_result.slow_instances
     assert result.final_report.wns == ref_result.final_report.wns
-    assert result.sta_runs == ref_result.sta_runs
+    assert result.sta_runs == ref_result.sta_runs - (len(rounds) - 1)
     assert swaps < ref_swaps
+
+
+def _slow_sets_per_run(monkeypatch):
+    """Patch :class:`DualVthAssigner` to record, per assigner, the slow
+    instances its netlist holds at every ``wns()`` probe."""
+    seen = {}
+    wns = DualVthAssigner._wns
+
+    def recording(self):
+        seen.setdefault(self, []).append(frozenset(
+            name for name, inst in self.netlist.instances.items()
+            if inst.cell_name in self.library
+            and self.library.cell(inst.cell_name).variant
+            == self.slow_variant))
+        return wns(self)
+
+    monkeypatch.setattr(DualVthAssigner, "_wns", recording)
+    return seen
+
+
+def test_no_probe_repeats_a_slow_set(library, c880, monkeypatch):
+    """No two bisection probes of one assignment see the same slow set
+    (so the same netlist and WNS): on c880 at a 10 % margin, and in the
+    Dual-Vth and MT assignments of circuitB's Table 1 flow."""
+    from repro.benchcircuits.suite import load_circuit
+    from repro.config import Technique
+    from repro.core.stages import (
+        SHARED_STAGES,
+        FlowContext,
+        run_stages,
+        stage_dual_vth_assignment,
+        stage_mt_assignment,
+    )
+    from repro.experiments import table1_config
+
+    seen = _slow_sets_per_run(monkeypatch)
+    constraints = Constraints(clock_period=min_period(c880, library) * 1.10)
+    DualVthAssigner(TimingSession(c880, library, constraints)).run()
+    prefix = run_stages(FlowContext.create(
+        load_circuit("circuitB"), library, config=table1_config("B")),
+        SHARED_STAGES)
+    for technique, step in ((Technique.DUAL_VTH, stage_dual_vth_assignment),
+                            (Technique.IMPROVED_SMT, stage_mt_assignment)):
+        run_stages(prefix.fork(technique), (step,))
+    assert len(seen) == 3
+    for probes in seen.values():
+        assert len(probes) > 1
+        assert len(set(probes)) == len(probes)

@@ -1,5 +1,9 @@
 """The technique stage tables and the one stage loop."""
 
+import dataclasses
+
+import pytest
+
 from repro.benchcircuits.suite import load_circuit
 from repro.config import FlowConfig, Technique
 from repro.core.compare import count_cell_kinds
@@ -10,9 +14,14 @@ from repro.core.stages import (
     SHARED_STAGES,
     run_stages,
     shared_steps,
+    stage_eco_placement,
     stage_key,
     stage_mt_assignment,
 )
+from repro.experiments import table1_config
+from repro.liberty.library import VARIANT_HVT, Library
+from repro.placement.legalize import legalize
+from repro.placement.placer import GlobalPlacer
 
 #: The span of every step is ``stage.<key>``; perfbench and the CI
 #: trace smokes read these names.
@@ -138,3 +147,78 @@ def test_improved_flow_without_mt_cells_builds_an_empty_network(library):
         "switch_structure", "routing_cts_mte", "spef_reoptimization",
         "eco_and_sta"]
     assert result.stage("switch_structure").details["clusters"] == 0
+
+
+def _through_eco_placement(library, circuit: str, technique: Technique,
+                           config: FlowConfig) -> FlowContext:
+    """A context of ``technique`` on ``circuit`` after its ECO
+    placement."""
+    steps = PIPELINES[technique]
+    ctx = FlowContext.create(load_circuit(circuit), library, technique,
+                             config)
+    return run_stages(ctx, steps[:steps.index(stage_eco_placement) + 1])
+
+
+class TestEcoPlacement:
+    """The ECO placement keeps the fork's placement exactly when
+    placing again would reproduce it, whatever the technique."""
+
+    @pytest.mark.parametrize("circuit, config", [
+        ("c432", FlowConfig(timing_margin=0.12)),
+        ("circuitB", table1_config("B")),
+    ])
+    def test_dual_vth_keeps_what_a_fresh_placer_makes(self, library,
+                                                      circuit, config):
+        ctx = _through_eco_placement(library, circuit, Technique.DUAL_VTH,
+                                     config)
+        assert ctx.stages[-1].details["replaced"] is False
+        netlist = ctx.netlist.copy()
+        for inst in netlist.instances.values():
+            del inst.attributes["x"], inst.attributes["y"]
+        fresh = GlobalPlacer(netlist, library,
+                             utilization=config.utilization,
+                             aspect_ratio=config.aspect_ratio,
+                             iterations=config.placer_iterations,
+                             seed=config.placement_seed).run()
+        legalize(fresh, netlist, library)
+        kept = ctx.placement
+        assert list(kept.locations.items()) == list(fresh.locations.items())
+        assert kept.port_locations == fresh.port_locations
+        assert vars(kept.floorplan) == vars(fresh.floorplan)
+        for name, inst in ctx.netlist.instances.items():
+            twin = netlist.instances[name].attributes
+            assert (inst.attributes["x"], inst.attributes["y"]) \
+                == (twin["x"], twin["y"]), name
+
+    def test_selective_mt_forks_place_again(self, library):
+        """MT replacement grows cells (CMT/MTV) and adds the MTE port or
+        holders, so both Selective-MT forks run the placer."""
+        for technique in (Technique.CONVENTIONAL_SMT,
+                          Technique.IMPROVED_SMT):
+            ctx = _through_eco_placement(library, "c432", technique,
+                                         FlowConfig(timing_margin=0.12))
+            assert ctx.stages[-1].details["replaced"] is True, technique
+
+    def test_an_hvt_cell_of_another_area_places_again(self, library):
+        """Keyed on what the placer reads, not on the technique: with a
+        used HVT cell larger than its LVT sibling, the Dual-Vth fork
+        places again."""
+        config = FlowConfig(timing_margin=0.12)
+        ctx = _through_eco_placement(library, "c432", Technique.DUAL_VTH,
+                                     config)
+        used = sorted({inst.cell_name
+                       for inst in ctx.netlist.instances.values()
+                       if library.cell(inst.cell_name).variant
+                       == VARIANT_HVT})
+        assert used
+        wide = Library(f"{library.name}_wide", library.tech)
+        wide.mt_assumed_bounce_v = library.mt_assumed_bounce_v
+        for cell in library:
+            if cell.name == used[0]:
+                cell = dataclasses.replace(cell, area=cell.area * 1.5)
+            wide.add_cell(cell)
+        ctx = _through_eco_placement(wide, "c432", Technique.DUAL_VTH,
+                                     config)
+        assert any(inst.cell_name == used[0]
+                   for inst in ctx.netlist.instances.values())
+        assert ctx.stages[-1].details["replaced"] is True

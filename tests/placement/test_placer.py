@@ -125,6 +125,29 @@ class TestGlobalPlacer:
             digest.update(repr(placement.locations).encode())
         assert digest.hexdigest() == PLACEMENT_DIGEST
 
+    def test_key_follows_what_the_placer_reads(self, library, c17):
+        """The key a placement records survives a copy and an
+        area-preserving HVT swap, and moves with a placement field, a
+        cell area and the order of a net's sinks (the centroid sums
+        them in that order)."""
+        from repro.liberty.library import VARIANT_HVT, VARIANT_MTV
+        from repro.netlist.transform import swap_variant
+
+        placement = GlobalPlacer(c17, library).run()
+        assert placement.key == GlobalPlacer(c17.copy(), library).key()
+        assert GlobalPlacer(c17, library, seed=2).key() != placement.key
+        hvt = c17.copy()
+        first = next(iter(hvt.instances.values()))
+        swap_variant(hvt, first, library, VARIANT_HVT)
+        assert GlobalPlacer(hvt, library).key() == placement.key
+        swap_variant(hvt, first, library, VARIANT_MTV)
+        assert GlobalPlacer(hvt, library).key() != placement.key
+        reordered = c17.copy()
+        net = next(net for net in reordered.nets.values()
+                   if len(net.sinks) > 1)
+        net.sinks.reverse()
+        assert GlobalPlacer(reordered, library).key() != placement.key
+
     def test_ensure_port_location_for_late_ports(self, library, s27):
         placement = GlobalPlacer(s27, library).run()
         x, y = placement.ensure_port_location("MTE_LATE")
